@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from divalg.cli import main
-from divalg.dissident import DissidentMap
+from divalg.dissident import DissidentMap, cross_product_map
 from divalg.exact import Matrix
 from divalg.octonion import OCTONION_TABLE
 from divalg.serialize import canonical_json, map_to_json, plain_matrix_to_json, triple_to_json
@@ -216,3 +219,85 @@ def test_solver_error_exit_codes(monkeypatch):
     code, report = run_json("degree", "--builtin", "cross7", "--trials", "5",
                             "--samples", "4")
     assert code == 5 and "parity" in report["error"]
+
+
+def _write_inputs(directory):
+    """Inputs for the golden and rejection runs, written under relative
+    names so the reports (which echo input paths) do not depend on the
+    directory."""
+    from divalg.builtins import cross7_triple, identity_quadruple
+    from divalg.serialize import quadruple_to_json
+
+    t = [[list(c) for c in row] for row in cross_product_map(7).tensor]
+    t[0][1][4] += 1
+    t[1][0][4] -= 1  # the README's degree-3 example: eta(e1 ^ e2) = e3 + e5
+    docs = {
+        "bent3.json": map_to_json(DissidentMap(7, t)),
+        "triple.json": triple_to_json(cross7_triple()),
+        "quad.json": quadruple_to_json(identity_quadruple()),
+        "I7.json": plain_matrix_to_json(Matrix.identity(7)),
+        "I8.json": plain_matrix_to_json(Matrix.identity(8)),
+    }
+    for name, doc in docs.items():
+        (directory / name).write_text(canonical_json(doc), encoding="utf-8")
+
+
+# stdout digests frozen before the input resolution and verify_lifting were
+# rewritten; none of these bytes is checked by a benchmark workload
+GOLDEN_STDOUT_SHA256 = [
+    (("degree", "--builtin", "cross3"),
+     "f1bc6111794346cd0d2f9a665afd48be6c4f8fbe9860917fd6b347908b1821e1"),
+    (("lift", "--input", "bent3.json", "--samples", "16"),
+     "3322ea1c59c0b67de0c8aed36f73bbf35e24a6683167d67366c354eb381a4609"),
+    (("roundtrip", "--builtin", "cross7"),
+     "e32d77f093b97333efd56036a6e1e18818c2c52174f6cac64f5b5c71fe9cbb78"),
+    (("recover", "--builtin", "octonions"),
+     "6f5820eac1502e1fb4ba2544cf79f74eb05796b5eb0fc82c3cdb3959781caf43"),
+    (("build", "--quadruple", "random", "--seed", "0"),
+     "7cb1518c4c503e673ad4cfd0103ce08bcb605c3aa644a85b5316beba69732eb8"),
+    (("check", "--what", "division", "--builtin", "quaternions", "--trials", "40"),
+     "c3b0c5c751ac56a2de1edf97009633bad058a444d501d4fe04d81d3203763850"),
+    (("morphism", "--kind", "algebra", "--src", "octonions", "--dst", "octonions",
+      "--f", "I8.json"),
+     "4a5348e4328955cf8135d6115512bde80a1986f1cc801d87a4eb9cbaf4f44ad1"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT_SHA256,
+                         ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT_SHA256])
+def test_golden_stdout(tmp_path, monkeypatch, argv, digest):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+REJECTED_SOURCES = [
+    ("degree", "--quadruple", "triple.json"),
+    ("build", "--triple", "quad.json"),
+    ("build", "--triple", "bent3.json"),
+    ("recover", "--input", "triple.json"),
+    ("check", "--what", "division", "--input", "bent3.json"),
+    ("check", "--what", "quadratic", "--input", "bent3.json"),
+    ("degree", "--builtin", "octonions"),
+    ("roundtrip", "--input", "I7.json"),
+    ("morphism", "--kind", "triple", "--src", "quad.json", "--dst", "cross7",
+     "--f", "I7.json"),
+    ("morphism", "--kind", "triple", "--src", "bent3.json", "--dst", "cross7",
+     "--f", "I7.json"),
+    ("morphism", "--kind", "algebra", "--src", "identity-quadruple",
+     "--dst", "octonions", "--f", "I8.json"),
+    ("morphism", "--kind", "algebra", "--src", "quad.json",
+     "--dst", "octonions", "--f", "I8.json"),
+    ("build", "--builtin", "cross7", "--triple", "triple.json"),
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_SOURCES, ids=" ".join)
+def test_rejected_sources_exit_2(tmp_path, monkeypatch, argv):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(*argv, "--trials", "5")
+    assert code == 2
+    assert "parse error" in report["error"]
