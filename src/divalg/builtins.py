@@ -10,14 +10,6 @@ from .octonion import structure_table
 from .qda import AlgebraPresentation
 
 
-def cross7_map():
-    return cross_product_map(7)
-
-
-def cross3_map():
-    return cross_product_map(3)
-
-
 def cross7_triple():
     return DissidentTriple(7, Matrix.zeros(7, 7), cross_product_map(7))
 

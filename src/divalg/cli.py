@@ -24,6 +24,7 @@ from .dissident import (
     dissidence_falsify,
     quadruple_to_triple,
     random_quadruple,
+    triple_morphism_check,
 )
 from .exact import Matrix
 from .lifting import (
@@ -33,7 +34,7 @@ from .lifting import (
     solve_lifting_scan,
     verify_lifting,
 )
-from .octonion import NotQuadratic, NotUnital, g2_check, structure_table
+from .octonion import NotQuadratic, g2_check, structure_table
 from .qda import (
     AlgebraPresentation,
     BadDimension,
@@ -159,73 +160,54 @@ def build_parser():
 # input plumbing
 
 
-def _load_any_map_input(args):
-    """Resolve --input/--builtin/--quadruple to (eta, triple_or_None, description)."""
-    picked = [x for x in (args.input, args.builtin, args.quadruple) if x]
-    if len(picked) != 1:
-        raise ParseError("give exactly one of --input, --builtin, --quadruple")
-    if args.builtin:
-        obj = load_builtin(args.builtin)
-        desc = {"builtin": args.builtin}
-    elif args.quadruple:
-        if args.quadruple == "random":
-            obj = random_quadruple(args.seed)
-            desc = {"quadruple": "random", "seed": args.seed}
-        else:
-            obj = load_typed_file(args.quadruple)
-            if not isinstance(obj, MatrixQuadruple):
-                raise ParseError("--quadruple file must carry kind matrix_quadruple")
-            desc = {"path": args.quadruple}
+# Conversions between input kinds, all through the triple: quadruple ->
+# triple -> map, triple -> algebra, and a bare map is the triple with xi = 0.
+_CONVERT = {
+    (MatrixQuadruple, DissidentTriple): quadruple_to_triple,
+    (DissidentMap, DissidentTriple): lambda eta: DissidentTriple(
+        eta.n, Matrix.zeros(eta.n, eta.n), eta),
+    (DissidentTriple, DissidentMap): lambda triple: triple.eta,
+    (DissidentTriple, AlgebraPresentation): make_qda,
+}
+
+# The kinds a command takes, the first being the one it works on.
+_MAP_INPUT = (DissidentMap, DissidentTriple, MatrixQuadruple)
+_TRIPLE_INPUT = (DissidentTriple, DissidentMap, MatrixQuadruple)
+_ALGEBRA_INPUT = (AlgebraPresentation, DissidentTriple, MatrixQuadruple)
+
+# Source flags that name the one kind their file must hold.
+_TYPED_SOURCES = {"quadruple": MatrixQuadruple, "triple": DissidentTriple}
+
+
+def _resolve(args, kinds):
+    """Decode the one source flag given in args and convert it to kinds[0].
+
+    Returns (object, report description).  A ParseError (exit 2) is raised
+    unless exactly one source is given and it decodes to one of `kinds` (to
+    the flag's own kind, for the flags in _TYPED_SOURCES).
+    """
+    flags = [f for f in ("input", "builtin", "quadruple", "triple") if hasattr(args, f)]
+    given = [f for f in flags if getattr(args, f)]
+    if len(given) != 1:
+        raise ParseError("give exactly one of " + ", ".join(f"--{f}" for f in flags))
+    flag = given[0]
+    value = getattr(args, flag)
+    if flag == "builtin":
+        obj, desc = load_builtin(value), {"builtin": value}
+    elif flag == "quadruple" and value == "random":
+        obj, desc = random_quadruple(args.seed), {"quadruple": "random", "seed": args.seed}
     else:
-        obj = load_typed_file(args.input)
-        desc = {"path": args.input}
-    if isinstance(obj, MatrixQuadruple):
-        triple = quadruple_to_triple(obj)
-        return triple.eta, triple, desc
-    if isinstance(obj, DissidentTriple):
-        return obj.eta, obj, desc
-    if isinstance(obj, DissidentMap):
-        return obj, None, desc
-    raise ParseError("input does not describe a dissident map, triple, or quadruple")
-
-
-def _load_algebra_input(args):
-    picked = [x for x in (getattr(args, "input", None), args.builtin,
-                          getattr(args, "quadruple", None),
-                          getattr(args, "triple", None)) if x]
-    if len(picked) != 1:
-        raise ParseError("give exactly one input source")
-    if args.builtin:
-        obj = load_builtin(args.builtin)
-        desc = {"builtin": args.builtin}
-        if isinstance(obj, DissidentTriple):
-            return make_qda(obj), desc
-        if isinstance(obj, MatrixQuadruple):
-            return make_qda(quadruple_to_triple(obj)), desc
-        if isinstance(obj, AlgebraPresentation):
-            return obj, desc
-        raise ParseError(f"builtin {args.builtin} is not an algebra source")
-    if getattr(args, "quadruple", None):
-        if args.quadruple == "random":
-            q = random_quadruple(args.seed)
-            return make_qda(quadruple_to_triple(q)), {"quadruple": "random", "seed": args.seed}
-        q = load_typed_file(args.quadruple)
-        if not isinstance(q, MatrixQuadruple):
-            raise ParseError("--quadruple file must carry kind matrix_quadruple")
-        return make_qda(quadruple_to_triple(q)), {"path": args.quadruple}
-    if getattr(args, "triple", None):
-        t = load_typed_file(args.triple)
-        if not isinstance(t, DissidentTriple):
-            raise ParseError("--triple file must carry kind dissident_triple")
-        return make_qda(t), {"path": args.triple}
-    obj = load_typed_file(args.input)
-    if isinstance(obj, AlgebraPresentation):
-        return obj, {"path": args.input}
-    if isinstance(obj, DissidentTriple):
-        return make_qda(obj), {"path": args.input}
-    if isinstance(obj, MatrixQuadruple):
-        return make_qda(quadruple_to_triple(obj)), {"path": args.input}
-    raise ParseError("input does not describe an algebra")
+        obj, desc = load_typed_file(value), {"path": value}
+    accepted = (_TYPED_SOURCES[flag],) if flag in _TYPED_SOURCES else kinds
+    if not isinstance(obj, accepted):
+        names = " or ".join(k.__name__ for k in accepted)
+        raise ParseError(f"{value} decodes to {type(obj).__name__}; expected {names}")
+    wanted = kinds[0]
+    if not isinstance(obj, (wanted, DissidentTriple)):
+        obj = _CONVERT[type(obj), DissidentTriple](obj)
+    if not isinstance(obj, wanted):
+        obj = _CONVERT[DissidentTriple, wanted](obj)
+    return obj, desc
 
 
 def _header(args, command, extra_budgets=None):
@@ -259,7 +241,7 @@ def _emit(report, args, emit_doc=None):
 
 
 def cmd_degree(args, emit_lifting=False):
-    eta, triple, desc = _load_any_map_input(args)
+    eta, desc = _resolve(args, _MAP_INPUT)
     report = _header(args, "lift" if emit_lifting else "degree")
     report["input"] = desc
     report["n"] = eta.n
@@ -319,7 +301,7 @@ def cmd_check(args):
         return EXIT_OK if ok else EXIT_FAIL
 
     if args.what == "dissident":
-        eta, _, desc = _load_any_map_input(args)
+        eta, desc = _resolve(args, _MAP_INPUT)
         report["input"] = desc
         witness = dissidence_falsify(eta, args.trials, args.seed)
         report["pass"] = witness is None
@@ -332,13 +314,10 @@ def cmd_check(args):
         _emit(report, args)
         return EXIT_OK if witness is None else EXIT_FAIL
 
-    alg, desc = _load_algebra_input(args)
+    alg, desc = _resolve(args, _ALGEBRA_INPUT)
     report["input"] = desc
     if args.what == "quadratic":
-        try:
-            ok = quadratic_check(alg)
-        except NotUnital as exc:
-            raise ParseError(f"presentation is not unital: {exc}") from exc
+        ok = quadratic_check(alg)
         report["pass"] = ok
         _emit(report, args)
         return EXIT_OK if ok else EXIT_FAIL
@@ -354,7 +333,7 @@ def cmd_check(args):
 
 
 def cmd_build(args):
-    alg, desc = _load_algebra_input(args)
+    alg, desc = _resolve(args, _ALGEBRA_INPUT)
     report = _header(args, "build")
     report["input"] = desc
     doc = algebra_to_json(alg)
@@ -364,17 +343,7 @@ def cmd_build(args):
 
 
 def cmd_recover(args):
-    picked = [x for x in (args.input, args.builtin) if x]
-    if len(picked) != 1:
-        raise ParseError("give exactly one of --input, --builtin")
-    if args.builtin:
-        alg = load_builtin(args.builtin)
-        desc = {"builtin": args.builtin}
-    else:
-        alg = load_typed_file(args.input)
-        if not isinstance(alg, AlgebraPresentation):
-            raise ParseError("recover needs an algebra JSON")
-        desc = {"path": args.input}
+    alg, desc = _resolve(args, (AlgebraPresentation,))
     report = _header(args, "recover")
     report["input"] = desc
     try:
@@ -387,7 +356,7 @@ def cmd_recover(args):
         }
         _emit(report, args)
         return EXIT_FAIL
-    except (NotQuadratic, IndefiniteForm, BadDimension, NotUnital) as exc:
+    except (NotQuadratic, IndefiniteForm, BadDimension) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(report, args)
         return EXIT_FAIL
@@ -398,15 +367,13 @@ def cmd_recover(args):
 
 
 def cmd_roundtrip(args):
-    eta, triple, desc = _load_any_map_input(args)
-    if triple is None:
-        triple = DissidentTriple(eta.n, Matrix.zeros(eta.n, eta.n), eta)
+    triple, desc = _resolve(args, _TRIPLE_INPUT)
     report = _header(args, "roundtrip")
     report["input"] = desc
     algebra = make_qda(triple)
     try:
         recovered = recover_triple(algebra)
-    except (NotQuadratic, IndefiniteForm, BadDimension, NotUnital, IrrationalGram) as exc:
+    except (NotQuadratic, IndefiniteForm, BadDimension, IrrationalGram) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         _emit(report, args)
         return EXIT_FAIL
@@ -423,40 +390,23 @@ def cmd_roundtrip(args):
     return EXIT_OK if match else EXIT_FAIL
 
 
-def _load_side(source, kind):
-    if source in BUILTINS:
-        obj = load_builtin(source)
-        if kind == "algebra" and isinstance(obj, DissidentTriple):
-            obj = make_qda(obj)
-        if kind == "triple" and isinstance(obj, MatrixQuadruple):
-            obj = quadruple_to_triple(obj)
-        return obj
-    return load_typed_file(source)
-
-
 def cmd_morphism(args):
     report = _header(args, "morphism")
     report["kind"] = args.kind
     f = load_typed_file(args.f)
     if not isinstance(f, Matrix):
         raise ParseError("--f must be a matrix JSON")
-    src = _load_side(args.src, args.kind)
-    dst = _load_side(args.dst, args.kind)
+    triple = args.kind == "triple"
+    kinds = _TRIPLE_INPUT if triple else (AlgebraPresentation, DissidentTriple)
+    # a side names a builtin or a file; the file of a triple side must hold
+    # a triple, that of an algebra side an algebra or a triple
+    sides = []
+    for value in (args.src, args.dst):
+        flag = "builtin" if value in BUILTINS else "triple" if triple else "input"
+        sides.append(_resolve(argparse.Namespace(**{flag: value}), kinds)[0])
     report["input"] = {"src": args.src, "dst": args.dst, "f": args.f}
-    if args.kind == "triple":
-        if not isinstance(src, DissidentTriple) or not isinstance(dst, DissidentTriple):
-            raise ParseError("triple morphism needs dissident_triple inputs")
-        from .dissident import triple_morphism_check
-
-        ok = triple_morphism_check(src, dst, f)
-    else:
-        if isinstance(src, DissidentTriple):
-            src = make_qda(src)
-        if isinstance(dst, DissidentTriple):
-            dst = make_qda(dst)
-        if not isinstance(src, AlgebraPresentation) or not isinstance(dst, AlgebraPresentation):
-            raise ParseError("algebra morphism needs algebra inputs")
-        ok = algebra_morphism_check(src, dst, f)
+    check = triple_morphism_check if triple else algebra_morphism_check
+    ok = check(*sides, f)
     report["pass"] = ok
     _emit(report, args)
     return EXIT_OK if ok else EXIT_FAIL

@@ -23,6 +23,8 @@ from fractions import Fraction
 from .exact import (
     DimensionError,
     Matrix,
+    basis_vector,
+    bilinear,
     dot,
     is_zero_vector,
     vec_scale,
@@ -81,7 +83,7 @@ class DissidentMap:
     @staticmethod
     def from_bilinear(n, fn) -> "DissidentMap":
         """Tabulate eta(e_i ^ e_j) = fn(e_i, e_j) into a tensor."""
-        basis = [tuple(Fraction(int(i == t)) for t in range(n)) for i in range(n)]
+        basis = [basis_vector(n, i) for i in range(n)]
         return DissidentMap(
             n, [[vector(fn(basis[i], basis[j])) for j in range(n)] for i in range(n)]
         )
@@ -98,24 +100,7 @@ def cross_product_map(n) -> DissidentMap:
 
 def eval_eta(eta: DissidentMap, v, w):
     """Bilinear, antisymmetric evaluation of eta(v ^ w) from the tensor."""
-    n = eta.n
-    if len(v) != n or len(w) != n:
-        raise DimensionError("eval_eta argument length mismatch")
-    v = vector(v)
-    w = vector(w)
-    out = [Fraction(0)] * n
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = eta.tensor[i]
-        for j, wj in enumerate(w):
-            if wj == 0:
-                continue
-            cell = row[j]
-            for k in range(n):
-                if cell[k]:
-                    out[k] += vi * wj * cell[k]
-    return tuple(out)
+    return bilinear(eta.tensor, vector(v), vector(w))
 
 
 class DissidentTriple:
@@ -144,9 +129,6 @@ class DissidentTriple:
 
     def __hash__(self):
         return hash((self.n, self.xi, self.eta))
-
-    def xi_value(self, v, w) -> Fraction:
-        return dot(v, self.xi.matvec(w))
 
 
 class MatrixQuadruple:
@@ -256,9 +238,8 @@ def eta_P_point(eta: DissidentMap, v):
         raise ZeroVector("eta_P is undefined at 0")
     norm2 = dot(v, v)
     rows = []
-    basis = [tuple(Fraction(int(i == t)) for t in range(n)) for i in range(n)]
     for i in range(n):
-        w_i = vec_sub(vec_scale(norm2, basis[i]), vec_scale(v[i], v))
+        w_i = vec_sub(vec_scale(norm2, basis_vector(n, i)), vec_scale(v[i], v))
         rows.append(eval_eta(eta, v, w_i))
     kernel = Matrix(rows).kernel()
     if len(kernel) != 1:
@@ -283,17 +264,11 @@ def triple_morphism_check(src: DissidentTriple, dst: DissidentTriple, phi: Matri
     cols = [phi.column(j) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = phi.matvec(eval_eta(src.eta, *_basis_pair(n, i, j)))
+            lhs = phi.matvec(eval_eta(src.eta, basis_vector(n, i), basis_vector(n, j)))
             rhs = eval_eta(dst.eta, cols[i], cols[j])
             if lhs != rhs:
                 return False
     return True
-
-
-def _basis_pair(n, i, j):
-    e_i = tuple(Fraction(int(i == t)) for t in range(n))
-    e_j = tuple(Fraction(int(j == t)) for t in range(n))
-    return e_i, e_j
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -85,6 +81,31 @@ def vec_sub(u, v):
 def vec_scale(c, u):
     c = as_fraction(c)
     return tuple(c * a for a in u)
+
+
+def basis_vector(n, i) -> tuple:
+    """The standard basis vector e_i of Q^n."""
+    return tuple(Fraction(int(i == t)) for t in range(n))
+
+
+def bilinear(tensor, x, y) -> tuple:
+    """The bilinear map with structure tensor t: sum_{i,j} x_i y_j t[i][j],
+    where t[i][j] is the image of the basis pair (e_i, e_j)."""
+    n = len(tensor)
+    if len(x) != n or len(y) != n:
+        raise DimensionError("bilinear argument length mismatch")
+    out = [Fraction(0)] * n
+    for xi, plane in zip(x, tensor):
+        if xi == 0:
+            continue
+        for yj, cell in zip(y, plane):
+            if yj == 0:
+                continue
+            c = xi * yj
+            for k, t in enumerate(cell):
+                if t:
+                    out[k] += c * t
+    return tuple(out)
 
 
 def is_zero_vector(u) -> bool:

@@ -18,6 +18,11 @@ sample points (this removes solutions that vanish somewhere or pick a wrong
 line), and the first degree with a validated element wins.  Scanning in
 order makes the returned degree minimal by construction.
 
+verify_lifting reuses the scan's certificates: the orthogonality identity
+is the exact product M phi = 0 against the same constraint system, and the
+sample points and their eta_P lines are computed once per process and shared
+with the scan.
+
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
 uniqueness of the lifting; it is reported as a confidence statement, not
 certified symbolically.
@@ -26,6 +31,7 @@ certified symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .dissident import DissidentMap, ZeroVector, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
@@ -33,7 +39,6 @@ from .exact import Matrix, primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
 from .poly import (
     HomogeneousPoly,
-    divide_exact,
     monomial_count,
     monomials,
     poly_content_gcd,
@@ -63,6 +68,10 @@ class OddnessViolation(LiftingError):
     dissident map; treated as a solver bug signal."""
 
 
+class SharedFactor(ValueError):
+    """Lifting components with a nonconstant common factor."""
+
+
 class Lifting:
     """A validated lifting: n components, homogeneous of common degree >= 1,
     not all zero, relatively prime (all enforced on construction)."""
@@ -83,7 +92,7 @@ class Lifting:
             raise ValueError("lifting components are all zero")
         gcd = poly_content_gcd(nonzero)
         if gcd.degree != 0:
-            raise ValueError(f"components share the factor {gcd!r}")
+            raise SharedFactor(f"components share the factor {gcd!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
@@ -172,10 +181,7 @@ def build_constraint_system(eta: DissidentMap, d) -> Matrix:
     """
     if not 1 <= d <= 5:
         raise ValueError("candidate degree out of range 1..5")
-    plain = [
-        [[x for x in row] for row in plane] for plane in eta.tensor
-    ]
-    coo, nrows, ncols = _assemble_coo(eta, d, plain)
+    coo, nrows, ncols = _assemble_coo(eta, d, eta.tensor)
     grid = [[Fraction(0)] * ncols for _ in range(nrows)]
     for r, c, v in coo:
         grid[r][c] += v
@@ -202,55 +208,33 @@ def _components_from_vector(n, d, vec):
     return tuple(comps)
 
 
-def _slot_polynomials(eta: DissidentMap):
-    """W[i][k] = <e_k, eta(v ^ (|v|^2 e_i - v_i v))> as degree-3 polynomials."""
-    n = eta.n
+@lru_cache(maxsize=8)
+def _sample_lines(eta: DissidentMap, samples, seed):
+    """The seeded validation points with their eta_P lines (None where eta_P
+    is undefined), as ((point, line), ...).
+
+    Memoised so that the scan and verify_lifting, which draw the same points
+    from the same seed, compute each line once per process.
+    """
+    rng = seeded_rng(seed, "lifting-points")
     out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            terms = {}
-            for a in range(n):
-                t = eta.tensor[a][i][k]
-                if not t:
-                    continue
-                for l in range(n):
-                    exps = [0] * n
-                    exps[l] += 2
-                    exps[a] += 1
-                    key = tuple(exps)
-                    terms[key] = terms.get(key, Fraction(0)) + t
-            row.append(HomogeneousPoly(n, 3, terms))
-        out.append(row)
-    return out
+    for _ in range(samples):
+        point = sample_vector(rng, eta.n)
+        try:
+            line = eta_P_point(eta, point)
+        except (DegenerateSpan, ZeroVector):
+            line = None
+        out.append((point, line))
+    return tuple(out)
 
 
-class _PointCache:
-    """Sampled validation points with lazily computed target lines."""
-
-    def __init__(self, eta, samples, seed):
-        rng = seeded_rng(seed, "lifting-points")
-        self.eta = eta
-        self.points = [sample_vector(rng, eta.n) for _ in range(samples)]
-        self._lines = {}
-
-    def line(self, s):
-        if s not in self._lines:
-            try:
-                self._lines[s] = eta_P_point(self.eta, self.points[s])
-            except (DegenerateSpan, ZeroVector):
-                self._lines[s] = None
-        return self._lines[s]
-
-
-def _validate(components, cache: _PointCache):
-    """Pointwise condition (b) at every cached sample: Phi(v) nonzero and on
-    the eta_P line."""
-    for s, point in enumerate(cache.points):
+def _validate(components, lines):
+    """Pointwise condition (b) at every sample: Phi(v) nonzero and on the
+    eta_P line."""
+    for point, target in lines:
         value = tuple(p.eval(point) for p in components)
         if all(x == 0 for x in value):
             return False
-        target = cache.line(s)
         if target is None or primitive_vector(value) != target:
             return False
     return True
@@ -268,7 +252,6 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         raise ValueError("max_degree out of range 1..5")
     if samples < 1:
         raise ValueError("at least one validation sample is required")
-    cache = _PointCache(eta, samples, seed)
     scan = []
     for d in range(1, max_degree + 1):
         system = _sparse_system(eta, d)
@@ -283,21 +266,13 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         scan.append(entry)
         if not kernel:
             continue
-        survivors = []
+        distinct = []
         for vec in kernel:
             comps = _components_from_vector(eta.n, d, vec)
-            if _validate(comps, cache):
-                survivors.append(comps)
-        reduced = []
-        for comps in survivors:
-            gcd = poly_content_gcd([p for p in comps if not p.is_zero()])
-            if gcd.degree:
-                comps = tuple(divide_exact(p, gcd) for p in comps)
-            reduced.append(primitive_poly_vector(comps))
-        distinct = []
-        for comps in reduced:
-            if comps not in distinct:
-                distinct.append(comps)
+            if _validate(comps, _sample_lines(eta, samples, seed)):
+                comps = primitive_poly_vector(comps)
+                if comps not in distinct:
+                    distinct.append(comps)
         entry["validated"] = len(distinct)
         if not distinct:
             continue
@@ -305,13 +280,13 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
             raise AmbiguousKernel(
                 f"{len(distinct)} validated projective solutions at degree {d}"
             )
-        winner = distinct[0]
-        win_degree = next(p.degree for p in winner if not p.is_zero())
-        if win_degree != d:
+        try:
+            return Lifting(eta.n, d, distinct[0]), scan
+        except SharedFactor as exc:
+            # a common factor means a lower-degree solution the scan missed
             raise AmbiguousKernel(
                 "validated solution reduced below the scanned degree"
-            )
-        return Lifting(eta.n, d, winner), scan
+            ) from exc
     raise NoLiftingFound(
         f"no validated lifting up to degree {max_degree} "
         f"({samples} validation samples)"
@@ -327,9 +302,13 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     """Check conditions (a), (b), (c) for a candidate lifting; returns a
     report dict (never raises on a failing condition).
 
-    (a) is structural; the identity part of (b) is checked symbolically (all
-    coefficients of <Phi(v), eta(v ^ w_i(v))> vanish for every slot i), the
-    pointwise part of (b) by exact sampling; (c) is an exact content-GCD.
+    (a) is structural.  The identity part of (b) is certified by the exact
+    product M phi = 0, where M is the degree-d constraint system and phi the
+    coefficient vector with denominators cleared: the same certificate the
+    kernel solver gives each kernel vector.  The pointwise part of (b) is
+    checked by exact sampling, at the points and eta_P lines the scan
+    validated against for the same (samples, seed).  (c) is an exact
+    content GCD, which a Lifting has passed on construction.
     """
     components = tuple(phi.components) if isinstance(phi, Lifting) else tuple(phi)
     n = eta.n
@@ -342,33 +321,25 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         and next(iter(degrees)) >= 1
     )
 
-    b_symbolic = True
+    b_identity = False
     if a_pass:
-        slots = _slot_polynomials(eta)
-        for i in range(n):
-            acc = HomogeneousPoly.zero(n, components[0].degree + 3)
-            for k in range(n):
-                if not components[k].is_zero() and not slots[i][k].is_zero():
-                    acc = acc + components[k] * slots[i][k]
-            if not acc.is_zero():
-                b_symbolic = False
-                break
-    else:
-        b_symbolic = False
+        d = components[0].degree
+        coeffs = [p.terms.get(m, 0) for p in components for m in monomials(n, d)]
+        image = _sparse_system(eta, d).matvec_exact(list(primitive_vector(coeffs)))
+        b_identity = not any(image)
 
-    cache = _PointCache(eta, samples, seed)
     nonvanishing_failures = 0
     line_failures = 0
-    for s, point in enumerate(cache.points):
+    for point, target in _sample_lines(eta, samples, seed):
         value = tuple(p.eval(point) for p in components)
         if all(x == 0 for x in value):
             nonvanishing_failures += 1
-            continue
-        target = cache.line(s)
-        if target is None or primitive_vector(value) != target:
+        elif target is None or primitive_vector(value) != target:
             line_failures += 1
 
-    if nonzero:
+    if isinstance(phi, Lifting):
+        c_pass, gcd_repr = True, "1"
+    elif nonzero:
         gcd = poly_content_gcd(nonzero)
         c_pass = gcd.degree == 0
         gcd_repr = repr(gcd)
@@ -379,7 +350,7 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     report = {
         "degree": max(degrees) if degrees else None,
         "a_homogeneous_common_degree": a_pass,
-        "b_orthogonality_identity": b_symbolic,
+        "b_orthogonality_identity": b_identity,
         "b_sampled_nonvanishing": {
             "checked": samples,
             "failures": nonvanishing_failures,
@@ -394,7 +365,7 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     }
     report["all_pass"] = (
         a_pass
-        and b_symbolic
+        and b_identity
         and nonvanishing_failures == 0
         and line_failures == 0
         and c_pass

@@ -27,6 +27,8 @@ from math import gcd, isqrt
 
 import numpy as np
 
+from .exact import primitive_vector
+
 # Primes sized so that a 4096-term dot product of residues fits in 2**53,
 # keeping float64 matmuls exact.
 PRIMES = (
@@ -332,25 +334,6 @@ def sparse_kernel(mat, primes=PRIMES):
     )
 
 
-def _primitive_int_row(row):
-    """primitive_vector specialized to rows of ints mixed with Fractions."""
-    dens = [x.denominator for x in row if not isinstance(x, int)]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in row] if scale != 1 else [int(x) for x in row]
-    content = 0
-    for a in ints:
-        content = gcd(content, a)
-        if content == 1:
-            break
-    if content not in (0, 1):
-        ints = [a // content for a in ints]
-    if next(a for a in ints if a != 0) < 0:
-        ints = [-a for a in ints]
-    return tuple(ints)
-
-
 def _verify_candidate(mat, rows, pivots):
     vectors = []
     for i, row in enumerate(rows):
@@ -359,7 +342,7 @@ def _verify_candidate(mat, rows, pivots):
         for j, c in enumerate(pivots):
             if row[c] != (1 if j == i else 0):
                 return None
-        vec = _primitive_int_row(row)
+        vec = primitive_vector(row)
         if mat.matvec_exact(list(vec)) != [0] * mat.nrows:
             return None
         vectors.append(vec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Matrix, as_fraction, dot, vector
+from .exact import Matrix, as_fraction, basis_vector, bilinear, dot, vector
 from .poly import HomogeneousPoly
 
 OCTONION_TRIPLES = (
@@ -68,32 +68,13 @@ def structure_table(dim):
     raise ValueError(f"no table of dimension {dim}")
 
 
-def table_mul(table, x, y):
-    """Bilinear product of coefficient vectors under a structure tensor."""
-    dim = len(table)
-    if len(x) != dim or len(y) != dim:
-        raise ValueError("coefficient vector length mismatch")
-    out = [Fraction(0)] * dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            for k, c in enumerate(row[j]):
-                if c:
-                    out[k] += xi * yj * c
-    return tuple(out)
-
-
 def oct_mul(x, y):
     """Exact octonion product of coefficient 8-vectors."""
-    return table_mul(OCTONION_TABLE, vector(x), vector(y))
+    return bilinear(OCTONION_TABLE, vector(x), vector(y))
 
 
 def quat_mul(x, y):
-    return table_mul(QUATERNION_TABLE, vector(x), vector(y))
+    return bilinear(QUATERNION_TABLE, vector(x), vector(y))
 
 
 def oct_conj(x):
@@ -135,22 +116,7 @@ def vector_product(v, w):
         tensor = CROSS3_TENSOR
     else:
         raise ValueError(f"no vector product on R^{n}")
-    if len(w) != n:
-        raise ValueError("vector length mismatch")
-    v = vector(v)
-    w = vector(w)
-    out = [Fraction(0)] * n
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        for j, wj in enumerate(w):
-            if wj == 0:
-                continue
-            for k in range(n):
-                c = tensor[i][j][k]
-                if c:
-                    out[k] += vi * wj * c
-    return tuple(out)
+    return bilinear(tensor, vector(v), vector(w))
 
 
 def g2_check(s: Matrix) -> bool:
@@ -225,15 +191,15 @@ def frobenius_split(alg):
     is then certified symbolically: with x = sum X_i e_i over polynomial
     coordinates, x^2 - 2 rho(x) x must be a polynomial multiple of the unity.
     That identity holds iff the presentation is quadratic, so failure raises
-    NotQuadratic.
+    NotQuadratic.  The unity of an AlgebraPresentation is checked when it is
+    built, so it is not checked again here.
     """
     dim = alg.dim
-    unity = vector(alg.unity)
-    _require_unity(alg, unity)
+    unity = alg.unity
 
     rho = []
     for i in range(dim):
-        b = tuple(Fraction(int(i == j)) for j in range(dim))
+        b = basis_vector(dim, i)
         coeff = _unity_multiple(b, unity)
         if coeff is not None:
             rho.append(coeff)
@@ -250,10 +216,8 @@ def frobenius_split(alg):
     # symbolic certificate: x^2 - 2 rho(x) x lies on the unity line
     terms = [dict() for _ in range(dim)]
     for i in range(dim):
-        ei = tuple(Fraction(int(i == t)) for t in range(dim))
         for j in range(dim):
-            ej = tuple(Fraction(int(j == t)) for t in range(dim))
-            prod = alg.mul(ei, ej)
+            prod = alg.mul(basis_vector(dim, i), basis_vector(dim, j))
             exps = tuple(
                 (2 if t == i else 0) if i == j else (1 if t in (i, j) else 0)
                 for t in range(dim)
@@ -277,8 +241,7 @@ def frobenius_split(alg):
     v_basis = []
     stack = []
     for i in range(dim):
-        ei = tuple(Fraction(int(i == t)) for t in range(dim))
-        v = tuple(e - rho[i] * u for e, u in zip(ei, unity))
+        v = tuple(e - rho[i] * u for e, u in zip(basis_vector(dim, i), unity))
         if all(x == 0 for x in v):
             continue
         if stack and Matrix(stack + [list(v)]).rank() == len(stack):
@@ -291,14 +254,6 @@ def frobenius_split(alg):
         if _unity_multiple(alg.mul(v, v), unity) is None:
             raise NotQuadratic("basis vector of V has v^2 outside R1")
     return rho, tuple(v_basis)
-
-
-def _require_unity(alg, unity):
-    dim = alg.dim
-    for i in range(dim):
-        ei = tuple(Fraction(int(i == t)) for t in range(dim))
-        if alg.mul(unity, ei) != ei or alg.mul(ei, unity) != ei:
-            raise NotUnital(f"distinguished element fails on basis index {i}")
 
 
 def _unity_multiple(x, unity):
@@ -316,10 +271,10 @@ def frobenius_form(alg, rho):
     dim = alg.dim
     gram = []
     for i in range(dim):
-        ei = tuple(Fraction(int(i == t)) for t in range(dim))
+        ei = basis_vector(dim, i)
         row = []
         for j in range(dim):
-            ej = tuple(Fraction(int(j == t)) for t in range(dim))
+            ej = basis_vector(dim, j)
             sym = tuple(a + b for a, b in zip(alg.mul(ei, ej), alg.mul(ej, ei)))
             row.append(2 * rho[i] * rho[j] - dot(rho, sym) / 2)
         gram.append(row)

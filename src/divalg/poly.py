@@ -14,9 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-import sympy
-
-from .exact import as_fraction, scalar_to_str
+from .exact import as_fraction, primitive_vector, scalar_to_str
 
 
 class PolyError(ValueError):
@@ -197,15 +195,6 @@ class HomogeneousPoly:
         return total
 
 
-def poly_arith(p: HomogeneousPoly, q: HomogeneousPoly, op: str) -> HomogeneousPoly:
-    """Exact addition or multiplication; preconditions as for + and *."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    raise PolyError(f"unknown op {op!r}")
-
-
 def divide_exact(p: HomogeneousPoly, g: HomogeneousPoly):
     """Exact quotient p / g, or None when g does not divide p.
 
@@ -235,20 +224,16 @@ def divide_exact(p: HomogeneousPoly, g: HomogeneousPoly):
 
 
 # ---------------------------------------------------------------------------
-# GCD (sympy-backed, renormalized to our monomial order)
-
-_SYMPY_GENS = {}
-
-
-def _gens(nvars):
-    if nvars not in _SYMPY_GENS:
-        _SYMPY_GENS[nvars] = sympy.symbols(f"x0:{nvars}")
-    return _SYMPY_GENS[nvars]
+# GCD (sympy-backed, renormalized to our monomial order).  sympy is imported
+# on the first GCD only: it is most of the import time of the package, and
+# the commands that compute no lifting never need it.
 
 
-def _to_sympy(p: HomogeneousPoly):
+def _to_sympy(p: HomogeneousPoly, gens):
+    import sympy
+
     rep = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
-    return sympy.Poly.from_dict(rep, *_gens(p.nvars), domain="QQ")
+    return sympy.Poly.from_dict(rep, *gens, domain="QQ")
 
 
 def _from_sympy(poly, nvars) -> HomogeneousPoly:
@@ -281,10 +266,13 @@ def poly_content_gcd(polys) -> HomogeneousPoly:
     for p in polys:
         if p.nvars != nvars:
             raise PolyError("variable count mismatch")
-    acc = _to_sympy(polys[0])
-    one = sympy.Poly(1, *_gens(nvars), domain="QQ")
+    import sympy
+
+    gens = sympy.symbols(f"x0:{nvars}")
+    acc = _to_sympy(polys[0], gens)
+    one = sympy.Poly(1, *gens, domain="QQ")
     for p in polys[1:]:
-        acc = acc.gcd(_to_sympy(p))
+        acc = acc.gcd(_to_sympy(p, gens))
         if acc == one:
             break
     result = _from_sympy(acc, nvars)
@@ -297,20 +285,8 @@ def primitive_poly_vector(components):
     integers of common content 1, with the first nonzero coefficient (in
     component order, grlex within a component) positive."""
     components = list(components)
-    coeffs = []
-    for p in components:
-        for exps in sorted(p.terms, reverse=True):
-            coeffs.append(p.terms[exps])
+    coeffs = [p.terms[e] for p in components for e in sorted(p.terms, reverse=True)]
     if not coeffs:
         raise PolyError("primitive normalization of the zero vector")
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = 0
-    for a in nums:
-        content = gcd(content, a)
-    scale = Fraction(den, content)
-    if next(a for a in nums if a != 0) < 0:
-        scale = -scale
+    scale = primitive_vector(coeffs)[0] / coeffs[0]
     return tuple(p.scale(scale) for p in components)

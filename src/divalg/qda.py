@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
-from .exact import DimensionError, Matrix, dot, is_rational_square, vector
-from .octonion import NotQuadratic, NotUnital, frobenius_split
+from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, is_rational_square, vector
+from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
 class BadDimension(ValueError):
@@ -82,44 +82,22 @@ class AlgebraPresentation:
 
     def mul(self, x, y):
         """Exact product of coefficient vectors."""
-        dim = self.dim
-        if len(x) != dim or len(y) != dim:
-            raise DimensionError("coefficient vector length mismatch")
-        out = [Fraction(0)] * dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            plane = self.constants[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cell = plane[j]
-                for k in range(dim):
-                    if cell[k]:
-                        out[k] += xi * yj * cell[k]
-        return tuple(out)
+        return bilinear(self.constants, x, y)
 
     def left_mul_matrix(self, a) -> Matrix:
         """L_a: x -> a x as a matrix on the presentation basis."""
-        cols = [self.mul(a, _basis(self.dim, j)) for j in range(self.dim)]
+        cols = [self.mul(a, basis_vector(self.dim, j)) for j in range(self.dim)]
         return Matrix.from_columns(cols)
 
     def right_mul_matrix(self, a) -> Matrix:
         """R_a: x -> x a."""
-        cols = [self.mul(_basis(self.dim, j), a) for j in range(self.dim)]
+        cols = [self.mul(basis_vector(self.dim, j), a) for j in range(self.dim)]
         return Matrix.from_columns(cols)
-
-    def basis_element(self, i):
-        return _basis(self.dim, i)
-
-
-def _basis(dim, i):
-    return tuple(Fraction(int(i == t)) for t in range(dim))
 
 
 def _check_unity(alg):
     for i in range(alg.dim):
-        e_i = _basis(alg.dim, i)
+        e_i = basis_vector(alg.dim, i)
         if alg.mul(alg.unity, e_i) != e_i or alg.mul(e_i, alg.unity) != e_i:
             raise NotUnital(f"unity fails on basis index {i}")
 
@@ -144,7 +122,7 @@ def make_qda(triple: DissidentTriple) -> AlgebraPresentation:
             constants[i + 1][j + 1][0] = scalar
             for k in range(n):
                 constants[i + 1][j + 1][k + 1] = triple.eta.tensor[i][j][k]
-    return AlgebraPresentation(constants, _basis(dim, 0))
+    return AlgebraPresentation(constants, basis_vector(dim, 0))
 
 
 def quadruple_algebra(q: MatrixQuadruple) -> AlgebraPresentation:
@@ -182,12 +160,10 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
         raise BadDimension(f"dimension {alg.dim} not in {{4, 8}}")
     n = alg.dim - 1
     rho, v_basis = frobenius_split(alg)
+    frobenius = frobenius_form(alg, rho)
 
     def form(x, y):
-        xy = alg.mul(x, y)
-        yx = alg.mul(y, x)
-        sym = tuple(a + b for a, b in zip(xy, yx))
-        return 2 * dot(rho, x) * dot(rho, y) - dot(rho, sym) / 2
+        return dot(x, frobenius.matvec(y))
 
     basis = [vector(v) for v in v_basis]
     gram = Matrix([[form(u, v) for v in basis] for u in basis])
@@ -270,7 +246,7 @@ def algebra_morphism_check(src: AlgebraPresentation, dst: AlgebraPresentation,
     images = [f.column(j) for j in range(src.dim)]
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = f.matvec(src.mul(_basis(src.dim, i), _basis(src.dim, j)))
+            lhs = f.matvec(src.mul(basis_vector(src.dim, i), basis_vector(src.dim, j)))
             rhs = dst.mul(images[i], images[j])
             if lhs != rhs:
                 return False

@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +305,14 @@ def test_rejected_sources_exit_2(tmp_path, monkeypatch, argv):
     code, report = run_json(*argv, "--trials", "5")
     assert code == 2
     assert "parse error" in report["error"]
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy is needed only by the content GCD; importing it costs most of
+    # the start-up time of every command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, divalg.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,8 @@ def test_degree_three_input():
     assert [s["kernel_dim"] for s in scan] == [0, 0, 1]
     report = verify_lifting(eta, lifting, samples=16, seed=7)
     assert report["all_pass"]
+    rescaled = tuple(p.scale(Fraction(2, 7)) for p in lifting.components)
+    assert verify_lifting(eta, rescaled, samples=16, seed=7) == report
 
 
 def test_no_lifting_for_zero_map():
@@ -161,6 +167,42 @@ def test_verify_lifting_failures():
     report = verify_lifting(eta, zero, samples=6, seed=0)
     assert report["b_sampled_nonvanishing"]["failures"] == 6
     assert not report["all_pass"]
+
+    # one coefficient perturbed: still homogeneous, no longer orthogonal
+    perturbed = (good.components[0] + HomogeneousPoly.variable(n, 1),) + good.components[1:]
+    report = verify_lifting(eta, perturbed, samples=12, seed=0)
+    assert report["a_homogeneous_common_degree"]
+    assert not report["b_orthogonality_identity"]
+    assert not report["all_pass"]
+
+    # a rational multiple of a lifting is the same projective solution
+    rescaled = tuple(p.scale(Fraction(2, 7)) for p in good.components)
+    report = verify_lifting(eta, rescaled, samples=12, seed=0)
+    assert report["all_pass"] and report["content_gcd"] == "1"
+
+
+def test_lift_computes_each_sample_line_once():
+    # the scan and verify_lifting share the eta_P line of every sample
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+import divalg.cli, divalg.dissident
+original = divalg.dissident.eta_P_point
+calls = []
+def counting(*args):
+    calls.append(1)
+    return original(*args)
+for name, module in list(sys.modules.items()):
+    if name.startswith("divalg") and getattr(module, "eta_P_point", None) is original:
+        module.eta_P_point = counting
+with redirect_stdout(io.StringIO()):
+    code = divalg.cli.main(["lift", "--builtin", "cross7", "--trials", "5", "--samples", "12"])
+print(code, len(calls))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["0", "12"]
 
 
 def test_lifting_type_invariants():

@@ -9,7 +9,6 @@ from divalg.poly import (
     divide_exact,
     monomial_count,
     monomials,
-    poly_arith,
     poly_content_gcd,
     primitive_poly_vector,
 )
@@ -35,17 +34,17 @@ def test_monomials_order_and_count():
 
 
 def test_arith_examples():
-    assert poly_arith(X0, X1, "mul") == HomogeneousPoly(3, 2, {(1, 1, 0): 1})
+    assert X0 * X1 == HomogeneousPoly(3, 2, {(1, 1, 0): 1})
     x0sq = X0 * X0
-    assert poly_arith(x0sq, -x0sq, "add").is_zero()
+    assert (x0sq + -x0sq).is_zero()
     assert (X0 + X1) * (X0 - X1) == x0sq - X1 * X1
 
 
 def test_add_degree_mismatch():
     with pytest.raises(PolyError):
-        poly_arith(X0, X0 * X0, "add")
+        X0 + X0 * X0
     with pytest.raises(PolyError):
-        poly_arith(X0, HomogeneousPoly.variable(2, 0), "mul")
+        X0 * HomogeneousPoly.variable(2, 0)
 
 
 def test_mul_degree_adds_and_eval():
