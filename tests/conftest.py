@@ -1,6 +1,21 @@
+import importlib.util
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+@pytest.fixture(scope="session")
+def perfbench_inputs():
+    """The benchmark's seeded input builders (``perfbench/inputs.py``), which
+    import nothing from divalg."""
+    path = ROOT / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -225,18 +225,20 @@ def test_solver_error_exit_codes(monkeypatch):
     assert code == 5 and "parity" in report["error"]
 
 
-def _write_inputs(directory):
+def _write_inputs(directory, inputs):
     """Inputs for the golden and rejection runs, written under relative
     names so the reports (which echo input paths) do not depend on the
-    directory."""
+    directory.  `inputs` is the benchmark's input module."""
     from divalg.builtins import cross7_triple, identity_quadruple
     from divalg.serialize import quadruple_to_json
 
     t = [[list(c) for c in row] for row in cross_product_map(7).tensor]
     t[0][1][4] += 1
     t[1][0][4] -= 1  # the README's degree-3 example: eta(e1 ^ e2) = e3 + e5
+    conj = inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))
     docs = {
         "bent3.json": map_to_json(DissidentMap(7, t)),
+        "conj.json": map_to_json(DissidentMap(7, conj)),
         "triple.json": triple_to_json(cross7_triple()),
         "quad.json": quadruple_to_json(identity_quadruple()),
         "I7.json": plain_matrix_to_json(Matrix.identity(7)),
@@ -264,13 +266,21 @@ GOLDEN_STDOUT_SHA256 = [
     (("morphism", "--kind", "algebra", "--src", "octonions", "--dst", "octonions",
       "--f", "I8.json"),
      "4a5348e4328955cf8135d6115512bde80a1986f1cc801d87a4eb9cbaf4f44ad1"),
+    # frozen before the constraint system was divided by |v|^2: the scan
+    # entries of these runs keep reporting the paper's system shape
+    (("degree", "--quadruple", "random", "--seed", "0", "--trials", "200"),
+     "3292f1ab1c3898e199fffb6ba5b34befe59ab573cd16dae4f332e199db1861a6"),
+    (("lift", "--builtin", "cross7", "--samples", "16"),
+     "6a54c909f10b7baf40a36e4a5ca8b4daa1555b03341aeaad25c2edb6de9de0f6"),
+    (("lift", "--input", "conj.json", "--samples", "16"),
+     "95db9607bb424e9dc50a4c971773118394c7b2f9cfac56b204005cd6dbfc4944"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT_SHA256,
                          ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT_SHA256])
-def test_golden_stdout(tmp_path, monkeypatch, argv, digest):
-    _write_inputs(tmp_path)
+def test_golden_stdout(tmp_path, monkeypatch, perfbench_inputs, argv, digest):
+    _write_inputs(tmp_path, perfbench_inputs)
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(*argv)
     assert code == 0
@@ -299,8 +309,8 @@ REJECTED_SOURCES = [
 
 
 @pytest.mark.parametrize("argv", REJECTED_SOURCES, ids=" ".join)
-def test_rejected_sources_exit_2(tmp_path, monkeypatch, argv):
-    _write_inputs(tmp_path)
+def test_rejected_sources_exit_2(tmp_path, monkeypatch, perfbench_inputs, argv):
+    _write_inputs(tmp_path, perfbench_inputs)
     monkeypatch.chdir(tmp_path)
     code, report = run_json(*argv, "--trials", "5")
     assert code == 2

@@ -113,23 +113,17 @@ def test_blocked_processing_matches_small():
     assert kernel == Matrix(rows).kernel()
 
 
-def test_kernel_independent_of_prime_ladder_order():
+def test_kernel_independent_of_prime_ladder_order(perfbench_inputs):
     # the degree-3 system of the bent map conjugated by a Cayley rotation:
     # its kernel needs two primes and a CRT retry, so the ladder order
     # decides which residues get combined
-    import importlib.util
-    from pathlib import Path
-
     import pytest
 
     from divalg.dissident import DissidentMap
     from divalg.lifting import _sparse_system
     from divalg.modkernel import PRIMES, ModularKernelError
 
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs
     tensor = inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))
     system = _sparse_system(DissidentMap(7, tensor), 3)
     with pytest.raises(ModularKernelError):
