@@ -27,8 +27,6 @@ from .exact import (
     bilinear,
     dot,
     is_zero_vector,
-    vec_scale,
-    vec_sub,
     vector,
 )
 from .octonion import CROSS3_TENSOR, CROSS7_TENSOR, vector_product
@@ -224,11 +222,11 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed) :
 def eta_P_point(eta: DissidentMap, v):
     """One point of the induced projective map: [v] -> (eta(v ^ v_perp))_perp.
 
-    v_perp is spanned by the n redundant vectors w_i = |v|^2 e_i - v_i v,
-    which keeps everything polynomial in v; the kernel computation tolerates
-    the redundancy.  Returns the canonical primitive vector of the orthogonal
-    line.  Raises DegenerateSpan when the image span is not a hyperplane
-    (i.e. eta is not dissident at v).
+    eta(v ^ v) = 0, so eta(v ^ v_perp) = eta(v ^ R^n) is spanned by the n
+    images eta(v ^ e_i); the kernel computation tolerates the redundancy.
+    Returns the canonical primitive vector of the orthogonal line.  Raises
+    DegenerateSpan when the image span is not a hyperplane (i.e. eta is not
+    dissident at v).
     """
     n = eta.n
     if len(v) != n:
@@ -236,11 +234,7 @@ def eta_P_point(eta: DissidentMap, v):
     v = vector(v)
     if is_zero_vector(v):
         raise ZeroVector("eta_P is undefined at 0")
-    norm2 = dot(v, v)
-    rows = []
-    for i in range(n):
-        w_i = vec_sub(vec_scale(norm2, basis_vector(n, i)), vec_scale(v[i], v))
-        rows.append(eval_eta(eta, v, w_i))
+    rows = [eval_eta(eta, v, basis_vector(n, i)) for i in range(n)]
     kernel = Matrix(rows).kernel()
     if len(kernel) != 1:
         raise DegenerateSpan(

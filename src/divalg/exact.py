@@ -74,15 +74,6 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    c = as_fraction(c)
-    return tuple(c * a for a in u)
-
-
 def basis_vector(n, i) -> tuple:
     """The standard basis vector e_i of Q^n."""
     return tuple(Fraction(int(i == t)) for t in range(n))

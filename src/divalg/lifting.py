@@ -10,13 +10,20 @@ At each candidate degree the orthogonality condition
 
     < Phi(v), eta(v ^ (|v|^2 w - <v,w> v)) > = 0   as a polynomial in (v, w)
 
-is a linear system in Phi's coefficients: rows are indexed by the w-slot and
-the degree-(d+3) monomials in v, columns by the unknown coefficients.  The
-exact kernel of that system is computed with a modular pivot pass, kernel
-elements are filtered by exact pointwise comparison against eta_P at seeded
-sample points (this removes solutions that vanish somewhere or pick a wrong
-line), and the first degree with a validated element wins.  Scanning in
-order makes the returned degree minimal by construction.
+is a linear system in Phi's coefficients.  Since eta(v ^ v) = 0 its left
+side is |v|^2 < Phi(v), eta(v ^ w) >, and Q[v] has no zero divisors, so the
+kernel is computed from the equivalent divided system
+
+    < Phi(v), eta(v ^ e_j) > = 0   for j = 1..n:
+
+rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
+by the unknown coefficients.  Reports quote the shape of the paper's system
+(degree-(d+3) rows, constraint_shape).  The exact kernel of the divided
+system is computed with a modular pivot pass, kernel elements are filtered
+by exact pointwise comparison against eta_P at seeded sample points (this
+removes solutions that vanish somewhere or pick a wrong line), and the
+first degree with a validated element wins.  Scanning in order makes the
+returned degree minimal by construction.
 
 verify_lifting reuses the scan's certificates: the orthogonality identity
 is the exact product M phi = 0 against the same constraint system, and the
@@ -39,6 +46,7 @@ from .exact import Matrix, primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
 from .poly import (
     HomogeneousPoly,
+    PolyError,
     monomial_count,
     monomials,
     poly_content_gcd,
@@ -116,7 +124,10 @@ class Lifting:
 
 
 def constraint_shape(n, d):
-    """(rows, cols) of the degree-d constraint system on R^n."""
+    """(rows, cols) of the paper's degree-d constraint system on R^n, with
+    degree-(d+3) rows; this is the shape the scan reports.  The system
+    actually solved is the divided one, n * monomial_count(n, d + 1) rows by
+    the same columns, with the same kernel."""
     return n * monomial_count(n, d + 3), n * monomial_count(n, d)
 
 
@@ -132,52 +143,44 @@ def _integer_tensor(eta: DissidentMap):
     return [
         [[int(x * scale) for x in eta.tensor[i][j]] for j in range(n)]
         for i in range(n)
-    ], scale
+    ]
 
 
 def _assemble_coo(eta: DissidentMap, d, tensor):
-    """COO cells of the constraint matrix for the given structure tensor.
+    """COO cells of the divided constraint matrix for the given structure
+    tensor.
 
     Column (k, m): coefficient monomial m of component k.  Its contribution
-    to the w-slot j is m(v) * <e_k, eta(v ^ (|v|^2 e_j - v_j v))>, and since
-    eta(v ^ v) vanishes identically this expands to
-    sum_{l,i} tensor[i][j][k] * (m * x_l^2 * x_i).  Rows are indexed j-major
-    by the degree-(d+3) monomials.
+    to the slot j is m(v) * <e_k, eta(v ^ e_j)> = sum_i tensor[i][j][k] *
+    (m * x_i), so each cell gets exactly one term.  Rows are indexed j-major
+    by the degree-(d+1) monomials.
     """
     n = eta.n
     cols_monos = monomials(n, d)
-    rows_monos = monomials(n, d + 3)
+    rows_monos = monomials(n, d + 1)
     row_index = {m: i for i, m in enumerate(rows_monos)}
     coo = []
     for k in range(n):
         for m_idx, m in enumerate(cols_monos):
             col = k * len(cols_monos) + m_idx
-            for j in range(n):
-                cells = {}
-                for i in range(n):
-                    t = tensor[i][j][k]
-                    if not t:
-                        continue
-                    for l in range(n):
-                        exps = list(m)
-                        exps[l] += 2
-                        exps[i] += 1
-                        key = tuple(exps)
-                        cells[key] = cells.get(key, 0) + t
-                base = j * len(rows_monos)
-                for key, val in cells.items():
-                    if val:
-                        coo.append((base + row_index[key], col, val))
+            for i in range(n):
+                exps = list(m)
+                exps[i] += 1
+                row = row_index[tuple(exps)]
+                for j in range(n):
+                    if tensor[i][j][k]:
+                        coo.append((j * len(rows_monos) + row, col, tensor[i][j][k]))
     return coo, len(rows_monos) * n, len(cols_monos) * n
 
 
 def build_constraint_system(eta: DissidentMap, d) -> Matrix:
-    """The exact dense constraint matrix at candidate degree d (1..5).
+    """The exact dense divided constraint matrix at candidate degree d (1..5).
 
-    Rows: monomials of the (v, w) orthogonality identity (degree d+3 in v,
-    degree 1 in w, w-slot major).  Columns: the unknown coefficients of Phi,
-    component-major in the fixed monomial order.  Intended for the small
-    cases; the solver itself works on the sparse integer form.
+    Rows: monomials of < Phi(v), eta(v ^ e_j) > (degree d+1 in v, slot j
+    major); the paper's identity is this one times |v|^2 and has the same
+    kernel.  Columns: the unknown coefficients of Phi, component-major in
+    the fixed monomial order.  Intended for the small cases; the solver
+    itself works on the sparse integer form.
     """
     if not 1 <= d <= 5:
         raise ValueError("candidate degree out of range 1..5")
@@ -189,8 +192,7 @@ def build_constraint_system(eta: DissidentMap, d) -> Matrix:
 
 
 def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
-    tensor, _ = _integer_tensor(eta)
-    coo, nrows, ncols = _assemble_coo(eta, d, tensor)
+    coo, nrows, ncols = _assemble_coo(eta, d, _integer_tensor(eta))
     return SparseIntMatrix(nrows, ncols, coo)
 
 
@@ -244,9 +246,10 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
                        max_degree=DEFAULT_MAX_DEGREE):
     """Scan d = 1..max_degree; return (Lifting, scan report list).
 
-    The scan report carries one entry per visited degree with the system
-    shape, exact kernel dimension, and how many kernel elements survived
-    pointwise validation.  Deterministic given (eta, seed).
+    The scan report carries one entry per visited degree with the shape of
+    the paper's system (constraint_shape; the divided system solved here has
+    the same kernel), exact kernel dimension, and how many kernel elements
+    survived pointwise validation.  Deterministic given (eta, seed).
     """
     if max_degree < 1 or max_degree > 5:
         raise ValueError("max_degree out of range 1..5")
@@ -254,12 +257,12 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         raise ValueError("at least one validation sample is required")
     scan = []
     for d in range(1, max_degree + 1):
-        system = _sparse_system(eta, d)
-        kernel = sparse_kernel(system)
+        kernel = sparse_kernel(_sparse_system(eta, d))
+        rows, cols = constraint_shape(eta.n, d)
         entry = {
             "degree": d,
-            "rows": system.nrows,
-            "cols": system.ncols,
+            "rows": rows,
+            "cols": cols,
             "kernel_dim": len(kernel),
             "validated": 0,
         }
@@ -302,20 +305,24 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     """Check conditions (a), (b), (c) for a candidate lifting; returns a
     report dict (never raises on a failing condition).
 
-    (a) is structural.  The identity part of (b) is certified by the exact
-    product M phi = 0, where M is the degree-d constraint system and phi the
-    coefficient vector with denominators cleared: the same certificate the
-    kernel solver gives each kernel vector.  The pointwise part of (b) is
-    checked by exact sampling, at the points and eta_P lines the scan
-    validated against for the same (samples, seed).  (c) is an exact
-    content GCD, which a Lifting has passed on construction.
+    (a) is structural: n components in the n variables of eta's space,
+    sharing one degree >= 1, not all zero.  The identity part of (b) is
+    certified by the exact product M phi = 0, where M is the degree-d
+    divided constraint system and phi the coefficient vector with
+    denominators cleared: the same certificate the kernel solver gives each
+    kernel vector.  The pointwise part of (b) is checked by exact sampling,
+    at the points and eta_P lines the scan validated against for the same
+    (samples, seed).  (c) is an exact content GCD, which a Lifting has
+    passed on construction.
     """
     components = tuple(phi.components) if isinstance(phi, Lifting) else tuple(phi)
     n = eta.n
     degrees = {p.degree for p in components}
     nonzero = [p for p in components if not p.is_zero()]
+    maps_on_space = all(p.nvars == n for p in components)
     a_pass = (
         len(components) == n
+        and maps_on_space
         and len(degrees) == 1
         and bool(nonzero)
         and next(iter(degrees)) >= 1
@@ -328,21 +335,26 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         image = _sparse_system(eta, d).matvec_exact(list(primitive_vector(coeffs)))
         b_identity = not any(image)
 
-    nonvanishing_failures = 0
-    line_failures = 0
-    for point, target in _sample_lines(eta, samples, seed):
-        value = tuple(p.eval(point) for p in components)
-        if all(x == 0 for x in value):
-            nonvanishing_failures += 1
-        elif target is None or primitive_vector(value) != target:
-            line_failures += 1
+    nonvanishing_failures = line_failures = 0
+    if not maps_on_space:
+        line_failures = samples  # no point of R^n can be evaluated
+    else:
+        for point, target in _sample_lines(eta, samples, seed):
+            value = tuple(p.eval(point) for p in components)
+            if all(x == 0 for x in value):
+                nonvanishing_failures += 1
+            elif target is None or primitive_vector(value) != target:
+                line_failures += 1
 
     if isinstance(phi, Lifting):
         c_pass, gcd_repr = True, "1"
     elif nonzero:
-        gcd = poly_content_gcd(nonzero)
-        c_pass = gcd.degree == 0
-        gcd_repr = repr(gcd)
+        try:
+            gcd = poly_content_gcd(nonzero)
+        except PolyError as exc:  # components in differing variables
+            c_pass, gcd_repr = False, str(exc)
+        else:
+            c_pass, gcd_repr = gcd.degree == 0, repr(gcd)
     else:
         c_pass = False
         gcd_repr = "0"

@@ -11,11 +11,13 @@ if str(SRC) not in sys.path:
 
 
 @pytest.fixture(scope="session")
-def perfbench_inputs():
-    """The benchmark's seeded input builders (``perfbench/inputs.py``), which
-    import nothing from divalg."""
+def conjugate_bent_tensor():
+    """The README's degree-3 map conjugated by the rational rotation
+    ``cayley_orthogonal(5)``, built by the benchmark's input code
+    (``perfbench/inputs.py``, which imports nothing from divalg).  Its
+    degree-3 kernel needs two primes and a CRT retry."""
     path = ROOT / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))

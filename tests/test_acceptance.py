@@ -92,8 +92,9 @@ def rand5():
     """Degree-5 input: a seeded random antisymmetric structure tensor.
 
     Also the timing probe for the full d = 1..5 scan: every constraint
-    system up to 21021 x 3234 is eliminated before the kernel appears at
-    d = 5.
+    system (reported in the paper's shape, up to 21021 x 3234; solved in
+    the divided form, up to 6468 x 3234) is eliminated before the kernel
+    appears at d = 5.
     """
     rng = seeded_rng(7, "tensor")
     n = 7

@@ -225,17 +225,16 @@ def test_solver_error_exit_codes(monkeypatch):
     assert code == 5 and "parity" in report["error"]
 
 
-def _write_inputs(directory, inputs):
+def _write_inputs(directory, conj):
     """Inputs for the golden and rejection runs, written under relative
     names so the reports (which echo input paths) do not depend on the
-    directory.  `inputs` is the benchmark's input module."""
+    directory.  `conj` is the tensor of conj.json."""
     from divalg.builtins import cross7_triple, identity_quadruple
     from divalg.serialize import quadruple_to_json
 
     t = [[list(c) for c in row] for row in cross_product_map(7).tensor]
     t[0][1][4] += 1
     t[1][0][4] -= 1  # the README's degree-3 example: eta(e1 ^ e2) = e3 + e5
-    conj = inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))
     docs = {
         "bent3.json": map_to_json(DissidentMap(7, t)),
         "conj.json": map_to_json(DissidentMap(7, conj)),
@@ -279,8 +278,8 @@ GOLDEN_STDOUT_SHA256 = [
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT_SHA256,
                          ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT_SHA256])
-def test_golden_stdout(tmp_path, monkeypatch, perfbench_inputs, argv, digest):
-    _write_inputs(tmp_path, perfbench_inputs)
+def test_golden_stdout(tmp_path, monkeypatch, conjugate_bent_tensor, argv, digest):
+    _write_inputs(tmp_path, conjugate_bent_tensor)
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(*argv)
     assert code == 0
@@ -309,8 +308,8 @@ REJECTED_SOURCES = [
 
 
 @pytest.mark.parametrize("argv", REJECTED_SOURCES, ids=" ".join)
-def test_rejected_sources_exit_2(tmp_path, monkeypatch, perfbench_inputs, argv):
-    _write_inputs(tmp_path, perfbench_inputs)
+def test_rejected_sources_exit_2(tmp_path, monkeypatch, conjugate_bent_tensor, argv):
+    _write_inputs(tmp_path, conjugate_bent_tensor)
     monkeypatch.chdir(tmp_path)
     code, report = run_json(*argv, "--trials", "5")
     assert code == 2

@@ -9,6 +9,8 @@ import pytest
 from divalg.dissident import (
     DissidentMap,
     cross_product_map,
+    eta_P_point,
+    eval_eta,
     quadruple_to_triple,
     random_quadruple,
     sample_vector,
@@ -23,8 +25,11 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
+    _integer_tensor,
     _sparse_system,
 )
+from divalg.exact import Matrix
+from divalg.modkernel import SparseIntMatrix, sparse_kernel
 from divalg.poly import HomogeneousPoly, monomials
 
 
@@ -62,7 +67,7 @@ def test_constraint_shape_counts():
 
 def test_identity_lifting_solves_cross7_degree1_system():
     m = build_constraint_system(cross_product_map(7), 1)
-    assert (m.rows, m.cols) == (1470, 49)
+    assert (m.rows, m.cols) == (196, 49)
     image = m.matvec(identity_coefficients(7))
     assert all(x == 0 for x in image)
 
@@ -180,6 +185,17 @@ def test_verify_lifting_failures():
     report = verify_lifting(eta, rescaled, samples=12, seed=0)
     assert report["all_pass"] and report["content_gcd"] == "1"
 
+    # seven linear components in 3 variables are no map on R^7
+    short = tuple(HomogeneousPoly.variable(3, k % 3) for k in range(n))
+    report = verify_lifting(eta, short, samples=12, seed=0)
+    assert not report["a_homogeneous_common_degree"]
+    assert not report["b_orthogonality_identity"]
+    assert report["b_sampled_line_agreement"]["failures"] == 12
+    assert not report["all_pass"]
+    mixed = short[:6] + (HomogeneousPoly.variable(n, 6),)
+    report = verify_lifting(eta, mixed, samples=12, seed=0)
+    assert not report["c_relatively_prime"] and not report["all_pass"]
+
 
 def test_lift_computes_each_sample_line_once():
     # the scan and verify_lifting share the eta_P line of every sample
@@ -221,3 +237,84 @@ def test_solver_determinism():
     a = solve_lifting(eta, samples=16, seed=5)
     b = solve_lifting(eta, samples=16, seed=5)
     assert a.components == b.components
+
+
+# ---------------------------------------------------------------------------
+# differential: the paper's |v|^2-padded identity against the divided one
+
+
+def _paper_assemble_coo(eta, d, tensor):
+    """COO cells of the paper's system <Phi(v), eta(v ^ (|v|^2 e_j - v_j v))>
+    = 0, with degree-(d+3) rows: the l loop expands |v|^2 = sum_l x_l^2."""
+    n = eta.n
+    cols_monos = monomials(n, d)
+    rows_monos = monomials(n, d + 3)
+    row_index = {m: i for i, m in enumerate(rows_monos)}
+    coo = []
+    for k in range(n):
+        for m_idx, m in enumerate(cols_monos):
+            col = k * len(cols_monos) + m_idx
+            for j in range(n):
+                cells = {}
+                for i in range(n):
+                    t = tensor[i][j][k]
+                    if not t:
+                        continue
+                    for l in range(n):
+                        exps = list(m)
+                        exps[l] += 2
+                        exps[i] += 1
+                        key = tuple(exps)
+                        cells[key] = cells.get(key, 0) + t
+                base = j * len(rows_monos)
+                for key, val in cells.items():
+                    if val:
+                        coo.append((base + row_index[key], col, val))
+    return coo, len(rows_monos) * n, len(cols_monos) * n
+
+
+def _paper_eta_P_line(eta, v):
+    """eta_P at v from the rows eta(v ^ (|v|^2 e_i - v_i v))."""
+    n = eta.n
+    norm2 = sum(x * x for x in v)
+    rows = [eval_eta(eta, v, [norm2 * (i == t) - v[i] * v[t] for t in range(n)])
+            for i in range(n)]
+    kernel = Matrix(rows).kernel()
+    assert len(kernel) == 1
+    return kernel[0]
+
+
+# map name -> the degrees at which the two systems are compared
+DIFFERENTIAL_DEGREES = {
+    "cross3": (1, 2),
+    "cross7": (1, 2),
+    "quadruple0": (1,),
+    "bent3": (1, 2, 3),
+    "conjugate": (1, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
+def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
+    eta = {
+        "cross3": lambda: cross_product_map(3),
+        "cross7": lambda: cross_product_map(7),
+        "quadruple0": lambda: quadruple_to_triple(random_quadruple(0)).eta,
+        "bent3": bent_cross7,
+        "conjugate": lambda: DissidentMap(7, conjugate_bent_tensor),
+    }[name]()
+    for d in DIFFERENTIAL_DEGREES[name]:
+        coo, nrows, ncols = _paper_assemble_coo(eta, d, _integer_tensor(eta))
+        assert (nrows, ncols) == constraint_shape(eta.n, d)
+        divided = _sparse_system(eta, d)
+        assert divided.ncols == ncols and divided.nrows < nrows
+        assert sparse_kernel(SparseIntMatrix(nrows, ncols, coo)) == sparse_kernel(divided)
+
+
+def test_eta_P_point_matches_the_padded_rows(conjugate_bent_tensor):
+    conjugate = DissidentMap(7, conjugate_bent_tensor)
+    for eta in (cross_product_map(7), bent_cross7(), conjugate):
+        rng = seeded_rng(3, "padded-rows")
+        for _ in range(32):
+            v = sample_vector(rng, 7)
+            assert eta_P_point(eta, v) == _paper_eta_P_line(eta, v)

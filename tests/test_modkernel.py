@@ -113,7 +113,7 @@ def test_blocked_processing_matches_small():
     assert kernel == Matrix(rows).kernel()
 
 
-def test_kernel_independent_of_prime_ladder_order(perfbench_inputs):
+def test_kernel_independent_of_prime_ladder_order(conjugate_bent_tensor):
     # the degree-3 system of the bent map conjugated by a Cayley rotation:
     # its kernel needs two primes and a CRT retry, so the ladder order
     # decides which residues get combined
@@ -123,9 +123,7 @@ def test_kernel_independent_of_prime_ladder_order(perfbench_inputs):
     from divalg.lifting import _sparse_system
     from divalg.modkernel import PRIMES, ModularKernelError
 
-    inputs = perfbench_inputs
-    tensor = inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))
-    system = _sparse_system(DissidentMap(7, tensor), 3)
+    system = _sparse_system(DissidentMap(7, conjugate_bent_tensor), 3)
     with pytest.raises(ModularKernelError):
         sparse_kernel(system, primes=PRIMES[:1])
     forward = sparse_kernel(system)
