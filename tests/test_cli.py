@@ -225,6 +225,26 @@ def test_solver_error_exit_codes(monkeypatch):
     assert code == 5 and "parity" in report["error"]
 
 
+def test_not_quadratic_presentation_fails_recover_and_check(tmp_path):
+    # e1^2 = e2^2 = e3^2 = -1 gives rho = (1, 0, 0, 0), but e1 e2 + e2 e1 =
+    # 2 e1 leaves the unity line, so only the certificate rejects it
+    constants = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        constants[0][i][i] = constants[i][0][i] = "1"
+    for i in range(1, 4):
+        constants[i][i][0] = "-1"
+    constants[1][2][1] = constants[2][1][1] = "1"
+    path = tmp_path / "alg.json"
+    doc = {"kind": "algebra", "dim": 4, "structure_constants": constants,
+           "unity": ["1", "0", "0", "0"]}
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, report = run_json("recover", "--input", str(path))
+    assert code == 1
+    assert report["error"] == "NotQuadratic: x^2 - 2 rho(x) x leaves the unity line"
+    code, report = run_json("check", "--what", "quadratic", "--input", str(path))
+    assert code == 1 and report["pass"] is False
+
+
 def _write_inputs(directory, conj):
     """Inputs for the golden and rejection runs, written under relative
     names so the reports (which echo input paths) do not depend on the

@@ -94,3 +94,30 @@ def test_parse_errors():
     bad["tensor"][0][1][2] = "5"  # breaks antisymmetry
     with pytest.raises(ParseError):
         roundtrip(bad)
+
+
+# one malformed document per kind, with the exact ParseError text it gets
+MALFORMED = [
+    ({"kind": "dissident_map", "n": 7}, "bad dissident_map: 'tensor'"),
+    ({"kind": "dissident_map", "n": "x", "tensor": []},
+     "bad dissident_map: invalid literal for int() with base 10: 'x'"),
+    ({"kind": "dissident_triple", "n": 7}, "bad dissident_triple: 'xi'"),
+    ({"kind": "dissident_triple", "n": 7, "xi": []}, "matrix needs at least one row"),
+    ({"kind": "matrix_quadruple", "A": [["1"]]}, "bad matrix_quadruple: 'B'"),
+    ({"kind": "algebra", "unity": ["1"]}, "bad algebra: 'structure_constants'"),
+    ({"kind": "lifting", "n": 3, "degree": 1, "components": {"a": 1}},
+     "bad lifting: string indices must be integers, not 'str'"),
+    ({"kind": "lifting", "n": 3, "degree": 1,
+      "components": [[{"exponents": [1, 0, 0]}]]}, "bad lifting: 'coeff'"),
+    ({"kind": "matrix"}, "bad matrix: 'entries'"),
+    ({"kind": "matrix", "entries": 5}, "matrix must be a list of rows"),
+    ({"kind": "matrix", "entries": [["1/0"]]}, "bad scalar '1/0'"),
+    ({"kind": "wat"}, "unknown kind 'wat'"),
+]
+
+
+@pytest.mark.parametrize("doc,message", MALFORMED, ids=[json.dumps(d) for d, _ in MALFORMED])
+def test_parse_error_messages(doc, message):
+    with pytest.raises(ParseError) as info:
+        roundtrip(doc)
+    assert str(info.value) == message
