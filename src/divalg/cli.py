@@ -30,9 +30,7 @@ from .exact import Matrix
 from .lifting import (
     AmbiguousKernel,
     NoLiftingFound,
-    OddnessViolation,
     solve_lifting_scan,
-    verify_lifting,
 )
 from .octonion import NotQuadratic, g2_check, structure_table
 from .qda import (
@@ -258,7 +256,7 @@ def cmd_degree(args, emit_lifting=False):
         _emit(report, args)
         return EXIT_NO_LIFTING
     try:
-        lifting, scan = solve_lifting_scan(
+        lifting, scan, verification = solve_lifting_scan(
             eta, samples=args.samples, seed=args.seed, max_degree=args.max_degree
         )
     except NoLiftingFound as exc:
@@ -272,7 +270,7 @@ def cmd_degree(args, emit_lifting=False):
     report["scan"] = scan
     report["degree"] = lifting.degree
     report["lifting"] = lifting_to_json(lifting)
-    report["verification"] = verify_lifting(eta, lifting, samples=args.samples, seed=args.seed)
+    report["verification"] = verification
     if eta.n == 7 and lifting.degree % 2 == 0:
         report["error"] = f"even degree {lifting.degree} on R^7 (parity violation)"
         _emit(report, args)
@@ -442,9 +440,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stdout.write(canonical_json({"error": f"parse error: {exc}"}))
         return EXIT_PARSE
-    except OddnessViolation as exc:
-        sys.stdout.write(canonical_json({"error": str(exc)}))
-        return EXIT_PARITY
 
 
 if __name__ == "__main__":

@@ -202,7 +202,8 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed) :
     Samples `trials` independent rational pairs (v, w) (dependent draws are
     rejected and redrawn) and computes the exact rank of [v; w; eta(v^w)].
     Returns the first rank-deficient pair, or None if the budget passes.
-    Deterministic given the seed.
+    Deterministic given the seed.  Rank 3 already proves v and w
+    independent, so rank [v; w] is computed only for the other draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -212,10 +213,10 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed) :
         while True:
             v = sample_vector(rng, n)
             w = sample_vector(rng, n)
-            if Matrix([v, w]).rank() == 2:
+            if Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
                 break
-        if Matrix([v, w, eval_eta(eta, v, w)]).rank() < 3:
-            return (v, w)
+            if Matrix([v, w]).rank() == 2:
+                return (v, w)
     return None
 
 

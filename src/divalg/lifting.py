@@ -25,10 +25,13 @@ removes solutions that vanish somewhere or pick a wrong line), and the
 first degree with a validated element wins.  Scanning in order makes the
 returned degree minimal by construction.
 
-verify_lifting reuses the scan's certificates: the orthogonality identity
-is the exact product M phi = 0 against the same constraint system, and the
-sample points and their eta_P lines are computed once per process and shared
-with the scan.
+The scan proves every condition of its winner once and returns the
+verification report those proofs establish: the kernel solver's exact
+M phi = 0 is the orthogonality identity, the pointwise validation samples
+nonvanishing and [Phi(v)] = eta_P([v]), and the Lifting constructor checks
+the common degree and that the components are relatively prime.
+verify_lifting checks a candidate from elsewhere with the same
+certificates and builds the same report.
 
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
 uniqueness of the lifting; it is reported as a confidence statement, not
@@ -38,7 +41,6 @@ certified symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .dissident import DissidentMap, ZeroVector, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
@@ -210,14 +212,9 @@ def _components_from_vector(n, d, vec):
     return tuple(comps)
 
 
-@lru_cache(maxsize=8)
 def _sample_lines(eta: DissidentMap, samples, seed):
     """The seeded validation points with their eta_P lines (None where eta_P
-    is undefined), as ((point, line), ...).
-
-    Memoised so that the scan and verify_lifting, which draw the same points
-    from the same seed, compute each line once per process.
-    """
+    is undefined), as ((point, line), ...)."""
     rng = seeded_rng(seed, "lifting-points")
     out = []
     for _ in range(samples):
@@ -230,32 +227,69 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     return tuple(out)
 
 
-def _validate(components, lines):
-    """Pointwise condition (b) at every sample: Phi(v) nonzero and on the
-    eta_P line."""
+def _sample_failures(components, lines):
+    """Pointwise condition (b) at every sample: the counts of points where
+    Phi(v) vanishes and where it is off the eta_P line, as (nonvanishing,
+    line)."""
+    nonvanishing = line = 0
     for point, target in lines:
         value = tuple(p.eval(point) for p in components)
         if all(x == 0 for x in value):
-            return False
-        if target is None or primitive_vector(value) != target:
-            return False
-    return True
+            nonvanishing += 1
+        elif target is None or primitive_vector(value) != target:
+            line += 1
+    return nonvanishing, line
+
+
+def _validate(components, lines):
+    """Condition (b) holds at every sample."""
+    return _sample_failures(components, lines) == (0, 0)
+
+
+def _verification(degree, a_pass, b_identity, failures, samples, c_pass, gcd_repr):
+    """The verification report of conditions (a), (b), (c); `failures` is
+    the (nonvanishing, line) pair of _sample_failures."""
+    nonvanishing_failures, line_failures = failures
+    return {
+        "degree": degree,
+        "a_homogeneous_common_degree": a_pass,
+        "b_orthogonality_identity": b_identity,
+        "b_sampled_nonvanishing": {
+            "checked": samples,
+            "failures": nonvanishing_failures,
+        },
+        "b_sampled_line_agreement": {
+            "checked": samples,
+            "failures": line_failures,
+        },
+        "c_relatively_prime": c_pass,
+        "content_gcd": gcd_repr,
+        "nonvanishing_certified": False,
+        "all_pass": a_pass and b_identity and failures == (0, 0) and c_pass,
+    }
 
 
 def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
                        max_degree=DEFAULT_MAX_DEGREE):
-    """Scan d = 1..max_degree; return (Lifting, scan report list).
+    """Scan d = 1..max_degree; return (Lifting, scan report list,
+    verification report).
 
     The scan report carries one entry per visited degree with the shape of
     the paper's system (constraint_shape; the divided system solved here has
     the same kernel), exact kernel dimension, and how many kernel elements
-    survived pointwise validation.  Deterministic given (eta, seed).
+    survived pointwise validation.  The verification report is the one
+    verify_lifting gives the winner, built from the scan's own proofs: the
+    solver certified M phi = 0 for its coefficient vector, the validation
+    accepted it at every sample (primitive_poly_vector only rescales it, and
+    neither check depends on scale or sign), and the Lifting constructor
+    checked (a) and ran the content GCD.  Deterministic given (eta, seed).
     """
     if max_degree < 1 or max_degree > 5:
         raise ValueError("max_degree out of range 1..5")
     if samples < 1:
         raise ValueError("at least one validation sample is required")
     scan = []
+    lines = None
     for d in range(1, max_degree + 1):
         kernel = sparse_kernel(_sparse_system(eta, d))
         rows, cols = constraint_shape(eta.n, d)
@@ -269,10 +303,12 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         scan.append(entry)
         if not kernel:
             continue
+        if lines is None:
+            lines = _sample_lines(eta, samples, seed)
         distinct = []
         for vec in kernel:
             comps = _components_from_vector(eta.n, d, vec)
-            if _validate(comps, _sample_lines(eta, samples, seed)):
+            if _validate(comps, lines):
                 comps = primitive_poly_vector(comps)
                 if comps not in distinct:
                     distinct.append(comps)
@@ -284,12 +320,15 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
                 f"{len(distinct)} validated projective solutions at degree {d}"
             )
         try:
-            return Lifting(eta.n, d, distinct[0]), scan
+            lifting = Lifting(eta.n, d, distinct[0])
         except SharedFactor as exc:
             # a common factor means a lower-degree solution the scan missed
             raise AmbiguousKernel(
                 "validated solution reduced below the scanned degree"
             ) from exc
+        verification = _verification(d, a_pass=True, b_identity=True, failures=(0, 0),
+                                     samples=samples, c_pass=True, gcd_repr="1")
+        return lifting, scan, verification
     raise NoLiftingFound(
         f"no validated lifting up to degree {max_degree} "
         f"({samples} validation samples)"
@@ -305,15 +344,16 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     """Check conditions (a), (b), (c) for a candidate lifting; returns a
     report dict (never raises on a failing condition).
 
-    (a) is structural: n components in the n variables of eta's space,
-    sharing one degree >= 1, not all zero.  The identity part of (b) is
-    certified by the exact product M phi = 0, where M is the degree-d
-    divided constraint system and phi the coefficient vector with
-    denominators cleared: the same certificate the kernel solver gives each
-    kernel vector.  The pointwise part of (b) is checked by exact sampling,
-    at the points and eta_P lines the scan validated against for the same
-    (samples, seed).  (c) is an exact content GCD, which a Lifting has
-    passed on construction.
+    For a lifting the scan computed, the scan already returned this report;
+    this function checks candidates from elsewhere with the same
+    certificates.  (a) is structural: n components in the n variables of
+    eta's space, sharing one degree >= 1, not all zero.  The identity part
+    of (b) is certified by the exact product M phi = 0, where M is the
+    degree-d divided constraint system and phi the coefficient vector with
+    denominators cleared: the certificate the kernel solver gives each
+    kernel vector.  The pointwise part of (b) is checked by exact sampling
+    at the points the scan draws for the same (samples, seed).  (c) is an
+    exact content GCD, which a Lifting has passed on construction.
     """
     components = tuple(phi.components) if isinstance(phi, Lifting) else tuple(phi)
     n = eta.n
@@ -335,16 +375,10 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         image = _sparse_system(eta, d).matvec_exact(list(primitive_vector(coeffs)))
         b_identity = not any(image)
 
-    nonvanishing_failures = line_failures = 0
-    if not maps_on_space:
-        line_failures = samples  # no point of R^n can be evaluated
+    if maps_on_space:
+        failures = _sample_failures(components, _sample_lines(eta, samples, seed))
     else:
-        for point, target in _sample_lines(eta, samples, seed):
-            value = tuple(p.eval(point) for p in components)
-            if all(x == 0 for x in value):
-                nonvanishing_failures += 1
-            elif target is None or primitive_vector(value) != target:
-                line_failures += 1
+        failures = (0, samples)  # no point of R^n can be evaluated
 
     if isinstance(phi, Lifting):
         c_pass, gcd_repr = True, "1"
@@ -359,30 +393,8 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         c_pass = False
         gcd_repr = "0"
 
-    report = {
-        "degree": max(degrees) if degrees else None,
-        "a_homogeneous_common_degree": a_pass,
-        "b_orthogonality_identity": b_identity,
-        "b_sampled_nonvanishing": {
-            "checked": samples,
-            "failures": nonvanishing_failures,
-        },
-        "b_sampled_line_agreement": {
-            "checked": samples,
-            "failures": line_failures,
-        },
-        "c_relatively_prime": c_pass,
-        "content_gcd": gcd_repr,
-        "nonvanishing_certified": False,
-    }
-    report["all_pass"] = (
-        a_pass
-        and b_identity
-        and nonvanishing_failures == 0
-        and line_failures == 0
-        and c_pass
-    )
-    return report
+    return _verification(max(degrees) if degrees else None, a_pass, b_identity,
+                         failures, samples, c_pass, gcd_repr)
 
 
 def degree(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import Matrix, as_fraction, basis_vector, bilinear, dot, vector
-from .poly import HomogeneousPoly
 
 OCTONION_TRIPLES = (
     (1, 2, 3),
@@ -188,11 +187,14 @@ def frobenius_split(alg):
 
     rho is read off basis squares: if b is independent of the unity then
     b^2 = c*1 + 2 rho(b) b, so rho(b) is half the b-coefficient.  The split
-    is then certified symbolically: with x = sum X_i e_i over polynomial
-    coordinates, x^2 - 2 rho(x) x must be a polynomial multiple of the unity.
-    That identity holds iff the presentation is quadratic, so failure raises
-    NotQuadratic.  The unity of an AlgebraPresentation is checked when it is
-    built, so it is not checked again here.
+    is then certified exactly: x^2 - 2 rho(x) x is a quadratic form in the
+    coordinates of x = sum x_i e_i, so it lies on the unity line for every x
+    iff each of its coefficients does, namely e_i^2 - 2 rho_i e_i and
+    e_i e_j + e_j e_i - 2 rho_i e_j - 2 rho_j e_i for i < j (the i = j case
+    of the second is twice the first).  That holds iff the presentation is
+    quadratic, so failure raises NotQuadratic.  The unity of an
+    AlgebraPresentation is checked when it is built, so it is not checked
+    again here.
     """
     dim = alg.dim
     unity = alg.unity
@@ -213,30 +215,17 @@ def frobenius_split(alg):
     if dot(rho, unity) != 1:
         raise NotQuadratic("inconsistent unity coefficient in the split")
 
-    # symbolic certificate: x^2 - 2 rho(x) x lies on the unity line
-    terms = [dict() for _ in range(dim)]
+    # certificate: every coefficient of x^2 - 2 rho(x) x lies on the unity line
     for i in range(dim):
-        for j in range(dim):
-            prod = alg.mul(basis_vector(dim, i), basis_vector(dim, j))
-            exps = tuple(
-                (2 if t == i else 0) if i == j else (1 if t in (i, j) else 0)
-                for t in range(dim)
+        ei = basis_vector(dim, i)
+        for j in range(i, dim):
+            ej = basis_vector(dim, j)
+            deviation = tuple(
+                a + b - 2 * rho[i] * y - 2 * rho[j] * x
+                for a, b, x, y in zip(alg.mul(ei, ej), alg.mul(ej, ei), ei, ej)
             )
-            for k, c in enumerate(prod):
-                if c:
-                    terms[k][exps] = terms[k].get(exps, Fraction(0)) + c
-    squares = [HomogeneousPoly(dim, 2, t) for t in terms]
-    rho_poly = HomogeneousPoly(dim, 1, {
-        tuple(1 if t == i else 0 for t in range(dim)): r
-        for i, r in enumerate(rho) if r != 0
-    })
-    pivot = next(i for i, u in enumerate(unity) if u != 0)
-    xs = [HomogeneousPoly.variable(dim, i) for i in range(dim)]
-    deviation = [squares[k] - (2 * rho_poly) * xs[k] for k in range(dim)]
-    gamma = deviation[pivot].scale(1 / unity[pivot])
-    for k in range(dim):
-        if deviation[k] != gamma.scale(unity[k]):
-            raise NotQuadratic("x^2 - 2 rho(x) x leaves the unity line")
+            if _unity_multiple(deviation, unity) is None:
+                raise NotQuadratic("x^2 - 2 rho(x) x leaves the unity line")
 
     v_basis = []
     stack = []

@@ -133,71 +133,39 @@ def _tensor(data):
 
 
 def map_from_json(data) -> DissidentMap:
-    try:
-        return DissidentMap(int(data["n"]), _tensor(data["tensor"]))
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad dissident_map: {exc}") from exc
+    return DissidentMap(int(data["n"]), _tensor(data["tensor"]))
 
 
 def triple_from_json(data) -> DissidentTriple:
-    try:
-        n = int(data["n"])
-        return DissidentTriple(
-            n, _matrix(data["xi"]), DissidentMap(n, _tensor(data["eta"]))
-        )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad dissident_triple: {exc}") from exc
+    n = int(data["n"])
+    return DissidentTriple(n, _matrix(data["xi"]), DissidentMap(n, _tensor(data["eta"])))
 
 
 def quadruple_from_json(data) -> MatrixQuadruple:
-    try:
-        return MatrixQuadruple(
-            _matrix(data["A"]), _matrix(data["B"]), _matrix(data["C"]), _matrix(data["D"])
-        )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad matrix_quadruple: {exc}") from exc
+    return MatrixQuadruple(
+        _matrix(data["A"]), _matrix(data["B"]), _matrix(data["C"]), _matrix(data["D"])
+    )
 
 
 def algebra_from_json(data) -> AlgebraPresentation:
-    try:
-        return AlgebraPresentation(_tensor(data["structure_constants"]), _vector(data["unity"]))
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad algebra: {exc}") from exc
+    return AlgebraPresentation(_tensor(data["structure_constants"]), _vector(data["unity"]))
 
 
 def lifting_from_json(data) -> Lifting:
-    try:
-        n = int(data["n"])
-        degree = int(data["degree"])
-        comps = []
-        for comp in data["components"]:
-            terms = {}
-            for term in comp:
-                exps = tuple(int(e) for e in term["exponents"])
-                terms[exps] = _scalar(term["coeff"])
-            comps.append(HomogeneousPoly(n, degree, terms))
-        return Lifting(n, degree, comps)
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ParseError(f"bad lifting: {exc}") from exc
+    n = int(data["n"])
+    degree = int(data["degree"])
+    comps = []
+    for comp in data["components"]:
+        terms = {}
+        for term in comp:
+            exps = tuple(int(e) for e in term["exponents"])
+            terms[exps] = _scalar(term["coeff"])
+        comps.append(HomogeneousPoly(n, degree, terms))
+    return Lifting(n, degree, comps)
 
 
 def matrix_from_json(data) -> Matrix:
-    try:
-        return _matrix(data["entries"])
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"bad matrix: {exc}") from exc
+    return _matrix(data["entries"])
 
 
 _DECODERS = {
@@ -211,17 +179,29 @@ _DECODERS = {
 
 
 def loads_typed(text: str):
-    """Decode any kinded JSON document to its domain object."""
+    """Decode any kinded JSON document to its domain object.
+
+    Every malformed document raises ParseError: invalid JSON (including
+    nesting too deep to decode and integers over the int-digits limit), a
+    missing or unknown kind, and any failure of the kind's decoder, which
+    is reported as "bad <kind>: <reason>" (OverflowError is int() of a JSON
+    Infinity).
+    """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError("document must be an object with a 'kind' field")
     kind = data["kind"]
-    if kind not in _DECODERS:
+    if not isinstance(kind, str) or kind not in _DECODERS:
         raise ParseError(f"unknown kind {kind!r}")
-    return _DECODERS[kind](data)
+    try:
+        return _DECODERS[kind](data)
+    except ParseError:
+        raise
+    except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
+        raise ParseError(f"bad {kind}: {exc}") from exc
 
 
 def load_typed_file(path):

@@ -83,7 +83,7 @@ def bent3():
     tensor[1][0][4] -= 1
     eta = DissidentMap(7, tensor)
     assert dissidence_falsify(eta, 1000, 0) is None
-    lifting, scan = solve_lifting_scan(eta, samples=32, seed=0)
+    lifting, scan, _ = solve_lifting_scan(eta, samples=32, seed=0)
     return eta, lifting, scan
 
 
@@ -110,7 +110,7 @@ def rand5():
     eta = DissidentMap(7, t)
     assert dissidence_falsify(eta, 1000, 0) is None
     start = time.perf_counter()
-    lifting, scan = solve_lifting_scan(eta, samples=24, seed=0)
+    lifting, scan, _ = solve_lifting_scan(eta, samples=24, seed=0)
     elapsed = time.perf_counter() - start
     return eta, lifting, scan, elapsed
 
@@ -129,7 +129,7 @@ def quadruple_pipeline():
         alg = make_qda(triple)
         quadratic = quadratic_check(alg)
         division_witness = division_check(alg, 1000, seed)
-        lifting, scan = solve_lifting_scan(triple.eta, samples=32, seed=seed)
+        lifting, scan, _ = solve_lifting_scan(triple.eta, samples=32, seed=seed)
         results.append({
             "seed": seed,
             "falsified": falsified,
@@ -178,7 +178,7 @@ def test_criterion_2_quadruple_pipeline(quadruple_pipeline):
 def test_criterion_3_parity(quadruple_pipeline, bent3, rand5):
     degrees = {}
     for n in (3, 7):
-        lifting, _ = solve_lifting_scan(cross_product_map(n), samples=16, seed=0)
+        lifting, _, _ = solve_lifting_scan(cross_product_map(n), samples=16, seed=0)
         degrees[f"cross{n}"] = lifting.degree
     for row in quadruple_pipeline[0]:
         degrees[f"quadruple-{row['seed']}"] = row["degree"]

@@ -217,7 +217,7 @@ def test_solver_error_exit_codes(monkeypatch):
         x = [HomogeneousPoly.variable(7, i) for i in range(7)]
         comps = [x[i] * x[(i + 1) % 7] for i in range(7)]
         return Lifting(7, 2, comps), [{"degree": 2, "rows": 0, "cols": 0,
-                                       "kernel_dim": 1, "validated": 1}]
+                                       "kernel_dim": 1, "validated": 1}], {}
 
     monkeypatch.setattr(cli, "solve_lifting_scan", fake_even)
     code, report = run_json("degree", "--builtin", "cross7", "--trials", "5",
@@ -334,6 +334,23 @@ def test_rejected_sources_exit_2(tmp_path, monkeypatch, conjugate_bent_tensor, a
     code, report = run_json(*argv, "--trials", "5")
     assert code == 2
     assert "parse error" in report["error"]
+
+
+def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
+    # a renamed or reshaped entry point would read null in the benchmark's
+    # per-layer metrics; its hooks run on a small traced lift
+    tracer = perfbench_tracer.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == {}
+        code, _ = run_cli("lift", "--builtin", "cross3", "--trials", "5", "--samples", "4")
+        assert code == 0
+        assert tracer.missing == {}
+        assert tracer.counts["lifting.assemble.rows.d1"] > 0
+    finally:
+        tracer.uninstall()
+    import divalg.lifting
+    assert not hasattr(divalg.lifting.solve_lifting_scan, "__wrapped__")
 
 
 def test_cli_import_leaves_sympy_unloaded():

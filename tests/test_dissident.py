@@ -94,6 +94,45 @@ def test_dissidence_falsify():
     assert Matrix([v, w]).rank() == 2  # the witness pair itself is independent
 
 
+def _parent_falsify(eta, trials, seed):
+    """dissidence_falsify as it was before it skipped rank [v; w] on
+    rank-3 draws: the reference for its witnesses."""
+    rng = seeded_rng(seed, "dissidence")
+    n = eta.n
+    for _ in range(trials):
+        while True:
+            v = sample_vector(rng, n)
+            w = sample_vector(rng, n)
+            if Matrix([v, w]).rank() == 2:
+                break
+        if Matrix([v, w, eval_eta(eta, v, w)]).rank() < 3:
+            return (v, w)
+    return None
+
+
+def partial_map(images, n=3):
+    """eta(e_i ^ e_j) = images[i, j] for i < j, zero on the other pairs."""
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), image in images.items():
+        for k, x in enumerate(image):
+            t[i][j][k], t[j][i][k] = x, -x
+    return DissidentMap(n, t)
+
+
+def test_dissidence_falsify_keeps_the_witnesses():
+    one = partial_map({(0, 1): (0, 0, 1)})
+    two = partial_map({(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+    # witnesses lie 3..158 trials deep; seeds 18, 40 and 62 of `two` redraw a
+    # dependent pair before theirs, and seeds 3 and 6 of `two` find none.
+    # Seed 18 finds its witness in trial 70, so a budget of 69 must not.
+    cases = [(one, s, 200) for s in range(8)]
+    cases += [(two, s, 200) for s in (*range(8), 18, 40, 62)]
+    cases += [(two, 18, 69), (two, 18, 70), (zero_map(7), 0, 1), (cross_product_map(3), 1, 200)]
+    for eta, seed, trials in cases:
+        assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
+    assert dissidence_falsify(two, 69, 18) is None and dissidence_falsify(two, 70, 18)
+
+
 def test_random_quadruples_are_dissident():
     for seed in range(3):
         t = quadruple_to_triple(random_quadruple(seed))

@@ -98,7 +98,7 @@ def test_build_constraint_system_degree_range():
 
 def test_solve_cross_products_degree_one_identity():
     for n in (3, 7):
-        lifting, scan = solve_lifting_scan(cross_product_map(n), samples=24, seed=0)
+        lifting, scan, _ = solve_lifting_scan(cross_product_map(n), samples=24, seed=0)
         assert lifting.degree == 1
         assert lifting.components == Lifting.identity(n).components
         assert scan[0]["kernel_dim"] == 1 and scan[0]["validated"] == 1
@@ -111,7 +111,7 @@ def test_solve_quadruple_map_degree_one():
 
 def test_degree_three_input():
     eta = bent_cross7()
-    lifting, scan = solve_lifting_scan(eta, samples=32, seed=0)
+    lifting, scan, _ = solve_lifting_scan(eta, samples=32, seed=0)
     assert lifting.degree == 3
     assert [s["kernel_dim"] for s in scan] == [0, 0, 1]
     report = verify_lifting(eta, lifting, samples=16, seed=7)
@@ -198,7 +198,8 @@ def test_verify_lifting_failures():
 
 
 def test_lift_computes_each_sample_line_once():
-    # the scan and verify_lifting share the eta_P line of every sample
+    # the scan computes the eta_P line of every sample once, and the lift
+    # report reuses the scan's proofs instead of calling verify_lifting
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -294,21 +295,34 @@ DIFFERENTIAL_DEGREES = {
 }
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
-def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
-    eta = {
+def named_map(name, conjugate_bent_tensor):
+    return {
         "cross3": lambda: cross_product_map(3),
         "cross7": lambda: cross_product_map(7),
         "quadruple0": lambda: quadruple_to_triple(random_quadruple(0)).eta,
         "bent3": bent_cross7,
         "conjugate": lambda: DissidentMap(7, conjugate_bent_tensor),
     }[name]()
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
+def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
+    eta = named_map(name, conjugate_bent_tensor)
     for d in DIFFERENTIAL_DEGREES[name]:
         coo, nrows, ncols = _paper_assemble_coo(eta, d, _integer_tensor(eta))
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows
         assert sparse_kernel(SparseIntMatrix(nrows, ncols, coo)) == sparse_kernel(divided)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
+def test_scan_report_equals_verify_lifting(conjugate_bent_tensor, name):
+    # the scan reports what it proved; verify_lifting proves it again
+    eta = named_map(name, conjugate_bent_tensor)
+    lifting, _, verification = solve_lifting_scan(eta, samples=16, seed=3)
+    assert verification == verify_lifting(eta, lifting, samples=16, seed=3)
+    assert verification["all_pass"]
 
 
 def test_eta_P_point_matches_the_padded_rows(conjugate_bent_tensor):

@@ -1,8 +1,10 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from divalg.builtins import cross7_triple, octonion_algebra
+from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
 from divalg.dissident import cross_product_map, random_quadruple
 from divalg.exact import Matrix
 from divalg.lifting import Lifting, solve_lifting
@@ -121,3 +123,95 @@ def test_parse_error_messages(doc, message):
     with pytest.raises(ParseError) as info:
         roundtrip(doc)
     assert str(info.value) == message
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="^not valid JSON: maximum recursion depth"):
+        loads_typed("[" * 100_000 + "]" * 100_000)
+
+
+def test_integer_over_the_digits_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="^not valid JSON: Exceeds the limit"):
+        loads_typed('{"kind": "dissident_map", "n": 1' + "0" * 4999 + ', "tensor": []}')
+
+
+def test_unhashable_kind_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        roundtrip({"kind": ["x"]})
+    assert str(info.value) == "unknown kind ['x']"
+
+
+def test_infinite_count_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        loads_typed('{"kind": "dissident_map", "n": Infinity, "tensor": []}')
+    assert str(info.value) == "bad dissident_map: cannot convert float infinity to integer"
+
+
+def decodes_or_parse_error(text):
+    try:
+        loads_typed(text)
+    except ParseError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(json_values)
+def test_any_json_document_decodes_or_raises_parse_error(doc):
+    decodes_or_parse_error(json.dumps(doc))
+
+
+# one small valid document of each kind
+VALID_DOCUMENTS = [
+    map_to_json(cross_product_map(3)),
+    triple_to_json(cross3_triple()),
+    quadruple_to_json(random_quadruple(0)),
+    algebra_to_json(quaternion_algebra()),
+    lifting_to_json(Lifting.identity(3)),
+    plain_matrix_to_json(Matrix([[1, "1/2"], ["-3/4", 0]])),
+]
+
+
+# small integers only: a lifting of degree 10**9 or a 10**4-dimensional
+# algebra is well-formed JSON that no size limit rejects yet
+field_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
+    | st.just(float("inf")) | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["exponents", "coeff"]), inner),
+    max_leaves=12,
+)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A valid document with one to three of its fields, or of the values
+    nested in them, replaced by a fuzzed value or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        fields = sorted(set(doc) - {"kind"})
+        if not fields:
+            break
+        node, key = doc, draw(st.sampled_from(fields))
+        while isinstance(node[key], (list, dict)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            keys = range(len(node)) if isinstance(node, list) else sorted(node)
+            key = draw(st.sampled_from(keys))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(field_values)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(fuzzed_documents())
+def test_fuzzed_kind_fields_decode_or_raise_parse_error(doc):
+    decodes_or_parse_error(json.dumps(doc))
