@@ -5,15 +5,23 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from divalg.cli import main
 from divalg.dissident import DissidentMap, cross_product_map
-from divalg.exact import Matrix
+from divalg.exact import Matrix, basis_vector
 from divalg.octonion import OCTONION_TABLE
-from divalg.serialize import canonical_json, map_to_json, plain_matrix_to_json, triple_to_json
+from divalg.qda import AlgebraPresentation
+from divalg.serialize import (
+    algebra_to_json,
+    canonical_json,
+    map_to_json,
+    plain_matrix_to_json,
+    triple_to_json,
+)
 
 
 def run_cli(*argv):
@@ -243,6 +251,57 @@ def test_not_quadratic_presentation_fails_recover_and_check(tmp_path):
     assert report["error"] == "NotQuadratic: x^2 - 2 rho(x) x leaves the unity line"
     code, report = run_json("check", "--what", "quadratic", "--input", str(path))
     assert code == 1 and report["pass"] is False
+
+
+def represent(alg, columns):
+    """`alg` re-presented in the basis f_a = sum_i P[i][a] e_i, where the
+    columns of P are `columns`: its constants are P^-1 (f_a f_b) and its
+    unity is P^-1 1."""
+    coords = Matrix.from_columns(columns).solve_right
+    constants = [[coords(alg.mul(fa, fb)) for fb in columns] for fa in columns]
+    return AlgebraPresentation(constants, coords(alg.unity))
+
+
+def _octonion_basis(a, f_a):
+    """(1, e1, ..., e7) with the a-th element replaced by f_a."""
+    cols = [basis_vector(8, i) for i in range(8)]
+    cols[a] = tuple(Fraction(x) for x in f_a)
+    return cols
+
+
+# stdout digests of `recover --input` on the octonions in three bases,
+# frozen before the recovery read basis products from the table
+OTHER_BASES = [
+    # f1 = e1 + e2: the form has norm 2 on f1, so Gram-Schmidt leaves Q
+    ("skew.json", _octonion_basis(1, (0, 1, 1, 0, 0, 0, 0, 0)), 1,
+     "9f0cc6bc6f177f68978fd86d3468e5c731a740f835e58d17c248adaf1a1900eb"),
+    # f3 = 1/2 + 2 e3: rho(f3) = 1/2, and f3 - rho(f3) 1 has norm 4
+    ("half.json", _octonion_basis(3, (Fraction(1, 2), 0, 0, 2, 0, 0, 0, 0)), 0,
+     "85b7ec6cdbad1bfd26378cb271265c437c8a5c5aaafeb8f96ff221d6d51ec5b5"),
+    # f0 = 1 + e1: the unity is f0 - f1
+    ("shifted.json", _octonion_basis(0, (1, 1, 0, 0, 0, 0, 0, 0)), 0,
+     "e5a8f6f9299cc7f47b1c67a4447a451139513d198bce23c512187009dcd8310b"),
+]
+
+
+@pytest.mark.parametrize("name,columns,exit_code,digest", OTHER_BASES,
+                         ids=[name for name, *_ in OTHER_BASES])
+def test_recover_octonions_in_other_bases(tmp_path, monkeypatch, name, columns,
+                                          exit_code, digest):
+    from divalg.builtins import octonion_algebra
+
+    (tmp_path / name).write_text(
+        canonical_json(algebra_to_json(represent(octonion_algebra(), columns))),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli("recover", "--input", name)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    if exit_code:
+        certificate = json.loads(out)["certificate"]
+        assert certificate["diagonal_norms"] == ["2", "1/2", "1", "1", "1", "1", "1"]
+    code, report = run_json("check", "--what", "quadratic", "--input", name)
+    assert code == 0 and report["pass"]
 
 
 def _write_inputs(directory, conj):
