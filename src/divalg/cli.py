@@ -208,6 +208,15 @@ def _resolve(args, kinds):
     return obj, desc
 
 
+def _shape_checked(check, *args):
+    """check(*args), with the ValueError it raises on wrong-shaped or zero
+    matrices turned into a ParseError (exit 2)."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _header(args, command, extra_budgets=None):
     budgets = {}
     for key in ("trials", "samples", "max_degree"):
@@ -293,7 +302,7 @@ def cmd_check(args):
         if not isinstance(m, Matrix):
             raise ParseError("--matrix file must carry kind matrix")
         report["input"] = {"path": args.matrix}
-        ok = g2_check(m)
+        ok = _shape_checked(g2_check, m)
         report["pass"] = ok
         _emit(report, args)
         return EXIT_OK if ok else EXIT_FAIL
@@ -404,7 +413,7 @@ def cmd_morphism(args):
         sides.append(_resolve(argparse.Namespace(**{flag: value}), kinds)[0])
     report["input"] = {"src": args.src, "dst": args.dst, "f": args.f}
     check = triple_morphism_check if triple else algebra_morphism_check
-    ok = check(*sides, f)
+    ok = _shape_checked(check, *sides, f)
     report["pass"] = ok
     _emit(report, args)
     return EXIT_OK if ok else EXIT_FAIL

@@ -259,7 +259,7 @@ def triple_morphism_check(src: DissidentTriple, dst: DissidentTriple, phi: Matri
     cols = [phi.column(j) for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = phi.matvec(eval_eta(src.eta, basis_vector(n, i), basis_vector(n, j)))
+            lhs = phi.matvec(src.eta.tensor[i][j])
             rhs = eval_eta(dst.eta, cols[i], cols[j])
             if lhs != rhs:
                 return False

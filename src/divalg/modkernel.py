@@ -250,30 +250,14 @@ def _reconstruct_basis(bases):
     """CRT-combine per-prime bases and rationally reconstruct each entry.
 
     ``bases`` is a nonempty list of (prime, int64 array) with equal shapes.
-    Returns a list of rows of ints / Fractions, or None if any entry fails.
-    Entries within the Wang bound (the overwhelmingly common case) are
-    classified in one vectorized pass; only the rest run the Euclidean loop.
+    Returns a list of rows of Fractions, or None if any entry fails.  One
+    path serves any number of primes: with one prime the CRT loop is empty,
+    and Wang's algorithm returns the residue r, or r - p, whenever that is
+    within its bound, so small entries need no path of their own.
     """
     p0, b0 = bases[0]
-    if len(bases) == 1:
-        bound = isqrt(p0 // 2)
-        small_pos = b0 <= bound
-        small_neg = (p0 - b0) <= bound
-        signed = np.where(small_neg, b0 - p0, b0)
-        rows = []
-        for i in range(b0.shape[0]):
-            resolved = small_pos[i] | small_neg[i]
-            row = [int(x) for x in signed[i]]
-            if not bool(resolved.all()):
-                for j in np.flatnonzero(~resolved):
-                    val = _reconstruct_rational(int(b0[i, j]), p0)
-                    if val is None:
-                        return None
-                    row[j] = val
-            rows.append(row)
-        return rows
     shape = b0.shape
-    residues = [[int(x) for x in row] for row in b0]
+    residues = b0.tolist()
     modulus = p0
     for p, b in bases[1:]:
         for i in range(shape[0]):

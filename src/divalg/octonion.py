@@ -185,19 +185,26 @@ def frobenius_split(alg):
     presentation basis, rho(1) = 1) and a basis of V = ker(rho), the purely
     imaginary hyperplane {v not in R1 | v^2 in R1} + {0}.
 
-    rho is read off basis squares: if b is independent of the unity then
-    b^2 = c*1 + 2 rho(b) b, so rho(b) is half the b-coefficient.  The split
-    is then certified exactly: x^2 - 2 rho(x) x is a quadratic form in the
-    coordinates of x = sum x_i e_i, so it lies on the unity line for every x
-    iff each of its coefficients does, namely e_i^2 - 2 rho_i e_i and
-    e_i e_j + e_j e_i - 2 rho_i e_j - 2 rho_j e_i for i < j (the i = j case
-    of the second is twice the first).  That holds iff the presentation is
-    quadratic, so failure raises NotQuadratic.  The unity of an
-    AlgebraPresentation is checked when it is built, so it is not checked
-    again here.
+    Products of basis elements are read from the structure constants:
+    e_i e_j is alg.constants[i][j].  rho is read off basis squares: if e_i
+    is independent of the unity then e_i^2 = c*1 + 2 rho_i e_i, so rho_i is
+    half the e_i-coefficient.  The split is then certified exactly:
+    x^2 - 2 rho(x) x is a quadratic form in the coordinates of
+    x = sum x_i e_i, so it lies on the unity line for every x iff each of
+    its coefficients does, namely e_i e_j + e_j e_i - 2 rho_i e_j
+    - 2 rho_j e_i for i <= j (for i = j, twice e_i^2 - 2 rho_i e_i).  That
+    holds iff the presentation is quadratic, so failure raises NotQuadratic.
+
+    Two facts follow and are not checked again.  As rho(1) = 1, the
+    vectors e_i - rho_i 1 span ker(rho) with the one relation
+    sum u_i (e_i - rho_i 1) = 0 (u the unity), so leaving out the last i
+    with u_i != 0 gives a basis of V, a hyperplane.  And v^2 is in R1 for v
+    in V, as the certificate gives v^2 - 2 rho(v) v in R1 and rho(v) = 0.
+    The unity of an AlgebraPresentation is checked when it is built.
     """
     dim = alg.dim
     unity = alg.unity
+    table = alg.constants
 
     rho = []
     for i in range(dim):
@@ -206,8 +213,7 @@ def frobenius_split(alg):
         if coeff is not None:
             rho.append(coeff)
             continue
-        square = alg.mul(b, b)
-        sol = Matrix.from_columns([unity, b]).solve_right(square)
+        sol = Matrix.from_columns([unity, b]).solve_right(table[i][i])
         if sol is None:
             raise NotQuadratic(f"basis element {i}: 1, x, x^2 independent")
         rho.append(sol[1] / 2)
@@ -217,54 +223,37 @@ def frobenius_split(alg):
 
     # certificate: every coefficient of x^2 - 2 rho(x) x lies on the unity line
     for i in range(dim):
-        ei = basis_vector(dim, i)
         for j in range(i, dim):
-            ej = basis_vector(dim, j)
-            deviation = tuple(
-                a + b - 2 * rho[i] * y - 2 * rho[j] * x
-                for a, b, x, y in zip(alg.mul(ei, ej), alg.mul(ej, ei), ei, ej)
-            )
+            deviation = [a + b for a, b in zip(table[i][j], table[j][i])]
+            deviation[j] -= 2 * rho[i]
+            deviation[i] -= 2 * rho[j]
             if _unity_multiple(deviation, unity) is None:
                 raise NotQuadratic("x^2 - 2 rho(x) x leaves the unity line")
 
-    v_basis = []
-    stack = []
-    for i in range(dim):
-        v = tuple(e - rho[i] * u for e, u in zip(basis_vector(dim, i), unity))
-        if all(x == 0 for x in v):
-            continue
-        if stack and Matrix(stack + [list(v)]).rank() == len(stack):
-            continue
-        stack.append(list(v))
-        v_basis.append(v)
-    if len(v_basis) != dim - 1:
-        raise NotQuadratic("purely imaginary part is not a hyperplane")
-    for v in v_basis:
-        if _unity_multiple(alg.mul(v, v), unity) is None:
-            raise NotQuadratic("basis vector of V has v^2 outside R1")
-    return rho, tuple(v_basis)
+    dropped = max(i for i, u in enumerate(unity) if u != 0)
+    v_basis = tuple(
+        tuple(e - rho[i] * u for e, u in zip(basis_vector(dim, i), unity))
+        for i in range(dim) if i != dropped
+    )
+    return rho, v_basis
 
 
 def _unity_multiple(x, unity):
     """The scalar c with x = c*unity, or None if x is off the unity line."""
     pivot = next(i for i, u in enumerate(unity) if u != 0)
     c = x[pivot] / unity[pivot]
-    if tuple(c * u for u in unity) == tuple(x):
+    if all(c * u == a for u, a in zip(unity, x)):
         return c
     return None
 
 
 def frobenius_form(alg, rho):
     """Gram matrix of <x,y> = 2 rho(x) rho(y) - rho(xy + yx)/2 on the
-    presentation basis."""
-    dim = alg.dim
-    gram = []
-    for i in range(dim):
-        ei = basis_vector(dim, i)
-        row = []
-        for j in range(dim):
-            ej = basis_vector(dim, j)
-            sym = tuple(a + b for a, b in zip(alg.mul(ei, ej), alg.mul(ej, ei)))
-            row.append(2 * rho[i] * rho[j] - dot(rho, sym) / 2)
-        gram.append(row)
-    return Matrix(gram)
+    presentation basis, with e_i e_j read from alg.constants[i][j]."""
+    table = alg.constants
+    rho_prod = [[dot(rho, cell) for cell in plane] for plane in table]
+    return Matrix([
+        [2 * rho[i] * rho[j] - (rho_prod[i][j] + rho_prod[j][i]) / 2
+         for j in range(alg.dim)]
+        for i in range(alg.dim)
+    ])

@@ -150,11 +150,17 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     """Recover (V, xi, eta) from a quadratic presentation of dimension 4 or 8.
 
     The Frobenius split gives rho and a basis of V; the bilinear form
-    <x,y> = 2 rho(x) rho(y) - rho(xy+yx)/2 is computed on that basis and,
-    when it is not already the identity, orthonormalized by exact
-    Gram-Schmidt.  Square roots are avoided: if some diagonal norm is not a
-    rational square the basis-change certificate is raised as IrrationalGram.
-    Round-trips make_qda exactly, same basis, for algebras built here.
+    <x,y> = 2 rho(x) rho(y) - rho(xy+yx)/2 is orthonormalized on it by exact
+    Gram-Schmidt, which leaves an orthonormal basis as it is.  Square roots
+    are avoided: if some diagonal norm is not a rational square the
+    basis-change certificate is raised as IrrationalGram.
+
+    Each product u_i u_j is formed once.  xi(u_i ^ u_j) is
+    (rho(u_i u_j) - rho(u_j u_i))/2, and eta(u_i ^ u_j), the imaginary part
+    iota = u_i u_j - rho(u_i u_j) 1, has k-th coordinate <u_i u_j, u_k>
+    with no solve: rho(iota) = rho(u_i u_j)(1 - rho(1)) = 0 puts iota in V,
+    whose basis is orthonormal, and <1, u_k> = rho(u_k) = 0.  Round-trips
+    make_qda exactly, same basis, for algebras built here.
     """
     if alg.dim not in (4, 8):
         raise BadDimension(f"dimension {alg.dim} not in {{4, 8}}")
@@ -162,47 +168,28 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     rho, v_basis = frobenius_split(alg)
     frobenius = frobenius_form(alg, rho)
 
-    def form(x, y):
-        return dot(x, frobenius.matvec(y))
+    # Gram-Schmidt, keeping the image F u of each vector under the form
+    ortho, images, norms = [], [], []
+    for v in v_basis:
+        u = v
+        for t, ft, d in zip(ortho, images, norms):
+            c = dot(v, ft) / d
+            u = tuple(a - c * b for a, b in zip(u, t))
+        ortho.append(u)
+        images.append(frobenius.matvec(u))
+        norms.append(dot(u, images[-1]))
+        if norms[-1] <= 0:
+            raise IndefiniteForm("recovered form is not positive definite")
+    roots = [is_rational_square(d) for d in norms]
+    if None in roots:
+        raise IrrationalGram(ortho, norms)
+    basis = [tuple(x / r for x in u) for u, r in zip(ortho, roots)]
+    images = [tuple(x / r for x in fu) for fu, r in zip(images, roots)]
 
-    basis = [vector(v) for v in v_basis]
-    gram = Matrix([[form(u, v) for v in basis] for u in basis])
-    if gram != Matrix.identity(n):
-        ortho = []
-        norms = []
-        for v in basis:
-            u = list(v)
-            for t, d in zip(ortho, norms):
-                c = form(v, t) / d
-                u = [a - c * b for a, b in zip(u, t)]
-            u = tuple(u)
-            d = form(u, u)
-            if d <= 0:
-                raise IndefiniteForm("recovered form is not positive definite")
-            ortho.append(u)
-            norms.append(d)
-        scaled = []
-        for u, d in zip(ortho, norms):
-            root = is_rational_square(d)
-            if root is None:
-                raise IrrationalGram(ortho, norms)
-            scaled.append(tuple(x / root for x in u))
-        basis = scaled
-
-    # coordinates of iota(u_i u_j) in the orthonormal basis
-    cols = Matrix.from_columns(basis)
-    xi = [[Fraction(0)] * n for _ in range(n)]
-    tensor = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = alg.mul(basis[i], basis[j])
-            opp = alg.mul(basis[j], basis[i])
-            xi[i][j] = (dot(rho, prod) - dot(rho, opp)) / 2
-            iota = tuple(p - dot(rho, prod) * u for p, u in zip(prod, alg.unity))
-            coords = cols.solve_right(iota)
-            if coords is None:
-                raise NotQuadratic("imaginary part of a product left V")
-            tensor[i][j] = coords
+    prods = [[alg.mul(u, w) for w in basis] for u in basis]
+    rho_prod = [[dot(rho, p) for p in row] for row in prods]
+    xi = [[(rho_prod[i][j] - rho_prod[j][i]) / 2 for j in range(n)] for i in range(n)]
+    tensor = [[[dot(p, fu) for fu in images] for p in row] for row in prods]
     return DissidentTriple(n, Matrix(xi), DissidentMap(n, tensor))
 
 
@@ -246,7 +233,7 @@ def algebra_morphism_check(src: AlgebraPresentation, dst: AlgebraPresentation,
     images = [f.column(j) for j in range(src.dim)]
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = f.matvec(src.mul(basis_vector(src.dim, i), basis_vector(src.dim, j)))
+            lhs = f.matvec(src.constants[i][j])
             rhs = dst.mul(images[i], images[j])
             if lhs != rhs:
                 return False

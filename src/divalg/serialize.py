@@ -13,7 +13,7 @@ import json
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple
 from .exact import Matrix, scalar_from_str, scalar_to_str
-from .lifting import Lifting
+from .lifting import DEFAULT_MAX_DEGREE, Lifting
 from .poly import HomogeneousPoly
 from .qda import AlgebraPresentation
 
@@ -152,8 +152,13 @@ def algebra_from_json(data) -> AlgebraPresentation:
 
 
 def lifting_from_json(data) -> Lifting:
+    """A lifting of degree at most DEFAULT_MAX_DEGREE (5), the largest the
+    scan reaches, checked before any polynomial is built: the content GCD
+    of a lifting of huge degree takes unbounded time and memory."""
     n = int(data["n"])
     degree = int(data["degree"])
+    if degree > DEFAULT_MAX_DEGREE:
+        raise ValueError(f"degree {degree} is over the cap of {DEFAULT_MAX_DEGREE}")
     comps = []
     for comp in data["components"]:
         terms = {}

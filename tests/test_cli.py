@@ -321,6 +321,7 @@ def _write_inputs(directory, conj):
         "quad.json": quadruple_to_json(identity_quadruple()),
         "I7.json": plain_matrix_to_json(Matrix.identity(7)),
         "I8.json": plain_matrix_to_json(Matrix.identity(8)),
+        "Z8.json": plain_matrix_to_json(Matrix.zeros(8, 8)),
     }
     for name, doc in docs.items():
         (directory / name).write_text(canonical_json(doc), encoding="utf-8")
@@ -383,6 +384,18 @@ REJECTED_SOURCES = [
     ("morphism", "--kind", "algebra", "--src", "quad.json",
      "--dst", "octonions", "--f", "I8.json"),
     ("build", "--builtin", "cross7", "--triple", "triple.json"),
+    # matrices of the wrong shape, and the zero map
+    ("check", "--what", "g2", "--matrix", "I8.json"),
+    ("morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7",
+     "--f", "I8.json"),
+    ("morphism", "--kind", "algebra", "--src", "octonions", "--dst", "octonions",
+     "--f", "I7.json"),
+    ("morphism", "--kind", "algebra", "--src", "octonions", "--dst", "octonions",
+     "--f", "Z8.json"),
+    ("morphism", "--kind", "triple", "--src", "cross3", "--dst", "cross7",
+     "--f", "I7.json"),
+    ("morphism", "--kind", "algebra", "--src", "quaternions", "--dst", "octonions",
+     "--f", "I8.json"),
 ]
 
 
@@ -406,6 +419,13 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
         assert code == 0
         assert tracer.missing == {}
         assert tracer.counts["lifting.assemble.rows.d1"] > 0
+        for argv in (("recover", "--builtin", "octonions"),
+                     ("check", "--what", "quadratic", "--builtin", "quaternions")):
+            code, _ = run_cli(*argv)
+            assert code == 0
+        assert tracer.missing == {}
+        assert tracer.spans["qda.recover_triple"].calls > 0
+        assert tracer.spans["octonion.frobenius_split"].calls > 0
     finally:
         tracer.uninstall()
     import divalg.lifting

@@ -147,6 +147,21 @@ def test_infinite_count_is_a_parse_error():
     assert str(info.value) == "bad dissident_map: cannot convert float infinity to integer"
 
 
+def test_lifting_degree_over_the_cap_is_a_parse_error():
+    # components x_j^d + x_j^(d-1) x_(j+1): well-formed, but their content
+    # GCD at d = 100000 runs for seconds in hundreds of MB; the cap rejects
+    # the document before any polynomial is built
+    d = 100_000
+    doc = {"kind": "lifting", "n": 7, "degree": d, "components": [
+        [{"exponents": [d - k if i == j else k if i == (j + 1) % 7 else 0
+                        for i in range(7)], "coeff": "1"} for k in (0, 1)]
+        for j in range(7)
+    ]}
+    with pytest.raises(ParseError) as info:
+        roundtrip(doc)
+    assert str(info.value) == "bad lifting: degree 100000 is over the cap of 5"
+
+
 def decodes_or_parse_error(text):
     try:
         loads_typed(text)
@@ -179,8 +194,8 @@ VALID_DOCUMENTS = [
 ]
 
 
-# small integers only: a lifting of degree 10**9 or a 10**4-dimensional
-# algebra is well-formed JSON that no size limit rejects yet
+# small integers only: a 10**4-dimensional algebra is well-formed JSON that
+# no size limit rejects yet (a lifting's degree is capped at 5)
 field_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
     | st.just(float("inf")) | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]),
