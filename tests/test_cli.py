@@ -309,14 +309,23 @@ def _write_inputs(directory, conj):
     names so the reports (which echo input paths) do not depend on the
     directory.  `conj` is the tensor of conj.json."""
     from divalg.builtins import cross7_triple, identity_quadruple
+    from divalg.dissident import DissidentTriple
+    from divalg.qda import make_qda
     from divalg.serialize import quadruple_to_json
 
     t = [[list(c) for c in row] for row in cross_product_map(7).tensor]
     t[0][1][4] += 1
     t[1][0][4] -= 1  # the README's degree-3 example: eta(e1 ^ e2) = e3 + e5
+    # eta(e1 ^ e2) = e3, eta(e1 ^ e3) = e1, eta(e2 ^ e3) = 0: not dissident
+    partial = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    partial[0][1][2], partial[1][0][2] = 1, -1
+    partial[0][2][0], partial[2][0][0] = 1, -1
+    zero_eta = DissidentTriple(7, Matrix.zeros(7, 7), DissidentMap(7, [[[0] * 7] * 7] * 7))
     docs = {
         "bent3.json": map_to_json(DissidentMap(7, t)),
         "conj.json": map_to_json(DissidentMap(7, conj)),
+        "partial.json": map_to_json(DissidentMap(3, partial)),
+        "zeroeta.json": algebra_to_json(make_qda(zero_eta)),
         "triple.json": triple_to_json(cross7_triple()),
         "quad.json": quadruple_to_json(identity_quadruple()),
         "I7.json": plain_matrix_to_json(Matrix.identity(7)),
@@ -353,16 +362,44 @@ GOLDEN_STDOUT_SHA256 = [
      "6a54c909f10b7baf40a36e4a5ca8b4daa1555b03341aeaad25c2edb6de9de0f6"),
     (("lift", "--input", "conj.json", "--samples", "16"),
      "95db9607bb424e9dc50a4c971773118394c7b2f9cfac56b204005cd6dbfc4944"),
+    # frozen before the sampled falsifiers were screened mod p: runs that
+    # report a witness, and a division budget of 1000 that passes.  Seed 18
+    # of partial.json redraws a dependent pair before its witness.
+    (("check", "--what", "dissident", "--input", "partial.json", "--seed", "18"),
+     "b8d747ee2e14016ec27c8aada0892661866b56a1bc1a6f9984ec1d8d6512e9ef"),
+    (("degree", "--input", "partial.json"),
+     "3b61cea3709b9b22a21dbb66f66d9756e0faf99f3dcc1f40627c8de1b6a8d439"),
+    (("check", "--what", "division", "--input", "zeroeta.json"),
+     "0743aaf91e56bc2fd16e4d1c4e7778a2fe81efd8db065e19e2f417793bd92bc8"),
+    (("check", "--what", "division", "--builtin", "octonions", "--trials", "1000"),
+     "e5f8a0ae0e7dc5a2a0b569bb78fec3ca303bff917195b9d5d7e903fe0e2ec0e2"),
 ]
+
+# the exit codes of the golden runs that do not exit 0
+GOLDEN_EXIT_CODES = {
+    ("check", "--what", "dissident", "--input", "partial.json", "--seed", "18"): 1,
+    ("degree", "--input", "partial.json"): 3,
+    ("check", "--what", "division", "--input", "zeroeta.json"): 1,
+}
+
+
+def _golden_ids(entries):
+    """Each run named by its first three arguments, or by all of them when
+    an earlier run has the same first three."""
+    ids = []
+    for argv, _ in entries:
+        name = " ".join(argv[:3])
+        ids.append(" ".join(argv) if name in ids else name)
+    return ids
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT_SHA256,
-                         ids=[" ".join(a[:3]) for a, _ in GOLDEN_STDOUT_SHA256])
+                         ids=_golden_ids(GOLDEN_STDOUT_SHA256))
 def test_golden_stdout(tmp_path, monkeypatch, conjugate_bent_tensor, argv, digest):
     _write_inputs(tmp_path, conjugate_bent_tensor)
     monkeypatch.chdir(tmp_path)
     code, out = run_cli(*argv)
-    assert code == 0
+    assert code == GOLDEN_EXIT_CODES.get(argv, 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
