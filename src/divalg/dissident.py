@@ -4,10 +4,11 @@ A dissident map on V is a linear map eta: V wedge V -> V such that
 v, w, eta(v ^ w) are linearly independent whenever v, w are; such maps exist
 only for dim V in {0, 1, 3, 7}, and this module constructs the two
 interesting sizes.  Maps are stored as antisymmetric structure tensors over
-the standard basis.  Dissidence itself is only ever falsified (by exact rank
-checks on seeded random pairs), never certified: no terminating exact
-decision procedure is implemented here, so a clean falsification budget is
-reported as "consistent with dissident", nothing stronger.
+the standard basis.  Dissidence itself is only ever falsified (by rank
+checks on seeded random pairs, screened mod p and decided exactly), never
+certified: no terminating exact decision procedure is implemented here, so
+a clean falsification budget is reported as "consistent with dissident",
+nothing stronger.
 
 A matrix quadruple (A, B, C, D) - two antisymmetric matrices, a positive
 definite symmetric matrix, and a positive definite symmetric matrix of
@@ -20,6 +21,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from . import modkernel
 from .exact import (
     DimensionError,
     Matrix,
@@ -196,27 +200,49 @@ def sample_vector(rng: random.Random, n, nonzero=True):
             return v
 
 
-def dissidence_falsify(eta: DissidentMap, trials: int, seed) :
+def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     """Search for an exact witness against dissidence.
 
     Samples `trials` independent rational pairs (v, w) (dependent draws are
-    rejected and redrawn) and computes the exact rank of [v; w; eta(v^w)].
+    rejected and redrawn) and decides whether [v; w; eta(v^w)] has rank 3.
     Returns the first rank-deficient pair, or None if the budget passes.
-    Deterministic given the seed.  Rank 3 already proves v and w
-    independent, so rank [v; w] is computed only for the other draws.
+    Deterministic given the seed.  The check stays sampled: a passing
+    budget is consistent with dissidence, not a proof of it.
+
+    Each batch of pairs is screened first: the matrices are formed mod
+    modkernel.SCREEN_PRIME by one contraction with the tensor, and rank 3
+    mod p proves rank 3 over Q, because a nonzero 3x3 minor mod p is the
+    reduction of a nonzero rational minor.  Only the other draws are
+    decided exactly, in draw order: rank 3 passes, and otherwise an
+    independent pair (rank [v; w] = 2) is the witness and a dependent one
+    is redrawn.  A batch is drawn for the trials still owed, so the pairs
+    come from the stream in the order a one-by-one loop draws them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
-    for _ in range(trials):
-        while True:
-            v = sample_vector(rng, n)
-            w = sample_vector(rng, n)
-            if Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
-                break
+    p = modkernel.SCREEN_PRIME
+    tensor, table_ok = modkernel.residues(eta.tensor, p)
+    while trials:
+        pairs = [(sample_vector(rng, n), sample_vector(rng, n)) for _ in range(trials)]
+        screened = np.zeros(len(pairs), dtype=bool)
+        if table_ok.all():
+            vw, ok = modkernel.residues(pairs, p)
+            # eta(v ^ w)_k = sum_ij v_i w_j t[i][j][k], one sum at a time
+            # so that each stays below n p**2
+            partial = np.einsum("bi,ijk->bjk", vw[:, 0], tensor) % p
+            image = np.einsum("bj,bjk->bk", vw[:, 1], partial) % p
+            ranks = modkernel.rank_mod_p(np.concatenate([vw, image[:, None]], axis=1), p)
+            screened = ok & (ranks == 3)
+        dependent = 0
+        for (v, w), full in zip(pairs, screened):
+            if full or Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
+                continue
             if Matrix([v, w]).rank() == 2:
                 return (v, w)
+            dependent += 1
+        trials = dependent
     return None
 
 

@@ -122,11 +122,6 @@ def primitive_vector(u) -> tuple:
     return tuple(ints)
 
 
-def same_line(u, v) -> bool:
-    """Exact projective equality of two nonzero vectors."""
-    return primitive_vector(u) == primitive_vector(v)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -251,9 +246,6 @@ class Matrix:
             if minor.det() <= 0:
                 return False
         return True
-
-    def has_unit_determinant(self) -> bool:
-        return self.is_square() and self.det() == 1
 
     # -- elimination
 

@@ -1,4 +1,5 @@
-"""Exact kernels of large sparse integer matrices via a modular pass.
+"""Modular arithmetic: exact kernels of large sparse integer matrices, and
+batched ranks of small matrices for screening.
 
 The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
@@ -18,6 +19,14 @@ for every p.  Hence
 Unlucky primes can only make the modular kernel too big, never too small,
 and any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.
+
+The same fact screens the sampled falsifiers.  Reduction mod p is a ring
+map on the rationals whose denominators p does not divide, so a minor of a
+reduced matrix is the reduction of the exact minor, and a nonzero residue
+means a nonzero minor over Q: full rank mod SCREEN_PRIME proves full exact
+rank.  A rank-deficient residue proves nothing, and the falsifiers decide
+those draws exactly.  The checks stay sampled either way: the screen only
+decides each draw faster, it does not widen a budget into a proof.
 """
 
 from __future__ import annotations
@@ -38,6 +47,9 @@ PRIMES = (
 )
 
 _MATMUL_CHUNK = 4096
+
+# The prime the sampled falsifiers screen their draws with.
+SCREEN_PRIME = PRIMES[0]
 
 
 class ModularKernelError(RuntimeError):
@@ -214,6 +226,60 @@ def _kernel_mod_p(mat, p, block=1024):
     reduced, pivots, _ = _rref_mod(np.ascontiguousarray(kern.T), p)
     rows = np.asarray(reduced[: len(pivots)], dtype=np.int64)
     return rows, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# batched screening of small matrices
+
+
+def residues(rows, p):
+    """Reduce a sequence of equal-shaped nested sequences of rationals mod p.
+
+    n/d reduces to n * d**-1 mod p.  Returns (int64 array of the residues,
+    boolean array that is False for each row holding a denominator that p
+    divides).  Such a row has no residue, and its entries mean nothing.
+    """
+    cells = np.array(rows, dtype=object)
+    flat = cells.ravel()
+    num = np.array([x.numerator % p for x in flat], dtype=np.int64)
+    den = np.array([x.denominator % p for x in flat], dtype=np.int64)
+    values, where = np.unique(den, return_inverse=True)
+    inverse = np.array([pow(int(d), -1, p) if d else 0 for d in values], dtype=np.int64)
+    out = num * inverse[where] % p
+    ok = (den != 0).reshape(cells.shape[0], -1).all(axis=1)
+    return out.reshape(cells.shape), ok
+
+
+def rank_mod_p(mats, p):
+    """Ranks mod p of a batch of matrices: an int64 array of shape (batch,).
+
+    ``mats`` is an integer array of shape (batch, rows, cols).  Each step
+    eliminates below the pivot without division, row_i <- pivot * row_i -
+    row_i[c] * row_pivot, which keeps the rank.  Both products are below
+    p**2 and their difference above -p**2, so int64 arithmetic is exact for
+    p < 3.03e9 (p**2 < 2**63); every prime of PRIMES is below 1.4e6.
+    """
+    if p * p >= 2 ** 63:
+        raise ValueError(f"p = {p} overflows int64 products")
+    m = np.mod(mats, p).astype(np.int64)
+    batch, rows, cols = m.shape
+    rank = np.zeros(batch, dtype=np.int64)
+    row_index = np.arange(rows)
+    for c in range(cols):
+        live = (m[:, :, c] != 0) & (row_index >= rank[:, None])
+        found = np.flatnonzero(live.any(axis=1))
+        if found.size == 0:
+            continue
+        r = rank[found]
+        i = live[found].argmax(axis=1)
+        m[found, r], m[found, i] = m[found, i], m[found, r]
+        sub = m[found]
+        pivot = sub[np.arange(found.size), r]
+        reduced = (pivot[:, c, None, None] * sub - sub[:, :, c, None] * pivot[:, None, :]) % p
+        below = row_index > r[:, None]
+        m[found] = np.where(below[:, :, None], reduced, sub)
+        rank[found] += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from . import modkernel
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
 from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
@@ -200,15 +203,35 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
 def division_check(alg: AlgebraPresentation, trials: int, seed):
     """Search for a nonzero a with det L_a = 0 or det R_a = 0 (exact).
 
-    Returns the first such witness, or None when the budget passes.
-    Deterministic given the seed.
+    Returns the first such witness among `trials` seeded samples, or None
+    when the budget passes.  Deterministic given the seed.  The check stays
+    sampled: a passing budget finds no singular operator, it proves none
+    absent.
+
+    All samples are drawn first and screened mod modkernel.SCREEN_PRIME:
+    L_a[k][j] = sum_i a_i C[i][j][k] and R_a[k][i] = sum_j a_j C[i][j][k]
+    are each one contraction of the table with the batch, and rank dim mod
+    p proves det != 0 over Q, because det mod p is the reduction of the
+    rational det.  Only operators whose residue is singular get the exact
+    Bareiss det, in draw order, so the first witness is unchanged.  When p
+    divides a denominator of the table, every sample is decided exactly.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed, "division")
-    for _ in range(trials):
-        a = sample_vector(rng, alg.dim)
-        if alg.left_mul_matrix(a).det() == 0 or alg.right_mul_matrix(a).det() == 0:
+    samples = [sample_vector(rng, alg.dim) for _ in range(trials)]
+    p = modkernel.SCREEN_PRIME
+    table, table_ok = modkernel.residues(alg.constants, p)
+    left = right = np.zeros(trials, dtype=bool)
+    if table_ok.all():
+        a, ok = modkernel.residues(samples, p)
+        left_mul = np.einsum("bi,ijk->bkj", a, table) % p
+        right_mul = np.einsum("bj,ijk->bki", a, table) % p
+        left = ok & (modkernel.rank_mod_p(left_mul, p) == alg.dim)
+        right = ok & (modkernel.rank_mod_p(right_mul, p) == alg.dim)
+    for a, left_ok, right_ok in zip(samples, left, right):
+        if (not left_ok and alg.left_mul_matrix(a).det() == 0) or (
+                not right_ok and alg.right_mul_matrix(a).det() == 0):
             return a
     return None
 

@@ -147,8 +147,20 @@ def quadruple_from_json(data) -> MatrixQuadruple:
     )
 
 
+# The largest algebra dimension a document may declare: the sedenions (16)
+# pass, and every algebra of the paper has dimension at most 8.
+MAX_ALGEBRA_DIM = 16
+
+
 def algebra_from_json(data) -> AlgebraPresentation:
-    return AlgebraPresentation(_tensor(data["structure_constants"]), _vector(data["unity"]))
+    """An algebra of dimension at most MAX_ALGEBRA_DIM, checked before any
+    scalar is parsed: a well-formed 200-dimensional table builds 8M
+    Fractions before its shape is checked."""
+    constants = data["structure_constants"]
+    if isinstance(constants, list) and len(constants) > MAX_ALGEBRA_DIM:
+        raise ValueError(
+            f"dimension {len(constants)} is over the cap of {MAX_ALGEBRA_DIM}")
+    return AlgebraPresentation(_tensor(constants), _vector(data["unity"]))
 
 
 def lifting_from_json(data) -> Lifting:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from divalg import modkernel
 from divalg.dissident import (
     DegenerateSpan,
     DissidentMap,
@@ -119,18 +120,35 @@ def partial_map(images, n=3):
     return DissidentMap(n, t)
 
 
+# witnesses lie 3..158 trials deep; seeds 18, 40 and 62 of TWO redraw a
+# dependent pair before theirs, and seeds 3 and 6 of TWO find none.  Seed 18
+# finds its witness in trial 70, so a budget of 69 must not.
+ONE = partial_map({(0, 1): (0, 0, 1)})
+TWO = partial_map({(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+WITNESS_CASES = (
+    [(ONE, s, 200) for s in range(8)]
+    + [(TWO, s, 200) for s in (*range(8), 18, 40, 62)]
+    + [(TWO, 18, 69), (TWO, 18, 70), (zero_map(7), 0, 1), (cross_product_map(3), 1, 200)]
+)
+
+
 def test_dissidence_falsify_keeps_the_witnesses():
-    one = partial_map({(0, 1): (0, 0, 1)})
-    two = partial_map({(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
-    # witnesses lie 3..158 trials deep; seeds 18, 40 and 62 of `two` redraw a
-    # dependent pair before theirs, and seeds 3 and 6 of `two` find none.
-    # Seed 18 finds its witness in trial 70, so a budget of 69 must not.
-    cases = [(one, s, 200) for s in range(8)]
-    cases += [(two, s, 200) for s in (*range(8), 18, 40, 62)]
-    cases += [(two, 18, 69), (two, 18, 70), (zero_map(7), 0, 1), (cross_product_map(3), 1, 200)]
-    for eta, seed, trials in cases:
+    for eta, seed, trials in WITNESS_CASES:
         assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
-    assert dissidence_falsify(two, 69, 18) is None and dissidence_falsify(two, 70, 18)
+    assert dissidence_falsify(TWO, 69, 18) is None and dissidence_falsify(TWO, 70, 18)
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_dissidence_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch, prime):
+    # mod 3 a sample with a denominator 3 has no residue, so the exact path
+    # decides most draws (175 of 200 for cross3, seed 1); mod 5 every sample
+    # reduces and the screen leaves 36 of them rank-deficient
+    monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
+    for eta, seed, trials in WITNESS_CASES:
+        assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
+    t = quadruple_to_triple(random_quadruple(0))
+    assert dissidence_falsify(t.eta, 100, 0) is None
+    assert dissidence_falsify(cross_product_map(7), 300, 2) is None
 
 
 def test_random_quadruples_are_dissident():

@@ -10,7 +10,6 @@ from divalg.exact import (
     dot,
     is_rational_square,
     primitive_vector,
-    same_line,
     scalar_from_str,
     scalar_to_str,
 )
@@ -35,8 +34,6 @@ def test_scalar_strings():
 def test_primitive_vector_and_lines():
     assert primitive_vector((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
     assert primitive_vector((Fraction(-2), Fraction(4))) == (1, -2)
-    assert same_line((1, 2, 3), (Fraction(1, 2), 1, Fraction(3, 2)))
-    assert not same_line((1, 2, 3), (1, 2, 4))
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
 
@@ -150,7 +147,6 @@ def test_predicates():
     assert Matrix([[2, 1], [1, 2]]).is_positive_definite()
     assert not Matrix([[1, 2], [2, 1]]).is_positive_definite()
     assert not Matrix([[1, 2], [3, 4]]).is_positive_definite()  # not symmetric
-    assert Matrix([[1, 1], [0, 1]]).has_unit_determinant()
 
 
 def test_rank_and_solve():

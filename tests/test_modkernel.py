@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from divalg.exact import Matrix
-from divalg.modkernel import SparseIntMatrix, sparse_kernel
+from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, residues, sparse_kernel
 
 
 def dense_to_sparse(rows):
@@ -129,3 +132,27 @@ def test_kernel_independent_of_prime_ladder_order(conjugate_bent_tensor):
     forward = sparse_kernel(system)
     assert len(forward) == 1
     assert sparse_kernel(system, primes=PRIMES[::-1]) == forward
+
+
+def test_rank_mod_p_matches_exact_rank():
+    # entries in -4..4: every minor of a 4x5 matrix is below 24 * 4**4 < p,
+    # so the rank mod p is the exact rank; row 2 of every third matrix is
+    # zero, and row 3 of every fifth is row 0 - row 1
+    rng = random.Random(3)
+    mats = np.array([[[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
+                     for _ in range(120)])
+    mats[::3, 2] = 0
+    mats[::5, 3] = mats[::5, 0] - mats[::5, 1]
+    ranks = rank_mod_p(mats, PRIMES[0])
+    assert ranks.tolist() == [Matrix(m.tolist()).rank() for m in mats]
+    assert rank_mod_p(np.array([[[3, 6], [1, 1]]]), 3).tolist() == [1]
+    with pytest.raises(ValueError):
+        rank_mod_p(mats, 4294967311)  # p**2 overflows int64
+
+
+def test_residues_of_rationals():
+    rows = [(Fraction(1, 3), Fraction(-2)), (Fraction(5, 2), Fraction(0))]
+    values, ok = residues(rows, 7)
+    assert values.tolist() == [[5, 5], [6, 0]] and ok.tolist() == [True, True]
+    _, ok = residues(rows, 3)  # 3 divides the denominator of 1/3
+    assert ok.tolist() == [False, True]

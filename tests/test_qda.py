@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from divalg import modkernel
 from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
 from divalg.dissident import (
     DissidentMap,
@@ -125,10 +126,43 @@ def test_division_fails_for_zero_eta():
             or alg.right_mul_matrix(witness).det() == 0)
 
 
+def complex_numbers():
+    return AlgebraPresentation([[[1, 0], [0, 1]], [[0, 1], [-1, 0]]], [1, 0])
+
+
 def test_division_check_complex_numbers():
-    constants = [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]]
-    c = AlgebraPresentation(constants, [1, 0])
-    assert division_check(c, 50, 0) is None
+    assert division_check(complex_numbers(), 50, 0) is None
+
+
+def _parent_division_check(alg, trials, seed):
+    """division_check as it was before it screened its samples mod p: the
+    reference for its witnesses."""
+    rng = seeded_rng(seed, "division")
+    for _ in range(trials):
+        a = sample_vector(rng, alg.dim)
+        if alg.left_mul_matrix(a).det() == 0 or alg.right_mul_matrix(a).det() == 0:
+            return a
+    return None
+
+
+def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch):
+    # mod 3 a sample with a denominator 3 has no residue, so the exact path
+    # decides nearly every draw (382 dets for the 200 octonion samples of
+    # seed 0); mod 5 every sample reduces and about a fifth of the operators
+    # are singular (72 dets).  The octonions pass, the zero-eta algebra fails
+    zero_eta = make_qda(DissidentTriple(7, Matrix.zeros(7, 7),
+                                        DissidentMap(7, [[[0] * 7] * 7] * 7)))
+    cases = [(octonion_algebra(), 200, 0), (octonion_algebra(), 200, 5),
+             (complex_numbers(), 200, 0), (zero_eta, 50, 0), (zero_eta, 50, 3)]
+    cases += [(quadruple_algebra(random_quadruple(s)), 60, s) for s in range(3)]
+    witnesses = []
+    for prime in (modkernel.SCREEN_PRIME, 3, 5):
+        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
+        got = [division_check(alg, trials, seed) for alg, trials, seed in cases]
+        witnesses.append(got)
+    assert witnesses[0] == witnesses[1] == witnesses[2] == [
+        _parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
+    assert witnesses[0][3] is not None and witnesses[0][4] is not None
 
 
 def test_quadratic_check():

@@ -1,14 +1,18 @@
 import copy
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
+from divalg.cli import main
 from divalg.dissident import cross_product_map, random_quadruple
 from divalg.exact import Matrix
 from divalg.lifting import Lifting, solve_lifting
 from divalg.serialize import (
+    MAX_ALGEBRA_DIM,
     ParseError,
     algebra_to_json,
     canonical_json,
@@ -162,6 +166,29 @@ def test_lifting_degree_over_the_cap_is_a_parse_error():
     assert str(info.value) == "bad lifting: degree 100000 is over the cap of 5"
 
 
+def unital_table(dim):
+    """The algebra of dimension `dim` with unity e_0 and e_i e_j = 0 for
+    i, j > 0, as a document."""
+    constants = [[["0"] * dim for _ in range(dim)] for _ in range(dim)]
+    for j in range(dim):
+        constants[0][j][j] = constants[j][0][j] = "1"
+    return {"kind": "algebra", "dim": dim, "structure_constants": constants,
+            "unity": ["1"] + ["0"] * (dim - 1)}
+
+
+def test_algebra_dimension_over_the_cap_is_a_parse_error(tmp_path):
+    # a well-formed 200-dimensional table builds 8M Fractions before any
+    # check; the cap admits the sedenions and rejects the document first
+    assert roundtrip(unital_table(MAX_ALGEBRA_DIM)).dim == 16
+    with pytest.raises(ParseError) as info:
+        roundtrip(unital_table(17))
+    assert str(info.value) == "bad algebra: dimension 17 is over the cap of 16"
+    path = tmp_path / "alg17.json"
+    path.write_text(json.dumps(unital_table(17)), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", "--what", "quadratic", "--input", str(path)]) == 2
+
+
 def decodes_or_parse_error(text):
     try:
         loads_typed(text)
@@ -194,8 +221,9 @@ VALID_DOCUMENTS = [
 ]
 
 
-# small integers only: a 10**4-dimensional algebra is well-formed JSON that
-# no size limit rejects yet (a lifting's degree is capped at 5)
+# small integers keep each fuzzed document quick to decode; the sizes the
+# decoders allocate are capped anyway (an algebra's dimension at 16, a
+# lifting's degree at 5)
 field_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
     | st.just(float("inf")) | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]),
