@@ -3,9 +3,13 @@ batched ranks of small matrices for screening.
 
 The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
-2**53, so the arithmetic is exact integer arithmetic).  The candidate kernel
-basis is recovered by Chinese remaindering and rational reconstruction and
-then certified by an exact integer multiply against the original matrix.
+2**53, so the arithmetic is exact integer arithmetic).  The elimination is
+blocked: pivots are found one at a time only inside panels of 64 columns,
+and each panel's row transform reaches the rest of the matrix in one matmul,
+so almost all of the work runs in BLAS.  The candidate kernel basis is
+recovered by Chinese remaindering and rational reconstruction of the entries
+off its pivot columns and then certified by one exact integer product
+against the original matrix.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -32,11 +36,9 @@ decides each draw faster, it does not widen a budget into a proof.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
-
-from .exact import primitive_vector
 
 # Primes sized so that a 4096-term dot product of residues fits in 2**53,
 # keeping float64 matmuls exact.
@@ -47,6 +49,11 @@ PRIMES = (
 )
 
 _MATMUL_CHUNK = 4096
+
+# Columns per panel of the blocked elimination in _rref_mod, and the widest
+# part of a panel that is eliminated one pivot at a time.
+_PANEL = 64
+_BASE = 16
 
 # The prime the sampled falsifiers screen their draws with.
 SCREEN_PRIME = PRIMES[0]
@@ -99,6 +106,31 @@ class SparseIntMatrix:
         block[row_idx, self.indices[lo:hi]] = vals
         return block
 
+    def annihilates(self, vectors):
+        """Whether M v = 0 exactly for every integer vector v in ``vectors``.
+
+        One product covers the family, reading only the columns M has
+        entries in: int64 when no row sum can reach 2**62, in slices of
+        vectors that keep the nnz x slice products small, and matvec_exact
+        otherwise.
+        """
+        if not self.nnz:
+            return True
+        used, slot = np.unique(self.indices, return_inverse=True)
+        used = used.tolist()
+        sub = [[v[c] for c in used] for v in vectors]
+        vmax = max((abs(x) for row in sub for x in row), default=0)
+        max_row_nnz = int(np.max(np.diff(self.indptr)))
+        if self._data64 is None or self.max_abs * vmax * max_row_nnz >= 2 ** 62:
+            return all(not any(self.matvec_exact(list(v))) for v in vectors)
+        starts = self.indptr[np.flatnonzero(np.diff(self.indptr))]
+        step = max(1, 2 ** 20 // self.nnz)
+        for s in range(0, len(sub), step):
+            block = np.array(sub[s:s + step], dtype=np.int64).T[slot]
+            if np.any(np.add.reduceat(self._data64[:, None] * block, starts)):
+                return False
+        return True
+
     def matvec_exact(self, v):
         """Exact integer matrix-vector product (list of Python ints)."""
         vmax = max((abs(x) for x in v), default=0)
@@ -140,49 +172,138 @@ def _matmul_mod(a, b, p):
     return acc
 
 
-def _rref_mod(a, p):
-    """In-place RREF of a residue matrix.  Returns (a, pivots, free_cols).
+def _reduce(x, p, out=None):
+    """x mod p, exactly, for integers x in float64 with
+    -(2**53 - p) <= x < 2**53.
 
-    Row entries are lazily reduced: after s rank-1 updates every value is
-    bounded by p + s*(p-1)**2, so a full reduction is forced every
-    `budget` pivots to keep all float64 arithmetic exact.
+    Write x = q*p + s with 0 <= s < p.  The rounded quotient x/p is within
+    half an ulp, at most |x|/p * 2**-53 < 1/p, of q + s/p, so it stays in
+    [q, q + 1) and its floor is q; q*p and x - q*p are then exact.  This
+    is several times faster than np.mod, which takes an fmod per entry.
+    """
+    q = np.divide(x, p)
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
+
+
+def _rref_mod(a, p):
+    """In-place RREF of a residue matrix.  Returns (a, pivots, free_cols),
+    with a[:rank] the RREF mod p.
+
+    Blocked Gauss-Jordan elimination (after Dumas, Giorgi & Pernet, "FFLAS
+    and FFPACK", ACM TOMS 35(3), 2008).  The columns are taken in panels of
+    _PANEL.  _eliminate_panel finds a panel's greedy pivots with updates
+    confined to the panel, moves the pivot rows S to rows r..r+n-1, and
+    leaves in the pivot columns J the columns of the row transform it
+    applied: A[S,J]^-1 on S and -A[i,J] A[S,J]^-1 on every other row i,
+    above the panel's rows and below.  One matmul then applies the
+    transform to the columns c1: right of the panel (_carry):
+
+        a[:, c1:] += L @ a[S, c1:],  L = the pivot columns minus I on S,
+
+    which leaves W = A[S,J]^-1 A[S, c1:] on S and A[i, c1:] - A[i,J] W on
+    every other row.  The RREF mod p is unique, so the pivots, free columns
+    and rows are those of the per-pivot elimination of the whole matrix.
+
+    Exactness: the factors of every update are residues in [0, p), or -1
+    on the diagonal of L: the reduced column and pivot row of a rank-1
+    update, or L and the reduced a[S, c1:] of a matmul with at most
+    _PANEL <= _MATMUL_CHUNK inner terms.  So s pivots change any entry by
+    less than s*(p-1)**2, and every float64 value stays in
+    (-s*(p-1)**2, p + s*(p-1)**2).  A full reduction is forced before the
+    pivots since the last one could pass `budget`, which keeps that below
+    2**53 and all arithmetic exact.  Entries are otherwise reduced lazily:
+    a column when a panel searches it, a row when it becomes a pivot row,
+    and the whole matrix at the end.
     """
     rows, cols = a.shape
     budget = int((2 ** 53 - p) // ((p - 1) ** 2))
     since_reduce = 0
     pivots = []
-    free = []
     r = 0
-    for c in range(cols):
+    for c0 in range(0, cols, _PANEL):
         if r == rows:
-            free.extend(range(c, cols))
             break
-        col = np.mod(a[:, c], p)
-        a[:, c] = col
+        c1 = min(c0 + _PANEL, cols)
+        if since_reduce + (c1 - c0) > budget:
+            _reduce(a, p, out=a)
+            since_reduce = 0
+        found = _eliminate_panel(a, r, c0, c1, p)
+        if not found:
+            continue
+        n = len(found)
+        if c1 < cols:
+            _carry(a, r, found, c1, cols, p)
+        a[:, found] = 0.0
+        a[r + np.arange(n), found] = 1.0
+        pivots.extend(found)
+        r += n
+        since_reduce += n
+    _reduce(a, p, out=a)
+    return a, pivots, _off_pivot(cols, pivots)
+
+
+def _eliminate_panel(a, r, c0, c1, p):
+    """Gauss-Jordan of the columns c0:c1 of ``a`` over all rows, with the
+    pivots searched greedily in rows r and below.  Returns the pivot
+    columns; their pivot rows end up at r, r+1, ...
+
+    Row swaps move whole rows of ``a``; every other change stays inside
+    the panel.  Each pivot column ends up holding the column of the row
+    transform that belongs to its pivot row instead of a unit vector
+    (Gauss-Jordan inversion in place), which _carry applies to other
+    columns.  A panel wider than _BASE is split in two: the left half's
+    transform is carried to the right half before the right half is
+    eliminated, and the right half's to the left half after, so that the
+    left half's pivot columns hold the transform of the whole panel (the
+    right half's pivot rows are 0 in the other columns of the left half).
+    Up to _BASE columns are eliminated one pivot at a time with rank-1
+    updates.
+    """
+    if c1 - c0 > _BASE:
+        mid = (c0 + c1) // 2
+        left = _eliminate_panel(a, r, c0, mid, p)
+        if left:
+            _carry(a, r, left, mid, c1, p)
+        right = _eliminate_panel(a, r + len(left), mid, c1, p)
+        if left and right:
+            _carry(a, r + len(left), right, c0, mid, p)
+        return left + right
+    rows = a.shape[0]
+    panel = a[:, c0:c1]
+    found = []
+    for j in range(c1 - c0):
+        if r == rows:
+            break
+        col = _reduce(panel[:, j], p)
         nz = np.flatnonzero(col[r:])
         if nz.size == 0:
-            free.append(c)
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r, :] = np.mod(a[r, :], p)
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, :] = np.mod(a[r, :] * inv, p)
-        factors = a[:, c].copy()
-        factors[r] = 0.0
-        if np.any(factors):
-            a -= np.outer(factors, a[r, :])
-        a[:, c] = 0.0
-        a[r, c] = 1.0
-        pivots.append(c)
+            col[[r, i]] = col[[i, r]]
+        inv = pow(int(col[r]), p - 2, p)
+        col[r] = 0.0
+        panel[:, j] = 0.0
+        panel[r, j] = 1.0
+        panel[r] = _reduce(_reduce(panel[r], p) * inv, p)
+        if np.any(col):
+            panel -= np.outer(col, panel[r])
+        found.append(c0 + j)
         r += 1
-        since_reduce += 1
-        if since_reduce >= budget:
-            np.mod(a, p, out=a)
-            since_reduce = 0
-    np.mod(a, p, out=a)
-    return a, pivots, free
+    return found
+
+
+def _carry(a, r, found, c0, c1, p):
+    """Apply the row transform held in the pivot columns ``found`` (pivot
+    rows r, r+1, ...) to the columns c0:c1 of ``a``: one matmul."""
+    n = len(found)
+    lift = _reduce(a[:, found], p)
+    lift[r + np.arange(n), np.arange(n)] -= 1.0
+    if np.any(lift):
+        a[:, c0:c1] += lift @ _reduce(a[r:r + n, c0:c1], p)
 
 
 def _kernel_from_rref(reduced, pivots, free, p):
@@ -312,35 +433,44 @@ def _reconstruct_rational(residue, modulus):
     return Fraction(num, den)
 
 
-def _reconstruct_basis(bases):
-    """CRT-combine per-prime bases and rationally reconstruct each entry.
+def _reconstruct_basis(bases, pivots):
+    """CRT-combine per-prime bases and rationally reconstruct the entries
+    off the pivot columns.
 
-    ``bases`` is a nonempty list of (prime, int64 array) with equal shapes.
-    Returns a list of rows of Fractions, or None if any entry fails.  One
-    path serves any number of primes: with one prime the CRT loop is empty,
-    and Wang's algorithm returns the residue r, or r - p, whenever that is
+    ``bases`` is a nonempty list of (prime, int64 array) with equal shapes:
+    the rows of the RREF of one kernel subspace mod each prime, with pivot
+    columns ``pivots``.  The RREF fixes the pivot entries (1 on a row's own
+    pivot, 0 on the others) for every prime, so only the other columns,
+    in increasing order, are reconstructed.  Returns a list of rows of
+    Fractions over those columns, or None if any entry fails.  One path
+    serves any number of primes: with one prime the CRT loop is empty, and
+    Wang's algorithm returns the residue r, or r - p, whenever that is
     within its bound, so small entries need no path of their own.
     """
     p0, b0 = bases[0]
-    shape = b0.shape
-    residues = b0.tolist()
+    off = _off_pivot(b0.shape[1], pivots)
+    residues = b0[:, off].tolist()
     modulus = p0
     for p, b in bases[1:]:
-        for i in range(shape[0]):
-            row = b[i]
-            for j in range(shape[1]):
-                residues[i][j], _ = _crt_pair(residues[i][j], modulus, int(row[j]), p)
+        for row, new in zip(residues, b[:, off].tolist()):
+            for j, r in enumerate(new):
+                row[j], _ = _crt_pair(row[j], modulus, r, p)
         modulus *= p
     rows = []
-    for i in range(shape[0]):
-        row = []
-        for j in range(shape[1]):
-            val = _reconstruct_rational(residues[i][j] % modulus, modulus)
+    for row in residues:
+        out = []
+        for r in row:
+            val = _reconstruct_rational(r % modulus, modulus)
             if val is None:
                 return None
-            row.append(val)
-        rows.append(row)
+            out.append(val)
+        rows.append(out)
     return rows
+
+
+def _off_pivot(ncols, pivots):
+    """The columns of range(ncols) that are not in ``pivots``, in order."""
+    return sorted(set(range(ncols)).difference(pivots))
 
 
 def sparse_kernel(mat, primes=PRIMES):
@@ -372,7 +502,7 @@ def sparse_kernel(mat, primes=PRIMES):
             # CRT forever; the newest prime alone is a cheap second chance
             attempts.append(collected[-1:])
         for subset in attempts:
-            candidate = _reconstruct_basis(subset)
+            candidate = _reconstruct_basis(subset, best[1])
             if candidate is None:
                 continue
             verified = _verify_candidate(mat, candidate, best[1])
@@ -385,15 +515,24 @@ def sparse_kernel(mat, primes=PRIMES):
 
 
 def _verify_candidate(mat, rows, pivots):
+    """The primitive integer vectors of a reconstructed kernel basis, or
+    None unless M v = 0 exactly for every one of them.
+
+    ``rows`` holds the entries off the pivot columns (_reconstruct_basis).
+    Row i of the RREF is 1 on its pivot column and 0 on the other pivot
+    columns, so its primitive vector is L on its pivot column and L*x on
+    the others, with L the lcm of the denominators: the content is then 1,
+    and the leading entry, the pivot one, is positive.
+    """
+    off = _off_pivot(mat.ncols, pivots)
     vectors = []
     for i, row in enumerate(rows):
-        # RREF structure: 1 on own pivot, 0 on the others; anything else
-        # means reconstruction produced garbage for this prime set.
-        for j, c in enumerate(pivots):
-            if row[c] != (1 if j == i else 0):
-                return None
-        vec = primitive_vector(row)
-        if mat.matvec_exact(list(vec)) != [0] * mat.nrows:
-            return None
-        vectors.append(vec)
+        scale = lcm(*(x.denominator for x in row))
+        vec = [0] * mat.ncols
+        vec[pivots[i]] = scale
+        for c, x in zip(off, row):
+            vec[c] = x.numerator * (scale // x.denominator)
+        vectors.append(tuple(vec))
+    if not mat.annihilates(vectors):
+        return None
     return vectors

@@ -132,13 +132,29 @@ def _tensor(data):
     return [[_vector(cell) for cell in plane] for plane in data]
 
 
+def _cube(data, n):
+    """The tensor document ``data`` once it nests as n x n x n lists.
+
+    Checked before any of its scalars is parsed: a 2.5 MB 80 x 80 x 80
+    tensor declared with n = 7 built 512000 Fractions before the map's
+    constructor found the shape wrong.
+    """
+    if not (isinstance(data, list) and len(data) == n and all(
+            isinstance(plane, list) and len(plane) == n
+            and all(isinstance(cell, list) and len(cell) == n for cell in plane)
+            for plane in data)):
+        raise ValueError("tensor is not n x n x n")
+    return _tensor(data)
+
+
 def map_from_json(data) -> DissidentMap:
-    return DissidentMap(int(data["n"]), _tensor(data["tensor"]))
+    n = int(data["n"])
+    return DissidentMap(n, _cube(data["tensor"], n))
 
 
 def triple_from_json(data) -> DissidentTriple:
     n = int(data["n"])
-    return DissidentTriple(n, _matrix(data["xi"]), DissidentMap(n, _tensor(data["eta"])))
+    return DissidentTriple(n, _matrix(data["xi"]), DissidentMap(n, _cube(data["eta"], n)))
 
 
 def quadruple_from_json(data) -> MatrixQuadruple:

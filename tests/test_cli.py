@@ -469,6 +469,37 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
     assert not hasattr(divalg.lifting.solve_lifting_scan, "__wrapped__")
 
 
+def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
+    # the blocked elimination runs its panels through helpers of its own,
+    # so the benchmark's rref span still counts one call per row block
+    # plus one for the final RREF of each elimination, and no nested time
+    import random
+
+    from divalg import modkernel
+
+    rng = random.Random(5)
+    rank, dim = 140, 10  # wider than two panels of 64 columns
+    mix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
+    coo = []
+    for r in range(2100):  # three row blocks of at most 1024
+        row = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(rank)]
+        row += [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)]
+        coo += [(r, c, v) for c, v in enumerate(row) if v]
+    mat = modkernel.SparseIntMatrix(2100, rank + dim, coo)
+    tracer = perfbench_tracer.Tracer()
+    tracer.install()
+    try:
+        kernel = modkernel.sparse_kernel(mat)
+    finally:
+        tracer.uninstall()
+    assert len(kernel) == dim
+    assert tracer.missing == {}
+    rref, eliminate = tracer.spans["modkernel.rref"], tracer.spans["modkernel.eliminate"]
+    assert eliminate.calls >= 1
+    assert rref.calls == 4 * eliminate.calls
+    assert rref.busy <= eliminate.busy
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # sympy is needed only by the content GCD; importing it costs most of
     # the start-up time of every command

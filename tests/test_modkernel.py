@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divalg import modkernel
 from divalg.exact import Matrix
 from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, residues, sparse_kernel
 
@@ -156,3 +157,88 @@ def test_residues_of_rationals():
     assert values.tolist() == [[5, 5], [6, 0]] and ok.tolist() == [True, True]
     _, ok = residues(rows, 3)  # 3 divides the denominator of 1/3
     assert ok.tolist() == [False, True]
+
+
+def _parent_rref_mod(a, p):
+    """The per-pivot elimination _rref_mod used before it was blocked,
+    kept as the reference: one rank-1 update of the whole matrix per pivot."""
+    rows, cols = a.shape
+    budget = int((2 ** 53 - p) // ((p - 1) ** 2))
+    since_reduce = 0
+    pivots = []
+    free = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            free.extend(range(c, cols))
+            break
+        col = np.mod(a[:, c], p)
+        a[:, c] = col
+        nz = np.flatnonzero(col[r:])
+        if nz.size == 0:
+            free.append(c)
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, :] = np.mod(a[r, :], p)
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r, :] = np.mod(a[r, :] * inv, p)
+        factors = a[:, c].copy()
+        factors[r] = 0.0
+        if np.any(factors):
+            a -= np.outer(factors, a[r, :])
+        a[:, c] = 0.0
+        a[r, c] = 1.0
+        pivots.append(c)
+        r += 1
+        since_reduce += 1
+        if since_reduce >= budget:
+            np.mod(a, p, out=a)
+            since_reduce = 0
+    np.mod(a, p, out=a)
+    return a, pivots, free
+
+
+def _rref_cases(p):
+    """Seeded residue matrices mod p: planted rank deficiency, widths at
+    and around the panel edges, zero columns on an edge, the zero matrix
+    and the identity."""
+    k = modkernel._PANEL
+    rng = np.random.default_rng(p % 1000)
+
+    def planted(rows, cols, rank):
+        left = rng.integers(0, p, (rows, rank))
+        right = rng.integers(0, p, (rank, cols))
+        return (left @ right % p).astype(np.float64)
+
+    for cols in (k - 1, k, k + 1, 2 * k + 1):
+        for rows in (cols // 2, cols + 20):
+            full = min(rows, cols)
+            for rank in (full, full - 3, full // 3):
+                yield f"{rows}x{cols} rank {rank}", planted(rows, cols, rank)
+    # sparse: mod 3 most residues are 0, so pivots are searched far down
+    sparse = rng.integers(0, p, (90, 2 * k + 1)) * (rng.random((90, 2 * k + 1)) < 0.15)
+    yield "sparse", sparse.astype(np.float64)
+    edge = planted(100, 2 * k + 1, 70)
+    edge[:, [k - 1, k, 2 * k - 1, 2 * k]] = 0.0
+    yield "zero columns on panel edges", edge
+    shifted = planted(80, 2 * k + 1, 60)
+    shifted[:, :k] = 0.0
+    yield "first panel zero", shifted
+    yield "zero", np.zeros((40, 2 * k + 1))
+    yield "identity", np.eye(2 * k + 1)
+    yield "wide identity", np.eye(k + 1, 2 * k + 1, k - 1)
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], 3])
+def test_blocked_rref_matches_the_per_pivot_elimination(p):
+    # the RREF mod p is unique, so the blocked elimination must give the
+    # parent's pivots, free columns and reduced rows byte for byte
+    for name, a in _rref_cases(p):
+        want, want_pivots, want_free = _parent_rref_mod(a.copy(), p)
+        got, pivots, free = modkernel._rref_mod(a.copy(), p)
+        rank = len(want_pivots)
+        assert (pivots, free) == (want_pivots, want_free), name
+        assert got.shape == a.shape, name
+        assert np.array_equal(got[:rank], want[:rank]), name

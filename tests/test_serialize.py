@@ -166,6 +166,35 @@ def test_lifting_degree_over_the_cap_is_a_parse_error():
     assert str(info.value) == "bad lifting: degree 100000 is over the cap of 5"
 
 
+def test_tensor_of_the_wrong_shape_is_rejected_before_any_scalar(tmp_path, monkeypatch):
+    # an 80 x 80 x 80 tensor of "0" declared with n = 7 (2.5 MB) built
+    # 512000 Fractions before the map's constructor found the shape wrong
+    import divalg.serialize as serialize
+
+    parsed = []
+    real = serialize._scalar
+    monkeypatch.setattr(serialize, "_scalar", lambda s: parsed.append(s) or real(s))
+    big = [[["0"] * 80 for _ in range(80)] for _ in range(80)]
+    doc = {"kind": "dissident_map", "n": 7, "tensor": big}
+    with pytest.raises(ParseError) as info:
+        roundtrip(doc)
+    assert str(info.value) == "bad dissident_map: tensor is not n x n x n"
+    assert parsed == []
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["degree", "--input", str(path)]) == 2
+    assert parsed == []
+    # a triple parses its 7 x 7 xi first, and none of the tensor's scalars
+    triple = triple_to_json(cross7_triple())
+    triple["eta"] = big
+    with pytest.raises(ParseError) as info:
+        roundtrip(triple)
+    assert str(info.value) == "bad dissident_triple: tensor is not n x n x n"
+    assert len(parsed) == 49
+    assert roundtrip(map_to_json(cross_product_map(7))) == cross_product_map(7)
+
+
 def unital_table(dim):
     """The algebra of dimension `dim` with unity e_0 and e_i e_j = 0 for
     i, j > 0, as a document."""
