@@ -159,6 +159,18 @@ def test_residues_of_rationals():
     assert ok.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("p", [PRIMES[0], 3])
+def test_reduce_is_exact_over_its_range(p):
+    # the floor(x/p) reduction must agree with integer % on every value
+    # the elimination can hold: -(2**53 - p) <= x < 2**53
+    top = 2 ** 53
+    edges = [0, 1, p - 1, p, p + 1, -1, -p, -p - 1, top - 1, top - p, top - p - 1,
+             -(top - p), -(top - p) + 1, (top // p) * p, -((top - p) // p) * p]
+    rng = random.Random(p)
+    values = edges + [rng.randrange(-(top - p), top) for _ in range(2000)]
+    got = modkernel._reduce(np.array(values, dtype=np.float64), p)
+    assert [int(x) for x in got] == [v % p for v in values]
+
 def _parent_rref_mod(a, p):
     """The per-pivot elimination _rref_mod used before it was blocked,
     kept as the reference: one rank-1 update of the whole matrix per pivot."""
