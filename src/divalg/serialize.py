@@ -133,11 +133,12 @@ def _tensor(data):
 
 
 def _cube(data, n):
-    """The tensor document ``data`` once it nests as n x n x n lists.
+    """The tensor of scalars ``data``, parsed once it nests as n x n x n lists.
 
-    Checked before any of its scalars is parsed: a 2.5 MB 80 x 80 x 80
-    tensor declared with n = 7 built 512000 Fractions before the map's
-    constructor found the shape wrong.
+    The nesting is checked before any scalar is parsed, so a document of
+    the wrong shape costs no Fraction: a 2.5 MB 80 x 80 x 80 tensor
+    declared with n = 7 would otherwise build 512000 of them before the
+    map's constructor checks the shape.
     """
     if not (isinstance(data, list) and len(data) == n and all(
             isinstance(plane, list) and len(plane) == n
