@@ -46,14 +46,7 @@ from math import lcm
 from .dissident import DissidentMap, ZeroVector, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
 from .exact import Matrix, primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
-from .poly import (
-    HomogeneousPoly,
-    PolyError,
-    monomial_count,
-    monomials,
-    poly_content_gcd,
-    primitive_poly_vector,
-)
+from .poly import HomogeneousPoly, PolyError, monomial_count, monomials, poly_content_gcd
 
 DEFAULT_SAMPLES = 64
 DEFAULT_MAX_DEGREE = 5
@@ -71,11 +64,6 @@ class NoLiftingFound(LiftingError):
 class AmbiguousKernel(LiftingError):
     """More than one validated projective solution at the minimal degree,
     contradicting uniqueness of the lifting."""
-
-
-class OddnessViolation(LiftingError):
-    """A computed degree on R^7 came out even, which is impossible for a
-    dissident map; treated as a solver bug signal."""
 
 
 class SharedFactor(ValueError):
@@ -280,9 +268,16 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     survived pointwise validation.  The verification report is the one
     verify_lifting gives the winner, built from the scan's own proofs: the
     solver certified M phi = 0 for its coefficient vector, the validation
-    accepted it at every sample (primitive_poly_vector only rescales it, and
-    neither check depends on scale or sign), and the Lifting constructor
-    checked (a) and ran the content GCD.  Deterministic given (eta, seed).
+    accepted it at every sample, and the Lifting constructor checked (a)
+    and ran the content GCD.  Deterministic given (eta, seed).
+
+    The kernel vectors need no normalization and no deduplication.
+    sparse_kernel returns the rows of an RREF scaled to content 1 with a
+    positive pivot entry, and a row is zero before its pivot column.  The
+    columns run component-major with the monomials lex descending, so the
+    pivot entry is the first coefficient of the components in the order
+    they are written out, and it is positive.  Rows of an RREF have
+    distinct pivot columns, so no two of them are equal.
     """
     if max_degree < 1 or max_degree > 5:
         raise ValueError("max_degree out of range 1..5")
@@ -305,22 +300,20 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
             continue
         if lines is None:
             lines = _sample_lines(eta, samples, seed)
-        distinct = []
+        accepted = []
         for vec in kernel:
             comps = _components_from_vector(eta.n, d, vec)
             if _validate(comps, lines):
-                comps = primitive_poly_vector(comps)
-                if comps not in distinct:
-                    distinct.append(comps)
-        entry["validated"] = len(distinct)
-        if not distinct:
+                accepted.append(comps)
+        entry["validated"] = len(accepted)
+        if not accepted:
             continue
-        if len(distinct) > 1:
+        if len(accepted) > 1:
             raise AmbiguousKernel(
-                f"{len(distinct)} validated projective solutions at degree {d}"
+                f"{len(accepted)} validated projective solutions at degree {d}"
             )
         try:
-            lifting = Lifting(eta.n, d, distinct[0])
+            lifting = Lifting(eta.n, d, accepted[0])
         except SharedFactor as exc:
             # a common factor means a lower-degree solution the scan missed
             raise AmbiguousKernel(
@@ -349,11 +342,12 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     certificates.  (a) is structural: n components in the n variables of
     eta's space, sharing one degree >= 1, not all zero.  The identity part
     of (b) is certified by the exact product M phi = 0, where M is the
-    degree-d divided constraint system and phi the coefficient vector with
-    denominators cleared: the certificate the kernel solver gives each
-    kernel vector.  The pointwise part of (b) is checked by exact sampling
-    at the points the scan draws for the same (samples, seed).  (c) is an
-    exact content GCD, which a Lifting has passed on construction.
+    degree-d divided constraint system and phi the primitive coefficient
+    vector: the same annihilates call with which the kernel solver
+    certifies each kernel vector.  The pointwise part of (b) is checked by
+    exact sampling at the points the scan draws for the same (samples,
+    seed).  (c) is an exact content GCD, which a Lifting has passed on
+    construction.
     """
     components = tuple(phi.components) if isinstance(phi, Lifting) else tuple(phi)
     n = eta.n
@@ -372,8 +366,7 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     if a_pass:
         d = components[0].degree
         coeffs = [p.terms.get(m, 0) for p in components for m in monomials(n, d)]
-        image = _sparse_system(eta, d).matvec_exact(list(primitive_vector(coeffs)))
-        b_identity = not any(image)
+        b_identity = _sparse_system(eta, d).annihilates([primitive_vector(coeffs)])
 
     if maps_on_space:
         failures = _sample_failures(components, _sample_lines(eta, samples, seed))
@@ -396,16 +389,3 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     return _verification(max(degrees) if degrees else None, a_pass, b_identity,
                          failures, samples, c_pass, gcd_repr)
 
-
-def degree(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
-           max_degree=DEFAULT_MAX_DEGREE) -> int:
-    """The degree of a dissident map via the minimal validated lifting.
-
-    On R^7 the result is asserted to lie in {1, 3, 5}; dissident maps on R^7
-    never have even degree, so an even value is raised as OddnessViolation
-    (solver bug signal).
-    """
-    lifting = solve_lifting(eta, samples=samples, seed=seed, max_degree=max_degree)
-    if eta.n == 7 and lifting.degree % 2 == 0:
-        raise OddnessViolation(f"computed an even degree {lifting.degree} on R^7")
-    return lifting.degree

@@ -3,13 +3,16 @@ batched ranks of small matrices for screening.
 
 The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
-2**53, so the arithmetic is exact integer arithmetic).  The elimination is
-blocked: pivots are found one at a time only inside panels of 64 columns,
-and each panel's row transform reaches the rest of the matrix in one matmul,
-so almost all of the work runs in BLAS.  The candidate kernel basis is
-recovered by Chinese remaindering and rational reconstruction of the entries
-off its pivot columns and then certified by one exact integer product
-against the original matrix.
+2**53, so the arithmetic is exact integer arithmetic, and every reduction
+mod p goes through _reduce).  The elimination is blocked: pivots are found
+one at a time only inside panels of 64 columns, and each panel's row
+transform reaches the rest of the matrix in one matmul, so almost all of
+the work runs in BLAS.  The candidate kernel basis is recovered by Chinese
+remaindering and rational reconstruction of the entries off its pivot
+columns and then certified by one exact integer product against the
+original matrix.  SparseIntMatrix._product computes every exact product
+M v, for annihilates and matvec_exact alike; it runs in int64 when a bound
+on the row sums allows and in Python ints otherwise.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -64,24 +67,25 @@ class ModularKernelError(RuntimeError):
 
 
 class SparseIntMatrix:
-    """Immutable CSR matrix with arbitrary-precision integer entries."""
+    """Immutable CSR matrix with integer entries.
+
+    The entries are stored once, in ``data``: an int64 array when every
+    entry is below 2**62 in absolute value, and an object array of Python
+    ints otherwise.
+    """
 
     def __init__(self, nrows, ncols, coo):
         self.nrows = nrows
         self.ncols = ncols
         cells = sorted(coo)
         self.indices = np.array([c for _, c, _ in cells], dtype=np.int64)
-        self.data = [int(v) for _, _, v in cells]
+        values = [int(v) for _, _, v in cells]
+        self.max_abs = max(map(abs, values), default=0)
+        self.data = np.array(values, dtype=np.int64 if self.max_abs < 2 ** 62 else object)
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         for r, _, _ in cells:
             indptr[r + 1] += 1
         self.indptr = np.cumsum(indptr)
-        self.max_abs = max((abs(v) for v in self.data), default=0)
-        # int64 mirror for fast exact matvec when entries are word-sized
-        if self.max_abs < 2 ** 62:
-            self._data64 = np.array(self.data, dtype=np.int64)
-        else:
-            self._data64 = None
 
     @property
     def nnz(self):
@@ -93,69 +97,49 @@ class SparseIntMatrix:
         block = np.zeros((rows, self.ncols), dtype=np.float64)
         lo = int(self.indptr[row_start])
         hi = int(self.indptr[row_stop])
-        if lo == hi:
-            return block
-        if self._data64 is not None:
-            vals = np.mod(self._data64[lo:hi], p)
-        else:
-            vals = np.array([v % p for v in self.data[lo:hi]], dtype=np.int64)
         row_idx = np.repeat(
             np.arange(rows, dtype=np.int64),
             np.diff(self.indptr[row_start:row_stop + 1]),
         )
-        block[row_idx, self.indices[lo:hi]] = vals
+        block[row_idx, self.indices[lo:hi]] = self.data[lo:hi] % p
         return block
 
     def annihilates(self, vectors):
-        """Whether M v = 0 exactly for every integer vector v in ``vectors``.
+        """Whether M v = 0 exactly for every integer vector v in ``vectors``,
+        checked in slices of vectors that keep the nnz x slice products
+        small."""
+        step = max(1, 2 ** 20 // max(self.nnz, 1))
+        return all(not np.any(self._product(vectors[s:s + step]))
+                   for s in range(0, len(vectors), step))
 
-        One product covers the family, reading only the columns M has
-        entries in: int64 when no row sum can reach 2**62, in slices of
-        vectors that keep the nnz x slice products small, and matvec_exact
-        otherwise.
+    def matvec_exact(self, v):
+        """Exact integer matrix-vector product (list of Python ints)."""
+        return self._product([v])[:, 0].tolist()
+
+    def _product(self, vectors):
+        """The exact products M v of a nonempty family of integer vectors,
+        as the columns of an nrows x len(vectors) array.
+
+        Only the columns M has entries in are read.  The products run in
+        int64 when max_abs * vmax * max_row_nnz < 2**62, so that no row
+        sum can reach 2**62, and in Python ints otherwise.  vmax counts as
+        at least 1, so entries of 2**62 or more always take Python ints.
         """
+        sums = np.zeros((self.nrows, len(vectors)), dtype=np.int64)
         if not self.nnz:
-            return True
+            return sums
         used, slot = np.unique(self.indices, return_inverse=True)
         used = used.tolist()
         sub = [[v[c] for c in used] for v in vectors]
         vmax = max((abs(x) for row in sub for x in row), default=0)
         max_row_nnz = int(np.max(np.diff(self.indptr)))
-        if self._data64 is None or self.max_abs * vmax * max_row_nnz >= 2 ** 62:
-            return all(not any(self.matvec_exact(list(v))) for v in vectors)
-        starts = self.indptr[np.flatnonzero(np.diff(self.indptr))]
-        step = max(1, 2 ** 20 // self.nnz)
-        for s in range(0, len(sub), step):
-            block = np.array(sub[s:s + step], dtype=np.int64).T[slot]
-            if np.any(np.add.reduceat(self._data64[:, None] * block, starts)):
-                return False
-        return True
-
-    def matvec_exact(self, v):
-        """Exact integer matrix-vector product (list of Python ints)."""
-        vmax = max((abs(x) for x in v), default=0)
-        max_row_nnz = int(np.max(np.diff(self.indptr))) if self.nnz else 0
-        if (
-            self._data64 is not None
-            and vmax > 0
-            and self.max_abs * vmax * max(max_row_nnz, 1) < 2 ** 62
-        ):
-            varr = np.array(v, dtype=np.int64)
-            prods = self._data64 * varr[self.indices]
-            sums = np.zeros(self.nrows, dtype=np.int64)
-            nonempty = np.flatnonzero(np.diff(self.indptr))
-            if nonempty.size:
-                seg = np.add.reduceat(prods, self.indptr[nonempty])
-                sums[nonempty] = seg
-            return sums.tolist()
-        out = [0] * self.nrows
-        for r in range(self.nrows):
-            lo, hi = int(self.indptr[r]), int(self.indptr[r + 1])
-            acc = 0
-            for k in range(lo, hi):
-                acc += self.data[k] * v[int(self.indices[k])]
-            out[r] = acc
-        return out
+        if self.max_abs * max(vmax, 1) * max_row_nnz >= 2 ** 62:
+            sums = sums.astype(object)
+        block = np.array(sub, dtype=sums.dtype).T[slot]
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        sums[nonempty] = np.add.reduceat(
+            self.data.astype(sums.dtype, copy=False)[:, None] * block, self.indptr[nonempty])
+        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +147,17 @@ class SparseIntMatrix:
 
 
 def _matmul_mod(a, b, p):
-    inner = a.shape[1]
-    if inner <= _MATMUL_CHUNK:
-        return np.mod(a @ b, p)
+    """a @ b mod p for residue matrices a and b, entries in [0, p).
+
+    The inner dimension is summed in chunks of _MATMUL_CHUNK terms, each
+    below (p-1)**2, into an accumulator reduced to [0, p) after every
+    chunk.  So every float64 sum stays below _MATMUL_CHUNK*(p-1)**2 + p <
+    2**53 for every prime of PRIMES, and the arithmetic is exact.
+    """
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for s in range(0, inner, _MATMUL_CHUNK):
-        acc = np.mod(acc + a[:, s:s + _MATMUL_CHUNK] @ b[s:s + _MATMUL_CHUNK, :], p)
+    for s in range(0, a.shape[1], _MATMUL_CHUNK):
+        acc += a[:, s:s + _MATMUL_CHUNK] @ b[s:s + _MATMUL_CHUNK, :]
+        _reduce(acc, p, out=acc)
     return acc
 
 
@@ -179,7 +168,8 @@ def _reduce(x, p, out=None):
     Write x = q*p + s with 0 <= s < p.  The rounded quotient x/p is within
     half an ulp, at most |x|/p * 2**-53 < 1/p, of q + s/p, so it stays in
     [q, q + 1) and its floor is q; q*p and x - q*p are then exact.  This
-    is several times faster than np.mod, which takes an fmod per entry.
+    is several times faster than numpy's remainder, which takes an fmod
+    per entry.
     """
     q = np.divide(x, p)
     np.floor(q, out=q)
@@ -314,7 +304,7 @@ def _kernel_from_rref(reduced, pivots, free, p):
         basis[f, idx] = 1.0
     if pivots:
         piv = np.array(pivots, dtype=np.int64)
-        basis[piv, :] = np.mod(-reduced[: len(pivots)][:, free], p)
+        basis[piv, :] = _reduce(-reduced[: len(pivots)][:, free], p)
     return basis
 
 

@@ -5,8 +5,9 @@ degree) to nonzero Fractions.  The monomial order used everywhere is graded
 lexicographic with x0 > x1 > ...; since all polynomials here are homogeneous
 this reduces to plain lexicographic comparison of exponent tuples within one
 degree.  GCDs are delegated to sympy (a mature exact implementation) and then
-renormalized to leading coefficient 1 under this order; exact divisibility is
-checked by our own division routine so the two directions stay independent.
+renormalized to leading coefficient 1 under this order.  divide_exact, an
+exact division written here, has no caller in the package: it stays as the
+tests' independent check of the sympy GCD.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exact import as_fraction, primitive_vector, scalar_to_str
+from .exact import as_fraction, scalar_to_str
 
 
 class PolyError(ValueError):
@@ -279,14 +280,3 @@ def poly_content_gcd(polys) -> HomogeneousPoly:
     _, lead = result.leading()
     return result.scale(1 / lead)
 
-
-def primitive_poly_vector(components):
-    """Scale a tuple of polynomials by one rational so all coefficients are
-    integers of common content 1, with the first nonzero coefficient (in
-    component order, grlex within a component) positive."""
-    components = list(components)
-    coeffs = [p.terms[e] for p in components for e in sorted(p.terms, reverse=True)]
-    if not coeffs:
-        raise PolyError("primitive normalization of the zero vector")
-    scale = primitive_vector(coeffs)[0] / coeffs[0]
-    return tuple(p.scale(scale) for p in components)

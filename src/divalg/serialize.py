@@ -126,6 +126,17 @@ def _matrix(data) -> Matrix:
         raise ParseError(str(exc)) from exc
 
 
+def _check_size(data, cap, message):
+    """Raise ValueError(message) if the rows ``data`` are more than ``cap``
+    or one of them is longer than ``cap``.  It parses no scalar, so a
+    decoder calls it first: a 700 x 700 matrix declared as 7 x 7 would
+    otherwise build 490000 Fractions before its constructor checks the
+    shape."""
+    if isinstance(data, list) and (len(data) > cap or any(
+            isinstance(row, list) and len(row) > cap for row in data)):
+        raise ValueError(message)
+
+
 def _tensor(data):
     if not isinstance(data, list):
         raise ParseError("tensor must be a nested list")
@@ -155,13 +166,16 @@ def map_from_json(data) -> DissidentMap:
 
 def triple_from_json(data) -> DissidentTriple:
     n = int(data["n"])
-    return DissidentTriple(n, _matrix(data["xi"]), DissidentMap(n, _cube(data["eta"], n)))
+    xi = data["xi"]
+    _check_size(xi, n, "triple components disagree on n")
+    return DissidentTriple(n, _matrix(xi), DissidentMap(n, _cube(data["eta"], n)))
 
 
 def quadruple_from_json(data) -> MatrixQuadruple:
-    return MatrixQuadruple(
-        _matrix(data["A"]), _matrix(data["B"]), _matrix(data["C"]), _matrix(data["D"])
-    )
+    matrices = [data[name] for name in "ABCD"]
+    for name, m in zip("ABCD", matrices):
+        _check_size(m, 7, f"{name} must be 7x7")
+    return MatrixQuadruple(*map(_matrix, matrices))
 
 
 # The largest algebra dimension a document may declare: the sedenions (16)
@@ -199,7 +213,12 @@ def lifting_from_json(data) -> Lifting:
 
 
 def matrix_from_json(data) -> Matrix:
-    return _matrix(data["entries"])
+    """A matrix of at most MAX_ALGEBRA_DIM rows and columns: every matrix a
+    command reads maps spaces of dimension at most 16."""
+    entries = data["entries"]
+    _check_size(entries, MAX_ALGEBRA_DIM,
+                f"matrix is over the cap of {MAX_ALGEBRA_DIM} x {MAX_ALGEBRA_DIM}")
+    return _matrix(entries)
 
 
 _DECODERS = {

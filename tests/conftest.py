@@ -1,8 +1,22 @@
 import importlib.util
 import pathlib
 import sys
+import tempfile
 
 import pytest
+from hypothesis import configuration, settings
+
+# Every property test draws the same examples on every run and keeps no
+# example database.  A test's own @settings keeps its max_examples and
+# inherits the rest.
+settings.register_profile("divalg", derandomize=True, database=None)
+settings.load_profile("divalg")
+
+# Hypothesis's other files (a cache of the constants in the source, written
+# while the tests are collected) go to a directory removed at exit, so a
+# run writes no .hypothesis/ into the checkout.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from divalg.lifting import (
     NoLiftingFound,
     build_constraint_system,
     constraint_shape,
-    degree,
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
@@ -106,7 +106,7 @@ def test_solve_cross_products_degree_one_identity():
 
 def test_solve_quadruple_map_degree_one():
     t = quadruple_to_triple(random_quadruple(1))
-    assert degree(t.eta, samples=32, seed=0) == 1
+    assert solve_lifting(t.eta, samples=32, seed=0).degree == 1
 
 
 def test_degree_three_input():
@@ -323,6 +323,20 @@ def test_scan_report_equals_verify_lifting(conjugate_bent_tensor, name):
     lifting, _, verification = solve_lifting_scan(eta, samples=16, seed=3)
     assert verification == verify_lifting(eta, lifting, samples=16, seed=3)
     assert verification["all_pass"]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
+def test_scan_lifting_is_primitive(conjugate_bent_tensor, name):
+    # the scan keeps its kernel vector as sparse_kernel returns it, so that
+    # vector must already be integral, of content 1, with a positive first
+    # entry
+    eta = named_map(name, conjugate_bent_tensor)
+    lifting = solve_lifting(eta, samples=16, seed=3)
+    coeffs = [p.terms.get(m, Fraction(0)) for p in lifting.components
+              for m in monomials(eta.n, lifting.degree)]
+    assert all(x.denominator == 1 for x in coeffs)
+    assert gcd(*(x.numerator for x in coeffs)) == 1
+    assert next(x for x in coeffs if x) > 0
 
 
 def test_eta_P_point_matches_the_padded_rows(conjugate_bent_tensor):

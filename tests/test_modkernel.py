@@ -34,6 +34,15 @@ def test_matvec_exact_bigint_path():
     assert mat.matvec_exact([1, 2]) == [big, -2 * big]
 
 
+def test_exact_product_leaves_int64_before_it_can_wrap():
+    # 2**40 * 2**30 = 2**70 wraps to 0 in int64; 2**31 * 2**33 - 2**64 is 0,
+    # but 2**64 does not fit in int64
+    assert not SparseIntMatrix(1, 1, [(0, 0, 2 ** 40)]).annihilates([(2 ** 30,)])
+    wide = SparseIntMatrix(1, 2, [(0, 0, 2 ** 31), (0, 1, -1)])
+    assert wide.annihilates([(2 ** 33, 2 ** 64)])
+    assert wide.matvec_exact([2 ** 33, 2 ** 64 + 1]) == [-1]
+
+
 def test_kernel_zero_matrix_is_identity_basis():
     mat = SparseIntMatrix(4, 3, [])
     assert sparse_kernel(mat) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

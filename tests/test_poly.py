@@ -10,7 +10,6 @@ from divalg.poly import (
     monomial_count,
     monomials,
     poly_content_gcd,
-    primitive_poly_vector,
 )
 
 X0 = HomogeneousPoly.variable(3, 0)
@@ -114,13 +113,6 @@ def test_zero_poly_identity_and_nominal_degree():
     assert (X0 * X0 + z2) == X0 * X0
     assert z2 == HomogeneousPoly.zero(3, 5)  # zeros compare equal across degrees
     assert repr(z2) == "0"
-
-
-def test_primitive_poly_vector():
-    comps = primitive_poly_vector([X0.scale(Fraction(-2, 3)), X1.scale(Fraction(-4, 3))])
-    assert comps[0] == X0 and comps[1] == 2 * X1
-    with pytest.raises(PolyError):
-        primitive_poly_vector([HomogeneousPoly.zero(3, 1)])
 
 
 def test_term_validation():

@@ -195,6 +195,42 @@ def test_tensor_of_the_wrong_shape_is_rejected_before_any_scalar(tmp_path, monke
     assert roundtrip(map_to_json(cross_product_map(7))) == cross_product_map(7)
 
 
+def test_oversized_matrices_are_rejected_before_any_scalar(monkeypatch):
+    # a 700 x 700 "A" built 490000 Fractions before the quadruple's
+    # constructor found it was not 7 x 7
+    import divalg.serialize as serialize
+
+    parsed = []
+    real = serialize._scalar
+    monkeypatch.setattr(serialize, "_scalar", lambda s: parsed.append(s) or real(s))
+
+    def square(k):
+        return [["0"] * k for _ in range(k)]
+
+    quadruple = quadruple_to_json(random_quadruple(1))
+    quadruple["A"] = square(700)
+    long_row = quadruple_to_json(random_quadruple(1))
+    long_row["D"][6].append("0")
+    triple = triple_to_json(cross7_triple())
+    triple["xi"] = square(80)
+    matrix = {"kind": "matrix", "entries": square(17)}
+    wide = {"kind": "matrix", "entries": square(16)}
+    wide["entries"][3].append("0")
+    cases = [
+        (quadruple, "bad matrix_quadruple: A must be 7x7"),
+        (long_row, "bad matrix_quadruple: D must be 7x7"),
+        (triple, "bad dissident_triple: triple components disagree on n"),
+        (matrix, "bad matrix: matrix is over the cap of 16 x 16"),
+        (wide, "bad matrix: matrix is over the cap of 16 x 16"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ParseError) as info:
+            roundtrip(doc)
+        assert str(info.value) == message
+    assert parsed == []
+    assert len(roundtrip(plain_matrix_to_json(Matrix.zeros(16, 16))).entries) == 16
+
+
 def unital_table(dim):
     """The algebra of dimension `dim` with unity e_0 and e_i e_j = 0 for
     i, j > 0, as a document."""
