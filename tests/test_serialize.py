@@ -115,6 +115,9 @@ MALFORMED = [
      "bad lifting: string indices must be integers, not 'str'"),
     ({"kind": "lifting", "n": 3, "degree": 1,
       "components": [[{"exponents": [1, 0, 0]}]]}, "bad lifting: 'coeff'"),
+    ({"kind": "lifting", "n": 3, "degree": 2, "components": [
+        [{"exponents": exps, "coeff": "1"}] for exps in ([2, 0, 0], [1, 1, 0], [1, 0, 1])]},
+     "bad lifting: components share the factor x0"),
     ({"kind": "matrix"}, "bad matrix: 'entries'"),
     ({"kind": "matrix", "entries": 5}, "matrix must be a list of rows"),
     ({"kind": "matrix", "entries": [["1/0"]]}, "bad scalar '1/0'"),
