@@ -28,10 +28,10 @@ returned degree minimal by construction.
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
 M phi = 0 is the orthogonality identity, the pointwise validation samples
-nonvanishing and [Phi(v)] = eta_P([v]), and the Lifting constructor checks
-the common degree and that the components are relatively prime.
-verify_lifting checks a candidate from elsewhere with the same
-certificates and builds the same report.
+nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor checks the
+common degree, and kernel dimensions 0, ..., 0, 1 prove the components
+relatively prime (solve_lifting_scan).  verify_lifting checks a candidate
+from elsewhere with the same certificates and a content GCD.
 
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
 uniqueness of the lifting; it is reported as a confidence statement, not
@@ -66,13 +66,10 @@ class AmbiguousKernel(LiftingError):
     contradicting uniqueness of the lifting."""
 
 
-class SharedFactor(ValueError):
-    """Lifting components with a nonconstant common factor."""
-
-
 class Lifting:
-    """A validated lifting: n components, homogeneous of common degree >= 1,
-    not all zero, relatively prime (all enforced on construction)."""
+    """A lifting: n components in n variables, homogeneous of common degree
+    >= 1, not all zero (checked here), relatively prime (proved by the scan's
+    kernels, lifting_from_json's GCD, or identity's distinct variables)."""
 
     __slots__ = ("n", "degree", "components")
 
@@ -85,12 +82,8 @@ class Lifting:
         for p in components:
             if p.nvars != n or p.degree != degree:
                 raise ValueError("components must share nvars and degree")
-        nonzero = [p for p in components if not p.is_zero()]
-        if not nonzero:
+        if all(p.is_zero() for p in components):
             raise ValueError("lifting components are all zero")
-        gcd = poly_content_gcd(nonzero)
-        if gcd.degree != 0:
-            raise SharedFactor(f"components share the factor {gcd!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", components)
@@ -268,8 +261,16 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     survived pointwise validation.  The verification report is the one
     verify_lifting gives the winner, built from the scan's own proofs: the
     solver certified M phi = 0 for its coefficient vector, the validation
-    accepted it at every sample, and the Lifting constructor checked (a)
-    and ran the content GCD.  Deterministic given (eta, seed).
+    accepted it at every sample, and the Lifting constructor checked (a).
+    For (c), suppose the degree-d winner is Phi = f Psi with deg f = k >= 1.
+    Then f <Psi(v), eta(v ^ e_j)> = 0 in the domain Q[v], so Psi is in the
+    degree-(d-k) kernel, which the scan found to be 0 if 1 <= d-k < d.  If
+    k = d, Psi = c is a constant vector, and g c is in the degree-d kernel
+    for every form g of degree d, so it has dimension at least
+    monomial_count(n, d) >= 3, not 1.  So kernel dimensions [0]*(d-1) + [1]
+    prove gcd = 1; otherwise the content GCD runs, and a nonconstant one
+    means a lower-degree solution the scan missed.  Deterministic given
+    (eta, seed).
 
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a
@@ -312,16 +313,12 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
             raise AmbiguousKernel(
                 f"{len(accepted)} validated projective solutions at degree {d}"
             )
-        try:
-            lifting = Lifting(eta.n, d, accepted[0])
-        except SharedFactor as exc:
-            # a common factor means a lower-degree solution the scan missed
-            raise AmbiguousKernel(
-                "validated solution reduced below the scanned degree"
-            ) from exc
+        if ([e["kernel_dim"] for e in scan] != [0] * (d - 1) + [1]
+                and poly_content_gcd(accepted[0]).degree != 0):
+            raise AmbiguousKernel("validated solution reduced below the scanned degree")
         verification = _verification(d, a_pass=True, b_identity=True, failures=(0, 0),
                                      samples=samples, c_pass=True, gcd_repr="1")
-        return lifting, scan, verification
+        return Lifting(eta.n, d, accepted[0]), scan, verification
     raise NoLiftingFound(
         f"no validated lifting up to degree {max_degree} "
         f"({samples} validation samples)"
@@ -346,10 +343,10 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     vector: the same annihilates call with which the kernel solver
     certifies each kernel vector.  The pointwise part of (b) is checked by
     exact sampling at the points the scan draws for the same (samples,
-    seed).  (c) is an exact content GCD, which a Lifting has passed on
-    construction.
+    seed).  (c) is an exact content GCD, run for every candidate, a
+    Lifting or a sequence of components.
     """
-    components = tuple(phi.components) if isinstance(phi, Lifting) else tuple(phi)
+    components = tuple(getattr(phi, "components", phi))
     n = eta.n
     degrees = {p.degree for p in components}
     nonzero = [p for p in components if not p.is_zero()]
@@ -373,18 +370,14 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     else:
         failures = (0, samples)  # no point of R^n can be evaluated
 
-    if isinstance(phi, Lifting):
-        c_pass, gcd_repr = True, "1"
-    elif nonzero:
+    c_pass, gcd_repr = False, "0"
+    if nonzero:
         try:
             gcd = poly_content_gcd(nonzero)
         except PolyError as exc:  # components in differing variables
-            c_pass, gcd_repr = False, str(exc)
+            gcd_repr = str(exc)
         else:
             c_pass, gcd_repr = gcd.degree == 0, repr(gcd)
-    else:
-        c_pass = False
-        gcd_repr = "0"
 
     return _verification(max(degrees) if degrees else None, a_pass, b_identity,
                          failures, samples, c_pass, gcd_repr)

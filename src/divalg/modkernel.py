@@ -10,9 +10,7 @@ transform reaches the rest of the matrix in one matmul, so almost all of
 the work runs in BLAS.  The candidate kernel basis is recovered by Chinese
 remaindering and rational reconstruction of the entries off its pivot
 columns and then certified by one exact integer product against the
-original matrix.  SparseIntMatrix._product computes every exact product
-M v, for annihilates and matvec_exact alike; it runs in int64 when a bound
-on the row sums allows and in Python ints otherwise.
+original matrix, in int64 whenever a bound on the row sums allows.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -53,8 +51,10 @@ PRIMES = (
 
 _MATMUL_CHUNK = 4096
 
-# Columns per panel of the blocked elimination in _rref_mod, and the widest
-# part of a panel that is eliminated one pivot at a time.
+# Rows per block of _kernel_mod_p; columns per panel of the blocked
+# elimination in _rref_mod, and the widest part of a panel that is
+# eliminated one pivot at a time.
+_ROW_BLOCK = 1024
 _PANEL = 64
 _BASE = 16
 
@@ -111,10 +111,6 @@ class SparseIntMatrix:
         step = max(1, 2 ** 20 // max(self.nnz, 1))
         return all(not np.any(self._product(vectors[s:s + step]))
                    for s in range(0, len(vectors), step))
-
-    def matvec_exact(self, v):
-        """Exact integer matrix-vector product (list of Python ints)."""
-        return self._product([v])[:, 0].tolist()
 
     def _product(self, vectors):
         """The exact products M v of a nonempty family of integer vectors,
@@ -308,19 +304,19 @@ def _kernel_from_rref(reduced, pivots, free, p):
     return basis
 
 
-def _kernel_mod_p(mat, p, block=1024):
+def _kernel_mod_p(mat, p):
     """Canonical kernel basis of mat modulo p, or None if it is {0}.
 
-    Processes rows in blocks, maintaining a spanning set K of the kernel of
-    the rows seen so far; each block only needs the compressed system
-    (block @ K), which collapses to a cheap multiply once the rank has
-    saturated.  Returns (basis_rows int64 array of shape dim x ncols, pivot
+    Processes rows in blocks of _ROW_BLOCK, maintaining a spanning set K of
+    the kernel of the rows seen so far; each block only needs the compressed
+    system (block @ K), which collapses to a cheap multiply once the rank
+    has saturated.  Returns (basis_rows int64 array of shape dim x ncols, pivot
     column tuple of the subspace RREF).
     """
     m = mat.ncols
     kern = None  # None encodes the identity (no constraints yet)
-    for start in range(0, mat.nrows, block):
-        stop = min(start + block, mat.nrows)
+    for start in range(0, mat.nrows, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, mat.nrows)
         rows = mat.dense_block_mod(start, stop, p)
         if not np.any(rows):
             continue
@@ -470,6 +466,15 @@ def sparse_kernel(mat, primes=PRIMES):
     the rows of the reduced row echelon form of the kernel subspace; [] iff
     the kernel is {0}.  Deterministic: the prime ladder is fixed and every
     returned basis is exactly verified.
+
+    A prime's kernel RREF has structure (dim, pivots), never below the
+    exact one: mod p the kernel only grows and column-prefix ranks only
+    drop.  The primes of the least structure so far are CRT-combined.  If
+    it is the exact one, they all reduce the same rational RREF, so they
+    give the exact basis whenever the newest prime alone would (Wang's
+    bound grows with the modulus).  If not, nothing verifies: dim
+    independent kernel vectors in RREF form with pivots P would make P the
+    exact pivots.  So no subset of the primes is worth a second attempt.
     """
     best = None
     collected = []
@@ -486,15 +491,8 @@ def sparse_kernel(mat, primes=PRIMES):
             collected.append((p, rows))
         else:
             continue
-        attempts = [collected]
-        if len(collected) > 1:
-            # a same-structure but unlucky earlier prime would poison the
-            # CRT forever; the newest prime alone is a cheap second chance
-            attempts.append(collected[-1:])
-        for subset in attempts:
-            candidate = _reconstruct_basis(subset, best[1])
-            if candidate is None:
-                continue
+        candidate = _reconstruct_basis(collected, best[1])
+        if candidate is not None:
             verified = _verify_candidate(mat, candidate, best[1])
             if verified is not None:
                 return verified

@@ -227,7 +227,7 @@ def divide_exact(p: HomogeneousPoly, g: HomogeneousPoly):
 # ---------------------------------------------------------------------------
 # GCD (sympy-backed, renormalized to our monomial order).  sympy is imported
 # on the first GCD only: it is most of the import time of the package, and
-# the commands that compute no lifting never need it.
+# lift and degree never need it (the scan's kernels prove relative primality).
 
 
 def _to_sympy(p: HomogeneousPoly, gens):

@@ -14,7 +14,7 @@ import json
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple
 from .exact import Matrix, scalar_from_str, scalar_to_str
 from .lifting import DEFAULT_MAX_DEGREE, Lifting
-from .poly import HomogeneousPoly
+from .poly import HomogeneousPoly, poly_content_gcd
 from .qda import AlgebraPresentation
 
 
@@ -195,11 +195,15 @@ def algebra_from_json(data) -> AlgebraPresentation:
 
 
 def lifting_from_json(data) -> Lifting:
-    """A lifting of degree at most DEFAULT_MAX_DEGREE (5), the largest the
-    scan reaches, checked before any polynomial is built: the content GCD
-    of a lifting of huge degree takes unbounded time and memory."""
+    """A lifting in at most MAX_ALGEBRA_DIM variables and of degree at most
+    DEFAULT_MAX_DEGREE (5), both checked before any polynomial is built:
+    the content GCD that proves the components relatively prime recurses
+    once per variable, and its time and memory grow without bound with
+    the degree."""
     n = int(data["n"])
     degree = int(data["degree"])
+    if n > MAX_ALGEBRA_DIM:
+        raise ValueError(f"n {n} is over the cap of {MAX_ALGEBRA_DIM}")
     if degree > DEFAULT_MAX_DEGREE:
         raise ValueError(f"degree {degree} is over the cap of {DEFAULT_MAX_DEGREE}")
     comps = []
@@ -209,7 +213,11 @@ def lifting_from_json(data) -> Lifting:
             exps = tuple(int(e) for e in term["exponents"])
             terms[exps] = _scalar(term["coeff"])
         comps.append(HomogeneousPoly(n, degree, terms))
-    return Lifting(n, degree, comps)
+    phi = Lifting(n, degree, comps)
+    gcd = poly_content_gcd(phi.components)
+    if gcd.degree != 0:
+        raise ValueError(f"components share the factor {gcd!r}")
+    return phi
 
 
 def matrix_from_json(data) -> Matrix:

@@ -500,6 +500,46 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     assert rref.busy <= eliminate.busy
 
 
+@pytest.mark.parametrize("argv", [
+    ("lift", "--builtin", "cross7"),
+    ("degree", "--quadruple", "random", "--seed", "0", "--trials", "20"),
+], ids=" ".join)
+def test_lift_and_degree_leave_sympy_unloaded(argv):
+    # the scan's kernels prove the lifting's components relatively prime,
+    # so a whole lift or degree run needs no content GCD and no sympy
+    script = f"""
+import io, sys
+from contextlib import redirect_stdout
+import divalg.cli
+with redirect_stdout(io.StringIO()):
+    code = divalg.cli.main({list(argv)!r})
+print(code, 'sympy' in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["0", "False"]
+
+
+def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_bent_tensor):
+    # the canonical lifting of the bent3 conjugate does not depend on the
+    # sampling seed, nor on a positive rational scaling of eta
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    scaled = [[[Fraction(2, 7) * x for x in cell] for cell in plane]
+              for plane in conjugate_bent_tensor]
+    (tmp_path / "scaled.json").write_text(
+        canonical_json(map_to_json(DissidentMap(7, scaled))), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    emitted = set()
+    for name in ("conj.json", "scaled.json"):
+        for seed in ("0", "5"):
+            code, _ = run_cli("lift", "--input", name, "--seed", seed, "--samples", "16",
+                              "--trials", "20", "--emit", "phi.json")
+            assert code == 0
+            emitted.add((tmp_path / "phi.json").read_bytes())
+    assert len(emitted) == 1
+
+
 def test_cli_import_leaves_sympy_unloaded():
     # sympy is needed only by the content GCD; importing it costs most of
     # the start-up time of every command

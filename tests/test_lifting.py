@@ -18,6 +18,7 @@ from divalg.dissident import (
     seeded_rng,
 )
 from divalg.lifting import (
+    AmbiguousKernel,
     Lifting,
     NoLiftingFound,
     build_constraint_system,
@@ -30,7 +31,7 @@ from divalg.lifting import (
 )
 from divalg.exact import Matrix
 from divalg.modkernel import SparseIntMatrix, sparse_kernel
-from divalg.poly import HomogeneousPoly, monomials
+from divalg.poly import HomogeneousPoly, monomial_count, monomials
 
 
 def bent_cross7():
@@ -149,7 +150,7 @@ def test_padding_consistency():
             exps[l] += 2
             exps[k] += 1
             vec[k * len(monos3) + monos3.index(tuple(exps))] += 1
-    assert all(x == 0 for x in system.matvec_exact(vec))
+    assert system.annihilates([vec])
 
 
 def test_verify_lifting_failures():
@@ -227,10 +228,40 @@ def test_lifting_type_invariants():
         Lifting(3, 0, [HomogeneousPoly.constant(3, 1)] * 3)
     with pytest.raises(ValueError):
         Lifting(3, 2, [HomogeneousPoly.zero(3, 2)] * 3)
-    x0 = HomogeneousPoly.variable(3, 0)
-    with pytest.raises(ValueError):  # common factor
-        Lifting(3, 2, [x0 * x0, x0 * HomogeneousPoly.variable(3, 1),
-                       x0 * HomogeneousPoly.variable(3, 2)])
+
+
+def test_verify_lifting_reports_the_factor_of_a_lifting():
+    # the constructor runs no GCD; verify_lifting runs it for a Lifting too
+    x = [HomogeneousPoly.variable(3, i) for i in range(3)]
+    shared = Lifting(3, 2, [x[0] * x[0], x[0] * x[1], x[0] * x[2]])
+    report = verify_lifting(cross_product_map(3), shared, samples=6, seed=0)
+    assert report["c_relatively_prime"] is False
+    assert report["content_gcd"] == "x0"
+    assert not report["all_pass"]
+
+
+def coefficient_vector(components):
+    n, d = components[0].nvars, components[0].degree
+    return tuple(int(p.terms.get(m, 0)) for p in components for m in monomials(n, d))
+
+
+def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
+    # planted kernels of dimension 1, 0, 1 on cross7: the degree-1 vector
+    # (x0, 0, ..., 0) fails validation, and the degree-3 one, |v|^2 v, passes
+    # it but shares |v|^2.  Only kernels of dimension 0, 0, 1 prove gcd = 1,
+    # so the scan must run the GCD here and reject the winner.
+    n = 7
+    x = [HomogeneousPoly.variable(n, i) for i in range(n)]
+    norm = sum((xi * xi for xi in x[1:]), x[0] * x[0])
+    planted = {
+        1: [coefficient_vector([x[0]] + [HomogeneousPoly.zero(n, 1)] * (n - 1))],
+        2: [],
+        3: [coefficient_vector([norm * xi for xi in x])],
+    }
+    by_cols = {n * monomial_count(n, d): kernel for d, kernel in planted.items()}
+    monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: by_cols[mat.ncols])
+    with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
+        solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
 
 
 def test_solver_determinism():

@@ -169,6 +169,24 @@ def test_lifting_degree_over_the_cap_is_a_parse_error():
     assert str(info.value) == "bad lifting: degree 100000 is over the cap of 5"
 
 
+def test_lifting_in_too_many_variables_is_a_parse_error(tmp_path):
+    # x0, x1 and 1998 zero components in 2000 variables (14 KB): sympy's
+    # conversion for the content GCD recursed once per variable, past the
+    # recursion limit; the cap rejects the document before any polynomial
+    n = 2000
+    unit = [[1 if i == k else 0 for i in range(n)] for k in (0, 1)]
+    doc = {"kind": "lifting", "n": n, "degree": 1, "components": [
+        [{"exponents": exps, "coeff": "1"}] for exps in unit] + [[]] * (n - 2)}
+    with pytest.raises(ParseError) as info:
+        roundtrip(doc)
+    assert str(info.value) == "bad lifting: n 2000 is over the cap of 16"
+    path = tmp_path / "phi2000.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["degree", "--input", str(path)]) == 2
+    assert "n 2000 is over the cap of 16" in json.loads(out.getvalue())["error"]
+
+
 def test_tensor_of_the_wrong_shape_is_rejected_before_any_scalar(tmp_path, monkeypatch):
     # an 80 x 80 x 80 tensor of "0" declared with n = 7 (2.5 MB) built
     # 512000 Fractions before the map's constructor found the shape wrong
@@ -291,7 +309,7 @@ VALID_DOCUMENTS = [
 
 # small integers keep each fuzzed document quick to decode; the sizes the
 # decoders allocate are capped anyway (an algebra's dimension at 16, a
-# lifting's degree at 5)
+# lifting's variables at 16 and its degree at 5)
 field_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 7) | st.floats()
     | st.just(float("inf")) | st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x"]),
