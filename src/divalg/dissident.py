@@ -254,6 +254,10 @@ def eta_P_point(eta: DissidentMap, v):
     Returns the canonical primitive vector of the orthogonal line.  Raises
     DegenerateSpan when the image span is not a hyperplane (i.e. eta is not
     dissident at v).
+
+    The pointwise validation of liftings screens its samples mod p
+    (lifting._sample_lines) and calls this exact computation only for the
+    samples whose residue leaves the line undecided.
     """
     n = eta.n
     if len(v) != n:

@@ -19,11 +19,20 @@ kernel is computed from the equivalent divided system
 rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
 by the unknown coefficients.  Reports quote the shape of the paper's system
 (degree-(d+3) rows, constraint_shape).  The exact kernel of the divided
-system is computed with a modular pivot pass, kernel elements are filtered
-by exact pointwise comparison against eta_P at seeded sample points (this
-removes solutions that vanish somewhere or pick a wrong line), and the
-first degree with a validated element wins.  Scanning in order makes the
-returned degree minimal by construction.
+system is computed with a modular pivot pass, kernel elements are checked
+exactly against eta_P at seeded sample points (this removes solutions that
+vanish somewhere or pick a wrong line), and the first degree with a
+validated element wins.  Scanning in order makes the returned degree
+minimal by construction.
+
+The pointwise check runs in integers.  Each sample v is replaced by its
+primitive integer point u, and A(u) is the integer matrix whose rows are
+eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0 and rank A(u) <= n - 1,
+so rank n - 1 modulo a word-size prime proves that the eta_P line, the
+kernel of A(u), is defined at u; the few points the residue cannot decide
+go to the exact eta_P_point.  Where the line is defined, Phi(v) lies on it
+exactly when Phi(u) != 0 and A(u) Phi(u) = 0, so a candidate is checked by
+evaluating it at every point in Python ints and one batched product.
 
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
@@ -42,14 +51,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .dissident import DissidentMap, ZeroVector, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
+import numpy as np
+
+from . import modkernel
+from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
 from .exact import Matrix, primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
 from .poly import HomogeneousPoly, PolyError, monomial_count, monomials, poly_content_gcd
 
 DEFAULT_SAMPLES = 64
 DEFAULT_MAX_DEGREE = 5
+
+# Sample points per block of the pointwise evaluation, so that a monomial
+# table (462 columns at d = 5 on R^7) does not grow with the sample count.
+_EVAL_CHUNK = 64
 
 
 class LiftingError(RuntimeError):
@@ -193,32 +210,110 @@ def _components_from_vector(n, d, vec):
     return tuple(comps)
 
 
+class _Samples(NamedTuple):
+    """The validation samples of _sample_lines, one row per point."""
+
+    points: np.ndarray  # integer points u = primitive_vector(v), object (S, n)
+    scales: tuple  # the Fraction L of each point, u = L v
+    images: np.ndarray  # A(u), rows eta(u ^ e_i) up to one positive factor, (S, n, n)
+    defined: np.ndarray  # bool (S,): whether eta_P is defined at the point
+
+
 def _sample_lines(eta: DissidentMap, samples, seed):
-    """The seeded validation points with their eta_P lines (None where eta_P
-    is undefined), as ((point, line), ...)."""
+    """The seeded validation points with their eta_P data, as _Samples.
+
+    The points v are drawn in the order a one-by-one loop draws them.
+    eta_P is projective, so each is kept as its integer point u =
+    primitive_vector(v) = L v.  One contraction with the integer tensor
+    forms A(u), whose rows are eta(u ^ e_i), for every point, in int64
+    when n * max|u| * max|tensor| < 2**62 and in Python ints otherwise.
+    u^T A(u) = eta(u ^ u) = 0, so rank A(u) <= n - 1, and rank n - 1 mod
+    SCREEN_PRIME proves rank n - 1 over Q: the eta_P line, the kernel of
+    A(u), is defined.  A point whose residue rank is lower is decided by
+    the exact eta_P_point, in draw order; DegenerateSpan there means that
+    the line is undefined.
+    """
     rng = seeded_rng(seed, "lifting-points")
-    out = []
-    for _ in range(samples):
-        point = sample_vector(rng, eta.n)
+    n = eta.n
+    draws = [sample_vector(rng, n) for _ in range(samples)]
+    points = [primitive_vector(v) for v in draws]
+    scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
+    tensor = _integer_tensor(eta)
+    umax = max((abs(a) for u in points for a in u), default=0)
+    tmax = max(abs(x) for plane in tensor for row in plane for x in row)
+    dtype = np.int64 if n * umax * tmax < 2 ** 62 else object
+    ints = np.array(points, dtype=object).reshape(samples, n)
+    images = np.tensordot(ints.astype(dtype), np.array(tensor, dtype=dtype), axes=(1, 0))
+    defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
+    for s in np.flatnonzero(~defined):
         try:
-            line = eta_P_point(eta, point)
-        except (DegenerateSpan, ZeroVector):
-            line = None
-        out.append((point, line))
-    return tuple(out)
+            eta_P_point(eta, draws[s])
+        except DegenerateSpan:
+            continue
+        defined[s] = True
+    return _Samples(ints, scales, images, defined)
+
+
+def _monomial_table(points, exponents):
+    """The monomials with exponent rows ``exponents`` (an int array of shape
+    (M, n)) at integer points (an object array of shape (S, n)), as an
+    object array of shape (S, M)."""
+    top = int(exponents.max(initial=0))
+    powers = np.ones(points.shape + (top + 1,), dtype=object)
+    for e in range(1, top + 1):
+        powers[:, :, e] = powers[:, :, e - 1] * points
+    return powers[:, np.arange(points.shape[1]), exponents].prod(axis=2)
 
 
 def _sample_failures(components, lines):
     """Pointwise condition (b) at every sample: the counts of points where
     Phi(v) vanishes and where it is off the eta_P line, as (nonvanishing,
-    line)."""
+    line).
+
+    One lcm clears the denominators of all coefficients, and each block of
+    _EVAL_CHUNK points is evaluated in Python ints as its monomial table
+    times the coefficient matrix.  A component of degree d is scaled by
+    L**(D - d), with L = a/b the point's scale and D the largest degree,
+    and every component by the common b**D, so that the value is the
+    nonzero multiple lcm * b**D * L**D of Phi(v) even when the degrees
+    differ (only verify_lifting's candidates can).  A nonzero value is on
+    the line exactly when eta_P is defined there and A(u) Phi(u) = 0,
+    because A(u) then has rank n - 1 and its kernel is the line.
+    """
+    n = lines.images.shape[1]
+    den = lcm(*(c.denominator for p in components for c in p.terms.values()))
+    top = max((p.degree for p in components), default=0)
+    by_degree = {}
+    for k, p in enumerate(components):
+        by_degree.setdefault(p.degree, []).append(k)
+    blocks = []
+    for d, ks in by_degree.items():
+        monos = monomials(n, d)
+        index = {m: i for i, m in enumerate(monos)}
+        coeffs = np.zeros((len(monos), len(components)), dtype=object)
+        for k in ks:
+            for m, c in components[k].terms.items():
+                coeffs[index[m], k] = c.numerator * (den // c.denominator)
+        blocks.append((d, np.array(monos, dtype=np.int64), coeffs))
     nonvanishing = line = 0
-    for point, target in lines:
-        value = tuple(p.eval(point) for p in components)
-        if all(x == 0 for x in value):
-            nonvanishing += 1
-        elif target is None or primitive_vector(value) != target:
-            line += 1
+    for s in range(0, len(lines.scales), _EVAL_CHUNK):
+        chunk = slice(s, s + _EVAL_CHUNK)
+        points = lines.points[chunk]
+        values = np.zeros((len(points), len(components)), dtype=object)
+        for d, exponents, coeffs in blocks:
+            block = _monomial_table(points, exponents).dot(coeffs)
+            if len(blocks) > 1:
+                block *= np.array([[L.numerator ** (top - d) * L.denominator ** d]
+                                   for L in lines.scales[chunk]], dtype=object)
+            values += block
+        nonzero = (values != 0).any(axis=1)
+        # a value with other than n entries is on no line of R^n
+        on_line = lines.defined[chunk] & (len(components) == n)
+        if len(components) == n:
+            residual = np.matmul(lines.images[chunk].astype(object), values[:, :, None])
+            on_line &= (residual == 0).all(axis=(1, 2))
+        nonvanishing += int(np.count_nonzero(~nonzero))
+        line += int(np.count_nonzero(nonzero & ~on_line))
     return nonvanishing, line
 
 

@@ -2,6 +2,8 @@ import importlib.util
 import pathlib
 import sys
 import tempfile
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import configuration, settings
@@ -49,3 +51,35 @@ def perfbench_tracer():
     """The benchmark's layer tracer (``perfbench/tracer.py``), which wraps
     divalg entry points by name."""
     return _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="session")
+def rand5():
+    """Degree-5 input: a seeded random antisymmetric structure tensor, as
+    (map, lifting, scan report, seconds the scan took).
+
+    Also the timing probe for the full d = 1..5 scan: every constraint
+    system (reported in the paper's shape, up to 21021 x 3234; solved in
+    the divided form, up to 6468 x 3234) is eliminated before the kernel
+    appears at d = 5.
+    """
+    from divalg.dissident import DissidentMap, dissidence_falsify, seeded_rng
+    from divalg.lifting import solve_lifting_scan
+
+    rng = seeded_rng(7, "tensor")
+    n = 7
+    t = [[[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i == j:
+                    t[i][j][k] = Fraction(0)
+                elif i > j:
+                    t[i][j][k] = -t[j][i][k]
+    eta = DissidentMap(7, t)
+    assert dissidence_falsify(eta, 1000, 0) is None
+    start = time.perf_counter()
+    lifting, scan, _ = solve_lifting_scan(eta, samples=24, seed=0)
+    elapsed = time.perf_counter() - start
+    return eta, lifting, scan, elapsed

@@ -13,7 +13,6 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 
 import pytest
 
@@ -85,34 +84,6 @@ def bent3():
     assert dissidence_falsify(eta, 1000, 0) is None
     lifting, scan, _ = solve_lifting_scan(eta, samples=32, seed=0)
     return eta, lifting, scan
-
-
-@pytest.fixture(scope="session")
-def rand5():
-    """Degree-5 input: a seeded random antisymmetric structure tensor.
-
-    Also the timing probe for the full d = 1..5 scan: every constraint
-    system (reported in the paper's shape, up to 21021 x 3234; solved in
-    the divided form, up to 6468 x 3234) is eliminated before the kernel
-    appears at d = 5.
-    """
-    rng = seeded_rng(7, "tensor")
-    n = 7
-    t = [[[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-         for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i == j:
-                    t[i][j][k] = Fraction(0)
-                elif i > j:
-                    t[i][j][k] = -t[j][i][k]
-    eta = DissidentMap(7, t)
-    assert dissidence_falsify(eta, 1000, 0) is None
-    start = time.perf_counter()
-    lifting, scan, _ = solve_lifting_scan(eta, samples=24, seed=0)
-    elapsed = time.perf_counter() - start
-    return eta, lifting, scan, elapsed
 
 
 @pytest.fixture(scope="session")

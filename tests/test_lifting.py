@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from divalg import modkernel
 from divalg.dissident import (
+    DegenerateSpan,
     DissidentMap,
     cross_product_map,
     eta_P_point,
@@ -27,11 +29,15 @@ from divalg.lifting import (
     solve_lifting_scan,
     verify_lifting,
     _integer_tensor,
+    _sample_failures,
+    _sample_lines,
     _sparse_system,
 )
-from divalg.exact import Matrix
+from divalg.exact import Matrix, primitive_vector
 from divalg.modkernel import SparseIntMatrix, sparse_kernel
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
+from divalg.serialize import canonical_json, lifting_to_json
+from test_dissident import ONE, TWO
 
 
 def bent_cross7():
@@ -199,28 +205,36 @@ def test_verify_lifting_failures():
 
 
 def test_lift_computes_each_sample_line_once():
-    # the scan computes the eta_P line of every sample once, and the lift
-    # report reuses the scan's proofs instead of calling verify_lifting
+    # the scan draws its samples and screens their eta_P lines once, the
+    # lift report reuses the scan's proofs instead of calling verify_lifting,
+    # and the validation evaluates the lifting in integers: the screen
+    # decides every sample of a dissident map, so neither the exact
+    # eta_P_point nor the Fraction evaluation runs
     script = """
 import io, sys
 from contextlib import redirect_stdout
-import divalg.cli, divalg.dissident
-original = divalg.dissident.eta_P_point
-calls = []
-def counting(*args):
-    calls.append(1)
-    return original(*args)
-for name, module in list(sys.modules.items()):
-    if name.startswith("divalg") and getattr(module, "eta_P_point", None) is original:
-        module.eta_P_point = counting
+import divalg.cli, divalg.dissident, divalg.lifting, divalg.poly
+calls = {}
+def counted(owner, name):
+    original = getattr(owner, name)
+    calls[name] = 0
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    for module in [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("divalg")]:
+        if getattr(module, name, None) is original:
+            setattr(module, name, counting)
+counted(divalg.lifting, "_sample_lines")
+counted(divalg.dissident, "eta_P_point")
+counted(divalg.poly.HomogeneousPoly, "eval")
 with redirect_stdout(io.StringIO()):
     code = divalg.cli.main(["lift", "--builtin", "cross7", "--trials", "5", "--samples", "12"])
-print(code, len(calls))
+print(code, calls["_sample_lines"], calls["eta_P_point"], calls["eval"])
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "12"]
+    assert out.split() == ["0", "1", "0", "0"]
 
 
 def test_lifting_type_invariants():
@@ -262,6 +276,18 @@ def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
     monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: by_cols[mat.ncols])
     with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
         solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
+
+
+def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
+    # every kernel of the scan and the sample screen run on the ladder
+    # reversed: the scan report and the lifting's bytes must not change
+    eta, lifting, scan, _ = rand5
+    ladder = modkernel.PRIMES[::-1]
+    monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: sparse_kernel(mat, ladder))
+    monkeypatch.setattr(modkernel, "SCREEN_PRIME", ladder[0])
+    again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=0)
+    assert rescan == scan
+    assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
 
 def test_solver_determinism():
@@ -377,3 +403,81 @@ def test_eta_P_point_matches_the_padded_rows(conjugate_bent_tensor):
         for _ in range(32):
             v = sample_vector(rng, 7)
             assert eta_P_point(eta, v) == _paper_eta_P_line(eta, v)
+
+
+# ---------------------------------------------------------------------------
+# differential: the integer pointwise validation against the Fraction loop
+
+
+def _reference_sample_lines(eta, samples, seed):
+    """_sample_lines as it was before the integer screen: every sample's
+    eta_P line from the exact kernel, None where it is undefined."""
+    rng = seeded_rng(seed, "lifting-points")
+    out = []
+    for _ in range(samples):
+        point = sample_vector(rng, eta.n)
+        try:
+            line = eta_P_point(eta, point)
+        except DegenerateSpan:
+            line = None
+        out.append((point, line))
+    return tuple(out)
+
+
+def _reference_sample_failures(components, lines):
+    """_sample_failures as it was: Phi evaluated in Fractions at each
+    sample and compared with the line as a primitive vector."""
+    nonvanishing = line = 0
+    for point, target in lines:
+        value = tuple(p.eval(point) for p in components)
+        if all(x == 0 for x in value):
+            nonvanishing += 1
+        elif target is None or primitive_vector(value) != target:
+            line += 1
+    return nonvanishing, line
+
+
+def _candidates(phi):
+    """Candidates derived from a lifting's components: itself, a rational
+    multiple, two components swapped, a common factor x0, one nonzero
+    component, and mixed degrees (every component but the first times
+    x_{n-1}, which is Phi(v) wherever v_{n-1} = 1)."""
+    n = len(phi)
+    zero = HomogeneousPoly.zero(n, phi[0].degree)
+    x0, last = HomogeneousPoly.variable(n, 0), HomogeneousPoly.variable(n, n - 1)
+    return {
+        "lifting": phi,
+        "rescaled": tuple(p.scale(Fraction(2, 7)) for p in phi),
+        "swapped": (phi[1], phi[0]) + phi[2:],
+        "x0": tuple(x0 * p for p in phi),
+        "single": (phi[0],) + (zero,) * (n - 1),
+        "mixed": (phi[0],) + tuple(p * last for p in phi[1:]),
+    }
+
+
+def validation_maps(conjugate_bent_tensor):
+    """The dissident maps with their scan's lifting, and non-dissident maps,
+    whose samples include degenerate ones, with the identity map."""
+    maps = {}
+    for name in DIFFERENTIAL_DEGREES:
+        eta = named_map(name, conjugate_bent_tensor)
+        maps[name] = (eta, solve_lifting(eta, samples=16, seed=3).components)
+    for name, eta in (("one", ONE), ("two", TWO), ("zero7", zero_map(7))):
+        maps[name] = (eta, Lifting.identity(eta.n).components)
+    return maps
+
+
+def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, monkeypatch):
+    # at the real prime the screen decides every sample of a dissident map;
+    # mod 3 and mod 5 it leaves many to the exact eta_P_point
+    for name, (eta, phi) in validation_maps(conjugate_bent_tensor).items():
+        reference_lines = _reference_sample_lines(eta, 64, 5)
+        expected = {kind: _reference_sample_failures(comps, reference_lines)
+                    for kind, comps in _candidates(phi).items()}
+        for prime in (modkernel.SCREEN_PRIME, 3, 5):
+            monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
+            lines = _sample_lines(eta, 64, 5)
+            assert list(lines.defined) == [line is not None for _, line in reference_lines]
+            for kind, comps in _candidates(phi).items():
+                assert _sample_failures(comps, lines) == expected[kind], (name, prime, kind)
+            monkeypatch.undo()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
-from divalg.exact import Matrix
+from divalg.exact import Matrix, primitive_vector
 from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, residues, sparse_kernel
 
 
@@ -147,6 +147,50 @@ def test_kernel_independent_of_prime_ladder_order(conjugate_bent_tensor):
     forward = sparse_kernel(system)
     assert len(forward) == 1
     assert sparse_kernel(system, primes=PRIMES[::-1]) == forward
+
+
+def _sympy_kernel(rows):
+    """The kernel of an integer matrix from sympy's DomainMatrix nullspace
+    over QQ, as the primitive rows of its RREF: the form sparse_kernel
+    returns."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    mat = DomainMatrix([[QQ(x) for x in row] for row in rows], (len(rows), len(rows[0])), QQ)
+    basis = mat.nullspace()
+    if basis.shape[0] == 0:
+        return []
+    reduced, _ = basis.rref()
+    return [primitive_vector([Fraction(int(x.numerator), int(x.denominator)) for x in row])
+            for row in reduced.to_list()]
+
+
+def _rank_deficient(rng, nrows, ncols, rank):
+    """A seeded integer matrix of rank at most ``rank``: a product of a tall
+    factor with entries up to 2**40 and a wide one with entries up to 2**10,
+    so the entries reach about 2**52 while the kernel stays reconstructible
+    with the ladder."""
+    left = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-2 ** 10, 2 ** 10) for _ in range(ncols)] for _ in range(rank)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def test_kernel_matches_sympy_nullspace():
+    # rows scaled by 2**70 leave int64; multiples of PRIMES[0] make that
+    # prime see a bigger kernel, which the ladder must get past
+    rng = random.Random(29)
+    p = PRIMES[0]
+    for case in range(24):
+        ncols = rng.randint(3, 12)
+        nrows = rng.randint(1, 10)
+        rows = _rank_deficient(rng, nrows, ncols, rng.randint(1, min(nrows, ncols - 1)))
+        if case % 3 == 1:
+            rows[0] = [x * 2 ** 70 for x in rows[0]]
+        if case % 4 == 2:
+            rows = [[x * p for x in row] for row in rows]
+        elif case % 4 == 3:
+            rows[-1] = [x * p for x in rows[-1]]
+        assert sparse_kernel(dense_to_sparse(rows)) == _sympy_kernel(rows), case
 
 
 def test_rank_mod_p_matches_exact_rank():
