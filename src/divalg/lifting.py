@@ -225,8 +225,8 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     The points v are drawn in the order a one-by-one loop draws them.
     eta_P is projective, so each is kept as its integer point u =
     primitive_vector(v) = L v.  One contraction with the integer tensor
-    forms A(u), whose rows are eta(u ^ e_i), for every point, in int64
-    when n * max|u| * max|tensor| < 2**62 and in Python ints otherwise.
+    forms A(u), whose rows are eta(u ^ e_i), for every point in Python
+    ints.
     u^T A(u) = eta(u ^ u) = 0, so rank A(u) <= n - 1, and rank n - 1 mod
     SCREEN_PRIME proves rank n - 1 over Q: the eta_P line, the kernel of
     A(u), is defined.  A point whose residue rank is lower is decided by
@@ -239,11 +239,8 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     points = [primitive_vector(v) for v in draws]
     scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
     tensor = _integer_tensor(eta)
-    umax = max((abs(a) for u in points for a in u), default=0)
-    tmax = max(abs(x) for plane in tensor for row in plane for x in row)
-    dtype = np.int64 if n * umax * tmax < 2 ** 62 else object
     ints = np.array(points, dtype=object).reshape(samples, n)
-    images = np.tensordot(ints.astype(dtype), np.array(tensor, dtype=dtype), axes=(1, 0))
+    images = np.tensordot(ints, np.array(tensor, dtype=object), axes=(1, 0))
     defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
     for s in np.flatnonzero(~defined):
         try:
@@ -307,11 +304,12 @@ def _sample_failures(components, lines):
                                    for L in lines.scales[chunk]], dtype=object)
             values += block
         nonzero = (values != 0).any(axis=1)
-        # a value with other than n entries is on no line of R^n
-        on_line = lines.defined[chunk] & (len(components) == n)
         if len(components) == n:
-            residual = np.matmul(lines.images[chunk].astype(object), values[:, :, None])
-            on_line &= (residual == 0).all(axis=(1, 2))
+            residual = np.matmul(lines.images[chunk], values[:, :, None])
+            on_line = lines.defined[chunk] & (residual == 0).all(axis=(1, 2))
+        else:
+            # a value with other than n entries is on no line of R^n
+            on_line = np.zeros(len(points), dtype=bool)
         nonvanishing += int(np.count_nonzero(~nonzero))
         line += int(np.count_nonzero(nonzero & ~on_line))
     return nonvanishing, line
