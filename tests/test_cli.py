@@ -373,6 +373,17 @@ GOLDEN_STDOUT_SHA256 = [
      "0743aaf91e56bc2fd16e4d1c4e7778a2fe81efd8db065e19e2f417793bd92bc8"),
     (("check", "--what", "division", "--builtin", "octonions", "--trials", "1000"),
      "e5f8a0ae0e7dc5a2a0b569bb78fec3ca303bff917195b9d5d7e903fe0e2ec0e2"),
+    # frozen before numpy was imported only by the commands that run mod-p
+    # arithmetic: commands that run none, each exiting 0
+    (("check", "--what", "quadratic", "--builtin", "octonions"),
+     "c743b04e469ed769953ce30b6bf177dc53d0c864bca06f5d2acf3b25b54853d1"),
+    (("check", "--what", "quadratic", "--input", "zeroeta.json"),
+     "8aa93dd72daadbc2116117af505d78c2ea4e32c83259b6a6c6e8d872b16b8e70"),
+    (("check", "--what", "g2", "--matrix", "I7.json"),
+     "36e1f7c084a6cbb103bf6487e85a29c19415d355f5acb7ef4b2b9e97042f497a"),
+    (("morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7",
+      "--f", "I7.json"),
+     "7d4e8cc6f92b96f1929909123a21f537cf8e3a16bf3887112f548afcaa1483ce"),
 ]
 
 # the exit codes of the golden runs that do not exit 0
