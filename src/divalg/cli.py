@@ -27,11 +27,6 @@ from .dissident import (
     triple_morphism_check,
 )
 from .exact import Matrix
-from .lifting import (
-    AmbiguousKernel,
-    NoLiftingFound,
-    solve_lifting_scan,
-)
 from .octonion import NotQuadratic, g2_check, structure_table
 from .qda import (
     AlgebraPresentation,
@@ -248,6 +243,9 @@ def _emit(report, args, emit_doc=None):
 
 
 def cmd_degree(args, emit_lifting=False):
+    # imported here: lifting loads numpy, which most commands never need
+    from .lifting import AmbiguousKernel, NoLiftingFound, solve_lifting_scan
+
     eta, desc = _resolve(args, _MAP_INPUT)
     report = _header(args, "lift" if emit_lifting else "degree")
     report["input"] = desc

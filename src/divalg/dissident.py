@@ -21,9 +21,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import modkernel
 from .exact import (
     DimensionError,
     Matrix,
@@ -220,6 +217,13 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # numpy is imported here, not with the module: it is most of the
+    # package's start-up time, and commands that screen nothing mod p never
+    # load it
+    import numpy as np
+
+    from . import modkernel
+
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
     p = modkernel.SCREEN_PRIME

@@ -37,9 +37,9 @@ evaluating it at every point in Python ints and one batched product.
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
 M phi = 0 is the orthogonality identity, the pointwise validation samples
-nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor checks the
-common degree, and kernel dimensions 0, ..., 0, 1 prove the components
-relatively prime (solve_lifting_scan).  verify_lifting checks a candidate
+nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor (poly)
+checks the common degree, and kernel dimensions 0, ..., 0, 1 prove the
+components relatively prime (solve_lifting_scan).  verify_lifting checks a candidate
 from elsewhere with the same certificates and a content GCD.
 
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
@@ -57,12 +57,19 @@ import numpy as np
 
 from . import modkernel
 from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
-from .exact import Matrix, primitive_vector
+from .exact import primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
-from .poly import HomogeneousPoly, PolyError, monomial_count, monomials, poly_content_gcd
+from .poly import (
+    DEFAULT_MAX_DEGREE,
+    HomogeneousPoly,
+    Lifting,
+    PolyError,
+    monomial_count,
+    monomials,
+    poly_content_gcd,
+)
 
 DEFAULT_SAMPLES = 64
-DEFAULT_MAX_DEGREE = 5
 
 # Sample points per block of the pointwise evaluation, so that a monomial
 # table (462 columns at d = 5 on R^7) does not grow with the sample count.
@@ -81,46 +88,6 @@ class NoLiftingFound(LiftingError):
 class AmbiguousKernel(LiftingError):
     """More than one validated projective solution at the minimal degree,
     contradicting uniqueness of the lifting."""
-
-
-class Lifting:
-    """A lifting: n components in n variables, homogeneous of common degree
-    >= 1, not all zero (checked here), relatively prime (proved by the scan's
-    kernels, lifting_from_json's GCD, or identity's distinct variables)."""
-
-    __slots__ = ("n", "degree", "components")
-
-    def __init__(self, n, degree, components):
-        components = tuple(components)
-        if len(components) != n:
-            raise ValueError("component count differs from n")
-        if degree < 1:
-            raise ValueError("lifting degree must be >= 1")
-        for p in components:
-            if p.nvars != n or p.degree != degree:
-                raise ValueError("components must share nvars and degree")
-        if all(p.is_zero() for p in components):
-            raise ValueError("lifting components are all zero")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Lifting is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lifting)
-            and (self.n, self.degree, self.components)
-            == (other.n, other.degree, other.components)
-        )
-
-    def __call__(self, point):
-        return tuple(p.eval(point) for p in self.components)
-
-    @staticmethod
-    def identity(n) -> "Lifting":
-        return Lifting(n, 1, [HomogeneousPoly.variable(n, i) for i in range(n)])
 
 
 def constraint_shape(n, d):
@@ -171,24 +138,6 @@ def _assemble_coo(eta: DissidentMap, d, tensor):
                     if tensor[i][j][k]:
                         coo.append((j * len(rows_monos) + row, col, tensor[i][j][k]))
     return coo, len(rows_monos) * n, len(cols_monos) * n
-
-
-def build_constraint_system(eta: DissidentMap, d) -> Matrix:
-    """The exact dense divided constraint matrix at candidate degree d (1..5).
-
-    Rows: monomials of < Phi(v), eta(v ^ e_j) > (degree d+1 in v, slot j
-    major); the paper's identity is this one times |v|^2 and has the same
-    kernel.  Columns: the unknown coefficients of Phi, component-major in
-    the fixed monomial order.  Intended for the small cases; the solver
-    itself works on the sparse integer form.
-    """
-    if not 1 <= d <= 5:
-        raise ValueError("candidate degree out of range 1..5")
-    coo, nrows, ncols = _assemble_coo(eta, d, eta.tensor)
-    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for r, c, v in coo:
-        grid[r][c] += v
-    return Matrix(grid)
 
 
 def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:

@@ -4,6 +4,7 @@ A polynomial is a map from exponent tuples (all summing to the same total
 degree) to nonzero Fractions.  The monomial order used everywhere is graded
 lexicographic with x0 > x1 > ...; since all polynomials here are homogeneous
 this reduces to plain lexicographic comparison of exponent tuples within one
+degree.  A Lifting is n such polynomials in n variables of one common
 degree.  GCDs are delegated to sympy (a mature exact implementation) and then
 renormalized to leading coefficient 1 under this order.  divide_exact, an
 exact division written here, has no caller in the package: it stays as the
@@ -181,19 +182,47 @@ class HomogeneousPoly:
         return HomogeneousPoly(self.nvars, self.degree,
                                {e: c * v for e, v in self.terms.items()})
 
-    def eval(self, point) -> Fraction:
-        """Exact evaluation at a rational point."""
-        if len(point) != self.nvars:
-            raise PolyError("evaluation point length mismatch")
-        point = [as_fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    val *= x ** e
-            total += val
-        return total
+
+# The lifting of a dissident map has degree at most 5: the degree scan stops
+# there, and lifting_from_json rejects a higher degree.
+DEFAULT_MAX_DEGREE = 5
+
+
+class Lifting:
+    """A lifting: n components in n variables, homogeneous of common degree
+    >= 1, not all zero (checked here), relatively prime (proved by the scan's
+    kernels, lifting_from_json's GCD, or identity's distinct variables)."""
+
+    __slots__ = ("n", "degree", "components")
+
+    def __init__(self, n, degree, components):
+        components = tuple(components)
+        if len(components) != n:
+            raise ValueError("component count differs from n")
+        if degree < 1:
+            raise ValueError("lifting degree must be >= 1")
+        for p in components:
+            if p.nvars != n or p.degree != degree:
+                raise ValueError("components must share nvars and degree")
+        if all(p.is_zero() for p in components):
+            raise ValueError("lifting components are all zero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Lifting is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Lifting)
+            and (self.n, self.degree, self.components)
+            == (other.n, other.degree, other.components)
+        )
+
+    @staticmethod
+    def identity(n) -> "Lifting":
+        return Lifting(n, 1, [HomogeneousPoly.variable(n, i) for i in range(n)])
 
 
 def divide_exact(p: HomogeneousPoly, g: HomogeneousPoly):

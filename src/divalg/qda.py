@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from . import modkernel
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
 from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
@@ -218,6 +215,13 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # numpy is imported here, not with the module: it is most of the
+    # package's start-up time, and commands that screen nothing mod p never
+    # load it
+    import numpy as np
+
+    from . import modkernel
+
     rng = seeded_rng(seed, "division")
     samples = [sample_vector(rng, alg.dim) for _ in range(trials)]
     p = modkernel.SCREEN_PRIME

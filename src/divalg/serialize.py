@@ -13,8 +13,7 @@ import json
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple
 from .exact import Matrix, scalar_from_str, scalar_to_str
-from .lifting import DEFAULT_MAX_DEGREE, Lifting
-from .poly import HomogeneousPoly, poly_content_gcd
+from .poly import DEFAULT_MAX_DEGREE, HomogeneousPoly, Lifting, poly_content_gcd
 from .qda import AlgebraPresentation
 
 

@@ -198,21 +198,22 @@ def test_input_source_exclusivity():
 
 
 def test_solver_error_exit_codes(monkeypatch):
-    # these paths only fire on solver-bug signals, so they are driven directly
-    import divalg.cli as cli
+    # these paths only fire on solver-bug signals, so they are driven directly;
+    # cmd_degree imports the scan when it runs, so it is patched in lifting
+    import divalg.lifting as lifting
     from divalg.lifting import AmbiguousKernel, NoLiftingFound
 
     def raise_ambiguous(*args, **kwargs):
         raise AmbiguousKernel("two validated solutions")
 
-    monkeypatch.setattr(cli, "solve_lifting_scan", raise_ambiguous)
+    monkeypatch.setattr(lifting, "solve_lifting_scan", raise_ambiguous)
     code, report = run_json("degree", "--builtin", "cross3", "--trials", "5")
     assert code == 4 and "two validated" in report["error"]
 
     def raise_none(*args, **kwargs):
         raise NoLiftingFound("nothing up to degree 5")
 
-    monkeypatch.setattr(cli, "solve_lifting_scan", raise_none)
+    monkeypatch.setattr(lifting, "solve_lifting_scan", raise_none)
     code, report = run_json("degree", "--builtin", "cross3", "--trials", "5")
     assert code == 3
 
@@ -227,7 +228,7 @@ def test_solver_error_exit_codes(monkeypatch):
         return Lifting(7, 2, comps), [{"degree": 2, "rows": 0, "cols": 0,
                                        "kernel_dim": 1, "validated": 1}], {}
 
-    monkeypatch.setattr(cli, "solve_lifting_scan", fake_even)
+    monkeypatch.setattr(lifting, "solve_lifting_scan", fake_even)
     code, report = run_json("degree", "--builtin", "cross7", "--trials", "5",
                             "--samples", "4")
     assert code == 5 and "parity" in report["error"]
@@ -511,25 +512,59 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     assert rref.busy <= eliminate.busy
 
 
+def _loaded_by(argv=None, cwd=None):
+    """(exit code, top-level names in sys.modules) after ``import
+    divalg.cli`` and, unless argv is None, ``main(argv)`` in a fresh
+    interpreter; the exit code is 0 when main is not run."""
+    script = f"""
+import io, json, sys
+from contextlib import redirect_stdout
+import divalg.cli
+code = 0
+if {argv!r} is not None:
+    with redirect_stdout(io.StringIO()):
+        code = divalg.cli.main({argv!r})
+print(json.dumps([code, sorted({{name.split('.')[0] for name in sys.modules}})]))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    code, loaded = json.loads(out)
+    return code, set(loaded)
+
+
 @pytest.mark.parametrize("argv", [
-    ("lift", "--builtin", "cross7"),
-    ("degree", "--quadruple", "random", "--seed", "0", "--trials", "20"),
+    ["lift", "--builtin", "cross7"],
+    ["degree", "--quadruple", "random", "--seed", "0", "--trials", "20"],
 ], ids=" ".join)
 def test_lift_and_degree_leave_sympy_unloaded(argv):
     # the scan's kernels prove the lifting's components relatively prime,
     # so a whole lift or degree run needs no content GCD and no sympy
-    script = f"""
-import io, sys
-from contextlib import redirect_stdout
-import divalg.cli
-with redirect_stdout(io.StringIO()):
-    code = divalg.cli.main({list(argv)!r})
-print(code, 'sympy' in sys.modules)
-"""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "False"]
+    code, loaded = _loaded_by(argv)
+    assert code == 0 and "sympy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--quadruple", "random", "--seed", "0"],
+    ["recover", "--builtin", "octonions"],
+    ["check", "--what", "quadratic", "--input", "zeroeta.json"],
+    ["check", "--what", "g2", "--matrix", "I7.json"],
+    ["roundtrip", "--builtin", "cross7"],
+    ["morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7", "--f", "I7.json"],
+    ["table-dump", "--builtin", "octonions"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, argv):
+    # numpy is most of the start-up time of a command, and only the mod-p
+    # screens and eliminations use it
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    code, loaded = _loaded_by(argv, cwd=tmp_path)
+    assert code == 0 and "numpy" not in loaded
+
+
+def test_lift_loads_numpy():
+    # the control of the guard above: the scan's elimination runs mod p
+    code, loaded = _loaded_by(["lift", "--builtin", "cross3"])
+    assert code == 0 and "numpy" in loaded
 
 
 def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_bent_tensor):
@@ -552,11 +587,7 @@ def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # sympy is needed only by the content GCD; importing it costs most of
-    # the start-up time of every command
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, divalg.cli; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
-    ).stdout
-    assert out.strip() == "False"
+    # sympy is needed only by the content GCD and numpy only by the mod-p
+    # layers; together they are most of the start-up time of every command
+    code, loaded = _loaded_by()
+    assert code == 0 and not loaded & {"numpy", "sympy"}

