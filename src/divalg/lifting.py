@@ -39,8 +39,8 @@ verification report those proofs establish: the kernel solver's exact
 M phi = 0 is the orthogonality identity, the pointwise validation samples
 nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor (poly)
 checks the common degree, and kernel dimensions 0, ..., 0, 1 prove the
-components relatively prime (solve_lifting_scan).  verify_lifting checks a candidate
-from elsewhere with the same certificates and a content GCD.
+components relatively prime (solve_lifting_scan).  verify_lifting checks a
+candidate from elsewhere with the same certificates and a content GCD.
 
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
 uniqueness of the lifting; it is reported as a confidence statement, not

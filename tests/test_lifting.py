@@ -145,9 +145,8 @@ def test_homogeneity_law():
         v = sample_vector(rng, 7)
         lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         lv = tuple(lam * x for x in v)
-        value = [evaluate(p, v) for p in lifting.components]
         assert [evaluate(p, lv) for p in lifting.components] == [
-            lam ** lifting.degree * y for y in value]
+            lam ** lifting.degree * evaluate(p, v) for p in lifting.components]
 
 
 def test_padding_consistency():
