@@ -385,6 +385,14 @@ GOLDEN_STDOUT_SHA256 = [
     (("morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7",
       "--f", "I7.json"),
      "7d4e8cc6f92b96f1929909123a21f537cf8e3a16bf3887112f548afcaa1483ce"),
+    # frozen before the falsifiers screened integer images of their tables
+    # and draws: both falsifiers on tables with denominators, each exiting 0
+    (("check", "--what", "division", "--quadruple", "random", "--seed", "0",
+      "--trials", "200"),
+     "3a418dc6e91a347adb19a41a1b922c6b898c80f9866239501ef0861a5407f44b"),
+    (("check", "--what", "dissident", "--quadruple", "random", "--seed", "1",
+      "--trials", "200"),
+     "a8a0b49ffef38bb316f63604969caf741d28e30641a7b58ac5c08cf93822757c"),
 ]
 
 # the exit codes of the golden runs that do not exit 0
