@@ -27,6 +27,8 @@ from .exact import (
     basis_vector,
     bilinear,
     dot,
+    integer_multiple,
+    integer_tensor,
     is_zero_vector,
     vector,
 )
@@ -206,10 +208,12 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     Deterministic given the seed.  The check stays sampled: a passing
     budget is consistent with dissidence, not a proof of it.
 
-    Each batch of pairs is screened first: the matrices are formed mod
-    modkernel.SCREEN_PRIME by one contraction with the tensor, and rank 3
+    Each batch of at most modkernel.SCREEN_BATCH pairs is screened first.
+    Scaling v, w or the tensor by a nonzero rational changes no rank, so
+    the matrices of the integer multiples of the draws and of the tensor
+    are formed mod modkernel.SCREEN_PRIME by one contraction, and rank 3
     mod p proves rank 3 over Q, because a nonzero 3x3 minor mod p is the
-    reduction of a nonzero rational minor.  Only the other draws are
+    reduction of a nonzero integer minor.  Only the other draws are
     decided exactly, in draw order: rank 3 passes, and otherwise an
     independent pair (rank [v; w] = 2) is the witness and a dependent one
     is redrawn.  A batch is drawn for the trials still owed, so the pairs
@@ -227,26 +231,25 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
     p = modkernel.SCREEN_PRIME
-    tensor, table_ok = modkernel.residues(eta.tensor, p)
+    tensor = modkernel.residues(integer_tensor(eta.tensor), p)
     while trials:
-        pairs = [(sample_vector(rng, n), sample_vector(rng, n)) for _ in range(trials)]
-        screened = np.zeros(len(pairs), dtype=bool)
-        if table_ok.all():
-            vw, ok = modkernel.residues(pairs, p)
-            # eta(v ^ w)_k = sum_ij v_i w_j t[i][j][k], one sum at a time
-            # so that each stays below n p**2
-            partial = np.einsum("bi,ijk->bjk", vw[:, 0], tensor) % p
-            image = np.einsum("bj,bjk->bk", vw[:, 1], partial) % p
-            ranks = modkernel.rank_mod_p(np.concatenate([vw, image[:, None]], axis=1), p)
-            screened = ok & (ranks == 3)
+        pairs = [(sample_vector(rng, n), sample_vector(rng, n))
+                 for _ in range(min(trials, modkernel.SCREEN_BATCH))]
+        vw = modkernel.residues(
+            [(integer_multiple(v), integer_multiple(w)) for v, w in pairs], p)
+        # eta(v ^ w)_k = sum_ij v_i w_j t[i][j][k], one sum at a time
+        # so that each stays below n p**2
+        partial = np.einsum("bi,ijk->bjk", vw[:, 0], tensor) % p
+        image = np.einsum("bj,bjk->bk", vw[:, 1], partial)
+        ranks = modkernel.rank_mod_p(np.concatenate([vw, image[:, None]], axis=1), p)
         dependent = 0
-        for (v, w), full in zip(pairs, screened):
-            if full or Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
+        for (v, w), rank in zip(pairs, ranks):
+            if rank == 3 or Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
                 continue
             if Matrix([v, w]).rank() == 2:
                 return (v, w)
             dependent += 1
-        trials = dependent
+        trials -= len(pairs) - dependent
     return None
 
 

@@ -103,6 +103,22 @@ def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def integer_multiple(u) -> list:
+    """The least positive multiple of a rational vector with integer
+    entries: u times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in u))
+    return [x.numerator * (den // x.denominator) for x in u]
+
+
+def integer_tensor(tensor) -> list:
+    """A cube of rationals t[i][j][k] times the lcm of all its
+    denominators, as nested lists of ints.  One positive factor scales
+    every product the table defines, so no rank or kernel formed from it
+    changes."""
+    flat = iter(integer_multiple([x for plane in tensor for row in plane for x in row]))
+    return [[[next(flat) for _ in row] for row in plane] for plane in tensor]
+
+
 def primitive_vector(u) -> tuple:
     """Scale a nonzero rational vector to integer entries, content 1,
     first nonzero entry positive.  This is the canonical representative
@@ -110,8 +126,7 @@ def primitive_vector(u) -> tuple:
     u = [as_fraction(x) for x in u]
     if all(x == 0 for x in u):
         raise ValueError("primitive_vector of the zero vector")
-    den = lcm(*(x.denominator for x in u))
-    ints = [x.numerator * (den // x.denominator) for x in u]
+    ints = integer_multiple(u)
     content = 0
     for a in ints:
         content = gcd(content, a)

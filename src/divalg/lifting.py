@@ -57,7 +57,7 @@ import numpy as np
 
 from . import modkernel
 from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
-from .exact import primitive_vector
+from .exact import integer_tensor, primitive_vector
 from .modkernel import SparseIntMatrix, sparse_kernel
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -98,21 +98,6 @@ def constraint_shape(n, d):
     return n * monomial_count(n, d + 3), n * monomial_count(n, d)
 
 
-def _integer_tensor(eta: DissidentMap):
-    """Clear denominators of the whole tensor; scaling every entry by one
-    rational scales each constraint row uniformly, so the kernel is
-    unchanged."""
-    dens = [
-        x.denominator for plane in eta.tensor for row in plane for x in row
-    ]
-    scale = lcm(*dens) if dens else 1
-    n = eta.n
-    return [
-        [[int(x * scale) for x in eta.tensor[i][j]] for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _assemble_coo(eta: DissidentMap, d, tensor):
     """COO cells of the divided constraint matrix for the given structure
     tensor.
@@ -141,7 +126,7 @@ def _assemble_coo(eta: DissidentMap, d, tensor):
 
 
 def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
-    coo, nrows, ncols = _assemble_coo(eta, d, _integer_tensor(eta))
+    coo, nrows, ncols = _assemble_coo(eta, d, integer_tensor(eta.tensor))
     return SparseIntMatrix(nrows, ncols, coo)
 
 
@@ -187,7 +172,7 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     draws = [sample_vector(rng, n) for _ in range(samples)]
     points = [primitive_vector(v) for v in draws]
     scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
-    tensor = _integer_tensor(eta)
+    tensor = integer_tensor(eta.tensor)
     ints = np.array(points, dtype=object).reshape(samples, n)
     images = np.tensordot(ints, np.array(tensor, dtype=object), axes=(1, 0))
     defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1

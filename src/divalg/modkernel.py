@@ -25,13 +25,14 @@ Unlucky primes can only make the modular kernel too big, never too small,
 and any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.
 
-The same fact screens the sampled falsifiers.  Reduction mod p is a ring
-map on the rationals whose denominators p does not divide, so a minor of a
-reduced matrix is the reduction of the exact minor, and a nonzero residue
-means a nonzero minor over Q: full rank mod SCREEN_PRIME proves full exact
-rank.  A rank-deficient residue proves nothing, and the falsifiers decide
-those draws exactly.  The checks stay sampled either way: the screen only
-decides each draw faster, it does not widen a budget into a proof.
+The same fact screens the sampled checks.  A nonzero rational multiple
+of a table or a draw has the same ranks, so each check screens integer
+multiples, and reduction mod p is a ring map on the integers: a minor of
+the reduced matrix is the reduction of the exact minor, and a nonzero
+residue means a nonzero minor over Q.  Full rank mod SCREEN_PRIME proves
+full exact rank.  A rank-deficient residue proves nothing, and the checks
+decide those draws exactly.  They stay sampled either way: the screen
+only decides each draw faster, it does not widen a budget into a proof.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ _ROW_BLOCK = 1024
 _PANEL = 64
 _BASE = 16
 
-# The prime the sampled falsifiers screen their draws with.
+# The prime the sampled checks screen their draws with, and the most draws
+# a falsifier holds at once (its memory stays flat in its budget).
 SCREEN_PRIME = PRIMES[0]
+SCREEN_BATCH = 1024
 
 
 class ModularKernelError(RuntimeError):
@@ -339,22 +342,10 @@ def _kernel_mod_p(mat, p):
 # batched screening of small matrices
 
 
-def residues(rows, p):
-    """Reduce a sequence of equal-shaped nested sequences of rationals mod p.
-
-    n/d reduces to n * d**-1 mod p.  Returns (int64 array of the residues,
-    boolean array that is False for each row holding a denominator that p
-    divides).  Such a row has no residue, and its entries mean nothing.
-    """
-    cells = np.array(rows, dtype=object)
-    flat = cells.ravel()
-    num = np.array([x.numerator % p for x in flat], dtype=np.int64)
-    den = np.array([x.denominator % p for x in flat], dtype=np.int64)
-    values, where = np.unique(den, return_inverse=True)
-    inverse = np.array([pow(int(d), -1, p) if d else 0 for d in values], dtype=np.int64)
-    out = num * inverse[where] % p
-    ok = (den != 0).reshape(cells.shape[0], -1).all(axis=1)
-    return out.reshape(cells.shape), ok
+def residues(ints, p):
+    """Nested sequences of Python ints of any size, reduced mod p into an
+    int64 array."""
+    return np.mod(np.array(ints, dtype=object), p).astype(np.int64)
 
 
 def rank_mod_p(mats, p):

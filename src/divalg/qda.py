@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, is_rational_square, vector
+from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, integer_multiple, integer_tensor, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -205,13 +205,15 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     sampled: a passing budget finds no singular operator, it proves none
     absent.
 
-    All samples are drawn first and screened mod modkernel.SCREEN_PRIME:
+    The samples are drawn and screened in batches of at most
+    modkernel.SCREEN_BATCH.  Scaling a or the table by a nonzero rational
+    changes no rank, so for the integer multiples of both,
     L_a[k][j] = sum_i a_i C[i][j][k] and R_a[k][i] = sum_j a_j C[i][j][k]
     are each one contraction of the table with the batch, and rank dim mod
-    p proves det != 0 over Q, because det mod p is the reduction of the
-    rational det.  Only operators whose residue is singular get the exact
-    Bareiss det, in draw order, so the first witness is unchanged.  When p
-    divides a denominator of the table, every sample is decided exactly.
+    modkernel.SCREEN_PRIME proves det != 0 over Q, because det mod p is the
+    reduction of the integer det.  Only operators whose residue is singular
+    get the exact Bareiss det, in draw order, so the first witness is
+    unchanged.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -223,20 +225,18 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     from . import modkernel
 
     rng = seeded_rng(seed, "division")
-    samples = [sample_vector(rng, alg.dim) for _ in range(trials)]
     p = modkernel.SCREEN_PRIME
-    table, table_ok = modkernel.residues(alg.constants, p)
-    left = right = np.zeros(trials, dtype=bool)
-    if table_ok.all():
-        a, ok = modkernel.residues(samples, p)
-        left_mul = np.einsum("bi,ijk->bkj", a, table) % p
-        right_mul = np.einsum("bj,ijk->bki", a, table) % p
-        left = ok & (modkernel.rank_mod_p(left_mul, p) == alg.dim)
-        right = ok & (modkernel.rank_mod_p(right_mul, p) == alg.dim)
-    for a, left_ok, right_ok in zip(samples, left, right):
-        if (not left_ok and alg.left_mul_matrix(a).det() == 0) or (
-                not right_ok and alg.right_mul_matrix(a).det() == 0):
-            return a
+    table = modkernel.residues(integer_tensor(alg.constants), p)
+    for start in range(0, trials, modkernel.SCREEN_BATCH):
+        samples = [sample_vector(rng, alg.dim)
+                   for _ in range(min(trials - start, modkernel.SCREEN_BATCH))]
+        a = modkernel.residues([integer_multiple(x) for x in samples], p)
+        left = modkernel.rank_mod_p(np.einsum("bi,ijk->bkj", a, table), p) == alg.dim
+        right = modkernel.rank_mod_p(np.einsum("bj,ijk->bki", a, table), p) == alg.dim
+        for x, left_ok, right_ok in zip(samples, left, right):
+            if (not left_ok and alg.left_mul_matrix(x).det() == 0) or (
+                    not right_ok and alg.right_mul_matrix(x).det() == 0):
+                return x
     return None
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -140,15 +141,57 @@ def test_dissidence_falsify_keeps_the_witnesses():
 
 @pytest.mark.parametrize("prime", [3, 5])
 def test_dissidence_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch, prime):
-    # mod 3 a sample with a denominator 3 has no residue, so the exact path
-    # decides most draws (175 of 200 for cross3, seed 1); mod 5 every sample
-    # reduces and the screen leaves 36 of them rank-deficient
+    # a tiny prime leaves many integer images rank-deficient, so the exact
+    # path decides them: 57 of 200 draws mod 3 and 36 mod 5 for cross3,
+    # seed 1
     monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
     for eta, seed, trials in WITNESS_CASES:
         assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
     t = quadruple_to_triple(random_quadruple(0))
     assert dissidence_falsify(t.eta, 100, 0) is None
     assert dissidence_falsify(cross_product_map(7), 300, 2) is None
+
+
+def test_dissidence_batches_keep_the_witnesses(monkeypatch):
+    # batches of 7 pairs split every budget, and move redraws of dependent
+    # pairs into later batches
+    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
+    for eta, seed, trials in WITNESS_CASES:
+        assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
+
+
+def traced_peaks(run, budgets):
+    """The peak traced memory of run(budget) for each budget, after one
+    untraced warm-up call."""
+    run(1)
+    peaks = []
+    for budget in budgets:
+        tracemalloc.start()
+        try:
+            run(budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_dissidence_memory_does_not_grow_with_the_budget(monkeypatch):
+    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
+    one, ten = traced_peaks(
+        lambda trials: dissidence_falsify(cross_product_map(7), trials, 0), (100, 1000))
+    assert ten < 2 * one
+
+
+def scaled_map(eta, c):
+    return DissidentMap(eta.n, [[[c * x for x in cell] for cell in row] for row in eta.tensor])
+
+
+def test_dissidence_falsify_is_invariant_under_scaling_eta():
+    # [v; w; c eta(v ^ w)] has the rank of [v; w; eta(v ^ w)] for c != 0;
+    # c = -7/3 also gives the tensor denominators to clear
+    for eta, seed, trials in WITNESS_CASES:
+        assert (dissidence_falsify(scaled_map(eta, Fraction(-7, 3)), trials, seed)
+                == dissidence_falsify(eta, trials, seed))
 
 
 def test_random_quadruples_are_dissident():

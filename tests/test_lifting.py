@@ -28,16 +28,15 @@ from divalg.lifting import (
     solve_lifting_scan,
     verify_lifting,
     _assemble_coo,
-    _integer_tensor,
     _sample_failures,
     _sample_lines,
     _sparse_system,
 )
-from divalg.exact import Matrix, primitive_vector
+from divalg.exact import Matrix, integer_tensor, primitive_vector
 from divalg.modkernel import SparseIntMatrix, sparse_kernel
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
 from divalg.serialize import canonical_json, lifting_to_json
-from test_dissident import ONE, TWO
+from test_dissident import ONE, TWO, scaled_map
 from test_poly import evaluate
 
 
@@ -294,6 +293,19 @@ def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
 
+def test_lifting_is_invariant_under_scaling_eta(rand5):
+    # eta and c eta span the same lines, so they have one lifting and one
+    # scan; c = -7/3 also gives the integer tensor a denominator to clear
+    bent = bent_cross7()
+    cases = [(bent, 16, *solve_lifting_scan(bent, samples=16, seed=0)[:2]),
+             (rand5[0], 24, *rand5[1:3])]
+    for eta, samples, lifting, scan in cases:
+        again, rescan, _ = solve_lifting_scan(scaled_map(eta, Fraction(-7, 3)),
+                                              samples=samples, seed=0)
+        assert rescan == scan
+        assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
+
+
 def test_solver_determinism():
     eta = bent_cross7()
     a = solve_lifting(eta, samples=16, seed=5)
@@ -370,7 +382,7 @@ def named_map(name, conjugate_bent_tensor):
 def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
     eta = named_map(name, conjugate_bent_tensor)
     for d in DIFFERENTIAL_DEGREES[name]:
-        coo, nrows, ncols = _paper_assemble_coo(eta, d, _integer_tensor(eta))
+        coo, nrows, ncols = _paper_assemble_coo(eta, d, integer_tensor(eta.tensor))
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows

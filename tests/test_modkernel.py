@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.exact import Matrix, primitive_vector
-from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, residues, sparse_kernel
+from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, sparse_kernel
 
 
 def dense_to_sparse(rows):
@@ -207,14 +207,6 @@ def test_rank_mod_p_matches_exact_rank():
     assert rank_mod_p(np.array([[[3, 6], [1, 1]]]), 3).tolist() == [1]
     with pytest.raises(ValueError):
         rank_mod_p(mats, 4294967311)  # p**2 overflows int64
-
-
-def test_residues_of_rationals():
-    rows = [(Fraction(1, 3), Fraction(-2)), (Fraction(5, 2), Fraction(0))]
-    values, ok = residues(rows, 7)
-    assert values.tolist() == [[5, 5], [6, 0]] and ok.tolist() == [True, True]
-    _, ok = residues(rows, 3)  # 3 divides the denominator of 1/3
-    assert ok.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("p", [PRIMES[0], 3])

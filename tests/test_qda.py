@@ -30,6 +30,7 @@ from divalg.qda import (
     recover_triple,
 )
 
+from test_dissident import traced_peaks
 from test_octonion import matrix_algebra
 
 
@@ -145,16 +146,21 @@ def _parent_division_check(alg, trials, seed):
     return None
 
 
-def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch):
-    # mod 3 a sample with a denominator 3 has no residue, so the exact path
-    # decides nearly every draw (382 dets for the 200 octonion samples of
-    # seed 0); mod 5 every sample reduces and about a fifth of the operators
-    # are singular (72 dets).  The octonions pass, the zero-eta algebra fails
+def division_cases():
+    """(algebra, trials, seed): the octonions pass, the zero-eta algebra
+    fails, and the quadruple algebras have tables with denominators."""
     zero_eta = make_qda(DissidentTriple(7, Matrix.zeros(7, 7),
                                         DissidentMap(7, [[[0] * 7] * 7] * 7)))
     cases = [(octonion_algebra(), 200, 0), (octonion_algebra(), 200, 5),
              (complex_numbers(), 200, 0), (zero_eta, 50, 0), (zero_eta, 50, 3)]
-    cases += [(quadruple_algebra(random_quadruple(s)), 60, s) for s in range(3)]
+    return cases + [(quadruple_algebra(random_quadruple(s)), 60, s) for s in range(3)]
+
+
+def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch):
+    # a tiny prime leaves many integer operators singular, so the exact
+    # path decides them: 92 dets mod 3 and 72 mod 5 for the 200 octonion
+    # samples of seed 0
+    cases = division_cases()
     witnesses = []
     for prime in (modkernel.SCREEN_PRIME, 3, 5):
         monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
@@ -163,6 +169,22 @@ def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch):
     assert witnesses[0] == witnesses[1] == witnesses[2] == [
         _parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
     assert witnesses[0][3] is not None and witnesses[0][4] is not None
+
+
+def test_division_batches_keep_the_witnesses(monkeypatch):
+    cases = division_cases()
+    expected = [_parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
+    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
+    for prime in (modkernel.SCREEN_PRIME, 3):
+        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
+        assert [division_check(alg, trials, seed) for alg, trials, seed in cases] == expected
+
+
+def test_division_memory_does_not_grow_with_the_budget(monkeypatch):
+    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
+    alg = octonion_algebra()
+    one, ten = traced_peaks(lambda trials: division_check(alg, trials, 0), (100, 1000))
+    assert ten < 2 * one
 
 
 def test_quadratic_check():
