@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -279,6 +280,19 @@ def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
     monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: by_cols[mat.ncols])
     with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
         solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
+
+
+# SHA-256 of canonical_json(lifting_to_json(...)) of the rand5 lifting.  Its
+# degree-5 kernel row is one whose first few entries miss a factor of the
+# row's common denominator, so a reconstruction that trusts a subset of the
+# entries changes these bytes.
+RAND5_LIFTING_SHA256 = "6e04a01a38ef4138f6ffc6309ffac36d463e3c184587239ba9033b72a26bfa75"
+
+
+def test_rand5_lifting_bytes_are_frozen(rand5):
+    _, lifting, _, _ = rand5
+    blob = canonical_json(lifting_to_json(lifting)).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == RAND5_LIFTING_SHA256
 
 
 def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
