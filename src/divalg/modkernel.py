@@ -4,13 +4,17 @@ batched ranks of small matrices for screening.
 The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
 2**53, so the arithmetic is exact integer arithmetic, and every reduction
-mod p goes through _reduce).  The elimination is blocked: pivots are found
-one at a time only inside panels of 64 columns, and each panel's row
-transform reaches the rest of the matrix in one matmul, so almost all of
-the work runs in BLAS.  The candidate kernel basis is recovered by Chinese
-remaindering and rational reconstruction of the entries off its pivot
-columns and then certified by one exact integer product against the
-original matrix, in int64 whenever a bound on the row sums allows.
+mod p goes through _reduce).  The rows come in blocks about half as tall as
+the live kernel is wide, each compressed through the kernel of the rows
+before it.  The elimination of a block is blocked by columns: pivots are
+found one at a time only inside panels of 64 columns, and each panel's row
+transform reaches the rest of the block in one matmul.  The candidate
+kernel basis is recovered by Chinese remaindering of the entries off its
+pivot columns and, row by row, one common denominator found by lattice
+reduction and completed by Wang's rational reconstruction, so that one
+prime serves entries of nearly its own size.  The candidate is then
+certified by one exact integer product against the original matrix, in
+int64 whenever a bound on the row sums allows.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -52,12 +56,15 @@ PRIMES = (
 
 _MATMUL_CHUNK = 4096
 
-# Rows per block of _kernel_mod_p; columns per panel of the blocked
-# elimination in _rref_mod, and the widest part of a panel that is
-# eliminated one pivot at a time.
-_ROW_BLOCK = 1024
+# Columns per panel of the blocked elimination in _rref_mod (and the
+# fewest rows per block of _kernel_mod_p), and the widest part of a panel
+# that is eliminated one pivot at a time.
 _PANEL = 64
 _BASE = 16
+
+# Nonzero residues of an RREF row that lattice reduction finds its common
+# denominator from (_common_denominator).
+_LATTICE_ENTRIES = 4
 
 # The prime the sampled checks screen their draws with, and the most draws
 # a falsifier holds at once (its memory stays flat in its budget).
@@ -310,17 +317,29 @@ def _kernel_from_rref(reduced, pivots, free, p):
 def _kernel_mod_p(mat, p):
     """Canonical kernel basis of mat modulo p, or None if it is {0}.
 
-    Processes rows in blocks of _ROW_BLOCK, maintaining a spanning set K of
-    the kernel of the rows seen so far; each block only needs the compressed
-    system (block @ K), which collapses to a cheap multiply once the rank
-    has saturated.  Returns (basis_rows int64 array of shape dim x ncols, pivot
+    Processes rows in blocks, maintaining a spanning set K of the kernel of
+    the rows seen so far; each block only needs the compressed system
+    (block @ K), which collapses to a cheap multiply once the rank has
+    saturated.  Returns (basis_rows int64 array of shape dim x ncols, pivot
     column tuple of the subspace RREF).
+
+    Each next block has max(live // 2, _PANEL) rows, with live the current
+    kernel dimension (ncols before the first block).  The BLAS products of
+    _rref_mod are a small share of its time; most of it goes to the rank-1
+    updates of _eliminate_panel, which run over every row of the block for
+    each pivot.  So a block should have not many more rows than it can
+    have pivots (live), nor so few that the blocks and their compressions
+    multiply: half the live dimension keeps the rows a block brings in
+    without a pivot to a small share, and _PANEL rows bound the number of
+    blocks once the kernel is small.
     """
-    m = mat.ncols
     kern = None  # None encodes the identity (no constraints yet)
-    for start in range(0, mat.nrows, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, mat.nrows)
+    live = mat.ncols
+    start = 0
+    while start < mat.nrows:
+        stop = min(start + max(live // 2, _PANEL), mat.nrows)
         rows = mat.dense_block_mod(start, stop, p)
+        start = stop
         if not np.any(rows):
             continue
         compressed = rows if kern is None else _matmul_mod(rows, kern, p)
@@ -331,8 +350,9 @@ def _kernel_mod_p(mat, p):
             return None
         basis = _kernel_from_rref(reduced, pivots, free, p)
         kern = basis if kern is None else _matmul_mod(kern, basis, p)
+        live = len(free)
     if kern is None:
-        kern = np.eye(m, dtype=np.float64)
+        kern = np.eye(mat.ncols, dtype=np.float64)
     reduced, pivots, _ = _rref_mod(np.ascontiguousarray(kern.T), p)
     rows = np.asarray(reduced[: len(pivots)], dtype=np.int64)
     return rows, tuple(pivots)
@@ -390,24 +410,128 @@ def _crt_pair(x1, n1, x2, n2):
     return x1 + n1 * t, n1 * n2
 
 
-def _reconstruct_rational(residue, modulus):
-    """Wang's algorithm: the unique p/q with |p|, q <= sqrt(modulus/2)
-    and p = q*residue mod modulus, or None."""
-    bound = isqrt(modulus // 2)
-    v0, v1 = modulus, residue
+def _reconstruct_rational(residue, modulus, num_bound, den_bound):
+    """Wang's algorithm with bounds: the unique a/b with |a| <= num_bound,
+    0 < b <= den_bound, gcd(a, b) = 1 and a = b*residue mod modulus, as the
+    pair (a, b), or None.  Unique when 2*num_bound*den_bound < modulus."""
+    v0, v1 = modulus, residue % modulus
     s0, s1 = 0, 1
-    while v1 > bound:
+    while v1 > num_bound:
         q = v0 // v1
         v0, v1 = v1, v0 - q * v1
         s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
+    if s1 == 0 or abs(s1) > den_bound or gcd(v1, s1) != 1:
         return None
-    if gcd(v1, s1) != 1:
+    return (v1, s1) if s1 > 0 else (-v1, -s1)
+
+
+def _lll(basis):
+    """An LLL-reduced basis (delta = 3/4) of the lattice spanned by the
+    independent integer rows ``basis``, in Python ints only.
+
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7): the Gram-Schmidt data are kept as the
+    integers d[i] (Gram determinants, d[0] = 1) and lam[k][j] = d[j+1]
+    mu[k][j], and every division is exact.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        mu = lam[k][k - 1]
+        top = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, known + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (top * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = top
+
+    k, known = 1, 0
+    while k < n:
+        if k > known:
+            known = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
+
+
+def _common_denominator(row, modulus):
+    """The common denominator L of an RREF row given by its residues
+    ``row`` mod ``modulus`` (the entries off the pivot columns; the pivot
+    entry is 1), or None when no L fits the bounds below.
+
+    Let the row be phi/q, with phi primitive and q > 0 its pivot entry.
+    Take the first k = _LATTICE_ENTRIES nonzero residues r_i, and let v be
+    (q, phi_1, ..., phi_k) divided by its content g.  v lies in the lattice
+    of the vectors (x, x*r_1, ..., x*r_k) mod modulus, and is short in it.
+    A lattice vector (x, y) with |(x, y)| |v| < modulus is a multiple of
+    v, because each x*v_i - v_0*y_i is a multiple of the modulus smaller
+    than it.  LLL's first vector is at most 2**(k/2) times the shortest,
+    so when 2**(k/2) |v|**2 < modulus its primitive part is +-v and L =
+    q/g.  In practice LLL finds v as soon as v is the shortest vector, that
+    is once the modulus has about (k+1)/k times the bits of |v| (Bright &
+    Storjohann, "Vector rational number reconstruction", ISSAC 2011), where
+    Wang's algorithm for each entry needs twice the bits.
+
+    The factor g that the k entries share with q is then picked up one
+    entry at a time: L*r_j = phi_j / (q/L) mod modulus, and Wang's
+    algorithm gives the reduced fraction, whose denominator L takes on.
+    Its bounds split the bits of modulus/2 beyond h, the largest entry of
+    v, evenly: numerators up to sqrt(h*modulus/2), which leaves room for g
+    and for entries larger than the k sampled ones, and denominators up to
+    sqrt(modulus/(2h)).  Their product stays below modulus/2, so each
+    fraction is unique.  Both bounds grow with the modulus, so beyond a
+    bound set by the row alone every entry is found and L = q.
+
+    Any L is only a candidate: a wrong candidate fails the exact M v = 0.
+    """
+    nonzero = [r for r in row if r]
+    if not nonzero:
+        return 1
+    sample = nonzero[:_LATTICE_ENTRIES]
+    k = len(sample)
+    short = _lll([[1, *sample]] + [[modulus * (i == j) for j in range(k + 1)]
+                                   for i in range(1, k + 1)])[0]
+    content = gcd(*short)
+    scale = abs(short[0]) // content
+    if not scale:
         return None
-    num, den = v1, s1
-    if den < 0:
-        num, den = -num, -den
-    return Fraction(num, den)
+    half = modulus // 2
+    num_bound = isqrt(max(map(abs, short)) // content * half)
+    den_bound = max(1, half // num_bound)
+    for r in nonzero:
+        frac = _reconstruct_rational(scale * r, modulus, num_bound, den_bound)
+        if frac is None:
+            return None
+        scale *= frac[1]
+    return scale
 
 
 def _reconstruct_basis(bases, pivots):
@@ -419,10 +543,10 @@ def _reconstruct_basis(bases, pivots):
     columns ``pivots``.  The RREF fixes the pivot entries (1 on a row's own
     pivot, 0 on the others) for every prime, so only the other columns,
     in increasing order, are reconstructed.  Returns a list of rows of
-    Fractions over those columns, or None if any entry fails.  One path
-    serves any number of primes: with one prime the CRT loop is empty, and
-    Wang's algorithm returns the residue r, or r - p, whenever that is
-    within its bound, so small entries need no path of their own.
+    Fractions over those columns, or None if a row has no common
+    denominator (_common_denominator).  A row with the common denominator
+    L has the entries s/L, with s the symmetric residue of L*r (the
+    modulus is odd, so it lies in [-modulus//2, modulus//2]).
     """
     p0, b0 = bases[0]
     off = _off_pivot(b0.shape[1], pivots)
@@ -433,15 +557,13 @@ def _reconstruct_basis(bases, pivots):
             for j, r in enumerate(new):
                 row[j], _ = _crt_pair(row[j], modulus, r, p)
         modulus *= p
+    half = modulus // 2
     rows = []
     for row in residues:
-        out = []
-        for r in row:
-            val = _reconstruct_rational(r % modulus, modulus)
-            if val is None:
-                return None
-            out.append(val)
-        rows.append(out)
+        scale = _common_denominator(row, modulus)
+        if scale is None:
+            return None
+        rows.append([Fraction((scale * r + half) % modulus - half, scale) for r in row])
     return rows
 
 
@@ -462,10 +584,11 @@ def sparse_kernel(mat, primes=PRIMES):
     exact one: mod p the kernel only grows and column-prefix ranks only
     drop.  The primes of the least structure so far are CRT-combined.  If
     it is the exact one, they all reduce the same rational RREF, so they
-    give the exact basis whenever the newest prime alone would (Wang's
-    bound grows with the modulus).  If not, nothing verifies: dim
-    independent kernel vectors in RREF form with pivots P would make P the
-    exact pivots.  So no subset of the primes is worth a second attempt.
+    give the exact basis once their product passes a bound set by that
+    RREF's rows alone (_common_denominator); a prime of the same structure
+    only raises the product.  If not, nothing verifies: dim independent
+    kernel vectors in RREF form with pivots P would make P the exact
+    pivots.  So no subset of the primes is worth a second attempt.
     """
     best = None
     collected = []

@@ -41,7 +41,8 @@ def conjugate_bent_tensor():
     """The README's degree-3 map conjugated by the rational rotation
     ``cayley_orthogonal(5)``, built by the benchmark's input code
     (``perfbench/inputs.py``, which imports nothing from divalg).  Its
-    degree-3 kernel needs two primes and a CRT retry."""
+    degree-3 kernel has 12-bit entries over the pivot 2525, beyond Wang's
+    per-entry bound for one prime; its common denominator takes one."""
     inputs = _perfbench_module("inputs")
     return inputs.conjugate(inputs.bent3_tensor(), inputs.cayley_orthogonal(5))
 

@@ -498,14 +498,23 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     from divalg import modkernel
 
     rng = random.Random(5)
-    rank, dim = 140, 10  # wider than two panels of 64 columns
+    nrows, rank, dim = 2100, 140, 10  # wider than two panels of 64 columns
     mix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
     coo = []
-    for r in range(2100):  # three row blocks of at most 1024
+    for r in range(nrows):
         row = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(rank)]
         row += [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)]
         coo += [(r, c, v) for c, v in enumerate(row) if v]
-    mat = modkernel.SparseIntMatrix(2100, rank + dim, coo)
+    mat = modkernel.SparseIntMatrix(nrows, rank + dim, coo)
+    # the row blocks: max(live // 2, 64) rows each, with live the kernel
+    # dimension of the rows before them (rank + dim before the first);
+    # every row block has a nonzero row, and the first rows have full rank
+    blocks, live, start = 0, rank + dim, 0
+    while start < nrows:
+        start = min(start + max(live // 2, modkernel._PANEL), nrows)
+        live = rank + dim - min(start, rank)
+        blocks += 1
+    assert blocks == 33
     tracer = perfbench_tracer.Tracer()
     tracer.install()
     try:
@@ -516,7 +525,7 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     assert tracer.missing == {}
     rref, eliminate = tracer.spans["modkernel.rref"], tracer.spans["modkernel.eliminate"]
     assert eliminate.calls >= 1
-    assert rref.calls == 4 * eliminate.calls
+    assert rref.calls == (blocks + 1) * eliminate.calls
     assert rref.busy <= eliminate.busy
 
 

@@ -307,6 +307,17 @@ def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
 
+def test_rand5_lifting_is_independent_of_the_seed(rand5):
+    # the seed draws the validation points, not the answer: a new seed
+    # validates at other points and must find the same scan and lifting
+    eta, lifting, scan, _ = rand5
+    points = [_sample_lines(eta, 24, seed).points.tolist() for seed in (0, 1)]
+    assert points[0] != points[1]
+    again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=1)
+    assert rescan == scan
+    assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
+
+
 def test_lifting_is_invariant_under_scaling_eta(rand5):
     # eta and c eta span the same lines, so they have one lifting and one
     # scan; c = -7/3 also gives the integer tensor a denominator to clear

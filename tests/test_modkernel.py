@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.exact import Matrix, primitive_vector
-from divalg.modkernel import PRIMES, SparseIntMatrix, rank_mod_p, sparse_kernel
+from divalg.modkernel import (
+    PRIMES,
+    ModularKernelError,
+    SparseIntMatrix,
+    rank_mod_p,
+    sparse_kernel,
+)
 
 
 def dense_to_sparse(rows):
@@ -118,35 +125,119 @@ def test_wide_zero_matrix_kernel():
 
 
 def test_blocked_processing_matches_small():
+    # rank 150 over 160 columns: the row blocks have 80 rows over all 160
+    # columns, then 64 over the live kernel, which shrinks to 10 and stays
+    # there for the remaining blocks
     rng = random.Random(3)
-    ncols = 40
+    rank, dim = 150, 10
+    mix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
     rows = []
-    for _ in range(2100):  # spans several 1024-row blocks
-        row = [0] * ncols
-        for _ in range(3):
-            row[rng.randrange(ncols)] = rng.randint(-4, 4)
-        rows.append(row)
-    mat = dense_to_sparse(rows)
-    kernel = sparse_kernel(mat)
-    assert kernel == Matrix(rows).kernel()
+    for _ in range(400):
+        row = [rng.randint(-4, 4) if rng.random() < 0.1 else 0 for _ in range(rank)]
+        rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
+    kernel = sparse_kernel(dense_to_sparse(rows))
+    assert len(kernel) == dim
+    assert kernel == _sympy_kernel(rows)
 
 
-def test_kernel_independent_of_prime_ladder_order(conjugate_bent_tensor):
-    # the degree-3 system of the bent map conjugated by a Cayley rotation:
-    # its kernel needs two primes and a CRT retry, so the ladder order
-    # decides which residues get combined
-    import pytest
-
-    from divalg.dissident import DissidentMap
+def _quadruple_system(seed):
+    """The degree-1 system of a random quadruple's map: 37-39-bit kernel
+    entries, which take three primes."""
+    from divalg.dissident import quadruple_to_triple, random_quadruple
     from divalg.lifting import _sparse_system
-    from divalg.modkernel import PRIMES, ModularKernelError
 
-    system = _sparse_system(DissidentMap(7, conjugate_bent_tensor), 3)
+    return _sparse_system(quadruple_to_triple(random_quadruple(seed)).eta, 1)
+
+
+def test_kernel_independent_of_prime_ladder_order():
+    # the kernel needs three primes, so the ladder order decides which
+    # residues get combined
+    system = _quadruple_system(0)
     with pytest.raises(ModularKernelError):
-        sparse_kernel(system, primes=PRIMES[:1])
+        sparse_kernel(system, primes=PRIMES[:2])
     forward = sparse_kernel(system)
     assert len(forward) == 1
     assert sparse_kernel(system, primes=PRIMES[::-1]) == forward
+    assert sparse_kernel(system, primes=PRIMES[5:] + PRIMES[:5]) == forward
+
+
+def test_conjugate_bent_kernel_takes_one_prime(conjugate_bent_tensor):
+    # the degree-3 system of the bent map conjugated by a Cayley rotation:
+    # 12-bit entries over the pivot 2525 = 25 * 101, where Wang's
+    # per-entry bound sqrt(p/2) is about 836
+    from divalg.dissident import DissidentMap
+    from divalg.lifting import _sparse_system
+
+    system = _sparse_system(DissidentMap(7, conjugate_bent_tensor), 3)
+    one = sparse_kernel(system, primes=PRIMES[:1])
+    assert len(one) == 1 and next(x for x in one[0] if x) == 2525
+    assert max(abs(x) for x in one[0]).bit_length() == 12
+    assert one == sparse_kernel(system, primes=PRIMES[1:])
+
+
+def _planted(phi):
+    """An integer matrix whose kernel is spanned by the primitive vector
+    phi (phi[0] > 0): the rows phi[i] e_0 - phi[0] e_i.  Its kernel's RREF
+    row is phi / phi[0], with its pivot on column 0."""
+    return [[phi[i]] + [-phi[0] * (c == i) for c in range(1, len(phi))]
+            for i in range(1, len(phi))]
+
+
+def _primitive_row(rng, pivot, entries, bits):
+    """A primitive vector: ``pivot``, then ``entries`` nonzero entries of
+    at most ``bits`` bits."""
+    while True:
+        phi = [pivot] + [rng.choice((-1, 1)) * rng.randint(1, 2 ** bits - 1)
+                         for _ in range(entries)]
+        if gcd(*phi) == 1:
+            return phi
+
+
+def test_one_prime_reconstructs_a_denominator_above_wang_bound():
+    # a 12-bit pivot and 12-bit entries: per entry, Wang's algorithm needs
+    # both below sqrt(p/2) (about 836); the common denominator needs one
+    # prime
+    p = PRIMES[0]
+    rng = random.Random(41)
+    for pivot in (2 ** 11 + 5, 3001, 4093):
+        assert pivot > isqrt(p // 2)
+        phi = _primitive_row(rng, pivot, 60, 12)
+        assert sparse_kernel(dense_to_sparse(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+
+
+def test_denominator_shared_with_the_sampled_entries():
+    # the first entries are multiples of 60, which divides the pivot 3960:
+    # lattice reduction on them finds only 3960 / 60, and the entries after
+    # them must supply the 60
+    p = PRIMES[0]
+    rng = random.Random(43)
+    pivot, k = 3960, modkernel._LATTICE_ENTRIES
+    phi = ([pivot] + [60 * rng.choice((-1, 1)) * rng.randint(1, 68) for _ in range(k)]
+           + [rng.choice((-1, 1)) * rng.randint(1, 2 ** 12 - 1) for _ in range(40)])
+    assert gcd(*phi) == 1
+    residues = [x * pow(pivot, -1, p) % p for x in phi[1:]]
+    assert modkernel._common_denominator(residues[:k], p) == pivot // 60
+    assert modkernel._common_denominator(residues, p) == pivot
+    assert sparse_kernel(dense_to_sparse(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+
+
+def test_too_small_a_modulus_fails_verification_not_reconstruction():
+    # 30-bit entries are beyond one prime: the lattice vector there is not
+    # the row's, yet each of the four entries has a residue within the
+    # bounds, so a candidate comes back and only M v = 0 rejects it; the
+    # ladder then goes on to the exact kernel
+    rng = random.Random(47)
+    phi = _primitive_row(rng, 2 ** 29 + 11, 4, 30)
+    rows = _planted(phi)
+    mat = dense_to_sparse(rows)
+    p = PRIMES[0]
+    basis, pivots = modkernel._kernel_mod_p(mat, p)
+    candidate = modkernel._reconstruct_basis([(p, basis)], pivots)
+    assert candidate is not None
+    assert modkernel._verify_candidate(mat, candidate, pivots) is None
+    with pytest.raises(ModularKernelError):
+        sparse_kernel(mat, primes=PRIMES[:1])
+    assert sparse_kernel(mat) == _sympy_kernel(rows) == [tuple(phi)]
 
 
 def _sympy_kernel(rows):
