@@ -108,6 +108,37 @@ def test_dense_and_sparse_systems_agree():
                 assert dense[r, c] == row.get(c, 0)
 
 
+# (map name, degree) -> SHA-256 of the system's indptr, indices and data as
+# Python ints: the CSR arrays the solver eliminates, byte for byte
+SYSTEM_SHA256 = {
+    ("cross3", 1): "52d00dd8bd3a0968ad63658be00d1360cc1a68f6a9b19b94ba406d30259a4046",
+    ("cross3", 2): "d3bbaed6f443ef1bc1664f6363207c7cad1aeff37a327da3f19a0798d20359e9",
+    ("cross7", 1): "39953802b14cd3bcc70a0f32bc8bc493ea92a22e14f26c01fd3c4a6f4e7f2266",
+    ("conjugate", 1): "87f99a0f32a64ec930faf185044ee63d57ec0fe7221ce5ac2d1ece92498f78e1",
+    ("conjugate", 2): "9f2a810462a362746e00a8b172f5910887d3289c3fc7938eb6a5cb934ca96128",
+    ("conjugate", 3): "e795fb01b2d2ddda7364496173f0a45e361f0ce18e16a41f4952984a0cf9de96",
+    ("quadruple0", 1): "8085b783cb2ec986f2684075b7b30adfa33d496bfffe134dee0b75cad9513749",
+    ("conjugate_2_70", 1): "2a32212f36ccb107f3c4d789983a475900715da1c98c24d6ba7515b8220b8afa",
+}
+
+
+def system_digest(system):
+    blob = repr((system.indptr.tolist(), system.indices.tolist(),
+                 [int(x) for x in system.data])).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name, d", SYSTEM_SHA256)
+def test_system_bytes_are_frozen(conjugate_bent_tensor, name, d):
+    if name == "conjugate_2_70":
+        # entries of 2**70 and more: the object path
+        eta = DissidentMap(7, [[[x * 2 ** 70 for x in cell] for cell in plane]
+                               for plane in conjugate_bent_tensor])
+    else:
+        eta = named_map(name, conjugate_bent_tensor)
+    assert system_digest(_sparse_system(eta, d)) == SYSTEM_SHA256[name, d]
+
+
 def test_solve_cross_products_degree_one_identity():
     for n in (3, 7):
         lifting, scan, _ = solve_lifting_scan(cross_product_map(n), samples=24, seed=0)
