@@ -56,13 +56,12 @@ class DissidentMap:
     def __init__(self, n, tensor):
         if n not in (3, 7):
             raise InvariantViolation(f"no dissident maps are built for n={n}")
-        tensor = tuple(
-            tuple(vector(tensor[i][j]) for j in range(n)) for i in range(n)
-        )
+        if len(tensor) != n or any(len(plane) != n or any(len(cell) != n for cell in plane)
+                                   for plane in tensor):
+            raise DimensionError("tensor is not n x n x n")
+        tensor = tuple(tuple(vector(cell) for cell in plane) for plane in tensor)
         for i in range(n):
             for j in range(n):
-                if len(tensor[i][j]) != n:
-                    raise DimensionError("tensor is not n x n x n")
                 if tensor[i][j] != tuple(-x for x in tensor[j][i]):
                     raise InvariantViolation("structure tensor is not antisymmetric")
         object.__setattr__(self, "n", n)

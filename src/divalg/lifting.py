@@ -98,36 +98,29 @@ def constraint_shape(n, d):
     return n * monomial_count(n, d + 3), n * monomial_count(n, d)
 
 
-def _assemble_coo(eta: DissidentMap, d, tensor):
-    """COO cells of the divided constraint matrix for the given structure
-    tensor.
+def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
+    """The divided constraint matrix at degree d, from eta's integer tensor t.
 
     Column (k, m): coefficient monomial m of component k.  Its contribution
-    to the slot j is m(v) * <e_k, eta(v ^ e_j)> = sum_i tensor[i][j][k] *
-    (m * x_i), so each cell gets exactly one term.  Rows are indexed j-major
-    by the degree-(d+1) monomials.
+    to the slot j is m(v) * <e_k, eta(v ^ e_j)> = sum_i t[i][j][k] * (m * x_i),
+    and the monomials m * x_i differ for different i, so each cell gets
+    exactly one term: the cells are distinct, as SparseIntMatrix requires.
+    Rows are indexed j-major by the degree-(d+1) monomials: with shift[i, c]
+    the row of column monomial c times x_i, every nonzero t[i][j][k] fills
+    the rows j*R + shift[i] of the columns k*C + c, for all C monomials c.
     """
     n = eta.n
+    tensor = np.array(integer_tensor(eta.tensor), dtype=object)
     cols_monos = monomials(n, d)
-    rows_monos = monomials(n, d + 1)
-    row_index = {m: i for i, m in enumerate(rows_monos)}
-    coo = []
-    for k in range(n):
-        for m_idx, m in enumerate(cols_monos):
-            col = k * len(cols_monos) + m_idx
-            for i in range(n):
-                exps = list(m)
-                exps[i] += 1
-                row = row_index[tuple(exps)]
-                for j in range(n):
-                    if tensor[i][j][k]:
-                        coo.append((j * len(rows_monos) + row, col, tensor[i][j][k]))
-    return coo, len(rows_monos) * n, len(cols_monos) * n
-
-
-def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
-    coo, nrows, ncols = _assemble_coo(eta, d, integer_tensor(eta.tensor))
-    return SparseIntMatrix(nrows, ncols, coo)
+    row_index = {m: r for r, m in enumerate(monomials(n, d + 1))}
+    R, C = len(row_index), len(cols_monos)
+    shift = np.array([[row_index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in cols_monos]
+                      for i in range(n)], dtype=np.int64)
+    i, j, k = np.nonzero(tensor)
+    rows = j[:, None] * R + shift[i]
+    cols = k[:, None] * C + np.arange(C)
+    values = np.repeat(tensor[i, j, k], C)
+    return SparseIntMatrix(n * R, n * C, rows.ravel(), cols.ravel(), values)
 
 
 def _components_from_vector(n, d, vec):

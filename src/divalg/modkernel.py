@@ -41,8 +41,7 @@ only decides each draw faster, it does not widen a budget into a proof.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -84,18 +83,22 @@ class SparseIntMatrix:
     ints otherwise.
     """
 
-    def __init__(self, nrows, ncols, coo):
+    def __init__(self, nrows, ncols, rows, cols, values):
+        """The matrix with the cells (rows[t], cols[t]) = values[t]: integer
+        arrays of one length, in any order, with no cell given twice.
+        ``values`` is an int64 array or an object array of Python ints.
+        The cells are ordered by row, then column, and each row's count
+        gives ``indptr``."""
         self.nrows = nrows
         self.ncols = ncols
-        cells = sorted(coo)
-        self.indices = np.array([c for _, c, _ in cells], dtype=np.int64)
-        values = [int(v) for _, _, v in cells]
-        self.max_abs = max(map(abs, values), default=0)
-        self.data = np.array(values, dtype=np.int64 if self.max_abs < 2 ** 62 else object)
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        for r, _, _ in cells:
-            indptr[r + 1] += 1
-        self.indptr = np.cumsum(indptr)
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        self.indices = np.asarray(cols, dtype=np.int64)[order]
+        data = np.asarray(values)[order]
+        self.max_abs = max(int(data.max(initial=0)), -int(data.min(initial=0)))
+        self.data = data.astype(np.int64 if self.max_abs < 2 ** 62 else object, copy=False)
+        self.indptr = np.zeros(nrows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=self.indptr[1:])
 
     @property
     def nnz(self):
@@ -535,21 +538,24 @@ def _common_denominator(row, modulus):
 
 
 def _reconstruct_basis(bases, pivots):
-    """CRT-combine per-prime bases and rationally reconstruct the entries
-    off the pivot columns.
+    """CRT-combine per-prime bases, rationally reconstruct the entries off
+    the pivot columns, and return the primitive integer kernel vectors.
 
     ``bases`` is a nonempty list of (prime, int64 array) with equal shapes:
     the rows of the RREF of one kernel subspace mod each prime, with pivot
     columns ``pivots``.  The RREF fixes the pivot entries (1 on a row's own
-    pivot, 0 on the others) for every prime, so only the other columns,
-    in increasing order, are reconstructed.  Returns a list of rows of
-    Fractions over those columns, or None if a row has no common
-    denominator (_common_denominator).  A row with the common denominator
-    L has the entries s/L, with s the symmetric residue of L*r (the
-    modulus is odd, so it lies in [-modulus//2, modulus//2]).
+    pivot, 0 on the others) for every prime, so only the other columns are
+    reconstructed.  A row with the common denominator L (_common_denominator)
+    has the entries s/L, with s the symmetric residue of L*r (the modulus is
+    odd, so it lies in [-modulus//2, modulus//2]).  Its primitive vector is
+    L/g on its pivot column, 0 on the other pivot columns and s/g elsewhere,
+    with g = gcd(L, every s): the content is 1, and the leading entry, the
+    pivot one, is positive.  Returns a list of tuples, or None if a row has
+    no common denominator.
     """
     p0, b0 = bases[0]
-    off = _off_pivot(b0.shape[1], pivots)
+    ncols = b0.shape[1]
+    off = _off_pivot(ncols, pivots)
     residues = b0[:, off].tolist()
     modulus = p0
     for p, b in bases[1:]:
@@ -558,13 +564,19 @@ def _reconstruct_basis(bases, pivots):
                 row[j], _ = _crt_pair(row[j], modulus, r, p)
         modulus *= p
     half = modulus // 2
-    rows = []
-    for row in residues:
+    vectors = []
+    for pivot, row in zip(pivots, residues):
         scale = _common_denominator(row, modulus)
         if scale is None:
             return None
-        rows.append([Fraction((scale * r + half) % modulus - half, scale) for r in row])
-    return rows
+        entries = [(scale * r + half) % modulus - half for r in row]
+        g = gcd(scale, *entries)
+        vec = [0] * ncols
+        vec[pivot] = scale // g
+        for c, s in zip(off, entries):
+            vec[c] = s // g
+        vectors.append(tuple(vec))
+    return vectors
 
 
 def _off_pivot(ncols, pivots):
@@ -606,35 +618,15 @@ def sparse_kernel(mat, primes=PRIMES):
         else:
             continue
         candidate = _reconstruct_basis(collected, best[1])
-        if candidate is not None:
-            verified = _verify_candidate(mat, candidate, best[1])
-            if verified is not None:
-                return verified
+        if candidate is not None and _verify_candidate(mat, candidate):
+            return candidate
     raise ModularKernelError(
         f"kernel not reconstructible with {len(primes)} primes "
         f"({mat.nrows}x{mat.ncols}, nnz={mat.nnz})"
     )
 
 
-def _verify_candidate(mat, rows, pivots):
-    """The primitive integer vectors of a reconstructed kernel basis, or
-    None unless M v = 0 exactly for every one of them.
-
-    ``rows`` holds the entries off the pivot columns (_reconstruct_basis).
-    Row i of the RREF is 1 on its pivot column and 0 on the other pivot
-    columns, so its primitive vector is L on its pivot column and L*x on
-    the others, with L the lcm of the denominators: the content is then 1,
-    and the leading entry, the pivot one, is positive.
-    """
-    off = _off_pivot(mat.ncols, pivots)
-    vectors = []
-    for i, row in enumerate(rows):
-        scale = lcm(*(x.denominator for x in row))
-        vec = [0] * mat.ncols
-        vec[pivots[i]] = scale
-        for c, x in zip(off, row):
-            vec[c] = x.numerator * (scale // x.denominator)
-        vectors.append(tuple(vec))
-    if not mat.annihilates(vectors):
-        return None
-    return vectors
+def _verify_candidate(mat, vectors):
+    """Whether M v = 0 exactly for every reconstructed kernel vector v: the
+    certificate of sparse_kernel's answer."""
+    return mat.annihilates(vectors)

@@ -56,12 +56,10 @@ class AlgebraPresentation:
 
     def __init__(self, constants, unity):
         dim = len(constants)
-        tensor = tuple(
-            tuple(vector(constants[i][j]) for j in range(dim)) for i in range(dim)
-        )
-        for plane in tensor:
-            if len(plane) != dim or any(len(cell) != dim for cell in plane):
-                raise DimensionError("structure constants are not dim^3")
+        if any(len(plane) != dim or any(len(cell) != dim for cell in plane)
+               for plane in constants):
+            raise DimensionError("structure constants are not dim^3")
+        tensor = tuple(tuple(vector(cell) for cell in plane) for plane in constants)
         unity = vector(unity)
         if len(unity) != dim:
             raise DimensionError("unity coordinate length mismatch")

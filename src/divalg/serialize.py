@@ -136,12 +136,6 @@ def _check_size(data, cap, message):
         raise ValueError(message)
 
 
-def _tensor(data):
-    if not isinstance(data, list):
-        raise ParseError("tensor must be a nested list")
-    return [[_vector(cell) for cell in plane] for plane in data]
-
-
 def _cube(data, n):
     """The tensor of scalars ``data``, parsed once it nests as n x n x n lists.
 
@@ -155,7 +149,7 @@ def _cube(data, n):
             and all(isinstance(cell, list) and len(cell) == n for cell in plane)
             for plane in data)):
         raise ValueError("tensor is not n x n x n")
-    return _tensor(data)
+    return [[_vector(cell) for cell in plane] for plane in data]
 
 
 def map_from_json(data) -> DissidentMap:
@@ -183,14 +177,18 @@ MAX_ALGEBRA_DIM = 16
 
 
 def algebra_from_json(data) -> AlgebraPresentation:
-    """An algebra of dimension at most MAX_ALGEBRA_DIM, checked before any
-    scalar is parsed: a well-formed 200-dimensional table builds 8M
-    Fractions before its shape is checked."""
-    constants = data["structure_constants"]
-    if isinstance(constants, list) and len(constants) > MAX_ALGEBRA_DIM:
-        raise ValueError(
-            f"dimension {len(constants)} is over the cap of {MAX_ALGEBRA_DIM}")
-    return AlgebraPresentation(_tensor(constants), _vector(data["unity"]))
+    """An algebra of dimension at most MAX_ALGEBRA_DIM whose table nests as
+    dim x dim x dim lists and whose unity has dim entries, all checked
+    before any scalar is parsed: a well-formed 200-dimensional table builds
+    8M Fractions before its shape is checked, and one 300000-entry cell or
+    unity builds 300000."""
+    constants, unity = data["structure_constants"], data["unity"]
+    dim = len(constants) if isinstance(constants, list) else 0
+    if dim > MAX_ALGEBRA_DIM:
+        raise ValueError(f"dimension {dim} is over the cap of {MAX_ALGEBRA_DIM}")
+    if isinstance(unity, list) and len(unity) != dim:
+        raise ValueError("unity coordinate length mismatch")
+    return AlgebraPresentation(_cube(constants, dim), _vector(unity))
 
 
 def lifting_from_json(data) -> Lifting:

@@ -476,6 +476,9 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
         assert code == 0
         assert tracer.missing == {}
         assert tracer.counts["lifting.assemble.rows.d1"] > 0
+        assert tracer.counts["lifting.assemble.nnz.d1"] > 0
+        assert tracer.spans["modkernel.reconstruct"].calls > 0
+        assert tracer.spans["modkernel.verify"].calls > 0
         for argv in (("recover", "--builtin", "octonions"),
                      ("check", "--what", "quadratic", "--builtin", "quaternions")):
             code, _ = run_cli(*argv)
@@ -496,16 +499,16 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     import random
 
     from divalg import modkernel
+    from test_modkernel import dense_to_sparse
 
     rng = random.Random(5)
     nrows, rank, dim = 2100, 140, 10  # wider than two panels of 64 columns
     mix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
-    coo = []
-    for r in range(nrows):
+    rows = []
+    for _ in range(nrows):
         row = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(rank)]
-        row += [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)]
-        coo += [(r, c, v) for c, v in enumerate(row) if v]
-    mat = modkernel.SparseIntMatrix(nrows, rank + dim, coo)
+        rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
+    mat = dense_to_sparse(rows)
     # the row blocks: max(live // 2, 64) rows each, with live the kernel
     # dimension of the rows before them (rank + dim before the first);
     # every row block has a nonzero row, and the first rows have full rank

@@ -21,7 +21,7 @@ from divalg.dissident import (
     seeded_rng,
     triple_morphism_check,
 )
-from divalg.exact import Matrix, dot, primitive_vector
+from divalg.exact import DimensionError, Matrix, dot, primitive_vector
 from divalg.octonion import extend_quaternion_automorphism, rotation_from_quaternion, vector_product
 
 
@@ -40,6 +40,19 @@ def test_tensor_invariants():
         DissidentMap(3, bad)
     with pytest.raises(InvariantViolation):
         DissidentMap(5, [[[0] * 5] * 5] * 5)
+
+
+def test_oversized_tensor_is_rejected():
+    # a fourth plane and a fourth cell in a plane were sliced off, which
+    # left cross3
+    t = [[list(cell) for cell in plane] + [[0] * 3] for plane in cross_product_map(3).tensor]
+    t.append([[0] * 3 for _ in range(4)])
+    with pytest.raises(DimensionError, match="tensor is not n x n x n"):
+        DissidentMap(3, t)
+    t = [[list(cell) for cell in plane] for plane in cross_product_map(3).tensor]
+    t[1].append([0] * 3)
+    with pytest.raises(DimensionError, match="tensor is not n x n x n"):
+        DissidentMap(3, t)
 
 
 def test_eval_eta_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from divalg import modkernel
@@ -28,16 +29,16 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
-    _assemble_coo,
     _sample_failures,
     _sample_lines,
     _sparse_system,
 )
 from divalg.exact import Matrix, integer_tensor, primitive_vector
-from divalg.modkernel import SparseIntMatrix, sparse_kernel
+from divalg.modkernel import sparse_kernel
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
 from divalg.serialize import canonical_json, lifting_to_json
 from test_dissident import ONE, TWO, scaled_map
+from test_modkernel import cells_to_sparse
 from test_poly import evaluate
 
 
@@ -60,13 +61,23 @@ def zero_map(n):
 
 def build_constraint_system(eta, d):
     """The divided constraint matrix at degree d as a dense exact Matrix,
-    assembled from eta's rational tensor: the reference for the solver's
-    sparse integer system."""
-    coo, nrows, ncols = _assemble_coo(eta, d, eta.tensor)
-    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for r, c, v in coo:
-        grid[r][c] += v
-    return Matrix(grid)
+    from polynomial arithmetic on eta's rational tensor: the reference for
+    the solver's sparse integer system.  Column (k, m) holds, one slot j
+    after another, the coefficients of m(v) * <e_k, eta(v ^ e_j)> =
+    m * sum_i t[i][j][k] x_i over the degree-(d+1) monomials."""
+    n, t = eta.n, eta.tensor
+    rows_monos = monomials(n, d + 1)
+    columns = []
+    for k in range(n):
+        for m in monomials(n, d):
+            column = []
+            for j in range(n):
+                slot = sum((HomogeneousPoly.variable(n, i).scale(t[i][j][k]) for i in range(n)),
+                           HomogeneousPoly.zero(n, 1))
+                product = HomogeneousPoly.monomial(n, m) * slot
+                column += [product.terms.get(r, 0) for r in rows_monos]
+            columns.append(column)
+    return Matrix.from_columns(columns)
 
 
 def identity_coefficients(n, d=1):
@@ -97,10 +108,11 @@ def test_zero_map_gives_zero_matrix():
 
 
 def test_dense_and_sparse_systems_agree():
-    eta = cross_product_map(3)
-    for d in (1, 2):
+    for n, d in ((3, 1), (3, 2), (7, 1)):
+        eta = cross_product_map(n)
         dense = build_constraint_system(eta, d)
         sparse = _sparse_system(eta, d)
+        assert (sparse.nrows, sparse.ncols) == (dense.rows, dense.cols)
         for r in range(dense.rows):
             lo, hi = int(sparse.indptr[r]), int(sparse.indptr[r + 1])
             row = {int(sparse.indices[t]): sparse.data[t] for t in range(lo, hi)}
@@ -137,6 +149,20 @@ def test_system_bytes_are_frozen(conjugate_bent_tensor, name, d):
     else:
         eta = named_map(name, conjugate_bent_tensor)
     assert system_digest(_sparse_system(eta, d)) == SYSTEM_SHA256[name, d]
+
+
+def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
+    # eta times 2**70 has entries past int64: the same cells hold Python
+    # ints, and the scan finds the same lifting
+    eta = DissidentMap(7, conjugate_bent_tensor)
+    big = DissidentMap(7, [[[x * 2 ** 70 for x in cell] for cell in plane]
+                           for plane in conjugate_bent_tensor])
+    small, large = _sparse_system(eta, 1), _sparse_system(big, 1)
+    assert small.data.dtype == np.int64 and large.data.dtype == object
+    assert np.array_equal(small.indptr, large.indptr)
+    assert np.array_equal(small.indices, large.indices)
+    lifting, scan, _ = solve_lifting_scan(eta, samples=16, seed=3)
+    assert solve_lifting_scan(big, samples=16, seed=3)[:2] == (lifting, scan)
 
 
 def test_solve_cross_products_degree_one_identity():
@@ -442,7 +468,7 @@ def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows
-        assert sparse_kernel(SparseIntMatrix(nrows, ncols, coo)) == sparse_kernel(divided)
+        assert sparse_kernel(cells_to_sparse(nrows, ncols, coo)) == sparse_kernel(divided)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)

@@ -17,14 +17,16 @@ from divalg.modkernel import (
 )
 
 
+def cells_to_sparse(nrows, ncols, cells):
+    """A SparseIntMatrix from (row, col, value) cells, the values of any
+    size: the one place the tests call its constructor."""
+    rows, cols, values = zip(*cells) if cells else ((), (), ())
+    return SparseIntMatrix(nrows, ncols, rows, cols, np.array(values, dtype=object))
+
+
 def dense_to_sparse(rows):
-    coo = [
-        (r, c, v)
-        for r, row in enumerate(rows)
-        for c, v in enumerate(row)
-        if v
-    ]
-    return SparseIntMatrix(len(rows), len(rows[0]), coo)
+    cells = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+    return cells_to_sparse(len(rows), len(rows[0]), cells)
 
 
 def product(mat, v):
@@ -42,21 +44,41 @@ def test_exact_product_matches_python():
 
 def test_exact_product_bigint_path():
     big = 2 ** 70
-    mat = SparseIntMatrix(2, 2, [(0, 0, big), (1, 1, -big)])
+    mat = cells_to_sparse(2, 2, [(0, 0, big), (1, 1, -big)])
     assert product(mat, [1, 2]) == [big, -2 * big]
 
 
 def test_exact_product_leaves_int64_before_it_can_wrap():
     # 2**40 * 2**30 = 2**70 wraps to 0 in int64; 2**31 * 2**33 - 2**64 is 0,
     # but 2**64 does not fit in int64
-    assert not SparseIntMatrix(1, 1, [(0, 0, 2 ** 40)]).annihilates([(2 ** 30,)])
-    wide = SparseIntMatrix(1, 2, [(0, 0, 2 ** 31), (0, 1, -1)])
+    assert not cells_to_sparse(1, 1, [(0, 0, 2 ** 40)]).annihilates([(2 ** 30,)])
+    wide = cells_to_sparse(1, 2, [(0, 0, 2 ** 31), (0, 1, -1)])
     assert wide.annihilates([(2 ** 33, 2 ** 64)])
     assert product(wide, [2 ** 33, 2 ** 64 + 1]) == [-1]
 
 
+@pytest.mark.parametrize("scale", [1, 2 ** 70])
+def test_cell_order_does_not_matter(scale):
+    # the constructor orders the cells by row, then column, itself: any
+    # order of the same cells gives the same CSR arrays; rows 40-44 are empty
+    rng = random.Random(17)
+    cells = [(r, c, scale * rng.choice((-1, 1)) * rng.randint(1, 9))
+             for r in range(40) for c in range(30) if rng.random() < 0.2]
+    want = cells_to_sparse(45, 30, cells)
+    assert want.data.dtype == (np.int64 if scale == 1 else object)
+    assert want.indptr.tolist() == [sum(r < t for r, _, _ in cells) for t in range(46)]
+    assert list(zip(np.repeat(np.arange(45), np.diff(want.indptr)).tolist(),
+                    want.indices.tolist(), want.data.tolist())) == sorted(cells)
+    for _ in range(3):
+        rng.shuffle(cells)
+        got = cells_to_sparse(45, 30, cells)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_kernel_zero_matrix_is_identity_basis():
-    mat = SparseIntMatrix(4, 3, [])
+    mat = cells_to_sparse(4, 3, [])
     assert sparse_kernel(mat) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -117,7 +139,7 @@ def test_kernel_survives_residue_wraparound():
 def test_wide_zero_matrix_kernel():
     # kernel wider than one elimination block: full identity basis comes back
     ncols = 2500
-    mat = SparseIntMatrix(1, ncols, [])
+    mat = cells_to_sparse(1, ncols, [])
     kernel = sparse_kernel(mat)
     assert len(kernel) == ncols
     for i in (0, 1234, 2499):
@@ -234,7 +256,7 @@ def test_too_small_a_modulus_fails_verification_not_reconstruction():
     basis, pivots = modkernel._kernel_mod_p(mat, p)
     candidate = modkernel._reconstruct_basis([(p, basis)], pivots)
     assert candidate is not None
-    assert modkernel._verify_candidate(mat, candidate, pivots) is None
+    assert not modkernel._verify_candidate(mat, candidate)
     with pytest.raises(ModularKernelError):
         sparse_kernel(mat, primes=PRIMES[:1])
     assert sparse_kernel(mat) == _sympy_kernel(rows) == [tuple(phi)]

@@ -15,7 +15,7 @@ from divalg.dissident import (
     seeded_rng,
     triple_morphism_check,
 )
-from divalg.exact import Matrix, dot
+from divalg.exact import DimensionError, Matrix, dot
 from divalg.octonion import NotUnital, extend_quaternion_automorphism, rotation_from_quaternion
 from divalg.qda import (
     AlgebraPresentation,
@@ -36,6 +36,19 @@ from test_octonion import matrix_algebra
 
 def e(i, dim):
     return tuple(Fraction(int(i == t)) for t in range(dim))
+
+
+def test_oversized_structure_constants_are_rejected():
+    # a fifth cell in a plane of the quaternion table was sliced off
+    alg = quaternion_algebra()
+    table = [[list(cell) for cell in plane] for plane in alg.constants]
+    table[1].append([0] * 4)
+    with pytest.raises(DimensionError, match="structure constants are not dim"):
+        AlgebraPresentation(table, alg.unity)
+    table = [[list(cell) for cell in plane] for plane in alg.constants]
+    table[2][3].append(0)
+    with pytest.raises(DimensionError, match="structure constants are not dim"):
+        AlgebraPresentation(table, alg.unity)
 
 
 def test_make_qda_unity_and_squares():

@@ -275,6 +275,34 @@ def test_algebra_dimension_over_the_cap_is_a_parse_error(tmp_path):
         assert main(["check", "--what", "quadratic", "--input", str(path)]) == 2
 
 
+def test_oversized_algebra_table_is_rejected_before_any_scalar(tmp_path, monkeypatch):
+    # a quaternion table with a fifth cell in plane 1 decoded as the
+    # quaternions (the constructor sliced it off), and a 300000-entry cell
+    # or unity (1.5 MB) built all its Fractions before the shape was checked
+    import divalg.serialize as serialize
+
+    parsed = []
+    real = serialize._scalar
+    monkeypatch.setattr(serialize, "_scalar", lambda s: parsed.append(s) or real(s))
+    fifth = algebra_to_json(quaternion_algebra())
+    fifth["structure_constants"][1].append(["0"] * 4)
+    long_cell = algebra_to_json(quaternion_algebra())
+    long_cell["structure_constants"][1][2] += ["0"] * 300000
+    long_unity = algebra_to_json(quaternion_algebra())
+    long_unity["unity"] += ["0"] * 300000
+    for doc, message in ((fifth, "tensor is not n x n x n"),
+                         (long_cell, "tensor is not n x n x n"),
+                         (long_unity, "unity coordinate length mismatch")):
+        with pytest.raises(ParseError) as info:
+            roundtrip(doc)
+        assert str(info.value) == f"bad algebra: {message}"
+    assert parsed == []
+    path = tmp_path / "fifth.json"
+    path.write_text(json.dumps(fifth), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["check", "--what", "quadratic", "--input", str(path)]) == 2
+
+
 def decodes_or_parse_error(text):
     try:
         loads_typed(text)
