@@ -194,6 +194,31 @@ def test_no_lifting_for_zero_map():
         solve_lifting(zero_map(3), samples=8, seed=0)
 
 
+def scan_kernels(eta, max_degree=5):
+    """The exact kernel of each degree's system, d = 1..max_degree, as the
+    scan solves it."""
+    return [sparse_kernel(_sparse_system(eta, d)) for d in range(1, max_degree + 1)]
+
+
+# SHA-256 of repr(scan_kernels(eta)) for maps whose A(u) has rank below
+# n - 1 at every point, so that no eta_P line is defined anywhere
+RANK_DEFICIENT_KERNELS_SHA256 = {
+    "zero3": "18c4c81e96f44756c4cfb1480e764100323e5ae3ab510c94f11ecdf7cb5d8cf2",
+    "one": "135b5187afc118b2e22a5d3d1e226d9c49974680bac8100f6d8c280a36424ba7",
+}
+
+
+@pytest.mark.parametrize("name", RANK_DEFICIENT_KERNELS_SHA256)
+def test_scan_of_a_map_without_lines(name):
+    eta = {"zero3": zero_map(3), "one": ONE}[name]
+    kernels = scan_kernels(eta)
+    digest = hashlib.sha256(repr(kernels).encode("utf-8")).hexdigest()
+    assert digest == RANK_DEFICIENT_KERNELS_SHA256[name]
+    assert all(kernels)
+    with pytest.raises(NoLiftingFound, match=r"^no validated lifting up to degree 5 \(8 "):
+        solve_lifting_scan(eta, samples=8, seed=0)
+
+
 def test_homogeneity_law():
     eta = bent_cross7()
     lifting = solve_lifting(eta, samples=16, seed=0)
