@@ -19,11 +19,28 @@ kernel is computed from the equivalent divided system
 rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
 by the unknown coefficients.  Reports quote the shape of the paper's system
 (degree-(d+3) rows, constraint_shape).  The exact kernel of the divided
-system is computed with a modular pivot pass, kernel elements are checked
+system is computed modulo word-size primes and certified by the exact
+product M phi = 0 (modkernel.sparse_kernel), kernel elements are checked
 exactly against eta_P at seeded sample points (this removes solutions that
 vanish somewhere or pick a wrong line), and the first degree with a
 validated element wins.  Scanning in order makes the returned degree
 minimal by construction.
+
+Modulo each prime the kernel is read off the eta_P lines at points
+instead of eliminating the n*C columns of M, C = monomial_count(n, d)
+(_kernel_at_points).  A kernel vector mod p puts Phi(u) on the kernel line
+of A(u) (below) wherever that matrix has rank n - 1 mod p, so the values
+of one component Phi_k* at C points whose monomial matrix V0 is
+invertible fix every component, and further points give a system in C
+columns.  The map from the kernel to the values of Phi_k* is injective
+(rank n - 1 and an invertible V0), so the subspace solved for contains
+ker(M mod p), and with it the exact kernel's reduction: sparse_kernel's
+sandwich between the verified count and the modular dimension holds
+unchanged, and the exact M phi = 0 remains the only certificate.  A prime
+with too few points of rank n - 1 whose line is nonzero in component k*,
+or with a singular V0, takes the elimination (modkernel._kernel_mod_p),
+and a degree whose ladder ends without a verified candidate is solved
+again by elimination alone.
 
 The pointwise check runs in integers.  Each sample v is replaced by its
 primitive integer point u, and A(u) is the integer matrix whose rows are
@@ -50,6 +67,7 @@ certified symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import NamedTuple
 
@@ -121,6 +139,102 @@ def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
     cols = k[:, None] * C + np.arange(C)
     values = np.repeat(tensor[i, j, k], C)
     return SparseIntMatrix(n * R, n * C, rows.ravel(), cols.ravel(), values)
+
+
+def _degree_kernel(eta: DissidentMap, d):
+    """The exact kernel of the degree-d divided system, as sparse_kernel
+    returns it: each prime's subspace comes from the eta_P lines at points
+    (_kernel_at_points), and if no prime's candidate verifies, the degree
+    is solved again with the elimination of the whole system."""
+    mat = _sparse_system(eta, d)
+    try:
+        return sparse_kernel(mat, solve=partial(_kernel_at_points, integer_tensor(eta.tensor), d))
+    except modkernel.ModularKernelError:
+        return sparse_kernel(mat)
+
+
+def _interpolation_points(n, count, d, p):
+    """``count`` points of (Z/p)^n drawn with the seed (d, p), as an int64
+    array of shape (count, n)."""
+    return np.random.default_rng((d, p)).integers(0, p, size=(count, n), dtype=np.int64)
+
+
+def _kernel_at_points(tensor, d, mat, p):
+    """A subspace of F_p^(n*C) that contains ker(M mod p), for the degree-d
+    system ``mat`` of the integer tensor ``tensor``: the (int64 rows, pivot
+    tuple) of its RREF, or None for {0}.  This is sparse_kernel's solve.
+
+    A kernel vector is a lifting mod p: A(u) Phi(u) = 0 at every point u,
+    with A(u) the matrix of rows eta(u ^ e_j).  At a point u_s where A(u_s)
+    has rank n - 1 mod p its kernel is a line l_s, and Phi(u_s) lies on it.
+    With one component k* such that l_s[k*] != 0 at every point used, and
+    r_(s,k) = l_s[k] / l_s[k*], that says Phi_k(u_s) = r_(s,k) Phi_k*(u_s)
+    for every k.  So the values y = V0 c_k* of Phi_k* at the first C =
+    monomial_count(n, d) points fix every component, c_k = V0^-1 diag(r_k) y,
+    when their monomial matrix V0 is invertible mod p.  Each of E =
+    ceil(C / (n - 1)) + n further points u_e gives the n - 1 rows
+
+        Phi_k(u_e) - r_(e,k) Phi_k*(u_e) = sum_s B[e, s] (r_(s,k) - r_(e,k)) y_s = 0,
+
+    k != k*, with B = V_E V0^-1 the interpolation weights.  Their kernel
+    in C columns, mapped to the coefficient vectors (c_1, ..., c_n), spans
+    the returned subspace.  It contains ker(M mod p), since every kernel
+    vector meets all these conditions and is determined by its y (c_k* =
+    V0^-1 y); with enough points it equals it.  Only the C x 2C inversion
+    and a C-column kernel are eliminated, not the n*C columns of M.
+
+    The points are seeded residues; those where A(u) mod p has rank n - 1
+    are kept, k* is the component nonzero on the most of their lines, and
+    the first C + E points with l_s[k*] != 0 are used.  When fewer are
+    found, or V0 is singular mod p, the prime takes _kernel_mod_p(mat, p).
+    """
+    n = len(tensor)
+    exponents = np.array(monomials(n, d), dtype=np.int64)
+    C = len(exponents)
+    used = C + -(-C // (n - 1)) + n
+    points = _interpolation_points(n, 2 * used, d, p)
+    images = np.tensordot(points, modkernel.residues(tensor, p), axes=(1, 0)) % p
+    ranks, lines = modkernel.rank_mod_p(images, p, kernel=True)
+    defined = np.flatnonzero(ranks == n - 1)
+    star = int(np.argmax(np.count_nonzero(lines[defined], axis=0)))
+    chosen = defined[lines[defined, star] != 0][:used]
+    if len(chosen) < used:
+        return modkernel._kernel_mod_p(mat, p)
+    inverse = np.array([pow(int(x), -1, p) for x in lines[chosen, star]], dtype=np.int64)
+    ratios = (lines[chosen] * inverse[:, None] % p).astype(np.float64)
+    table = _monomial_table_mod(points[chosen], exponents, p)
+    reduced, pivots, _ = modkernel._rref_mod(np.hstack([table[:C], np.eye(C)]), p)
+    if pivots != list(range(C)):
+        return modkernel._kernel_mod_p(mat, p)
+    v0_inverse = reduced[:, C:]
+    weights = modkernel._matmul_mod(table[C:], v0_inverse, p)
+    others = [k for k in range(n) if k != star]
+    gaps = modkernel._reduce(ratios[None, :C, others] - ratios[C:, None, others], p)
+    rows = modkernel._reduce(weights[:, :, None] * gaps, p).transpose(0, 2, 1).reshape(-1, C)
+    reduced, pivots, free = modkernel._rref_mod(np.ascontiguousarray(rows), p)
+    if not free:
+        return None
+    values = modkernel._kernel_from_rref(reduced, pivots, free, p)
+    dim = values.shape[1]
+    scaled = modkernel._reduce(ratios[:C, :, None] * values[:, None, :], p).reshape(C, n * dim)
+    coeffs = modkernel._matmul_mod(v0_inverse, scaled, p).reshape(C, n, dim)
+    basis = np.ascontiguousarray(coeffs.transpose(2, 1, 0).reshape(dim, n * C))
+    reduced, pivots, _ = modkernel._rref_mod(basis, p)
+    return np.asarray(reduced[: len(pivots)], dtype=np.int64), tuple(pivots)
+
+
+def _monomial_table_mod(points, exponents, p):
+    """The monomials with exponent rows ``exponents`` (an int array of shape
+    (M, n)) at the residue points ``points`` (int64, shape (S, n)), mod p,
+    as a float64 array of shape (S, M)."""
+    top = int(exponents.max(initial=0))
+    powers = np.ones(points.shape + (top + 1,), dtype=np.int64)
+    for e in range(1, top + 1):
+        powers[:, :, e] = powers[:, :, e - 1] * points % p
+    table = np.ones((len(points), len(exponents)), dtype=np.int64)
+    for i in range(points.shape[1]):
+        table = table * powers[:, i, exponents[:, i]] % p
+    return table.astype(np.float64)
 
 
 def _components_from_vector(n, d, vec):
@@ -292,6 +406,17 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     means a lower-degree solution the scan missed.  Deterministic given
     (eta, seed).
 
+    Each degree's kernel is exact and certified by M phi = 0.  Modulo each
+    prime it is solved from the eta_P lines at points, in C columns
+    (_kernel_at_points): the subspace solved for contains ker(M mod p),
+    since a kernel vector is fixed by its component k*'s values at C points
+    and lies on the line at every point, so the sandwich of sparse_kernel
+    holds as for the elimination.  A prime without enough points of rank
+    n - 1, or with a singular monomial matrix at the first C of them, is
+    eliminated instead, and so is a degree whose ladder ends without a
+    verified candidate (_degree_kernel).  The report does not depend on
+    which of the two a prime took.
+
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a
     positive pivot entry, and a row is zero before its pivot column.  The
@@ -307,7 +432,7 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     scan = []
     lines = None
     for d in range(1, max_degree + 1):
-        kernel = sparse_kernel(_sparse_system(eta, d))
+        kernel = _degree_kernel(eta, d)
         rows, cols = constraint_shape(eta.n, d)
         entry = {
             "degree": d,

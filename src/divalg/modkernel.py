@@ -29,6 +29,18 @@ Unlucky primes can only make the modular kernel too big, never too small,
 and any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.
 
+The same holds for any subspace of F_p^ncols that contains ker(M mod p),
+so sparse_kernel can take each prime's subspace from a caller's solve
+instead of eliminating M.  The exact kernel reduces injectively into the
+subspace, whose dimension is therefore at least dim ker(M); a subspace of
+exactly that dimension is the reduction itself.  Its structure is never
+below the exact one, and only a verified candidate is returned.  The
+degree scan's solve (lifting._kernel_at_points) reads the subspace off
+the eta_P lines at points, in monomial_count(n, d) columns instead of
+n times as many.  A prime it cannot serve (too few points with a line, or
+a singular monomial matrix) takes _kernel_mod_p, and a degree whose
+ladder ends without a verified candidate is solved again by elimination.
+
 The same fact screens the sampled checks.  A nonzero rational multiple
 of a table or a draw has the same ranks, so each check screens integer
 multiples, and reduction mod p is a ring map on the integers: a minor of
@@ -371,20 +383,32 @@ def residues(ints, p):
     return np.mod(np.array(ints, dtype=object), p).astype(np.int64)
 
 
-def rank_mod_p(mats, p):
+def rank_mod_p(mats, p, kernel=False):
     """Ranks mod p of a batch of matrices: an int64 array of shape (batch,).
+    With ``kernel``, also a nonzero kernel vector mod p of each matrix of
+    rank below cols (0 at full rank), as (ranks, int64 array of shape
+    (batch, cols)); at rank cols - 1 it spans the kernel line.
 
     ``mats`` is an integer array of shape (batch, rows, cols).  Each step
     eliminates below the pivot without division, row_i <- pivot * row_i -
     row_i[c] * row_pivot, which keeps the rank.  Both products are below
     p**2 and their difference above -p**2, so int64 arithmetic is exact for
     p < 3.03e9 (p**2 < 2**63); every prime of PRIMES is below 1.4e6.
+
+    The kernel vector is back-substituted from the echelon form, also
+    without division: x is 1 on the last free column and 0 on the others,
+    and for the pivot rows t from the last up, with pivot pi in column c
+    and S = sum_j m[t, j] x[j] (x[c] still 0), x <- pi * x and then x[c] =
+    -S.  Row t then gives pi * (-S) + pi * S = 0, scaling keeps the rows
+    below it at 0, and x stays nonzero on the free column.  Each sum has
+    cols terms below p**2, exact in int64 for cols < 2**63 / p**2.
     """
     if p * p >= 2 ** 63:
         raise ValueError(f"p = {p} overflows int64 products")
     m = np.mod(mats, p).astype(np.int64)
     batch, rows, cols = m.shape
     rank = np.zeros(batch, dtype=np.int64)
+    pivot_cols = np.zeros((batch, rows), dtype=np.int64)
     row_index = np.arange(rows)
     for c in range(cols):
         live = (m[:, :, c] != 0) & (row_index >= rank[:, None])
@@ -399,8 +423,27 @@ def rank_mod_p(mats, p):
         reduced = (pivot[:, c, None, None] * sub - sub[:, :, c, None] * pivot[:, None, :]) % p
         below = row_index > r[:, None]
         m[found] = np.where(below[:, :, None], reduced, sub)
+        pivot_cols[found, r] = c
         rank[found] += 1
-    return rank
+    if not kernel:
+        return rank
+    x = np.zeros((batch, cols), dtype=np.int64)
+    is_pivot = np.zeros((batch, cols), dtype=bool)
+    for t in range(rows):
+        is_pivot[rank > t, pivot_cols[rank > t, t]] = True
+    deficient = np.flatnonzero(rank < cols)
+    last_free = cols - 1 - np.argmin(is_pivot[deficient, ::-1], axis=1)
+    x[deficient, last_free] = 1
+    for t in range(rows - 1, -1, -1):
+        b = np.flatnonzero(rank > t)
+        if b.size == 0:
+            continue
+        c = pivot_cols[b, t]
+        row = m[b, t]
+        total = (row * x[b]).sum(axis=1) % p
+        x[b] = x[b] * row[np.arange(b.size), c, None] % p
+        x[b, c] = -total % p
+    return rank, x
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +627,7 @@ def _off_pivot(ncols, pivots):
     return sorted(set(range(ncols)).difference(pivots))
 
 
-def sparse_kernel(mat, primes=PRIMES):
+def sparse_kernel(mat, primes=PRIMES, solve=None):
     """Exact canonical kernel basis of a SparseIntMatrix.
 
     Returns primitive integer vectors (content 1, positive leading entry),
@@ -592,9 +635,16 @@ def sparse_kernel(mat, primes=PRIMES):
     the kernel is {0}.  Deterministic: the prime ladder is fixed and every
     returned basis is exactly verified.
 
+    ``solve(mat, p)`` gives each prime's subspace as _kernel_mod_p does:
+    the (int64 rows, pivot tuple) of its RREF, or None for {0}.  It
+    defaults to _kernel_mod_p, the kernel of M mod p itself; any subspace
+    that contains that kernel will do, because everything below only needs
+    the exact kernel's reduction mod p inside it.
+
     A prime's kernel RREF has structure (dim, pivots), never below the
     exact one: mod p the kernel only grows and column-prefix ranks only
-    drop.  The primes of the least structure so far are CRT-combined.  If
+    drop, and a subspace that contains it has a larger dim or is the
+    kernel itself.  The primes of the least structure so far are CRT-combined.  If
     it is the exact one, they all reduce the same rational RREF, so they
     give the exact basis once their product passes a bound set by that
     RREF's rows alone (_common_denominator); a prime of the same structure
@@ -605,7 +655,7 @@ def sparse_kernel(mat, primes=PRIMES):
     best = None
     collected = []
     for p in primes:
-        result = _kernel_mod_p(mat, p)
+        result = (solve or _kernel_mod_p)(mat, p)
         if result is None:
             return []
         rows, pivots = result

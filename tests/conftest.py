@@ -59,10 +59,11 @@ def rand5():
     """Degree-5 input: a seeded random antisymmetric structure tensor, as
     (map, lifting, scan report, seconds the scan took).
 
-    Also the timing probe for the full d = 1..5 scan: every constraint
-    system (reported in the paper's shape, up to 21021 x 3234; solved in
-    the divided form, up to 6468 x 3234) is eliminated before the kernel
-    appears at d = 5.
+    Also the timing probe for the full d = 1..5 scan: the kernel of every
+    constraint system (reported in the paper's shape, up to 21021 x 3234;
+    solved in the divided form, up to 6468 x 3234) is computed before one
+    appears at d = 5, each prime's from the eta_P lines at points, in at
+    most 462 columns instead of 3234.
     """
     from divalg.dissident import DissidentMap, dissidence_falsify, seeded_rng
     from divalg.lifting import solve_lifting_scan

@@ -29,6 +29,8 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
+    _degree_kernel,
+    _interpolation_points,
     _sample_failures,
     _sample_lines,
     _sparse_system,
@@ -197,7 +199,21 @@ def test_no_lifting_for_zero_map():
 def scan_kernels(eta, max_degree=5):
     """The exact kernel of each degree's system, d = 1..max_degree, as the
     scan solves it."""
-    return [sparse_kernel(_sparse_system(eta, d)) for d in range(1, max_degree + 1)]
+    return [_degree_kernel(eta, d) for d in range(1, max_degree + 1)]
+
+
+def counting_elimination(monkeypatch):
+    """Count the calls of modkernel._kernel_mod_p, the elimination of the
+    whole system, in the list this returns."""
+    calls = []
+    eliminate = modkernel._kernel_mod_p
+
+    def counted(mat, p):
+        calls.append(p)
+        return eliminate(mat, p)
+
+    monkeypatch.setattr(modkernel, "_kernel_mod_p", counted)
+    return calls
 
 
 # SHA-256 of repr(scan_kernels(eta)) for maps whose A(u) has rank below
@@ -209,12 +225,15 @@ RANK_DEFICIENT_KERNELS_SHA256 = {
 
 
 @pytest.mark.parametrize("name", RANK_DEFICIENT_KERNELS_SHA256)
-def test_scan_of_a_map_without_lines(name):
+def test_scan_of_a_map_without_lines(monkeypatch, name):
+    # no point has a line, so every prime of every degree is eliminated
     eta = {"zero3": zero_map(3), "one": ONE}[name]
+    eliminated = counting_elimination(monkeypatch)
     kernels = scan_kernels(eta)
     digest = hashlib.sha256(repr(kernels).encode("utf-8")).hexdigest()
     assert digest == RANK_DEFICIENT_KERNELS_SHA256[name]
     assert all(kernels)
+    assert len(eliminated) == 5
     with pytest.raises(NoLiftingFound, match=r"^no validated lifting up to degree 5 \(8 "):
         solve_lifting_scan(eta, samples=8, seed=0)
 
@@ -359,9 +378,16 @@ def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
         3: [coefficient_vector([norm * xi for xi in x])],
     }
     by_cols = {n * monomial_count(n, d): kernel for d, kernel in planted.items()}
-    monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: by_cols[mat.ncols])
+    solves = []
+
+    def planted_kernel(mat, solve=None):
+        solves.append(solve)
+        return by_cols[mat.ncols]
+
+    monkeypatch.setattr("divalg.lifting.sparse_kernel", planted_kernel)
     with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
         solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
+    assert len(solves) == 3 and None not in solves
 
 
 # SHA-256 of canonical_json(lifting_to_json(...)) of the rand5 lifting.  Its
@@ -379,12 +405,25 @@ def test_rand5_lifting_bytes_are_frozen(rand5):
 
 def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     # every kernel of the scan and the sample screen run on the ladder
-    # reversed: the scan report and the lifting's bytes must not change
+    # reversed: the scan report and the lifting's bytes must not change.
+    # Each kernel keeps the scan's solve from the eta_P lines at points, and
+    # no prime falls back to the elimination of the whole system.
     eta, lifting, scan, _ = rand5
     ladder = modkernel.PRIMES[::-1]
-    monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda mat: sparse_kernel(mat, ladder))
+    solves = []
+
+    def reversed_ladder(mat, solve=None):
+        solves.append(solve)
+        return sparse_kernel(mat, ladder, solve)
+
+    def no_elimination(mat, p):
+        raise AssertionError("a prime fell back to the elimination")
+
+    monkeypatch.setattr("divalg.lifting.sparse_kernel", reversed_ladder)
+    monkeypatch.setattr(modkernel, "_kernel_mod_p", no_elimination)
     monkeypatch.setattr(modkernel, "SCREEN_PRIME", ladder[0])
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=0)
+    assert len(solves) == 5 and None not in solves
     assert rescan == scan
     assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
@@ -604,3 +643,95 @@ def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, mon
             for kind, comps in _candidates(phi).items():
                 assert _sample_failures(comps, lines) == expected[kind], (name, prime, kind)
             monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# differential: each prime's subspace from the eta_P lines at points against
+# the elimination of the whole system
+
+# map name -> the kernel dimension of the scan at d = 1, 2, ...
+POINT_SOLVE_KERNEL_DIMS = {
+    "cross3": (1,),
+    "cross7": (1, 7),
+    "conjugate": (0, 0, 1),
+    "quadruple0": (1,),
+    "rand5": (0, 0, 0, 0, 1),
+}
+
+
+def recorded_solves(monkeypatch, eta, d):
+    """The scan's kernel at degree d, with the (prime, result) of every
+    solve its sparse_kernel was given and the primes that were eliminated."""
+    solves = []
+
+    def recording(mat, primes=modkernel.PRIMES, solve=None):
+        if solve is None:
+            return sparse_kernel(mat, primes)
+
+        def recorded(mat, p):
+            solves.append((p, solve(mat, p)))
+            return solves[-1][1]
+        return sparse_kernel(mat, primes, recorded)
+
+    with monkeypatch.context() as m:
+        m.setattr("divalg.lifting.sparse_kernel", recording)
+        eliminated = counting_elimination(m)
+        kernel = _degree_kernel(eta, d)
+    return kernel, solves, eliminated
+
+
+@pytest.mark.parametrize("name", POINT_SOLVE_KERNEL_DIMS)
+def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, monkeypatch, name):
+    eta = rand5[0] if name == "rand5" else named_map(name, conjugate_bent_tensor)
+    for d, dim in enumerate(POINT_SOLVE_KERNEL_DIMS[name], start=1):
+        kernel, solves, eliminated = recorded_solves(monkeypatch, eta, d)
+        assert len(kernel) == dim and solves and not eliminated
+        mat = _sparse_system(eta, d)
+        for p, result in solves:
+            expected = modkernel._kernel_mod_p(mat, p)
+            if expected is None:
+                assert result is None, (name, d, p)
+            else:
+                assert result[1] == expected[1], (name, d, p)
+                assert np.array_equal(result[0], expected[0]), (name, d, p)
+
+
+def test_points_solve_falls_back_when_v0_is_singular(monkeypatch):
+    # a repeated first point makes the monomial matrix of the first C points
+    # singular for every prime, so the first prime is eliminated, and its
+    # kernel verifies
+    eta = cross_product_map(7)
+    draw = _interpolation_points
+
+    def repeated(n, count, d, p):
+        points = draw(n, count, d, p)
+        points[1] = points[0]
+        return points
+
+    expected = sparse_kernel(_sparse_system(eta, 2))
+    monkeypatch.setattr("divalg.lifting._interpolation_points", repeated)
+    eliminated = counting_elimination(monkeypatch)
+    assert _degree_kernel(eta, 2) == expected
+    assert len(expected) == 7 and eliminated == [modkernel.PRIMES[0]]
+
+
+def test_degree_reruns_on_the_elimination_when_no_prime_verifies(monkeypatch):
+    # further points that repeat the first C add no condition, so every
+    # prime's subspace is the 3-dimensional set of all Phi on the first
+    # points' lines, which contains the kernel (x0, x1, x2) but is larger:
+    # no candidate verifies, the ladder ends, and the degree is eliminated
+    eta = cross_product_map(3)
+    draw = _interpolation_points
+
+    def repeating(n, count, d, p):
+        points = draw(n, count, d, p)
+        first = monomial_count(n, d)
+        points[first:] = points[np.arange(first, count) % first]
+        return points
+
+    monkeypatch.setattr("divalg.lifting._interpolation_points", repeating)
+    kernel, solves, eliminated = recorded_solves(monkeypatch, eta, 1)
+    assert kernel == [tuple(identity_coefficients(3))]
+    assert [p for p, _ in solves] == list(modkernel.PRIMES)
+    assert all(result[0].shape[0] == 3 for _, result in solves)
+    assert eliminated == [modkernel.PRIMES[0]]

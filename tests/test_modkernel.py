@@ -322,6 +322,21 @@ def test_rank_mod_p_matches_exact_rank():
         rank_mod_p(mats, 4294967311)  # p**2 overflows int64
 
 
+@pytest.mark.parametrize("p", [PRIMES[0], 5])
+def test_rank_mod_p_kernel_vectors(p):
+    # products of 4xr and rx4 matrices, r = 0..4: the ranks are those
+    # without the kernel, and the vector is nonzero exactly below full rank
+    # and annihilated mod p, so at rank 3 it spans the kernel line
+    rng = np.random.default_rng(11)
+    mats = np.array([rng.integers(-3, 4, (4, t % 5)) @ rng.integers(-3, 4, (t % 5, 4))
+                     for t in range(200)], dtype=np.int64)
+    ranks, vectors = rank_mod_p(mats, p, kernel=True)
+    assert ranks.tolist() == rank_mod_p(mats, p).tolist()
+    assert set(ranks.tolist()) == {0, 1, 2, 3, 4}
+    assert ((vectors != 0).any(axis=1) == (ranks < 4)).all()
+    assert not (np.einsum("bij,bj->bi", mats, vectors) % p).any()
+
+
 @pytest.mark.parametrize("p", [PRIMES[0], 3])
 def test_reduce_is_exact_over_its_range(p):
     # the floor(x/p) reduction must agree with integer % on every value
