@@ -154,9 +154,11 @@ def _degree_kernel(eta: DissidentMap, d):
 
 
 def _interpolation_points(n, count, d, p):
-    """``count`` points of (Z/p)^n drawn with the seed (d, p), as an int64
-    array of shape (count, n)."""
-    return np.random.default_rng((d, p)).integers(0, p, size=(count, n), dtype=np.int64)
+    """``count`` points of (Z/p)^n drawn from a stream keyed by d and p, as
+    an int64 array of shape (count, n)."""
+    rng = seeded_rng(0, "interpolation-points", str(d), str(p))
+    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(count)],
+                    dtype=np.int64).reshape(count, n)
 
 
 def _kernel_at_points(tensor, d, mat, p):
@@ -183,10 +185,11 @@ def _kernel_at_points(tensor, d, mat, p):
     V0^-1 y); with enough points it equals it.  Only the C x 2C inversion
     and a C-column kernel are eliminated, not the n*C columns of M.
 
-    The points are seeded residues; those where A(u) mod p has rank n - 1
-    are kept, k* is the component nonzero on the most of their lines, and
-    the first C + E points with l_s[k*] != 0 are used.  When fewer are
-    found, or V0 is singular mod p, the prime takes _kernel_mod_p(mat, p).
+    Twice C + E seeded residue points are drawn; those where A(u) mod p
+    has rank n - 1 are kept, k* is the component nonzero on the most of
+    their lines, and the first C + E points with l_s[k*] != 0 are used.
+    When fewer are found, or V0 is singular mod p, the prime takes
+    _kernel_mod_p(mat, p).
     """
     n = len(tensor)
     exponents = np.array(monomials(n, d), dtype=np.int64)
@@ -211,14 +214,14 @@ def _kernel_at_points(tensor, d, mat, p):
     others = [k for k in range(n) if k != star]
     gaps = modkernel._reduce(ratios[None, :C, others] - ratios[C:, None, others], p)
     rows = modkernel._reduce(weights[:, :, None] * gaps, p).transpose(0, 2, 1).reshape(-1, C)
-    reduced, pivots, free = modkernel._rref_mod(np.ascontiguousarray(rows), p)
+    reduced, pivots, free = modkernel._rref_mod(rows, p)
     if not free:
         return None
     values = modkernel._kernel_from_rref(reduced, pivots, free, p)
     dim = values.shape[1]
     scaled = modkernel._reduce(ratios[:C, :, None] * values[:, None, :], p).reshape(C, n * dim)
     coeffs = modkernel._matmul_mod(v0_inverse, scaled, p).reshape(C, n, dim)
-    basis = np.ascontiguousarray(coeffs.transpose(2, 1, 0).reshape(dim, n * C))
+    basis = coeffs.transpose(2, 1, 0).reshape(dim, n * C)
     reduced, pivots, _ = modkernel._rref_mod(basis, p)
     return np.asarray(reduced[: len(pivots)], dtype=np.int64), tuple(pivots)
 

@@ -409,6 +409,7 @@ def rank_mod_p(mats, p, kernel=False):
     batch, rows, cols = m.shape
     rank = np.zeros(batch, dtype=np.int64)
     pivot_cols = np.zeros((batch, rows), dtype=np.int64)
+    free = np.ones((batch, cols), dtype=bool)
     row_index = np.arange(rows)
     for c in range(cols):
         live = (m[:, :, c] != 0) & (row_index >= rank[:, None])
@@ -424,16 +425,13 @@ def rank_mod_p(mats, p, kernel=False):
         below = row_index > r[:, None]
         m[found] = np.where(below[:, :, None], reduced, sub)
         pivot_cols[found, r] = c
+        free[found, c] = False
         rank[found] += 1
     if not kernel:
         return rank
     x = np.zeros((batch, cols), dtype=np.int64)
-    is_pivot = np.zeros((batch, cols), dtype=bool)
-    for t in range(rows):
-        is_pivot[rank > t, pivot_cols[rank > t, t]] = True
     deficient = np.flatnonzero(rank < cols)
-    last_free = cols - 1 - np.argmin(is_pivot[deficient, ::-1], axis=1)
-    x[deficient, last_free] = 1
+    x[deficient, cols - 1 - np.argmax(free[deficient, ::-1], axis=1)] = 1
     for t in range(rows - 1, -1, -1):
         b = np.flatnonzero(rank > t)
         if b.size == 0:
@@ -644,13 +642,14 @@ def sparse_kernel(mat, primes=PRIMES, solve=None):
     A prime's kernel RREF has structure (dim, pivots), never below the
     exact one: mod p the kernel only grows and column-prefix ranks only
     drop, and a subspace that contains it has a larger dim or is the
-    kernel itself.  The primes of the least structure so far are CRT-combined.  If
-    it is the exact one, they all reduce the same rational RREF, so they
-    give the exact basis once their product passes a bound set by that
-    RREF's rows alone (_common_denominator); a prime of the same structure
-    only raises the product.  If not, nothing verifies: dim independent
-    kernel vectors in RREF form with pivots P would make P the exact
-    pivots.  So no subset of the primes is worth a second attempt.
+    kernel itself.  The primes of the least structure so far are
+    CRT-combined.  If it is the exact one, they all reduce the same
+    rational RREF, so they give the exact basis once their product passes
+    a bound set by that RREF's rows alone (_common_denominator); a prime of
+    the same structure only raises the product.  If not, nothing verifies:
+    dim independent kernel vectors in RREF form with pivots P would make P
+    the exact pivots.  So no subset of the primes is worth a second
+    attempt.
     """
     best = None
     collected = []
