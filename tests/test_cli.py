@@ -481,6 +481,39 @@ def test_rejected_sources_exit_2(tmp_path, monkeypatch, conjugate_bent_tensor, a
     assert "parse error" in report["error"]
 
 
+# the exit code of a morphism check from each source, into cross7 by I7
+# (--kind triple) or into the octonions by I8 (--kind algebra)
+MORPHISM_EXIT_CODES = {
+    ("triple", "cross7"): 0,
+    ("triple", "cross3"): 2,
+    ("triple", "octonions"): 2,
+    ("triple", "identity-quadruple"): 0,
+    ("triple", "triple.json"): 0,
+    ("triple", "quad.json"): 2,
+    ("triple", "bent3.json"): 2,
+    ("triple", "partial.json"): 2,
+    ("triple", "zeroeta.json"): 2,
+    ("algebra", "cross7"): 0,
+    ("algebra", "octonions"): 0,
+    ("algebra", "quaternions"): 2,
+    ("algebra", "identity-quadruple"): 2,
+    ("algebra", "triple.json"): 0,
+    ("algebra", "quad.json"): 2,
+    ("algebra", "bent3.json"): 2,
+    ("algebra", "zeroeta.json"): 1,
+}
+
+
+@pytest.mark.parametrize("kind,src", MORPHISM_EXIT_CODES,
+                         ids=[" ".join(key) for key in MORPHISM_EXIT_CODES])
+def test_morphism_exit_codes(tmp_path, monkeypatch, conjugate_bent_tensor, kind, src):
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    monkeypatch.chdir(tmp_path)
+    dst, f = ("cross7", "I7.json") if kind == "triple" else ("octonions", "I8.json")
+    code, _ = run_cli("morphism", "--kind", kind, "--src", src, "--dst", dst, "--f", f)
+    assert code == MORPHISM_EXIT_CODES[kind, src]
+
+
 def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
     # a renamed or reshaped entry point would read null in the benchmark's
     # per-layer metrics; its hooks run on a small traced lift

@@ -17,6 +17,7 @@ from divalg.dissident import (
     eval_eta,
     quadruple_to_triple,
     random_quadruple,
+    sample_fraction,
     sample_vector,
     seeded_rng,
     triple_morphism_check,
@@ -285,3 +286,16 @@ def test_sampling_determinism():
     b = dissidence_falsify(zero_map(3), 5, 123)
     assert a == b
     assert random_quadruple(7).d == random_quadruple(7).d
+
+
+@pytest.mark.parametrize("label", ["dissidence", "division", "lifting-points"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_fraction_follows_the_randint_stream(seed, label):
+    # the frozen witnesses, liftings and digests were drawn as
+    # Fraction(randint(-8, 8), randint(1, 3)); the sampler must give the
+    # same values and leave the generator in the same state
+    rng, reference = seeded_rng(seed, label), seeded_rng(seed, label)
+    for _ in range(10_000):
+        assert sample_fraction(rng) == Fraction(reference.randint(-8, 8),
+                                                reference.randint(1, 3))
+    assert rng.getstate() == reference.getstate()
