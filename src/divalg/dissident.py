@@ -187,13 +187,33 @@ def seeded_rng(seed, *labels) -> random.Random:
     return random.Random(":".join(["divalg", str(seed), *labels]))
 
 
+# The 51 values of Fraction(num, den), num in -8..8 and den in 1..3, indexed
+# by (num + 8, den - 1).
+_FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in range(-8, 9))
+
+
 def sample_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+    """Fraction(rng.randint(-8, 8), rng.randint(1, 3)), drawn as randint
+    draws it and read from a table.
+
+    randint(a, b) is a + rng._randbelow(b - a + 1), and for a Random
+    _randbelow(k) draws getrandbits(k.bit_length()) until the value is
+    below k.  The same draws give the same values and leave the generator
+    in the same state, without the cost of randint and of a new Fraction.
+    """
+    getrandbits = rng.getrandbits
+    num = getrandbits(5)
+    while num >= 17:
+        num = getrandbits(5)
+    den = getrandbits(2)
+    while den == 3:
+        den = getrandbits(2)
+    return _FRACTIONS[num][den]
 
 
 def sample_vector(rng: random.Random, n, nonzero=True):
     while True:
-        v = tuple(sample_fraction(rng) for _ in range(n))
+        v = tuple([sample_fraction(rng) for _ in range(n)])
         if not nonzero or not is_zero_vector(v):
             return v
 
