@@ -89,8 +89,9 @@ from .poly import (
 
 DEFAULT_SAMPLES = 64
 
-# Sample points per block of the pointwise evaluation, so that a monomial
-# table (462 columns at d = 5 on R^7) does not grow with the sample count.
+# Sample points per block of the pointwise validation, so that neither the
+# points with their images A(u) nor a monomial table (462 columns at d = 5 on
+# R^7) grows with the sample count.
 _EVAL_CHUNK = 64
 
 
@@ -255,7 +256,7 @@ def _components_from_vector(n, d, vec):
 
 
 class _Samples(NamedTuple):
-    """The validation samples of _sample_lines, one row per point."""
+    """A block of the validation samples of _sample_lines, one row per point."""
 
     points: np.ndarray  # integer points u = primitive_vector(v), object (S, n)
     scales: tuple  # the Fraction L of each point, u = L v
@@ -264,13 +265,15 @@ class _Samples(NamedTuple):
 
 
 def _sample_lines(eta: DissidentMap, samples, seed):
-    """The seeded validation points with their eta_P data, as _Samples.
+    """The seeded validation points with their eta_P data, as _Samples
+    blocks of at most _EVAL_CHUNK points, so that memory does not grow
+    with the sample count.
 
     The points v are drawn in the order a one-by-one loop draws them.
     eta_P is projective, so each is kept as its integer point u =
     primitive_vector(v) = L v.  One contraction with the integer tensor
-    forms A(u), whose rows are eta(u ^ e_i), for every point in Python
-    ints.
+    forms A(u), whose rows are eta(u ^ e_i), for every point of a block in
+    Python ints.
     u^T A(u) = eta(u ^ u) = 0, so rank A(u) <= n - 1, and rank n - 1 mod
     SCREEN_PRIME proves rank n - 1 over Q: the eta_P line, the kernel of
     A(u), is defined.  A point whose residue rank is lower is decided by
@@ -279,20 +282,21 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     """
     rng = seeded_rng(seed, "lifting-points")
     n = eta.n
-    draws = [sample_vector(rng, n) for _ in range(samples)]
-    points = [primitive_vector(v) for v in draws]
-    scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
-    tensor = integer_tensor(eta.tensor)
-    ints = np.array(points, dtype=object).reshape(samples, n)
-    images = np.tensordot(ints, np.array(tensor, dtype=object), axes=(1, 0))
-    defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
-    for s in np.flatnonzero(~defined):
-        try:
-            eta_P_point(eta, draws[s])
-        except DegenerateSpan:
-            continue
-        defined[s] = True
-    return _Samples(ints, scales, images, defined)
+    tensor = np.array(integer_tensor(eta.tensor), dtype=object)
+    for start in range(0, samples, _EVAL_CHUNK):
+        draws = [sample_vector(rng, n) for _ in range(min(_EVAL_CHUNK, samples - start))]
+        points = [primitive_vector(v) for v in draws]
+        scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
+        ints = np.array(points, dtype=object).reshape(len(draws), n)
+        images = np.tensordot(ints, tensor, axes=(1, 0))
+        defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
+        for s in np.flatnonzero(~defined):
+            try:
+                eta_P_point(eta, draws[s])
+            except DegenerateSpan:
+                continue
+            defined[s] = True
+        yield _Samples(ints, scales, images, defined)
 
 
 def _monomial_table(points, exponents):
@@ -306,22 +310,21 @@ def _monomial_table(points, exponents):
     return powers[:, np.arange(points.shape[1]), exponents].prod(axis=2)
 
 
-def _sample_failures(components, lines):
-    """Pointwise condition (b) at every sample: the counts of points where
-    Phi(v) vanishes and where it is off the eta_P line, as (nonvanishing,
-    line).
+def _block_failures(components, n):
+    """Pointwise condition (b) for one candidate: a function from a
+    _Samples block to the counts of its points where Phi(v) vanishes and
+    where it is off the eta_P line, as (nonvanishing, line).
 
     One lcm clears the denominators of all coefficients, and each block of
-    _EVAL_CHUNK points is evaluated in Python ints as its monomial table
-    times the coefficient matrix.  A component of degree d is scaled by
-    L**(D - d), with L = a/b the point's scale and D the largest degree,
-    and every component by the common b**D, so that the value is the
-    nonzero multiple lcm * b**D * L**D of Phi(v) even when the degrees
-    differ (only verify_lifting's candidates can).  A nonzero value is on
-    the line exactly when eta_P is defined there and A(u) Phi(u) = 0,
-    because A(u) then has rank n - 1 and its kernel is the line.
+    points is evaluated in Python ints as its monomial table times the
+    coefficient matrix.  A component of degree d is scaled by L**(D - d),
+    with L = a/b the point's scale and D the largest degree, and every
+    component by the common b**D, so that the value is the nonzero
+    multiple lcm * b**D * L**D of Phi(v) even when the degrees differ
+    (only verify_lifting's candidates can).  A nonzero value is on the
+    line exactly when eta_P is defined there and A(u) Phi(u) = 0, because
+    A(u) then has rank n - 1 and its kernel is the line.
     """
-    n = lines.images.shape[1]
     den = lcm(*(c.denominator for p in components for c in p.terms.values()))
     top = max((p.degree for p in components), default=0)
     by_degree = {}
@@ -336,32 +339,44 @@ def _sample_failures(components, lines):
             for m, c in components[k].terms.items():
                 coeffs[index[m], k] = c.numerator * (den // c.denominator)
         blocks.append((d, np.array(monos, dtype=np.int64), coeffs))
-    nonvanishing = line = 0
-    for s in range(0, len(lines.scales), _EVAL_CHUNK):
-        chunk = slice(s, s + _EVAL_CHUNK)
-        points = lines.points[chunk]
-        values = np.zeros((len(points), len(components)), dtype=object)
+
+    def failures(lines):
+        values = np.zeros((len(lines.points), len(components)), dtype=object)
         for d, exponents, coeffs in blocks:
-            block = _monomial_table(points, exponents).dot(coeffs)
+            block = _monomial_table(lines.points, exponents).dot(coeffs)
             if len(blocks) > 1:
                 block *= np.array([[L.numerator ** (top - d) * L.denominator ** d]
-                                   for L in lines.scales[chunk]], dtype=object)
+                                   for L in lines.scales], dtype=object)
             values += block
         nonzero = (values != 0).any(axis=1)
         if len(components) == n:
-            residual = np.matmul(lines.images[chunk], values[:, :, None])
-            on_line = lines.defined[chunk] & (residual == 0).all(axis=(1, 2))
+            residual = np.matmul(lines.images, values[:, :, None])
+            on_line = lines.defined & (residual == 0).all(axis=(1, 2))
         else:
             # a value with other than n entries is on no line of R^n
-            on_line = np.zeros(len(points), dtype=bool)
-        nonvanishing += int(np.count_nonzero(~nonzero))
-        line += int(np.count_nonzero(nonzero & ~on_line))
-    return nonvanishing, line
+            on_line = np.zeros(len(values), dtype=bool)
+        return int(np.count_nonzero(~nonzero)), int(np.count_nonzero(nonzero & ~on_line))
+
+    return failures
 
 
-def _validate(components, lines):
-    """Condition (b) holds at every sample."""
-    return _sample_failures(components, lines) == (0, 0)
+def _sample_failures(eta: DissidentMap, candidates, samples, seed):
+    """Pointwise condition (b) at every sample of _sample_lines, for each
+    candidate (a sequence of components): the list of its (nonvanishing,
+    line) failure counts.  Each block of points is drawn once, and every
+    candidate is evaluated on it before the next block is drawn."""
+    evaluators = [_block_failures(components, eta.n) for components in candidates]
+    totals = [(0, 0)] * len(evaluators)
+    for lines in _sample_lines(eta, samples, seed):
+        totals = [(a + x, b + y) for (a, b), (x, y) in
+                  zip(totals, (failures(lines) for failures in evaluators))]
+    return totals
+
+
+def _validate(eta: DissidentMap, candidates, samples, seed):
+    """The candidates for which condition (b) holds at every sample."""
+    failures = _sample_failures(eta, candidates, samples, seed)
+    return [c for c, f in zip(candidates, failures) if f == (0, 0)]
 
 
 def _verification(degree, a_pass, b_identity, failures, samples, c_pass, gcd_repr):
@@ -433,7 +448,6 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     if samples < 1:
         raise ValueError("at least one validation sample is required")
     scan = []
-    lines = None
     for d in range(1, max_degree + 1):
         kernel = _degree_kernel(eta, d)
         rows, cols = constraint_shape(eta.n, d)
@@ -447,13 +461,8 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         scan.append(entry)
         if not kernel:
             continue
-        if lines is None:
-            lines = _sample_lines(eta, samples, seed)
-        accepted = []
-        for vec in kernel:
-            comps = _components_from_vector(eta.n, d, vec)
-            if _validate(comps, lines):
-                accepted.append(comps)
+        accepted = _validate(eta, [_components_from_vector(eta.n, d, vec) for vec in kernel],
+                             samples, seed)
         entry["validated"] = len(accepted)
         if not accepted:
             continue
@@ -514,7 +523,7 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         b_identity = _sparse_system(eta, d).annihilates([primitive_vector(coeffs)])
 
     if maps_on_space:
-        failures = _sample_failures(components, _sample_lines(eta, samples, seed))
+        failures = _sample_failures(eta, [components], samples, seed)[0]
     else:
         failures = (0, samples)  # no point of R^n can be evaluated
 

@@ -3,6 +3,7 @@ import pathlib
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,25 @@ def rand5():
     lifting, scan, _ = solve_lifting_scan(eta, samples=24, seed=0)
     elapsed = time.perf_counter() - start
     return eta, lifting, scan, elapsed
+
+
+def _traced_peaks(run, budgets):
+    """The peak traced memory of run(budget) for each budget, after one
+    untraced warm-up call at the largest budget, which fills the
+    interpreter's free lists so that their refills are not counted."""
+    run(max(budgets))
+    peaks = []
+    for budget in budgets:
+        tracemalloc.start()
+        try:
+            run(budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.fixture
+def traced_peaks():
+    """_traced_peaks, for the tests that bound memory by a budget."""
+    return _traced_peaks

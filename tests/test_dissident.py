@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -174,22 +173,7 @@ def test_dissidence_batches_keep_the_witnesses(monkeypatch):
         assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
 
 
-def traced_peaks(run, budgets):
-    """The peak traced memory of run(budget) for each budget, after one
-    untraced warm-up call."""
-    run(1)
-    peaks = []
-    for budget in budgets:
-        tracemalloc.start()
-        try:
-            run(budget)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return peaks
-
-
-def test_dissidence_memory_does_not_grow_with_the_budget(monkeypatch):
+def test_dissidence_memory_does_not_grow_with_the_budget(monkeypatch, traced_peaks):
     monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
     one, ten = traced_peaks(
         lambda trials: dissidence_falsify(cross_product_map(7), trials, 0), (100, 1000))

@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.dissident import (
@@ -31,6 +33,7 @@ from divalg.lifting import (
     verify_lifting,
     _degree_kernel,
     _interpolation_points,
+    _kernel_at_points,
     _sample_failures,
     _sample_lines,
     _sparse_system,
@@ -342,6 +345,16 @@ print(code, calls["_sample_lines"], calls["eta_P_point"])
     assert out.split() == ["0", "1", "0"]
 
 
+def test_validation_memory_does_not_grow_with_the_samples(monkeypatch, traced_peaks):
+    # the samples are drawn, screened and evaluated in blocks, so that
+    # --samples bounds the time of a lift, not its memory
+    monkeypatch.setattr("divalg.lifting._EVAL_CHUNK", 50)
+    eta = cross_product_map(3)
+    one, ten = traced_peaks(
+        lambda samples: solve_lifting_scan(eta, samples=samples, seed=0), (200, 2000))
+    assert ten < 2 * one
+
+
 def test_lifting_type_invariants():
     with pytest.raises(ValueError):
         Lifting(3, 0, [HomogeneousPoly.constant(3, 1)] * 3)
@@ -432,7 +445,8 @@ def test_rand5_lifting_is_independent_of_the_seed(rand5):
     # the seed draws the validation points, not the answer: a new seed
     # validates at other points and must find the same scan and lifting
     eta, lifting, scan, _ = rand5
-    points = [_sample_lines(eta, 24, seed).points.tolist() for seed in (0, 1)]
+    points = [[block.points.tolist() for block in _sample_lines(eta, 24, seed)]
+              for seed in (0, 1)]
     assert points[0] != points[1]
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=1)
     assert rescan == scan
@@ -631,18 +645,22 @@ def validation_maps(conjugate_bent_tensor):
 
 def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, monkeypatch):
     # at the real prime the screen decides every sample of a dissident map;
-    # mod 3 and mod 5 it leaves many to the exact eta_P_point
+    # mod 3 and mod 5 it leaves many to the exact eta_P_point.  Blocks of
+    # 24 points split the 64 samples unevenly.
+    monkeypatch.setattr("divalg.lifting._EVAL_CHUNK", 24)
     for name, (eta, phi) in validation_maps(conjugate_bent_tensor).items():
         reference_lines = _reference_sample_lines(eta, 64, 5)
-        expected = {kind: _reference_sample_failures(comps, reference_lines)
-                    for kind, comps in _candidates(phi).items()}
+        candidates = _candidates(phi)
+        expected = [_reference_sample_failures(comps, reference_lines)
+                    for comps in candidates.values()]
         for prime in (modkernel.SCREEN_PRIME, 3, 5):
-            monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-            lines = _sample_lines(eta, 64, 5)
-            assert list(lines.defined) == [line is not None for _, line in reference_lines]
-            for kind, comps in _candidates(phi).items():
-                assert _sample_failures(comps, lines) == expected[kind], (name, prime, kind)
-            monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(modkernel, "SCREEN_PRIME", prime)
+                defined = [bool(x) for block in _sample_lines(eta, 64, 5)
+                           for x in block.defined]
+                assert defined == [line is not None for _, line in reference_lines]
+                failures = _sample_failures(eta, list(candidates.values()), 64, 5)
+                assert failures == expected, (name, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +712,42 @@ def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, monk
             else:
                 assert result[1] == expected[1], (name, d, p)
                 assert np.array_equal(result[0], expected[0]), (name, d, p)
+
+
+def _in_row_span(basis, rows, p):
+    """Whether every row of ``rows`` lies in the row span of ``basis`` (the
+    independent rows of an RREF) mod p."""
+    stacked = np.vstack([basis, rows]).astype(np.float64)
+    return len(modkernel._rref_mod(stacked, p)[1]) == len(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                min_size=3, max_size=3))
+def test_points_solve_contains_the_elimination_kernel(cells):
+    # small antisymmetric tensors on R^3, eta(e_i ^ e_j) = cells[i + j - 1]
+    # for i < j: many are degenerate, with A(u) of rank below 2 everywhere
+    # or kernels of several dimensions at a degree
+    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), cell in zip(((0, 1), (0, 2), (1, 2)), cells):
+        t[i][j], t[j][i] = cell, [-x for x in cell]
+    eta = DissidentMap(3, t)
+    tensor = integer_tensor(eta.tensor)
+    for d in (1, 2, 3):
+        mat = _sparse_system(eta, d)
+        for p in modkernel.PRIMES[:2]:
+            expected = modkernel._kernel_mod_p(mat, p)
+            with mock.patch.object(modkernel, "_kernel_mod_p",
+                                   wraps=modkernel._kernel_mod_p) as eliminate:
+                result = _kernel_at_points(tensor, d, mat, p)
+            if expected is not None:
+                assert result is not None and _in_row_span(result[0], expected[0], p), \
+                    (cells, d, p)
+            if not eliminate.called:
+                assert (result is None) == (expected is None), (cells, d, p)
+                if result is not None:
+                    assert result[1] == expected[1], (cells, d, p)
+                    assert np.array_equal(result[0], expected[0]), (cells, d, p)
 
 
 def test_points_solve_falls_back_when_v0_is_singular(monkeypatch):

@@ -30,7 +30,6 @@ from divalg.qda import (
     recover_triple,
 )
 
-from test_dissident import traced_peaks
 from test_octonion import matrix_algebra
 
 
@@ -193,7 +192,7 @@ def test_division_batches_keep_the_witnesses(monkeypatch):
         assert [division_check(alg, trials, seed) for alg, trials, seed in cases] == expected
 
 
-def test_division_memory_does_not_grow_with_the_budget(monkeypatch):
+def test_division_memory_does_not_grow_with_the_budget(monkeypatch, traced_peaks):
     monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
     alg = octonion_algebra()
     one, ten = traced_peaks(lambda trials: division_check(alg, trials, 0), (100, 1000))
