@@ -13,6 +13,7 @@ within budget); 4 ambiguous kernel; 5 parity violation (solver bug signal).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -402,13 +403,12 @@ def cmd_morphism(args):
     if not isinstance(f, Matrix):
         raise ParseError("--f must be a matrix JSON")
     triple = args.kind == "triple"
-    kinds = _TRIPLE_INPUT if triple else (AlgebraPresentation, DissidentTriple)
-    # a side names a builtin or a file; the file of a triple side must hold
-    # a triple, that of an algebra side an algebra or a triple
-    sides = []
-    for value in (args.src, args.dst):
-        flag = "builtin" if value in BUILTINS else "triple" if triple else "input"
-        sides.append(_resolve(argparse.Namespace(**{flag: value}), kinds)[0])
+    kinds = _TRIPLE_INPUT if triple else _ALGEBRA_INPUT
+    # a side names a builtin or a file, of any kind that roundtrip (a
+    # triple side) or build (an algebra side) accepts
+    sides = [_resolve(argparse.Namespace(**{"builtin" if value in BUILTINS else "input": value}),
+                      kinds)[0]
+             for value in (args.src, args.dst)]
     report["input"] = {"src": args.src, "dst": args.dst, "f": args.f}
     check = triple_morphism_check if triple else algebra_morphism_check
     ok = _shape_checked(check, *sides, f)
@@ -440,6 +440,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # One BLAS thread, set before numpy loads OpenBLAS, which reads it
+        # at load.  A second thread adds about 0.07 s of CPU and wall time
+        # to the load and speeds up none of the small products here, and
+        # each float64 product is exact integer arithmetic below 2**53, so
+        # no output changes.  The count is forced, not defaulted, because a
+        # caller's environment often sets it to the CPU count.  A process
+        # that has loaded numpy already keeps its setting.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        os.environ["OMP_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -448,14 +449,6 @@ REJECTED_SOURCES = [
     ("check", "--what", "quadratic", "--input", "bent3.json"),
     ("degree", "--builtin", "octonions"),
     ("roundtrip", "--input", "I7.json"),
-    ("morphism", "--kind", "triple", "--src", "quad.json", "--dst", "cross7",
-     "--f", "I7.json"),
-    ("morphism", "--kind", "triple", "--src", "bent3.json", "--dst", "cross7",
-     "--f", "I7.json"),
-    ("morphism", "--kind", "algebra", "--src", "identity-quadruple",
-     "--dst", "octonions", "--f", "I8.json"),
-    ("morphism", "--kind", "algebra", "--src", "quad.json",
-     "--dst", "octonions", "--f", "I8.json"),
     ("build", "--builtin", "cross7", "--triple", "triple.json"),
     # matrices of the wrong shape, and the zero map
     ("check", "--what", "g2", "--matrix", "I8.json"),
@@ -482,23 +475,25 @@ def test_rejected_sources_exit_2(tmp_path, monkeypatch, conjugate_bent_tensor, a
 
 
 # the exit code of a morphism check from each source, into cross7 by I7
-# (--kind triple) or into the octonions by I8 (--kind algebra)
+# (--kind triple) or into the octonions by I8 (--kind algebra).  A triple
+# side takes what roundtrip takes, a triple, map or quadruple, and an
+# algebra side what build takes, an algebra, triple or quadruple.
 MORPHISM_EXIT_CODES = {
     ("triple", "cross7"): 0,
     ("triple", "cross3"): 2,
     ("triple", "octonions"): 2,
     ("triple", "identity-quadruple"): 0,
     ("triple", "triple.json"): 0,
-    ("triple", "quad.json"): 2,
-    ("triple", "bent3.json"): 2,
+    ("triple", "quad.json"): 0,
+    ("triple", "bent3.json"): 1,
     ("triple", "partial.json"): 2,
     ("triple", "zeroeta.json"): 2,
     ("algebra", "cross7"): 0,
     ("algebra", "octonions"): 0,
     ("algebra", "quaternions"): 2,
-    ("algebra", "identity-quadruple"): 2,
+    ("algebra", "identity-quadruple"): 0,
     ("algebra", "triple.json"): 0,
-    ("algebra", "quad.json"): 2,
+    ("algebra", "quad.json"): 0,
     ("algebra", "bent3.json"): 2,
     ("algebra", "zeroeta.json"): 1,
 }
@@ -581,25 +576,49 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     assert rref.busy <= eliminate.busy
 
 
-def _loaded_by(argv=None, cwd=None):
-    """(exit code, top-level names in sys.modules) after ``import
-    divalg.cli`` and, unless argv is None, ``main(argv)`` in a fresh
-    interpreter; the exit code is 0 when main is not run."""
+class FreshRun(NamedTuple):
+    code: int  # main's exit code, 0 when main is not run
+    loaded: set  # top-level names in sys.modules
+    environ_kept: bool  # whether os.environ is as it was before the import
+    blas_threads: int | None  # OpenBLAS's thread count, when numpy is loaded
+
+
+def _fresh_run(argv=None, cwd=None, env=None):
+    """A FreshRun of ``import divalg.cli`` and, unless argv is None,
+    ``main(argv)`` in a fresh interpreter, with ``env`` added to the
+    environment.  OpenBLAS's own thread count is read through ctypes from
+    the library numpy loaded, as the benchmark reads it; it is None where
+    numpy is not loaded or the library has no such symbol."""
     script = f"""
-import io, json, sys
+import ctypes, glob, io, json, os, sys
 from contextlib import redirect_stdout
+from pathlib import Path
+environ = dict(os.environ)
 import divalg.cli
 code = 0
 if {argv!r} is not None:
     with redirect_stdout(io.StringIO()):
         code = divalg.cli.main({argv!r})
-print(json.dumps([code, sorted({{name.split('.')[0] for name in sys.modules}})]))
+loaded = sorted({{name.split('.')[0] for name in sys.modules}})
+threads = None
+if "numpy" in sys.modules:
+    libs = Path(sys.modules["numpy"].__file__).parent.parent / "numpy.libs"
+    for lib in glob.glob(str(libs / "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None and threads is None:
+                fn.restype = ctypes.c_int
+                threads = fn()
+print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         cwd=cwd, env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    code, loaded = json.loads(out)
-    return code, set(loaded)
+                         cwd=cwd, env={**os.environ, **(env or {}), "PYTHONPATH": src},
+                         check=True).stdout
+    code, loaded, environ_kept, threads = json.loads(out)
+    return FreshRun(code, set(loaded), environ_kept, threads)
 
 
 @pytest.mark.parametrize("argv", [
@@ -609,8 +628,8 @@ print(json.dumps([code, sorted({{name.split('.')[0] for name in sys.modules}})])
 def test_lift_and_degree_leave_sympy_unloaded(argv):
     # the scan's kernels prove the lifting's components relatively prime,
     # so a whole lift or degree run needs no content GCD and no sympy
-    code, loaded = _loaded_by(argv)
-    assert code == 0 and "sympy" not in loaded
+    run = _fresh_run(argv)
+    assert run.code == 0 and "sympy" not in run.loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -626,14 +645,35 @@ def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_te
     # numpy is most of the start-up time of a command, and only the mod-p
     # screens and eliminations use it
     _write_inputs(tmp_path, conjugate_bent_tensor)
-    code, loaded = _loaded_by(argv, cwd=tmp_path)
-    assert code == 0 and "numpy" not in loaded
+    run = _fresh_run(argv, cwd=tmp_path)
+    assert run.code == 0 and "numpy" not in run.loaded
 
 
 def test_lift_loads_numpy():
     # the control of the guard above: the scan's elimination runs mod p
-    code, loaded = _loaded_by(["lift", "--builtin", "cross3"])
-    assert code == 0 and "numpy" in loaded
+    run = _fresh_run(["lift", "--builtin", "cross3"])
+    assert run.code == 0 and "numpy" in run.loaded
+
+
+def test_cli_runs_blas_on_one_thread():
+    # main forces one OpenBLAS thread before numpy loads, over the count a
+    # parent process exports; a second thread only slows numpy's load
+    run = _fresh_run(["lift", "--builtin", "cross3"], env={"OPENBLAS_NUM_THREADS": "2"})
+    if run.blas_threads is None:
+        pytest.skip("OpenBLAS reports no thread count")
+    assert run.code == 0 and run.blas_threads == 1
+
+
+def test_cli_leaves_the_blas_threads_of_a_numpy_caller(monkeypatch):
+    # once numpy is loaded its BLAS threads are set, and main changes no
+    # variable that could only act on a child process
+    import numpy  # noqa: F401
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    code, _ = run_cli("lift", "--builtin", "cross3", "--trials", "5", "--samples", "4")
+    assert code == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
 
 
 def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_bent_tensor):
@@ -658,5 +698,6 @@ def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_
 def test_cli_import_leaves_sympy_unloaded():
     # sympy is needed only by the content GCD and numpy only by the mod-p
     # layers; together they are most of the start-up time of every command
-    code, loaded = _loaded_by()
-    assert code == 0 and not loaded & {"numpy", "sympy"}
+    run = _fresh_run()
+    assert run.code == 0 and not run.loaded & {"numpy", "sympy"}
+    assert run.environ_kept
