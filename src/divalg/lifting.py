@@ -366,11 +366,13 @@ def _sample_failures(eta: DissidentMap, candidates, samples, seed):
     line) failure counts.  Each block of points is drawn once, and every
     candidate is evaluated on it before the next block is drawn."""
     evaluators = [_block_failures(components, eta.n) for components in candidates]
-    totals = [(0, 0)] * len(evaluators)
+    totals = [[0, 0] for _ in evaluators]
     for lines in _sample_lines(eta, samples, seed):
-        totals = [(a + x, b + y) for (a, b), (x, y) in
-                  zip(totals, (failures(lines) for failures in evaluators))]
-    return totals
+        for total, failures in zip(totals, evaluators):
+            nonvanishing, line = failures(lines)
+            total[0] += nonvanishing
+            total[1] += line
+    return [tuple(total) for total in totals]
 
 
 def _validate(eta: DissidentMap, candidates, samples, seed):

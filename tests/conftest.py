@@ -88,23 +88,22 @@ def rand5():
     return eta, lifting, scan, elapsed
 
 
-def _traced_peaks(run, budgets):
-    """The peak traced memory of run(budget) for each budget, after one
-    untraced warm-up call at the largest budget, which fills the
-    interpreter's free lists so that their refills are not counted."""
-    run(max(budgets))
-    peaks = []
-    for budget in budgets:
-        tracemalloc.start()
-        try:
-            run(budget)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return peaks
-
-
 @pytest.fixture
 def traced_peaks():
-    """_traced_peaks, for the tests that bound memory by a budget."""
-    return _traced_peaks
+    """peaks(run, budgets): the peak traced memory of run(budget) for each
+    budget, after one untraced warm-up call at the largest budget, which
+    fills the interpreter's free lists so that their refills are not
+    counted."""
+    def peaks(run, budgets):
+        run(max(budgets))
+        out = []
+        for budget in budgets:
+            tracemalloc.start()
+            try:
+                run(budget)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return out
+
+    return peaks
