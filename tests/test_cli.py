@@ -440,6 +440,84 @@ def test_golden_stdout(tmp_path, monkeypatch, conjugate_bent_tensor, argv, diges
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _skew_quadruple():
+    """A quadruple whose D is not diagonal: D = S diag S^t for the G2
+    element S that extends the quaternion rotation of (1, 2, 3, 4), with A
+    and B drawn as random_quadruple draws them and a tridiagonal C."""
+    from divalg.dissident import MatrixQuadruple, random_antisymmetric, seeded_rng
+    from divalg.octonion import extend_quaternion_automorphism, rotation_from_quaternion
+
+    rng = seeded_rng(0, "skew")
+    a = random_antisymmetric(rng)
+    b = random_antisymmetric(rng)
+    c = Matrix([[Fraction(5, 2) if i == j else Fraction(-1, 3) if abs(i - j) == 1 else 0
+                 for j in range(7)] for i in range(7)])
+    s = extend_quaternion_automorphism(rotation_from_quaternion((1, 2, 3, 4)))
+    diag = [2, Fraction(1, 2), 3, Fraction(1, 3), Fraction(5, 2), Fraction(2, 5), 1]
+    d = s * Matrix.diagonal(diag) * s.transpose()
+    return MatrixQuadruple(a, b, c, d)
+
+
+# stdout digests of the degree-1 pipeline, frozen before the quadruple ->
+# triple -> algebra -> triple products ran on integer multiples: per
+# source, build (emitting alg.json), recover of that alg.json, degree at
+# 200 trials and roundtrip
+QUADRUPLE_SHA256 = {
+    ("random", "1"): (
+        "ce7035e25aa96e941cfbd77db2b031351dd63f991c63824ece83dcf07ee8e75d",
+        "9da3237c05b267a7422ebc65e92fc2660ddaf4930a9e393a22b9cd942bae6c46",
+        "dd9fdafdc32e6f3503eb0c762f9acdd8ac141d38b012751ed740371f5a1cc0e0",
+        "6b1e06475c85020caa5f43b456fc5ff7da98954eecef153099ca0730789588ca",
+    ),
+    ("random", "2"): (
+        "77465cea0bc36cf4d9d415d1e1e16915ea8cb707aca26facef5715bd548c6a06",
+        "9b16f62ecf445e001336de61f80a7c15d454ac6772996a78b3e17af950bf2ba5",
+        "d1554b1fc0c50af78935d31648caf007a7e4591e5949cb51019e95570720a9dd",
+        "b538cf0e6e0f81bc9421575b30d6f34cd1ab96ce4ab47469b70a9e3e9297a4cb",
+    ),
+    ("random", "5"): (
+        "20dfb2d476f7ff59fd392c026708bfe1eb9ffb87fb2f8d23ba16d0b460eba177",
+        "0b3859cd12e5dc5979c3609dd833392eccc68219f6749db2e33599e910882c43",
+        "5a2f0a2613e4bf87e015468606fc9dd73e60228cdaed94f391797c651e8658d4",
+        "8f7657793baf5c389e27bd6b0aea5d2716bfbfac02ed1f36cc48d11c9212f4b3",
+    ),
+    ("random", "182"): (
+        "a0f1ad05aff11f9f560b8e6ffdf31461a36a902f20df2ab776486b48bdc5797e",
+        "019a2cec0405080e3d6272ea057fe3a497743e0d2f9ab4f11f5c763ca857f0f1",
+        "8d5501f409383697c2525c003a6b694876ff9ea17aadd706ffb3d71fa589cc24",
+        "c178eaf4a246a973f39c29fe0ce4125981a47e48cd8ec48f08f0d5b8b7ff8a25",
+    ),
+    # the file written from _skew_quadruple(); --seed is not read
+    ("skew.json", "0"): (
+        "cfad6894d9e88a4e0de8f21055a7fd9403035688489a51c1594796e6ce6992eb",
+        "08c21e8bdcd204672e39ce2ce2c6e273a1e02d573a0523b4c48807c60d75c7da",
+        "6b606326d8a21ac9beac3e371cef23977267fb476b5ca0d159dd8f7e87cbb7c8",
+        "a7dffd007d3b458c3ac44277855340e7bd36c6234d9ae484ddaa6894b12a4b17",
+    ),
+}
+
+
+@pytest.mark.parametrize("source,seed", sorted(QUADRUPLE_SHA256))
+def test_quadruple_pipeline_stdout(tmp_path, monkeypatch, source, seed):
+    from divalg.serialize import quadruple_to_json
+
+    monkeypatch.chdir(tmp_path)
+    if source != "random":
+        Path(source).write_text(canonical_json(quadruple_to_json(_skew_quadruple())),
+                                encoding="utf-8")
+    flags = ("--quadruple", source, "--seed", seed)
+    runs = [("build", *flags, "--emit", "alg.json"),
+            ("recover", "--input", "alg.json"),
+            ("degree", *flags, "--trials", "200"),
+            ("roundtrip", *flags)]
+    digests = []
+    for argv in runs:
+        code, out = run_cli(*argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == QUADRUPLE_SHA256[source, seed]
+
+
 REJECTED_SOURCES = [
     ("degree", "--quadruple", "triple.json"),
     ("build", "--triple", "quad.json"),
