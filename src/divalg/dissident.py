@@ -20,19 +20,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 from .exact import (
     DimensionError,
     Matrix,
     basis_vector,
     bilinear,
-    dot,
+    cleared,
     integer_multiple,
     integer_tensor,
     is_zero_vector,
     vector,
 )
-from .octonion import CROSS3_TENSOR, CROSS7_TENSOR, vector_product
+from .octonion import CROSS3_TENSOR, CROSS7_TENSOR
 
 
 class ZeroVector(ValueError):
@@ -79,14 +80,6 @@ class DissidentMap:
 
     def __hash__(self):
         return hash((self.n, self.tensor))
-
-    @staticmethod
-    def from_bilinear(n, fn) -> "DissidentMap":
-        """Tabulate eta(e_i ^ e_j) = fn(e_i, e_j) into a tensor."""
-        basis = [basis_vector(n, i) for i in range(n)]
-        return DissidentMap(
-            n, [[vector(fn(basis[i], basis[j])) for j in range(n)] for i in range(n)]
-        )
 
     def __call__(self, v, w):
         return eval_eta(self, v, w)
@@ -167,14 +160,37 @@ class MatrixQuadruple:
         return MatrixQuadruple(zero, zero, eye, eye)
 
 
+# The nonzero entries (a, b, k, t) of the integer vector product tensor on R^7.
+_CROSS7_TERMS = tuple((a, b, k, t) for a, plane in enumerate(CROSS7_TENSOR)
+                      for b, cell in enumerate(plane) for k, t in enumerate(cell) if t)
+
+
 def quadruple_to_triple(q: MatrixQuadruple) -> DissidentTriple:
-    """(A,B,C,D) -> (R^7, v^t A w, (B+C) D (Dv x Dw)) expanded to tensors."""
-    bc_d = (q.b + q.c) * q.d
+    """(A,B,C,D) -> (R^7, v^t A w, (B+C) D (Dv x Dw)) expanded to tensors.
 
-    def eta_fn(v, w):
-        return bc_d.matvec(vector_product(q.d.matvec(v), q.d.matvec(w)))
-
-    return DissidentTriple(7, q.a, DissidentMap.from_bilinear(7, eta_fn))
+    eta(e_i ^ e_j) = (B+C) D (d_i x d_j) for the columns d_i of D.  D and
+    (B+C) D are each cleared to integers by one common denominator, delta
+    and mu, so each of the 21 cells i < j is an integer vector product and
+    an integer matrix-vector product over mu delta**2; the cells j > i are
+    their negatives and the diagonal is zero.
+    """
+    d, delta = cleared([x for row in q.d.entries for x in row])
+    cols = [d[j::7] for j in range(7)]
+    bc_d, mu = cleared([x for row in ((q.b + q.c) * q.d).entries for x in row])
+    rows = [bc_d[7 * i:7 * i + 7] for i in range(7)]
+    den = mu * delta * delta
+    zero = (Fraction(0),) * 7
+    tensor = [[zero] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i + 1, 7):
+            x, y = cols[i], cols[j]
+            cross = [0] * 7
+            for a, b, k, t in _CROSS7_TERMS:
+                cross[k] += t * x[a] * y[b]
+            cell = [sum(map(mul, row, cross)) for row in rows]
+            tensor[i][j] = tuple(Fraction(c, den) for c in cell)
+            tensor[j][i] = tuple(Fraction(-c, den) for c in cell)
+    return DissidentTriple(7, q.a, DissidentMap(7, tensor))
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +352,10 @@ _PYTHAGOREAN_UNITS = (
 
 
 def _householder(u) -> Matrix:
-    u = vector(u)
-    n2 = dot(u, u)
-    eye = Matrix.identity(len(u))
-    outer = Matrix([[2 * ui * uj / n2 for uj in u] for ui in u])
-    return eye - outer
+    """The reflection I - 2 u u^t / |u|^2 along an integer vector u."""
+    n2 = sum(x * x for x in u)
+    return Matrix([[Fraction(n2 * (i == j) - 2 * ui * uj, n2) for j, uj in enumerate(u)]
+                   for i, ui in enumerate(u)])
 
 
 def random_antisymmetric(rng, n=7) -> Matrix:

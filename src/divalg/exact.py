@@ -1,16 +1,24 @@
 """Exact rational scalars, vectors, and dense linear algebra.
 
-Scalars are ``fractions.Fraction`` throughout: always reduced, positive
-denominator, arbitrary precision.  Matrices are immutable dense grids of
-Fractions with exact determinants (fraction-free Bareiss elimination),
-exact reduced row echelon form, and exact kernels.  This module is the
-substrate for everything else; it never touches floating point.
+Scalars are ``fractions.Fraction`` at every boundary: always reduced,
+positive denominator, arbitrary precision.  Matrices are immutable dense
+grids of Fractions with exact products, determinants (fraction-free Bareiss
+elimination), reduced row echelon forms and kernels.
+
+Products run on integer multiples.  A row, column or vector is cleared to
+integers once, by the lcm of its denominators (``cleared``); its dot
+products are then sums of Python ints, and each result entry becomes one
+Fraction of an integer over the product of the two lcms (``cleared_dot``).
+Determinants and the positive-definiteness test eliminate on the cleared
+rows.  This module is the substrate for everything else; it never touches
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class DimensionError(ValueError):
@@ -71,7 +79,7 @@ def vector(entries) -> tuple:
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise DimensionError("dot product of unequal lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return cleared_dot(cleared(u), cleared(v))
 
 
 def basis_vector(n, i) -> tuple:
@@ -103,11 +111,24 @@ def is_zero_vector(u) -> bool:
     return all(a == 0 for a in u)
 
 
+def cleared(u):
+    """(ints, den) with u = ints / den: den is the lcm of the denominators
+    of the rational vector u, and ints its integer multiple."""
+    den = lcm(*(x.denominator for x in u))
+    return [x.numerator * (den // x.denominator) for x in u], den
+
+
+def cleared_dot(u, v) -> Fraction:
+    """The dot product of two cleared vectors (ints, den): one integer dot
+    product over the product of the denominators."""
+    (a, da), (b, db) = u, v
+    return Fraction(sum(map(mul, a, b)), da * db)
+
+
 def integer_multiple(u) -> list:
     """The least positive multiple of a rational vector with integer
     entries: u times the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in u))
-    return [x.numerator * (den // x.denominator) for x in u]
+    return cleared(u)[0]
 
 
 def integer_tensor(tensor) -> list:
@@ -139,6 +160,20 @@ def primitive_vector(u) -> tuple:
 
 # ---------------------------------------------------------------------------
 # matrices
+
+
+def _eliminate_below(m, k, prev):
+    """One fraction-free (Bareiss) step on the integer rows m: clear column
+    k below the pivot m[k][k].  prev is the previous step's pivot (1 at the
+    first step), which divides every new entry exactly."""
+    row_k = m[k]
+    pivot = row_k[k]
+    width = len(row_k)
+    for row_i in m[k + 1:]:
+        mik = row_i[k]
+        for j in range(k + 1, width):
+            row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
+        row_i[k] = 0
 
 
 class Matrix:
@@ -222,11 +257,14 @@ class Matrix:
         return Matrix([[c * a for a in row] for row in self.entries])
 
     def __mul__(self, other):
+        """The product with a matrix, each entry one integer dot product of
+        a cleared row and a cleared column; or the product with a scalar."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionError("matrix product shape mismatch")
-            cols = other.transpose().entries
-            return Matrix([[dot(row, col) for col in cols] for row in self.entries])
+            cols = [cleared(col) for col in zip(*other.entries)]
+            return Matrix([[cleared_dot(row, col) for col in cols]
+                           for row in map(cleared, self.entries)])
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -235,8 +273,8 @@ class Matrix:
     def matvec(self, v):
         if len(v) != self.cols:
             raise DimensionError("matvec length mismatch")
-        v = vector(v)
-        return tuple(dot(row, v) for row in self.entries)
+        x = cleared(vector(v))
+        return tuple(cleared_dot(row, x) for row in map(cleared, self.entries))
 
     # -- predicates (all decided exactly)
 
@@ -253,13 +291,24 @@ class Matrix:
         return self.is_square() and self.transpose() * self == Matrix.identity(self.rows)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: symmetric with all leading principal minors > 0."""
+        """Sylvester criterion: symmetric with all leading principal minors > 0.
+
+        One fraction-free elimination without row swaps, on the rows cleared
+        to integers, finds them all: its k-th pivot is the k-th leading
+        principal minor of the cleared matrix, whose sign is that of the
+        minor here, as each row was scaled by a positive integer.  It stops
+        at the first pivot <= 0; the pivots before it are nonzero, so no
+        swap is ever needed.
+        """
         if not self.is_symmetric():
             return False
-        for k in range(1, self.rows + 1):
-            minor = Matrix([row[:k] for row in self.entries[:k]])
-            if minor.det() <= 0:
+        m = [integer_multiple(row) for row in self.entries]
+        prev = 1
+        for k in range(self.rows):
+            if m[k][k] <= 0:
                 return False
+            _eliminate_below(m, k, prev)
+            prev = m[k][k]
         return True
 
     # -- elimination
@@ -273,12 +322,12 @@ class Matrix:
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         n = self.rows
-        scale = Fraction(1)
+        scale = 1
         m = []
         for row in self.entries:
-            den = lcm(*(x.denominator for x in row))
+            ints, den = cleared(row)
             scale *= den
-            m.append([x.numerator * (den // x.denominator) for x in row])
+            m.append(ints)
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -290,16 +339,9 @@ class Matrix:
                         break
                 else:
                     return Fraction(0)
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-                row_i[k] = 0
-            prev = pivot
-        return Fraction(sign * m[n - 1][n - 1], 1) / scale
+            _eliminate_below(m, k, prev)
+            prev = m[k][k]
+        return Fraction(sign * m[n - 1][n - 1], scale)
 
     def rref(self):
         """Reduced row echelon form.  Returns (Matrix, pivot column tuple)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Matrix, as_fraction, basis_vector, bilinear, dot, vector
+from .exact import Matrix, as_fraction, basis_vector, bilinear, cleared, cleared_dot, dot, vector
 
 OCTONION_TRIPLES = (
     (1, 2, 3),
@@ -92,12 +92,9 @@ def _cross_tensor(n):
         table = QUATERNION_TABLE
     else:
         raise ValueError(f"no vector product on R^{n}")
-    # imaginary part of the product of imaginary basis elements
+    # imaginary part of the product of imaginary basis elements, as ints
     return tuple(
-        tuple(
-            tuple(Fraction(table[i + 1][j + 1][k + 1]) for k in range(n))
-            for j in range(n)
-        )
+        tuple(tuple(table[i + 1][j + 1][1:]) for j in range(n))
         for i in range(n)
     )
 
@@ -131,8 +128,7 @@ def g2_check(s: Matrix) -> bool:
     cols = [s.column(j) for j in range(7)]
     for i in range(7):
         for j in range(i + 1, 7):
-            basis_cross = tuple(CROSS7_TENSOR[i][j][k] for k in range(7))
-            if s.matvec(basis_cross) != vector_product(cols[i], cols[j]):
+            if s.matvec(CROSS7_TENSOR[i][j]) != vector_product(cols[i], cols[j]):
                 return False
     return True
 
@@ -249,9 +245,11 @@ def _unity_multiple(x, unity):
 
 def frobenius_form(alg, rho):
     """Gram matrix of <x,y> = 2 rho(x) rho(y) - rho(xy + yx)/2 on the
-    presentation basis, with e_i e_j read from alg.constants[i][j]."""
-    table = alg.constants
-    rho_prod = [[dot(rho, cell) for cell in plane] for plane in table]
+    presentation basis, with e_i e_j read from alg.constants[i][j].  The
+    values rho(e_i e_j) are integer dot products of rho and each product,
+    both cleared to integers."""
+    r = cleared(rho)
+    rho_prod = [[cleared_dot(r, cell) for cell in map(cleared, plane)] for plane in alg.constants]
     return Matrix([
         [2 * rho[i] * rho[j] - (rho_prod[i][j] + rho_prod[j][i]) / 2
          for j in range(alg.dim)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, dot, integer_multiple, integer_tensor, is_rational_square, vector
+from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_multiple, integer_tensor, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -159,6 +159,10 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     with no solve: rho(iota) = rho(u_i u_j)(1 - rho(1)) = 0 puts iota in V,
     whose basis is orthonormal, and <1, u_k> = rho(u_k) = 0.  Round-trips
     make_qda exactly, same basis, for algebras built here.
+
+    rho, each product and each image F u_k are cleared to integers once, so
+    the n**2 values rho(u_i u_j) and the n**3 coordinates are integer dot
+    products, each over the product of the two lcms.
     """
     if alg.dim not in (4, 8):
         raise BadDimension(f"dimension {alg.dim} not in {{4, 8}}")
@@ -184,10 +188,12 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     basis = [tuple(x / r for x in u) for u, r in zip(ortho, roots)]
     images = [tuple(x / r for x in fu) for fu, r in zip(images, roots)]
 
-    prods = [[alg.mul(u, w) for w in basis] for u in basis]
-    rho_prod = [[dot(rho, p) for p in row] for row in prods]
+    prods = [[cleared(alg.mul(u, w)) for w in basis] for u in basis]
+    r = cleared(rho)
+    rho_prod = [[cleared_dot(r, p) for p in row] for row in prods]
     xi = [[(rho_prod[i][j] - rho_prod[j][i]) / 2 for j in range(n)] for i in range(n)]
-    tensor = [[[dot(p, fu) for fu in images] for p in row] for row in prods]
+    images = [cleared(fu) for fu in images]
+    tensor = [[[cleared_dot(p, fu) for fu in images] for p in row] for row in prods]
     return DissidentTriple(n, Matrix(xi), DissidentMap(n, tensor))
 
 

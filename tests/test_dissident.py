@@ -34,6 +34,29 @@ def zero_map(n):
     return DissidentMap(n, z)
 
 
+def tabulate(n, fn):
+    """The map with eta(e_i ^ e_j) = fn(e_i, e_j), one call per basis pair."""
+    return DissidentMap(n, [[fn(e(i, n), e(j, n)) for j in range(n)] for i in range(n)])
+
+
+def fraction_matvec(m, v):
+    """m v as sums of Fraction products: the reference for the integer
+    products."""
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m.entries)
+
+
+def paper_eta(q):
+    """The paper's eta(v ^ w) = (B+C) D (Dv x Dw) of a quadruple, each
+    product a Fraction sum."""
+    bc = q.b + q.c
+
+    def eta(v, w):
+        cross = vector_product(fraction_matvec(q.d, v), fraction_matvec(q.d, w))
+        return fraction_matvec(bc, fraction_matvec(q.d, cross))
+
+    return tabulate(7, eta)
+
+
 def test_tensor_invariants():
     bad = [[[Fraction(1)] * 3 for _ in range(3)] for _ in range(3)]
     with pytest.raises(InvariantViolation):
@@ -83,10 +106,17 @@ def test_quadruple_to_triple_formulas():
     diag = [Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3), 1, 1, 1]
     d = Matrix.diagonal(diag)
     t = quadruple_to_triple(MatrixQuadruple(Matrix.zeros(7, 7), Matrix.zeros(7, 7), Matrix.identity(7), d))
-    expected = DissidentMap.from_bilinear(
-        7, lambda v, w: d.matvec(vector_product(d.matvec(v), d.matvec(w)))
-    )
+    expected = tabulate(7, lambda v, w: fraction_matvec(
+        d, vector_product(fraction_matvec(d, v), fraction_matvec(d, w))))
     assert t.eta == expected
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)], ids=["identity", *map(str, range(20))])
+def test_quadruple_to_triple_matches_the_paper_formula(seed):
+    q = MatrixQuadruple.identity() if seed is None else random_quadruple(seed)
+    t = quadruple_to_triple(q)
+    assert t.xi == q.a
+    assert t.eta == paper_eta(q)
 
 
 def test_quadruple_invariants_enforced():

@@ -147,6 +147,67 @@ def test_predicates():
     assert Matrix([[2, 1], [1, 2]]).is_positive_definite()
     assert not Matrix([[1, 2], [2, 1]]).is_positive_definite()
     assert not Matrix([[1, 2], [3, 4]]).is_positive_definite()  # not symmetric
+    # a zero first pivot, and a zero second one: no row swap rescues either
+    assert not Matrix([[0, 1], [1, 0]]).is_positive_definite()
+    assert not Matrix([[1, 1], [1, 1]]).is_positive_definite()
+    assert not Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).is_positive_definite()
+
+
+def test_positive_definite_matches_the_leading_minors():
+    import random
+
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            m[i][i] += rng.randint(0, 6)
+        m = Matrix(m)
+        minors = [_det_permutation_expansion(Matrix([row[:k] for row in m.entries[:k]]))
+                  for k in range(1, n + 1)]
+        expected = all(x > 0 for x in minors)
+        assert m.is_positive_definite() == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+# -- products ----------------------------------------------------------------
+
+
+def _fraction_dot(u, v):
+    """The dot product as a sum of Fraction products: the reference for
+    the integer products."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+# numerators and denominators up to 10**30, and rows of zeros
+wide_fractions = st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**30)
+
+
+def _rows(rows, cols):
+    row = st.one_of(st.just([Fraction(0)] * cols),
+                    st.lists(wide_fractions, min_size=cols, max_size=cols))
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(1, 1, 1), (1, 4, 1), (4, 1, 4), (3, 4, 2)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_match_fraction_sums(rows, inner, cols, data):
+    a = Matrix(data.draw(_rows(rows, inner)))
+    b = Matrix(data.draw(_rows(inner, cols)))
+    v = data.draw(_rows(1, inner))[0]
+    product = a * b
+    assert product.entries == tuple(
+        tuple(_fraction_dot(row, col) for col in zip(*b.entries)) for row in a.entries)
+    assert all(type(x) is Fraction for row in product.entries for x in row)
+    image = a.matvec(v)
+    assert image == tuple(_fraction_dot(row, v) for row in a.entries)
+    assert all(type(x) is Fraction for x in image)
+    assert dot(a.row(0), v) == _fraction_dot(a.row(0), v)
 
 
 def test_rank_and_solve():
