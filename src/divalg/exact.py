@@ -5,13 +5,13 @@ positive denominator, arbitrary precision.  Matrices are immutable dense
 grids of Fractions with exact products, determinants (fraction-free Bareiss
 elimination), reduced row echelon forms and kernels.
 
-Products run on integer multiples.  A row, column or vector is cleared to
-integers once, by the lcm of its denominators (``cleared``); its dot
-products are then sums of Python ints, and each result entry becomes one
-Fraction of an integer over the product of the two lcms (``cleared_dot``).
-Determinants and the positive-definiteness test eliminate on the cleared
-rows.  This module is the substrate for everything else; it never touches
-floating point.
+Matrix, matrix-vector and dot products run on integer multiples.  A row,
+column or vector is cleared to integers once, by the lcm of its
+denominators (``cleared``); its dot products are then sums of Python ints,
+and each result entry becomes one Fraction of an integer over the product
+of the two lcms (``cleared_dot``).  Determinants and the
+positive-definiteness test eliminate on the cleared rows.  This module is
+the substrate for everything else; it never touches floating point.
 """
 
 from __future__ import annotations
