@@ -587,9 +587,21 @@ def test_morphism_exit_codes(tmp_path, monkeypatch, conjugate_bent_tensor, kind,
     assert code == MORPHISM_EXIT_CODES[kind, src]
 
 
-def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
+def assembled(tracer):
+    """The tracer's counts of the constraint systems' rows and nonzero
+    cells per degree."""
+    return {k[len("lifting.assemble."):]: v for k, v in tracer.counts.items()
+            if k.startswith("lifting.assemble.")}
+
+
+def test_benchmark_trace_finds_every_entry_point(perfbench_tracer, tmp_path, monkeypatch,
+                                                 conjugate_bent_tensor):
     # a renamed or reshaped entry point would read null in the benchmark's
-    # per-layer metrics; its hooks run on a small traced lift
+    # per-layer metrics; its hooks run on small traced lifts, and the
+    # system sizes they count are frozen: cross3 at d = 1, then the
+    # conjugated bent map of lift-deg3-conj at d = 1, 2, 3
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    monkeypatch.chdir(tmp_path)
     tracer = perfbench_tracer.Tracer()
     tracer.install()
     try:
@@ -597,8 +609,12 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer):
         code, _ = run_cli("lift", "--builtin", "cross3", "--trials", "5", "--samples", "4")
         assert code == 0
         assert tracer.missing == {}
-        assert tracer.counts["lifting.assemble.rows.d1"] > 0
-        assert tracer.counts["lifting.assemble.nnz.d1"] > 0
+        assert assembled(tracer) == {"rows.d1": 18, "nnz.d1": 18}
+        code, _ = run_cli("lift", "--input", "conj.json", "--trials", "5", "--samples", "4")
+        assert code == 0
+        assert assembled(tracer) == {"rows.d1": 18 + 196, "nnz.d1": 18 + 1330,
+                                     "rows.d2": 588, "nnz.d2": 5320,
+                                     "rows.d3": 1470, "nnz.d3": 15960}
         assert tracer.spans["modkernel.reconstruct"].calls > 0
         assert tracer.spans["modkernel.verify"].calls > 0
         for argv in (("recover", "--builtin", "octonions"),

@@ -139,10 +139,40 @@ SYSTEM_SHA256 = {
 }
 
 
+# (map name, degree) -> SHA-256 of the float64 bytes of the residue blocks
+# the elimination reads: all rows mod PRIMES[0], and the rows
+# [nrows // 3 + 1, 2 * nrows // 3 + 2) mod PRIMES[1]
+BLOCK_SHA256 = {
+    ("cross3", 1): ("efee95db4c865d01e2781892006141d9ba51bcb6f8170c371ee2309ad7117a89",
+                    "88ef2de772ab8361e813cf59e7d5601d0e9c3c4dd7ea7a2b7e082613b1ecf5c9"),
+    ("cross3", 2): ("74a4395142a8112c54ee57752544e5d6d46b7ca4e214dd9b345d616624cf772d",
+                    "5c188a4452d3242687d24666b280d80493522b5ccb98b0e1de2233b96d2a99cd"),
+    ("cross7", 1): ("113d68a58da5d61fabacc673f14d9d413456b274d4b573987e4992174c23bb20",
+                    "a3cf8ae2a7bf6634f1503497c2427b0ed1e007a00d32b76c1f4a30a87963c1d7"),
+    ("conjugate", 1): ("43b831ed9cf6dd8498feb496d8be7ef93d6478a806f86547d6c9556646d8abaa",
+                       "c76daf39053ab74ad8e1c36bc196cca72324fb609c636da157e4ba7cddc17c2c"),
+    ("conjugate", 2): ("2bf05b7a79b06d7ca28a727834e1373f8c4fc9ec096e8bfe278c210fd436959a",
+                       "5ca99691b2381632bfa79377fd36795f3892e6277d4da4771056f7d0b4d97ef2"),
+    ("conjugate", 3): ("5c8031aedc33dd172ff07c1f171aeb7c187b8a324ccb93c7395afe26ee8161e2",
+                       "3a088bef19902d3963fb0e4d2f6bfe071cedbdf7b7fb7f1bb631d9c9f706aceb"),
+    ("quadruple0", 1): ("b60e2492e9991e4276298ef6ebaab58d663e85d00e7226ad0b958e4b0f9924b6",
+                        "a9172fa5a2f5e2b6cf652c6dfb95c41c807fff90ebdfa23d73be645f6992af1b"),
+    ("conjugate_2_70", 1): ("28d5b5e57cc64af824b170cd5b4d0dba66c17f59a7201ac4b745ee504e553bbb",
+                            "54cb8d9faf64893785535162016010c7cba63e6f1817dd59f6d77f2134f4d50e"),
+}
+
+
 def system_digest(system):
     blob = repr((system.indptr.tolist(), system.indices.tolist(),
                  [int(x) for x in system.data])).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def block_digests(system):
+    lo, hi = system.nrows // 3 + 1, 2 * system.nrows // 3 + 2
+    blocks = (system.dense_block_mod(0, system.nrows, modkernel.PRIMES[0]),
+              system.dense_block_mod(lo, hi, modkernel.PRIMES[1]))
+    return tuple(hashlib.sha256(block.tobytes()).hexdigest() for block in blocks)
 
 
 @pytest.mark.parametrize("name, d", SYSTEM_SHA256)
@@ -153,7 +183,9 @@ def test_system_bytes_are_frozen(conjugate_bent_tensor, name, d):
                                for plane in conjugate_bent_tensor])
     else:
         eta = named_map(name, conjugate_bent_tensor)
-    assert system_digest(_sparse_system(eta, d)) == SYSTEM_SHA256[name, d]
+    system = _sparse_system(eta, d)
+    assert system_digest(system) == SYSTEM_SHA256[name, d]
+    assert block_digests(system) == BLOCK_SHA256[name, d]
 
 
 def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
