@@ -67,7 +67,7 @@ certified symbolically.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -76,7 +76,7 @@ import numpy as np
 from . import modkernel
 from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
 from .exact import integer_tensor, primitive_vector
-from .modkernel import SparseIntMatrix, sparse_kernel
+from .modkernel import sparse_kernel
 from .poly import (
     DEFAULT_MAX_DEGREE,
     HomogeneousPoly,
@@ -117,29 +117,98 @@ def constraint_shape(n, d):
     return n * monomial_count(n, d + 3), n * monomial_count(n, d)
 
 
-def _sparse_system(eta: DissidentMap, d) -> SparseIntMatrix:
-    """The divided constraint matrix at degree d, from eta's integer tensor t.
+class ConstraintSystem:
+    """The divided constraint matrix M at degree d of an integer tensor t,
+    kept as the formula of its cells, not as a list of them.
 
-    Column (k, m): coefficient monomial m of component k.  Its contribution
-    to the slot j is m(v) * <e_k, eta(v ^ e_j)> = sum_i t[i][j][k] * (m * x_i),
-    and the monomials m * x_i differ for different i, so each cell gets
-    exactly one term: the cells are distinct, as SparseIntMatrix requires.
-    Rows are indexed j-major by the degree-(d+1) monomials: with shift[i, c]
-    the row of column monomial c times x_i, every nonzero t[i][j][k] fills
-    the rows j*R + shift[i] of the columns k*C + c, for all C monomials c.
+    Column k*C + c, C = monomial_count(n, d), is the coefficient of the
+    column monomial m_c in component k.  Its contribution to the slot j is
+    m_c(v) * <e_k, eta(v ^ e_j)> = sum_i t[i][j][k] * (m_c * x_i), and rows
+    are indexed j-major by the R = monomial_count(n, d + 1) monomials of
+    degree d + 1.  With shift[i][c] the index of m_c * x_i among them,
+
+        M[j*R + shift[i][c], k*C + c] = t[i][j][k].
+
+    The monomials m_c * x_i differ for different i, so each cell gets
+    exactly one term.  sparse_kernel reads M through nrows, ncols, the
+    exact certificate annihilates and the residue blocks rows_mod that its
+    elimination takes; shift is built on first use, so a degree whose
+    solve returns {0} builds nothing.
     """
-    n = eta.n
-    tensor = np.array(integer_tensor(eta.tensor), dtype=object)
-    cols_monos = monomials(n, d)
-    row_index = {m: r for r, m in enumerate(monomials(n, d + 1))}
-    R, C = len(row_index), len(cols_monos)
-    shift = np.array([[row_index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in cols_monos]
-                      for i in range(n)], dtype=np.int64)
-    i, j, k = np.nonzero(tensor)
-    rows = j[:, None] * R + shift[i]
-    cols = k[:, None] * C + np.arange(C)
-    values = np.repeat(tensor[i, j, k], C)
-    return SparseIntMatrix(n * R, n * C, rows.ravel(), cols.ravel(), values)
+
+    def __init__(self, tensor, d):
+        self.tensor = tensor  # nested lists of Python ints, n x n x n
+        self.d = d
+
+    @property
+    def nrows(self):
+        n = len(self.tensor)
+        return n * monomial_count(n, self.d + 1)
+
+    @property
+    def ncols(self):
+        n = len(self.tensor)
+        return n * monomial_count(n, self.d)
+
+    @property
+    def nnz(self):
+        """The number of nonzero cells: C per nonzero entry of t."""
+        n = len(self.tensor)
+        return sum(len(self._terms(j)) for j in range(n)) * monomial_count(n, self.d)
+
+    @cached_property
+    def shift(self):
+        """shift[i][c] as an int64 array of shape (n, C)."""
+        n = len(self.tensor)
+        index = {m: r for r, m in enumerate(monomials(n, self.d + 1))}
+        return np.array([[index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, self.d)]
+                         for i in range(n)], dtype=np.int64)
+
+    def _terms(self, j):
+        """The nonzero t[i][j][k] of the slot j, as (i, k, t)."""
+        return [(i, k, t) for i, plane in enumerate(self.tensor)
+                for k, t in enumerate(plane[j]) if t]
+
+    def annihilates(self, vectors):
+        """Whether M phi = 0 exactly for every integer vector phi in
+        ``vectors``: the certificate, in Python ints.  For each slot j,
+        every nonzero t[i][j][k] adds t[i][j][k] * phi_k(c) into the row
+        shift[i][c], for all c at once."""
+        shift = self.shift
+        n, C = shift.shape
+        R = self.nrows // n
+        for phi in vectors:
+            components = np.array(phi, dtype=object).reshape(n, C)
+            for j in range(n):
+                row = np.zeros(R, dtype=object)
+                for i, k, t in self._terms(j):
+                    row[shift[i]] += t * components[k]
+                if row.any():
+                    return False
+        return True
+
+    def rows_mod(self, start, stop, p):
+        """Rows [start, stop) of M mod p as a dense float64 block of
+        residues: each nonzero t[i][j][k] of a slot the block meets puts
+        t[i][j][k] mod p at the rows j*R + shift[i][c] and the columns
+        k*C + c that fall in the block."""
+        shift = self.shift
+        n, C = shift.shape
+        R = self.nrows // n
+        block = np.zeros((stop - start, self.ncols), dtype=np.float64)
+        for j in range(start // R, -(-stop // R)):
+            rows = j * R + shift - start
+            inside = (rows >= 0) & (rows < stop - start)
+            for i, k, t in self._terms(j):
+                cols = np.flatnonzero(inside[i])
+                block[rows[i, cols], k * C + cols] = t % p
+        return block
+
+
+def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
+    """The divided constraint system at degree d, from eta's integer
+    tensor (a ConstraintSystem)."""
+    return ConstraintSystem(integer_tensor(eta.tensor), d)
 
 
 def _degree_kernel(eta: DissidentMap, d):
@@ -147,11 +216,11 @@ def _degree_kernel(eta: DissidentMap, d):
     returns it: each prime's subspace comes from the eta_P lines at points
     (_kernel_at_points), and if no prime's candidate verifies, the degree
     is solved again with the elimination of the whole system."""
-    mat = _sparse_system(eta, d)
+    system = _sparse_system(eta, d)
     try:
-        return sparse_kernel(mat, solve=partial(_kernel_at_points, integer_tensor(eta.tensor), d))
+        return sparse_kernel(system, solve=_kernel_at_points)
     except modkernel.ModularKernelError:
-        return sparse_kernel(mat)
+        return sparse_kernel(system)
 
 
 def _interpolation_points(n, count, d, p):
@@ -162,10 +231,11 @@ def _interpolation_points(n, count, d, p):
                     dtype=np.int64).reshape(count, n)
 
 
-def _kernel_at_points(tensor, d, mat, p):
-    """A subspace of F_p^(n*C) that contains ker(M mod p), for the degree-d
-    system ``mat`` of the integer tensor ``tensor``: the (int64 rows, pivot
-    tuple) of its RREF, or None for {0}.  This is sparse_kernel's solve.
+def _kernel_at_points(system, p):
+    """A subspace of F_p^(n*C) that contains ker(M mod p), for the
+    ConstraintSystem M of the integer tensor t at degree d: the (int64
+    rows, pivot tuple) of its RREF, or None for {0}.  This is
+    sparse_kernel's solve.
 
     A kernel vector is a lifting mod p: A(u) Phi(u) = 0 at every point u,
     with A(u) the matrix of rows eta(u ^ e_j).  At a point u_s where A(u_s)
@@ -190,8 +260,9 @@ def _kernel_at_points(tensor, d, mat, p):
     has rank n - 1 are kept, k* is the component nonzero on the most of
     their lines, and the first C + E points with l_s[k*] != 0 are used.
     When fewer are found, or V0 is singular mod p, the prime takes
-    _kernel_mod_p(mat, p).
+    _kernel_mod_p(system, p).
     """
+    tensor, d = system.tensor, system.d
     n = len(tensor)
     exponents = np.array(monomials(n, d), dtype=np.int64)
     C = len(exponents)
@@ -203,13 +274,13 @@ def _kernel_at_points(tensor, d, mat, p):
     star = int(np.argmax(np.count_nonzero(lines[defined], axis=0)))
     chosen = defined[lines[defined, star] != 0][:used]
     if len(chosen) < used:
-        return modkernel._kernel_mod_p(mat, p)
+        return modkernel._kernel_mod_p(system, p)
     inverse = np.array([pow(int(x), -1, p) for x in lines[chosen, star]], dtype=np.int64)
     ratios = (lines[chosen] * inverse[:, None] % p).astype(np.float64)
     table = _monomial_table_mod(points[chosen], exponents, p)
     reduced, pivots, _ = modkernel._rref_mod(np.hstack([table[:C], np.eye(C)]), p)
     if pivots != list(range(C)):
-        return modkernel._kernel_mod_p(mat, p)
+        return modkernel._kernel_mod_p(system, p)
     v0_inverse = reduced[:, C:]
     weights = modkernel._matmul_mod(table[C:], v0_inverse, p)
     others = [k for k in range(n) if k != star]

@@ -1,5 +1,12 @@
-"""Modular arithmetic: exact kernels of large sparse integer matrices, and
-batched ranks of small matrices for screening.
+"""Modular arithmetic: exact kernels of large integer systems, and batched
+ranks of small matrices for screening.
+
+A system M is read through four members: its shape ``nrows`` and
+``ncols``, ``rows_mod(start, stop, p)``, the rows [start, stop) as a dense
+float64 block of residues mod p, and ``annihilates(vectors)``, whether
+M v = 0 exactly for every integer vector v of a family.  The degree scan's
+constraint system (lifting.ConstraintSystem) computes both from the
+formula of its cells.
 
 The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
@@ -13,8 +20,7 @@ kernel basis is recovered by Chinese remaindering of the entries off its
 pivot columns and, row by row, one common denominator found by lattice
 reduction and completed by Wang's rational reconstruction, so that one
 prime serves entries of nearly its own size.  The candidate is then
-certified by one exact integer product against the original matrix, in
-int64 whenever a bound on the row sums allows.
+certified by the system's exact annihilates.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -85,82 +91,6 @@ SCREEN_BATCH = 1024
 
 class ModularKernelError(RuntimeError):
     """Reconstruction failed for every prime in the ladder (solver bug)."""
-
-
-class SparseIntMatrix:
-    """Immutable CSR matrix with integer entries.
-
-    The entries are stored once, in ``data``: an int64 array when every
-    entry is below 2**62 in absolute value, and an object array of Python
-    ints otherwise.
-    """
-
-    def __init__(self, nrows, ncols, rows, cols, values):
-        """The matrix with the cells (rows[t], cols[t]) = values[t]: integer
-        arrays of one length, in any order, with no cell given twice.
-        ``values`` is an int64 array or an object array of Python ints.
-        The cells are ordered by row, then column, and each row's count
-        gives ``indptr``."""
-        self.nrows = nrows
-        self.ncols = ncols
-        rows = np.asarray(rows, dtype=np.int64)
-        order = np.lexsort((cols, rows))
-        self.indices = np.asarray(cols, dtype=np.int64)[order]
-        data = np.asarray(values)[order]
-        self.max_abs = max(int(data.max(initial=0)), -int(data.min(initial=0)))
-        self.data = data.astype(np.int64 if self.max_abs < 2 ** 62 else object, copy=False)
-        self.indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=self.indptr[1:])
-
-    @property
-    def nnz(self):
-        return len(self.data)
-
-    def dense_block_mod(self, row_start, row_stop, p):
-        """Rows [row_start, row_stop) as a dense float64 block of residues."""
-        rows = row_stop - row_start
-        block = np.zeros((rows, self.ncols), dtype=np.float64)
-        lo = int(self.indptr[row_start])
-        hi = int(self.indptr[row_stop])
-        row_idx = np.repeat(
-            np.arange(rows, dtype=np.int64),
-            np.diff(self.indptr[row_start:row_stop + 1]),
-        )
-        block[row_idx, self.indices[lo:hi]] = self.data[lo:hi] % p
-        return block
-
-    def annihilates(self, vectors):
-        """Whether M v = 0 exactly for every integer vector v in ``vectors``,
-        checked in slices of vectors that keep the nnz x slice products
-        small."""
-        step = max(1, 2 ** 20 // max(self.nnz, 1))
-        return all(not np.any(self._product(vectors[s:s + step]))
-                   for s in range(0, len(vectors), step))
-
-    def _product(self, vectors):
-        """The exact products M v of a nonempty family of integer vectors,
-        as the columns of an nrows x len(vectors) array.
-
-        Only the columns M has entries in are read.  The products run in
-        int64 when max_abs * vmax * max_row_nnz < 2**62, so that no row
-        sum can reach 2**62, and in Python ints otherwise.  vmax counts as
-        at least 1, so entries of 2**62 or more always take Python ints.
-        """
-        sums = np.zeros((self.nrows, len(vectors)), dtype=np.int64)
-        if not self.nnz:
-            return sums
-        used, slot = np.unique(self.indices, return_inverse=True)
-        used = used.tolist()
-        sub = [[v[c] for c in used] for v in vectors]
-        vmax = max((abs(x) for row in sub for x in row), default=0)
-        max_row_nnz = int(np.max(np.diff(self.indptr)))
-        if self.max_abs * max(vmax, 1) * max_row_nnz >= 2 ** 62:
-            sums = sums.astype(object)
-        block = np.array(sub, dtype=sums.dtype).T[slot]
-        nonempty = np.flatnonzero(np.diff(self.indptr))
-        sums[nonempty] = np.add.reduceat(
-            self.data.astype(sums.dtype, copy=False)[:, None] * block, self.indptr[nonempty])
-        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +283,7 @@ def _kernel_mod_p(mat, p):
     start = 0
     while start < mat.nrows:
         stop = min(start + max(live // 2, _PANEL), mat.nrows)
-        rows = mat.dense_block_mod(start, stop, p)
+        rows = mat.rows_mod(start, stop, p)
         start = stop
         if not np.any(rows):
             continue
@@ -626,7 +556,8 @@ def _off_pivot(ncols, pivots):
 
 
 def sparse_kernel(mat, primes=PRIMES, solve=None):
-    """Exact canonical kernel basis of a SparseIntMatrix.
+    """Exact canonical kernel basis of an integer system (see the module
+    docstring for what it reads of ``mat``).
 
     Returns primitive integer vectors (content 1, positive leading entry),
     the rows of the reduced row echelon form of the kernel subspace; [] iff
@@ -671,11 +602,11 @@ def sparse_kernel(mat, primes=PRIMES, solve=None):
             return candidate
     raise ModularKernelError(
         f"kernel not reconstructible with {len(primes)} primes "
-        f"({mat.nrows}x{mat.ncols}, nnz={mat.nnz})"
+        f"({mat.nrows}x{mat.ncols})"
     )
 
 
 def _verify_candidate(mat, vectors):
     """Whether M v = 0 exactly for every reconstructed kernel vector v: the
-    certificate of sparse_kernel's answer."""
+    certificate of sparse_kernel's answer, the system's own annihilates."""
     return mat.annihilates(vectors)

@@ -637,7 +637,7 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     import random
 
     from divalg import modkernel
-    from test_modkernel import dense_to_sparse
+    from test_modkernel import dense_matrix
 
     rng = random.Random(5)
     nrows, rank, dim = 2100, 140, 10  # wider than two panels of 64 columns
@@ -646,7 +646,7 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     for _ in range(nrows):
         row = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(rank)]
         rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
-    mat = dense_to_sparse(rows)
+    mat = dense_matrix(rows)
     # the row blocks: max(live // 2, 64) rows each, with live the kernel
     # dimension of the rows before them (rank + dim before the first);
     # every row block has a nonzero row, and the first rows have full rank

@@ -1,10 +1,12 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +27,7 @@ from divalg.dissident import (
 )
 from divalg.lifting import (
     AmbiguousKernel,
+    ConstraintSystem,
     Lifting,
     NoLiftingFound,
     constraint_shape,
@@ -43,7 +46,7 @@ from divalg.modkernel import sparse_kernel
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
 from divalg.serialize import canonical_json, lifting_to_json
 from test_dissident import ONE, TWO, scaled_map
-from test_modkernel import cells_to_sparse
+from test_modkernel import IntMatrix
 from test_poly import evaluate
 
 
@@ -112,31 +115,100 @@ def test_zero_map_gives_zero_matrix():
     assert all(x == 0 for row in m.entries for x in row)
 
 
-def test_dense_and_sparse_systems_agree():
-    for n, d in ((3, 1), (3, 2), (7, 1)):
-        eta = cross_product_map(n)
-        dense = build_constraint_system(eta, d)
-        sparse = _sparse_system(eta, d)
-        assert (sparse.nrows, sparse.ncols) == (dense.rows, dense.cols)
-        for r in range(dense.rows):
-            lo, hi = int(sparse.indptr[r]), int(sparse.indptr[r + 1])
-            row = {int(sparse.indices[t]): sparse.data[t] for t in range(lo, hi)}
-            for c in range(dense.cols):
-                assert dense[r, c] == row.get(c, 0)
+def integer_map(eta):
+    """eta times the lcm of its denominators: the map whose cells the
+    solver's system holds."""
+    return DissidentMap(eta.n, integer_tensor(eta.tensor))
 
 
-# (map name, degree) -> SHA-256 of the system's indptr, indices and data as
-# Python ints: the CSR arrays the solver eliminates, byte for byte
-SYSTEM_SHA256 = {
-    ("cross3", 1): "52d00dd8bd3a0968ad63658be00d1360cc1a68f6a9b19b94ba406d30259a4046",
-    ("cross3", 2): "d3bbaed6f443ef1bc1664f6363207c7cad1aeff37a327da3f19a0798d20359e9",
-    ("cross7", 1): "39953802b14cd3bcc70a0f32bc8bc493ea92a22e14f26c01fd3c4a6f4e7f2266",
-    ("conjugate", 1): "87f99a0f32a64ec930faf185044ee63d57ec0fe7221ce5ac2d1ece92498f78e1",
-    ("conjugate", 2): "9f2a810462a362746e00a8b172f5910887d3289c3fc7938eb6a5cb934ca96128",
-    ("conjugate", 3): "e795fb01b2d2ddda7364496173f0a45e361f0ce18e16a41f4952984a0cf9de96",
-    ("quadruple0", 1): "8085b783cb2ec986f2684075b7b30adfa33d496bfffe134dee0b75cad9513749",
-    ("conjugate_2_70", 1): "2a32212f36ccb107f3c4d789983a475900715da1c98c24d6ba7515b8220b8afa",
-}
+def test_dense_and_sparse_systems_agree(conjugate_bent_tensor):
+    # the dense reference mod p against the residue blocks, and its exact
+    # product against the certificate: on seeded vectors (almost never in
+    # the kernel), on the kernel's vectors and their sum, and on each
+    # kernel vector plus one unit vector
+    rng = random.Random(23)
+    for name, d in (("cross3", 1), ("cross3", 2), ("cross7", 1), ("conjugate", 1),
+                    ("quadruple0", 1)):
+        eta = named_map(name, conjugate_bent_tensor)
+        dense = build_constraint_system(integer_map(eta), d)
+        system = _sparse_system(eta, d)
+        assert (system.nrows, system.ncols) == (dense.rows, dense.cols)
+        assert system.nnz == sum(x != 0 for row in dense.entries for x in row)
+        for p in (modkernel.PRIMES[0], 5):
+            residues = [[int(x) % p for x in row] for row in dense.entries]
+            assert system.rows_mod(0, system.nrows, p).tolist() == residues, (name, d, p)
+        kernel = sparse_kernel(system)
+        vectors = [[rng.randint(-3, 3) for _ in range(dense.cols)] for _ in range(8)]
+        if kernel:
+            vectors += kernel + [[sum(x) for x in zip(*kernel)]]
+        vectors += [[x + (c == rng.randrange(dense.cols)) for c, x in enumerate(v)]
+                    for v in kernel]
+        for v in vectors:
+            exact = all(x == 0 for x in dense.matvec(v))
+            assert system.annihilates([v]) == exact, (name, d)
+        assert system.annihilates(kernel)
+
+
+def test_certificate_checks_every_slot():
+    # for an antisymmetric tensor each slot's rows follow from the others'
+    # (sum_j v_j eta(v ^ e_j) = eta(v ^ v) = 0), so this takes the tensor
+    # with t[0][j][j] = 1 and no other entry: slot j holds x_0 * Phi_j, and
+    # every vector that the other slots annihilate, one with only Phi_j
+    # nonzero, is rejected by slot j alone
+    n, d = 3, 2
+    tensor = [[[int(i == 0 and k == j) for k in range(n)] for j in range(n)] for i in range(n)]
+    system = ConstraintSystem(tensor, d)
+    dense = build_constraint_system(SimpleNamespace(n=n, tensor=tensor), d)
+    p = modkernel.PRIMES[0]
+    assert system.rows_mod(0, system.nrows, p).tolist() == [list(map(int, row))
+                                                            for row in dense.entries]
+    R = dense.rows // n
+    for j in range(n):
+        others = Matrix([row for r, row in enumerate(dense.entries) if r // R != j])
+        vectors = others.kernel()
+        assert len(vectors) == monomial_count(n, d)
+        assert not any(system.annihilates([v]) for v in vectors), j
+
+
+def coefficients(lifting):
+    """The lifting's coefficient vector in the system's column order."""
+    n, d = lifting.n, lifting.degree
+    return [int(p.terms.get(m, 0)) for p in lifting.components for m in monomials(n, d)]
+
+
+@pytest.mark.parametrize("name", ["cross3", "cross7", "conjugate", "conjugate_2_70", "rand5"])
+def test_certificate_accepts_the_scan_lifting(conjugate_bent_tensor, rand5, name):
+    # the 2**70 multiple of the conjugated bent map has the same lifting,
+    # against cells past int64
+    if name == "rand5":
+        eta, lifting = rand5[:2]
+    else:
+        eta = named_map(name.removesuffix("_2_70"), conjugate_bent_tensor)
+        lifting = solve_lifting(eta, samples=8, seed=0)
+        if name == "conjugate_2_70":
+            eta = scaled_map(eta, 2 ** 70)
+    assert _sparse_system(eta, lifting.degree).annihilates([coefficients(lifting)])
+
+
+def test_certificate_rejects_single_coefficient_changes(conjugate_bent_tensor):
+    # no column of the degree-3 system is zero, so changing one coefficient
+    # of the lifting always leaves M phi != 0; changes by 1, to 0 (or by
+    # 2**64 where it is 0 already, which int64 products would wrap to 0),
+    # and a multiple of 2**64 + 1 with 2**64 added to one entry
+    eta = DissidentMap(7, conjugate_bent_tensor)
+    lifting = solve_lifting(eta, samples=8, seed=0)
+    system = _sparse_system(eta, 3)
+    phi = coefficients(lifting)
+    assert system.annihilates([phi])
+    for c in range(len(phi)):
+        for delta in (1, -phi[c] or 2 ** 64):
+            changed = phi[:c] + [phi[c] + delta] + phi[c + 1:]
+            assert not system.annihilates([changed]), (c, delta)
+    assert not system.annihilates([phi, changed])
+    wrapped = [x * (2 ** 64 + 1) for x in phi]
+    assert system.annihilates([wrapped])
+    wrapped[0] += 2 ** 64
+    assert not system.annihilates([wrapped])
 
 
 # (map name, degree) -> SHA-256 of the float64 bytes of the residue blocks
@@ -162,42 +234,52 @@ BLOCK_SHA256 = {
 }
 
 
-def system_digest(system):
-    blob = repr((system.indptr.tolist(), system.indices.tolist(),
-                 [int(x) for x in system.data])).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
 def block_digests(system):
     lo, hi = system.nrows // 3 + 1, 2 * system.nrows // 3 + 2
-    blocks = (system.dense_block_mod(0, system.nrows, modkernel.PRIMES[0]),
-              system.dense_block_mod(lo, hi, modkernel.PRIMES[1]))
+    blocks = (system.rows_mod(0, system.nrows, modkernel.PRIMES[0]),
+              system.rows_mod(lo, hi, modkernel.PRIMES[1]))
     return tuple(hashlib.sha256(block.tobytes()).hexdigest() for block in blocks)
 
 
-@pytest.mark.parametrize("name, d", SYSTEM_SHA256)
+@pytest.mark.parametrize("name, d", BLOCK_SHA256)
 def test_system_bytes_are_frozen(conjugate_bent_tensor, name, d):
     if name == "conjugate_2_70":
-        # entries of 2**70 and more: the object path
+        # entries of 2**70 and more
         eta = DissidentMap(7, [[[x * 2 ** 70 for x in cell] for cell in plane]
                                for plane in conjugate_bent_tensor])
     else:
         eta = named_map(name, conjugate_bent_tensor)
-    system = _sparse_system(eta, d)
-    assert system_digest(system) == SYSTEM_SHA256[name, d]
-    assert block_digests(system) == BLOCK_SHA256[name, d]
+    assert block_digests(_sparse_system(eta, d)) == BLOCK_SHA256[name, d]
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 70])
+def test_row_blocks_do_not_matter(conjugate_bent_tensor, scale):
+    # the elimination reads the rows in blocks of varying height, which may
+    # cut a slot anywhere: every partition gives the rows of the whole
+    rng = random.Random(17)
+    eta = scaled_map(DissidentMap(7, conjugate_bent_tensor), scale)
+    system = _sparse_system(eta, 2)
+    p = modkernel.PRIMES[0]
+    whole = system.rows_mod(0, system.nrows, p)
+    for _ in range(3):
+        cuts = sorted(rng.sample(range(1, system.nrows), 12))
+        blocks = [system.rows_mod(a, b, p)
+                  for a, b in zip([0] + cuts, cuts + [system.nrows])]
+        assert np.array_equal(np.vstack(blocks), whole)
 
 
 def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
-    # eta times 2**70 has entries past int64: the same cells hold Python
-    # ints, and the scan finds the same lifting
+    # eta times 2**70 has entries past int64: the same cells hold the
+    # scaled Python ints, and the scan finds the same lifting
     eta = DissidentMap(7, conjugate_bent_tensor)
     big = DissidentMap(7, [[[x * 2 ** 70 for x in cell] for cell in plane]
                            for plane in conjugate_bent_tensor])
     small, large = _sparse_system(eta, 1), _sparse_system(big, 1)
-    assert small.data.dtype == np.int64 and large.data.dtype == object
-    assert np.array_equal(small.indptr, large.indptr)
-    assert np.array_equal(small.indices, large.indices)
+    assert large.tensor == [[[x * 2 ** 70 for x in cell] for cell in plane]
+                            for plane in small.tensor]
+    p = modkernel.PRIMES[0]
+    assert np.array_equal(large.rows_mod(0, large.nrows, p),
+                          small.rows_mod(0, small.nrows, p) * (2 ** 70 % p) % p)
     lifting, scan, _ = solve_lifting_scan(eta, samples=16, seed=3)
     assert solve_lifting_scan(big, samples=16, seed=3)[:2] == (lifting, scan)
 
@@ -578,7 +660,7 @@ def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows
-        assert sparse_kernel(cells_to_sparse(nrows, ncols, coo)) == sparse_kernel(divided)
+        assert sparse_kernel(IntMatrix(nrows, ncols, coo)) == sparse_kernel(divided)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
@@ -764,14 +846,13 @@ def test_points_solve_contains_the_elimination_kernel(cells):
     for (i, j), cell in zip(((0, 1), (0, 2), (1, 2)), cells):
         t[i][j], t[j][i] = cell, [-x for x in cell]
     eta = DissidentMap(3, t)
-    tensor = integer_tensor(eta.tensor)
     for d in (1, 2, 3):
         mat = _sparse_system(eta, d)
         for p in modkernel.PRIMES[:2]:
             expected = modkernel._kernel_mod_p(mat, p)
             with mock.patch.object(modkernel, "_kernel_mod_p",
                                    wraps=modkernel._kernel_mod_p) as eliminate:
-                result = _kernel_at_points(tensor, d, mat, p)
+                result = _kernel_at_points(mat, p)
             if expected is not None:
                 assert result is not None and _in_row_span(result[0], expected[0], p), \
                     (cells, d, p)

@@ -11,84 +11,51 @@ from divalg.exact import Matrix, primitive_vector
 from divalg.modkernel import (
     PRIMES,
     ModularKernelError,
-    SparseIntMatrix,
     rank_mod_p,
     sparse_kernel,
 )
 
 
-def cells_to_sparse(nrows, ncols, cells):
-    """A SparseIntMatrix from (row, col, value) cells, the values of any
-    size: the one place the tests call its constructor."""
-    rows, cols, values = zip(*cells) if cells else ((), (), ())
-    return SparseIntMatrix(nrows, ncols, rows, cols, np.array(values, dtype=object))
+class IntMatrix:
+    """An integer matrix from (row, col, value) cells of any size, as
+    sparse_kernel reads a system: its shape, dense residue row blocks and
+    the exact M v = 0, in Python ints."""
+
+    def __init__(self, nrows, ncols, cells):
+        self.nrows, self.ncols = nrows, ncols
+        self.rows = [{} for _ in range(nrows)]
+        for r, c, v in cells:
+            self.rows[r][c] = v
+
+    def rows_mod(self, start, stop, p):
+        block = np.zeros((stop - start, self.ncols))
+        for r, row in enumerate(self.rows[start:stop]):
+            for c, v in row.items():
+                block[r, c] = v % p
+        return block
+
+    def annihilates(self, vectors):
+        return all(sum(x * v[c] for c, x in row.items()) == 0
+                   for v in vectors for row in self.rows)
 
 
-def dense_to_sparse(rows):
+def dense_matrix(rows):
     cells = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
-    return cells_to_sparse(len(rows), len(rows[0]), cells)
-
-
-def product(mat, v):
-    """M v as a list of Python ints."""
-    return mat._product([v])[:, 0].tolist()
-
-
-def test_exact_product_matches_python():
-    rows = [[3, 0, -2], [0, 0, 0], [7, 1, 1]]
-    mat = dense_to_sparse(rows)
-    v = [5, -1, 4]
-    expected = [sum(a * b for a, b in zip(row, v)) for row in rows]
-    assert product(mat, v) == expected
-
-
-def test_exact_product_bigint_path():
-    big = 2 ** 70
-    mat = cells_to_sparse(2, 2, [(0, 0, big), (1, 1, -big)])
-    assert product(mat, [1, 2]) == [big, -2 * big]
-
-
-def test_exact_product_leaves_int64_before_it_can_wrap():
-    # 2**40 * 2**30 = 2**70 wraps to 0 in int64; 2**31 * 2**33 - 2**64 is 0,
-    # but 2**64 does not fit in int64
-    assert not cells_to_sparse(1, 1, [(0, 0, 2 ** 40)]).annihilates([(2 ** 30,)])
-    wide = cells_to_sparse(1, 2, [(0, 0, 2 ** 31), (0, 1, -1)])
-    assert wide.annihilates([(2 ** 33, 2 ** 64)])
-    assert product(wide, [2 ** 33, 2 ** 64 + 1]) == [-1]
-
-
-@pytest.mark.parametrize("scale", [1, 2 ** 70])
-def test_cell_order_does_not_matter(scale):
-    # the constructor orders the cells by row, then column, itself: any
-    # order of the same cells gives the same CSR arrays; rows 40-44 are empty
-    rng = random.Random(17)
-    cells = [(r, c, scale * rng.choice((-1, 1)) * rng.randint(1, 9))
-             for r in range(40) for c in range(30) if rng.random() < 0.2]
-    want = cells_to_sparse(45, 30, cells)
-    assert want.data.dtype == (np.int64 if scale == 1 else object)
-    assert want.indptr.tolist() == [sum(r < t for r, _, _ in cells) for t in range(46)]
-    assert list(zip(np.repeat(np.arange(45), np.diff(want.indptr)).tolist(),
-                    want.indices.tolist(), want.data.tolist())) == sorted(cells)
-    for _ in range(3):
-        rng.shuffle(cells)
-        got = cells_to_sparse(45, 30, cells)
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return IntMatrix(len(rows), len(rows[0]), cells)
 
 
 def test_kernel_zero_matrix_is_identity_basis():
-    mat = cells_to_sparse(4, 3, [])
+    mat = IntMatrix(4, 3, [])
     assert sparse_kernel(mat) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_kernel_full_column_rank_is_empty():
-    mat = dense_to_sparse([[1, 0], [0, 1], [1, 1]])
+    mat = dense_matrix([[1, 0], [0, 1], [1, 1]])
     assert sparse_kernel(mat) == []
 
 
 def test_kernel_hand_example():
-    mat = dense_to_sparse([[1, 1], [1, 1]])
+    mat = dense_matrix([[1, 1], [1, 1]])
     assert sparse_kernel(mat) == [(1, -1)]
 
 
@@ -99,7 +66,7 @@ def test_kernel_agrees_with_exact_rref():
         ncols = rng.randint(1, 8)
         rows = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(ncols)]
                 for _ in range(nrows)]
-        sparse = sparse_kernel(dense_to_sparse(rows))
+        sparse = sparse_kernel(dense_matrix(rows))
         assert sparse == Matrix(rows).kernel()
 
 
@@ -110,7 +77,7 @@ def test_kernel_agrees_with_exact_rref():
     )
 )
 def test_kernel_membership_property(rows):
-    mat = dense_to_sparse(rows)
+    mat = dense_matrix(rows)
     kernel = sparse_kernel(mat)
     m = Matrix(rows)
     for v in kernel:
@@ -119,10 +86,10 @@ def test_kernel_membership_property(rows):
 
 
 def test_kernel_with_huge_entries():
-    # exceeds the int64 fast path; exercises the Python-int verification
+    # entries past int64: the residues and the verification take Python ints
     big = 2 ** 80
     rows = [[big, -big, 0], [0, big, -big]]
-    kernel = sparse_kernel(dense_to_sparse(rows))
+    kernel = sparse_kernel(dense_matrix(rows))
     assert kernel == [(1, 1, 1)]
 
 
@@ -133,13 +100,13 @@ def test_kernel_survives_residue_wraparound():
 
     p = PRIMES[0]
     rows = [[p, 0], [0, 1]]
-    assert sparse_kernel(dense_to_sparse(rows)) == []
+    assert sparse_kernel(dense_matrix(rows)) == []
 
 
 def test_wide_zero_matrix_kernel():
     # kernel wider than one elimination block: full identity basis comes back
     ncols = 2500
-    mat = cells_to_sparse(1, ncols, [])
+    mat = IntMatrix(1, ncols, [])
     kernel = sparse_kernel(mat)
     assert len(kernel) == ncols
     for i in (0, 1234, 2499):
@@ -157,7 +124,7 @@ def test_blocked_processing_matches_small():
     for _ in range(400):
         row = [rng.randint(-4, 4) if rng.random() < 0.1 else 0 for _ in range(rank)]
         rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
-    kernel = sparse_kernel(dense_to_sparse(rows))
+    kernel = sparse_kernel(dense_matrix(rows))
     assert len(kernel) == dim
     assert kernel == _sympy_kernel(rows)
 
@@ -224,7 +191,7 @@ def test_one_prime_reconstructs_a_denominator_above_wang_bound():
     for pivot in (2 ** 11 + 5, 3001, 4093):
         assert pivot > isqrt(p // 2)
         phi = _primitive_row(rng, pivot, 60, 12)
-        assert sparse_kernel(dense_to_sparse(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+        assert sparse_kernel(dense_matrix(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
 
 
 def test_denominator_shared_with_the_sampled_entries():
@@ -240,7 +207,7 @@ def test_denominator_shared_with_the_sampled_entries():
     residues = [x * pow(pivot, -1, p) % p for x in phi[1:]]
     assert modkernel._common_denominator(residues[:k], p) == pivot // 60
     assert modkernel._common_denominator(residues, p) == pivot
-    assert sparse_kernel(dense_to_sparse(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+    assert sparse_kernel(dense_matrix(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
 
 
 def test_too_small_a_modulus_fails_verification_not_reconstruction():
@@ -251,7 +218,7 @@ def test_too_small_a_modulus_fails_verification_not_reconstruction():
     rng = random.Random(47)
     phi = _primitive_row(rng, 2 ** 29 + 11, 4, 30)
     rows = _planted(phi)
-    mat = dense_to_sparse(rows)
+    mat = dense_matrix(rows)
     p = PRIMES[0]
     basis, pivots = modkernel._kernel_mod_p(mat, p)
     candidate = modkernel._reconstruct_basis([(p, basis)], pivots)
@@ -303,7 +270,7 @@ def test_kernel_matches_sympy_nullspace():
             rows = [[x * p for x in row] for row in rows]
         elif case % 4 == 3:
             rows[-1] = [x * p for x in rows[-1]]
-        assert sparse_kernel(dense_to_sparse(rows)) == _sympy_kernel(rows), case
+        assert sparse_kernel(dense_matrix(rows)) == _sympy_kernel(rows), case
 
 
 def test_rank_mod_p_matches_exact_rank():
