@@ -239,6 +239,12 @@ def _emit(report, args, emit_doc=None):
             fh.write(canonical_json(emit_doc))
 
 
+def _pair_to_json(witness):
+    """A dissidence witness (v, w), or None, as report JSON."""
+    return None if witness is None else {"v": vector_to_json(witness[0]),
+                                         "w": vector_to_json(witness[1])}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -252,13 +258,7 @@ def cmd_degree(args, emit_lifting=False):
     report["input"] = desc
     report["n"] = eta.n
     witness = dissidence_falsify(eta, args.trials, args.seed)
-    report["dissidence"] = {
-        "trials": args.trials,
-        "counterexample": None if witness is None else {
-            "v": vector_to_json(witness[0]),
-            "w": vector_to_json(witness[1]),
-        },
-    }
+    report["dissidence"] = {"trials": args.trials, "counterexample": _pair_to_json(witness)}
     if witness is not None:
         report["error"] = "input is not dissident; no lifting exists"
         _emit(report, args)
@@ -267,23 +267,19 @@ def cmd_degree(args, emit_lifting=False):
         lifting, scan, verification = solve_lifting_scan(
             eta, samples=args.samples, seed=args.seed, max_degree=args.max_degree
         )
-    except NoLiftingFound as exc:
+    except (NoLiftingFound, AmbiguousKernel) as exc:
         report["error"] = str(exc)
         _emit(report, args)
-        return EXIT_NO_LIFTING
-    except AmbiguousKernel as exc:
-        report["error"] = str(exc)
-        _emit(report, args)
-        return EXIT_AMBIGUOUS
+        return EXIT_NO_LIFTING if isinstance(exc, NoLiftingFound) else EXIT_AMBIGUOUS
     report["scan"] = scan
     report["degree"] = lifting.degree
-    report["lifting"] = lifting_to_json(lifting)
+    report["lifting"] = doc = lifting_to_json(lifting)
     report["verification"] = verification
     if eta.n == 7 and lifting.degree % 2 == 0:
         report["error"] = f"even degree {lifting.degree} on R^7 (parity violation)"
         _emit(report, args)
         return EXIT_PARITY
-    _emit(report, args, emit_doc=lifting_to_json(lifting) if emit_lifting else None)
+    _emit(report, args, emit_doc=doc if emit_lifting else None)
     return EXIT_OK
 
 
@@ -311,10 +307,7 @@ def cmd_check(args):
         report["input"] = desc
         witness = dissidence_falsify(eta, args.trials, args.seed)
         report["pass"] = witness is None
-        report["counterexample"] = None if witness is None else {
-            "v": vector_to_json(witness[0]),
-            "w": vector_to_json(witness[1]),
-        }
+        report["counterexample"] = _pair_to_json(witness)
         report["note"] = ("no counterexample in budget; consistent with dissident"
                           if witness is None else "exact witness found")
         _emit(report, args)

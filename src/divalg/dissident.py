@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .exact import (
@@ -28,7 +29,6 @@ from .exact import (
     basis_vector,
     bilinear,
     cleared,
-    integer_multiple,
     integer_tensor,
     is_zero_vector,
     vector,
@@ -203,35 +203,55 @@ def seeded_rng(seed, *labels) -> random.Random:
     return random.Random(":".join(["divalg", str(seed), *labels]))
 
 
-# The 51 values of Fraction(num, den), num in -8..8 and den in 1..3, indexed
-# by (num + 8, den - 1).
-_FRACTIONS = tuple(tuple(Fraction(num, den) for den in (1, 2, 3)) for num in range(-8, 9))
+# Fraction(num, den) in lowest terms, as (numerator, denominator), for num in
+# -8..8 and den in 1..3, indexed by (num + 8, den - 1).
+_PAIRS = tuple(tuple(Fraction(num, den).as_integer_ratio() for den in (1, 2, 3))
+               for num in range(-8, 9))
 
 
-def sample_fraction(rng: random.Random) -> Fraction:
-    """Fraction(rng.randint(-8, 8), rng.randint(1, 3)), drawn as randint
-    draws it and read from a table.
+def sample_integer_vector(rng: random.Random, n, nonzero=True):
+    """n draws of Fraction(rng.randint(-8, 8), rng.randint(1, 3)) as (ints,
+    den): den the lcm of their denominators, ints their multiple by it.  A
+    zero vector is redrawn unless ``nonzero`` is false.
 
     randint(a, b) is a + rng._randbelow(b - a + 1), and for a Random
     _randbelow(k) draws getrandbits(k.bit_length()) until the value is
     below k.  The same draws give the same values and leave the generator
-    in the same state, without the cost of randint and of a new Fraction.
+    in the same state, without the cost of randint and of a Fraction per
+    entry.
     """
     getrandbits = rng.getrandbits
-    num = getrandbits(5)
-    while num >= 17:
-        num = getrandbits(5)
-    den = getrandbits(2)
-    while den == 3:
-        den = getrandbits(2)
-    return _FRACTIONS[num][den]
+    while True:
+        pairs = []
+        for _ in range(n):
+            num = getrandbits(5)
+            while num >= 17:
+                num = getrandbits(5)
+            den = getrandbits(2)
+            while den == 3:
+                den = getrandbits(2)
+            pairs.append(_PAIRS[num][den])
+        den = lcm(*(b for _, b in pairs))
+        ints = [a * (den // b) for a, b in pairs]
+        if not nonzero or any(ints):
+            return ints, den
+
+
+def as_fractions(draw):
+    """The rational vector ints / den of a draw (ints, den)."""
+    ints, den = draw
+    return tuple(Fraction(a, den) for a in ints)
 
 
 def sample_vector(rng: random.Random, n, nonzero=True):
-    while True:
-        v = tuple([sample_fraction(rng) for _ in range(n)])
-        if not nonzero or not is_zero_vector(v):
-            return v
+    """The Fraction view of sample_integer_vector."""
+    return as_fractions(sample_integer_vector(rng, n, nonzero))
+
+
+def sample_fraction(rng: random.Random) -> Fraction:
+    """Fraction(rng.randint(-8, 8), rng.randint(1, 3)): one entry of
+    sample_vector."""
+    return sample_vector(rng, 1, nonzero=False)[0]
 
 
 def dissidence_falsify(eta: DissidentMap, trials: int, seed):
@@ -245,14 +265,15 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
 
     Each batch of at most modkernel.SCREEN_BATCH pairs is screened first.
     Scaling v, w or the tensor by a nonzero rational changes no rank, so
-    the matrices of the integer multiples of the draws and of the tensor
-    are formed mod modkernel.SCREEN_PRIME by one contraction, and rank 3
-    mod p proves rank 3 over Q, because a nonzero 3x3 minor mod p is the
-    reduction of a nonzero integer minor.  Only the other draws are
-    decided exactly, in draw order: rank 3 passes, and otherwise an
-    independent pair (rank [v; w] = 2) is the witness and a dependent one
-    is redrawn.  A batch is drawn for the trials still owed, so the pairs
-    come from the stream in the order a one-by-one loop draws them.
+    the matrices of the integer draws (sample_integer_vector) and of the
+    integer multiple of the tensor are formed mod modkernel.SCREEN_PRIME by
+    one contraction, and rank 3 mod p proves rank 3 over Q, because a
+    nonzero 3x3 minor mod p is the reduction of a nonzero integer minor.
+    Only the other draws become Fractions and are decided exactly, in draw
+    order: rank 3 passes, and otherwise an independent pair (rank [v; w] =
+    2) is the witness and a dependent one is redrawn.  A batch is drawn for
+    the trials still owed, so the pairs come from the stream in the order a
+    one-by-one loop draws them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -268,18 +289,18 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     p = modkernel.SCREEN_PRIME
     tensor = modkernel.residues(integer_tensor(eta.tensor), p)
     while trials:
-        pairs = [(sample_vector(rng, n), sample_vector(rng, n))
+        pairs = [(sample_integer_vector(rng, n), sample_integer_vector(rng, n))
                  for _ in range(min(trials, modkernel.SCREEN_BATCH))]
-        vw = modkernel.residues(
-            [(integer_multiple(v), integer_multiple(w)) for v, w in pairs], p)
+        # the draws' entries are at most 8 * 6 in absolute value
+        vw = np.array([(v, w) for (v, _), (w, _) in pairs], dtype=np.int64) % p
         # eta(v ^ w)_k = sum_ij v_i w_j t[i][j][k], one sum at a time
         # so that each stays below n p**2
         partial = np.einsum("bi,ijk->bjk", vw[:, 0], tensor) % p
         image = np.einsum("bj,bjk->bk", vw[:, 1], partial)
         ranks = modkernel.rank_mod_p(np.concatenate([vw, image[:, None]], axis=1), p)
         dependent = 0
-        for (v, w), rank in zip(pairs, ranks):
-            if rank == 3 or Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
+        for v, w in (map(as_fractions, pair) for pair, rank in zip(pairs, ranks) if rank < 3):
+            if Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
                 continue
             if Matrix([v, w]).rank() == 2:
                 return (v, w)

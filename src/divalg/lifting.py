@@ -18,9 +18,11 @@ kernel is computed from the equivalent divided system
 
 rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
 by the unknown coefficients.  Reports quote the shape of the paper's system
-(degree-(d+3) rows, constraint_shape).  The exact kernel of the divided
-system is computed modulo word-size primes and certified by the exact
-product M phi = 0 (modkernel.sparse_kernel), kernel elements are checked
+(degree-(d+3) rows, constraint_shape).  The divided system M is kept as the
+formula of its cells in the integer tensor (ConstraintSystem), from which
+the exact product M phi = 0 and the rows of the elimination are read.  Its
+exact kernel is computed modulo word-size primes and certified by that
+product (modkernel.sparse_kernel), kernel elements are checked
 exactly against eta_P at seeded sample points (this removes solutions that
 vanish somewhere or pick a wrong line), and the first degree with a
 validated element wins.  Scanning in order makes the returned degree
@@ -118,43 +120,31 @@ def constraint_shape(n, d):
 
 
 class ConstraintSystem:
-    """The divided constraint matrix M at degree d of an integer tensor t,
-    kept as the formula of its cells, not as a list of them.
+    """The divided constraint matrix M at degree d of an integer tensor t
+    (nested lists of Python ints), kept as the formula of its cells.
 
     Column k*C + c, C = monomial_count(n, d), is the coefficient of the
-    column monomial m_c in component k.  Its contribution to the slot j is
-    m_c(v) * <e_k, eta(v ^ e_j)> = sum_i t[i][j][k] * (m_c * x_i), and rows
-    are indexed j-major by the R = monomial_count(n, d + 1) monomials of
-    degree d + 1.  With shift[i][c] the index of m_c * x_i among them,
+    monomial m_c in component k, and rows are indexed j-major by the R =
+    monomial_count(n, d + 1) monomials of degree d + 1.  The slot j of that
+    column is m_c(v) <e_k, eta(v ^ e_j)> = sum_i t[i][j][k] (m_c x_i), so
+    with shift[i][c] the index of m_c x_i,
 
-        M[j*R + shift[i][c], k*C + c] = t[i][j][k].
+        M[j*R + shift[i][c], k*C + c] = t[i][j][k],
 
-    The monomials m_c * x_i differ for different i, so each cell gets
-    exactly one term.  sparse_kernel reads M through nrows, ncols, the
-    exact certificate annihilates and the residue blocks rows_mod that its
-    elimination takes; shift is built on first use, so a degree whose
-    solve returns {0} builds nothing.
+    one term per cell, since m_c x_i differs for different i.  shift is
+    built on first use, so a degree whose solve returns {0} builds nothing.
     """
 
     def __init__(self, tensor, d):
-        self.tensor = tensor  # nested lists of Python ints, n x n x n
-        self.d = d
-
-    @property
-    def nrows(self):
-        n = len(self.tensor)
-        return n * monomial_count(n, self.d + 1)
-
-    @property
-    def ncols(self):
-        n = len(self.tensor)
-        return n * monomial_count(n, self.d)
+        n = len(tensor)
+        self.tensor, self.d = tensor, d
+        self.nrows, self.ncols = n * monomial_count(n, d + 1), n * monomial_count(n, d)
 
     @property
     def nnz(self):
         """The number of nonzero cells: C per nonzero entry of t."""
         n = len(self.tensor)
-        return sum(len(self._terms(j)) for j in range(n)) * monomial_count(n, self.d)
+        return sum(len(self._terms(j)) for j in range(n)) * self.ncols // n
 
     @cached_property
     def shift(self):
@@ -206,8 +196,7 @@ class ConstraintSystem:
 
 
 def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
-    """The divided constraint system at degree d, from eta's integer
-    tensor (a ConstraintSystem)."""
+    """The divided constraint system at degree d of eta's integer tensor."""
     return ConstraintSystem(integer_tensor(eta.tensor), d)
 
 
@@ -497,16 +486,9 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     means a lower-degree solution the scan missed.  Deterministic given
     (eta, seed).
 
-    Each degree's kernel is exact and certified by M phi = 0.  Modulo each
-    prime it is solved from the eta_P lines at points, in C columns
-    (_kernel_at_points): the subspace solved for contains ker(M mod p),
-    since a kernel vector is fixed by its component k*'s values at C points
-    and lies on the line at every point, so the sandwich of sparse_kernel
-    holds as for the elimination.  A prime without enough points of rank
-    n - 1, or with a singular monomial matrix at the first C of them, is
-    eliminated instead, and so is a degree whose ladder ends without a
-    verified candidate (_degree_kernel).  The report does not depend on
-    which of the two a prime took.
+    Each degree's kernel is exact and certified by M phi = 0, whether a
+    prime was solved at points or eliminated (the module docstring), so the
+    report does not depend on which of the two a prime took.
 
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a

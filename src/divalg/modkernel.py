@@ -1,14 +1,11 @@
 """Modular arithmetic: exact kernels of large integer systems, and batched
 ranks of small matrices for screening.
 
-A system M is read through four members: its shape ``nrows`` and
-``ncols``, ``rows_mod(start, stop, p)``, the rows [start, stop) as a dense
-float64 block of residues mod p, and ``annihilates(vectors)``, whether
-M v = 0 exactly for every integer vector v of a family.  The degree scan's
-constraint system (lifting.ConstraintSystem) computes both from the
-formula of its cells.
-
-The expensive part of a kernel computation, rank and pivot discovery, runs
+A system M is read through its shape (nrows, ncols), rows_mod(start, stop,
+p), the rows [start, stop) as a dense float64 block of residues mod p, and
+annihilates(vectors), whether M v = 0 exactly for each integer vector v of
+a family (lifting.ConstraintSystem reads both from the formula of its
+cells).  The expensive part of a kernel computation, rank and pivot discovery, runs
 modulo word-sized primes in float64 numpy (all intermediate values stay below
 2**53, so the arithmetic is exact integer arithmetic, and every reduction
 mod p goes through _reduce).  The rows come in blocks about half as tall as
@@ -41,11 +38,7 @@ instead of eliminating M.  The exact kernel reduces injectively into the
 subspace, whose dimension is therefore at least dim ker(M); a subspace of
 exactly that dimension is the reduction itself.  Its structure is never
 below the exact one, and only a verified candidate is returned.  The
-degree scan's solve (lifting._kernel_at_points) reads the subspace off
-the eta_P lines at points, in monomial_count(n, d) columns instead of
-n times as many.  A prime it cannot serve (too few points with a line, or
-a singular monomial matrix) takes _kernel_mod_p, and a degree whose
-ladder ends without a verified candidate is solved again by elimination.
+degree scan's solve is lifting._kernel_at_points.
 
 The same fact screens the sampled checks.  A nonzero rational multiple
 of a table or a draw has the same ranks, so each check screens integer

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, quadruple_to_triple, sample_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_multiple, integer_tensor, is_rational_square, vector
+from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, as_fractions, quadruple_to_triple, sample_integer_vector, seeded_rng
+from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_tensor, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -209,15 +209,16 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     sampled: a passing budget finds no singular operator, it proves none
     absent.
 
-    The samples are drawn and screened in batches of at most
-    modkernel.SCREEN_BATCH.  Scaling a or the table by a nonzero rational
-    changes no rank, so for the integer multiples of both,
+    The samples are drawn as integers (sample_integer_vector) and screened
+    in batches of at most modkernel.SCREEN_BATCH.  Scaling a or the table
+    by a nonzero rational changes no rank, so for the integer draws and the
+    integer multiple of the table,
     L_a[k][j] = sum_i a_i C[i][j][k] and R_a[k][i] = sum_j a_j C[i][j][k]
     are each one contraction of the table with the batch, and rank dim mod
     modkernel.SCREEN_PRIME proves det != 0 over Q, because det mod p is the
-    reduction of the integer det.  Only operators whose residue is singular
-    get the exact Bareiss det, in draw order, so the first witness is
-    unchanged.
+    reduction of the integer det.  Only the draws with an operator whose
+    residue is singular become Fractions and get the exact Bareiss det, in
+    draw order, so the first witness is unchanged.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -232,12 +233,14 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     p = modkernel.SCREEN_PRIME
     table = modkernel.residues(integer_tensor(alg.constants), p)
     for start in range(0, trials, modkernel.SCREEN_BATCH):
-        samples = [sample_vector(rng, alg.dim)
+        samples = [sample_integer_vector(rng, alg.dim)
                    for _ in range(min(trials - start, modkernel.SCREEN_BATCH))]
-        a = modkernel.residues([integer_multiple(x) for x in samples], p)
+        # the draws' entries are at most 8 * 6 in absolute value
+        a = np.array([ints for ints, _ in samples], dtype=np.int64) % p
         left = modkernel.rank_mod_p(np.einsum("bi,ijk->bkj", a, table), p) == alg.dim
         right = modkernel.rank_mod_p(np.einsum("bj,ijk->bki", a, table), p) == alg.dim
-        for x, left_ok, right_ok in zip(samples, left, right):
+        for draw, left_ok, right_ok in zip(samples, left, right):
+            x = None if left_ok and right_ok else as_fractions(draw)
             if (not left_ok and alg.left_mul_matrix(x).det() == 0) or (
                     not right_ok and alg.right_mul_matrix(x).det() == 0):
                 return x

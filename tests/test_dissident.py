@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,12 +17,14 @@ from divalg.dissident import (
     eval_eta,
     quadruple_to_triple,
     random_quadruple,
+    as_fractions,
     sample_fraction,
+    sample_integer_vector,
     sample_vector,
     seeded_rng,
     triple_morphism_check,
 )
-from divalg.exact import DimensionError, Matrix, dot, primitive_vector
+from divalg.exact import DimensionError, Matrix, dot, integer_multiple, primitive_vector
 from divalg.octonion import extend_quaternion_automorphism, rotation_from_quaternion, vector_product
 
 
@@ -312,4 +315,27 @@ def test_sample_fraction_follows_the_randint_stream(seed, label):
     for _ in range(10_000):
         assert sample_fraction(rng) == Fraction(reference.randint(-8, 8),
                                                 reference.randint(1, 3))
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("label", ["dissidence", "division", "lifting-points"])
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_sampler_follows_the_randint_stream(seed, label):
+    # each integer draw is the integer multiple and the lcm of the vector
+    # the randint loop draws, with the same redraws of zero vectors (one
+    # in 17 at n = 1), and sample_vector is its Fraction view
+    rng, reference = seeded_rng(seed, label), seeded_rng(seed, label)
+    for t in range(3000):
+        n, nonzero = (1, 3, 7, 8)[t % 4], t % 5 != 0
+        while True:
+            want = tuple(Fraction(reference.randint(-8, 8), reference.randint(1, 3))
+                         for _ in range(n))
+            if not nonzero or any(want):
+                break
+        if t % 2:
+            assert sample_vector(rng, n, nonzero) == want
+            continue
+        ints, den = sample_integer_vector(rng, n, nonzero)
+        assert (ints, den) == (integer_multiple(want), lcm(*(x.denominator for x in want)))
+        assert as_fractions((ints, den)) == want
     assert rng.getstate() == reference.getstate()
