@@ -163,17 +163,20 @@ class ConstraintSystem:
         """Whether M phi = 0 exactly for every integer vector phi in
         ``vectors``: the certificate, in Python ints.  For each slot j,
         every nonzero t[i][j][k] adds t[i][j][k] * phi_k(c) into the row
-        shift[i][c], for all c at once."""
-        shift = self.shift
-        n, C = shift.shape
+        shift[i][c], for each nonzero coefficient phi_k(c)."""
+        shift = self.shift.tolist()
+        n, C = len(shift), len(shift[0])
         R = self.nrows // n
         for phi in vectors:
-            components = np.array(phi, dtype=object).reshape(n, C)
+            components = [[(c, x) for c, x in enumerate(phi[k * C:(k + 1) * C]) if x]
+                          for k in range(n)]
             for j in range(n):
-                row = np.zeros(R, dtype=object)
+                row = [0] * R
                 for i, k, t in self._terms(j):
-                    row[shift[i]] += t * components[k]
-                if row.any():
+                    rows = shift[i]
+                    for c, x in components[k]:
+                        row[rows[c]] += t * x
+                if any(row):
                     return False
         return True
 

@@ -284,6 +284,22 @@ def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
     assert solve_lifting_scan(big, samples=16, seed=3)[:2] == (lifting, scan)
 
 
+def test_nothing_is_built_at_a_degree_whose_kernel_is_zero(conjugate_bent_tensor, monkeypatch):
+    # the solve at points proves the kernel {0} at d = 1 and 2 without
+    # reading the system, so only d = 3 builds its shift table, for the
+    # certificate of the lifting
+    systems = []
+    build = _sparse_system
+
+    def recording(eta, d):
+        systems.append(build(eta, d))
+        return systems[-1]
+
+    monkeypatch.setattr("divalg.lifting._sparse_system", recording)
+    solve_lifting_scan(DissidentMap(7, conjugate_bent_tensor), samples=8, seed=0)
+    assert [(s.d, "shift" in vars(s)) for s in systems] == [(1, False), (2, False), (3, True)]
+
+
 def test_solve_cross_products_degree_one_identity():
     for n in (3, 7):
         lifting, scan, _ = solve_lifting_scan(cross_product_map(n), samples=24, seed=0)
