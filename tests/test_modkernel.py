@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.exact import Matrix, primitive_vector
+from divalg.lifting import ConstraintSystem
 from divalg.modkernel import (
     PRIMES,
     ModularKernelError,
     rank_mod_p,
     sparse_kernel,
 )
+from divalg.poly import monomials
 
 
 class IntMatrix:
@@ -42,6 +44,49 @@ class IntMatrix:
 def dense_matrix(rows):
     cells = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
     return IntMatrix(len(rows), len(rows[0]), cells)
+
+
+def python_product(tensor, d, phi):
+    """M phi of the divided system at degree d, in Python ints from the
+    polynomials: slot j is sum_k Phi_k * sum_i t[i][j][k] x_i, keyed by
+    exponent tuple, with Phi_k read from phi in monomials(n, d) order."""
+    n = len(tensor)
+    monos = monomials(n, d)
+    C = len(monos)
+    image = []
+    for j in range(n):
+        slot = dict.fromkeys(monomials(n, d + 1), 0)
+        for k in range(n):
+            for c, m in enumerate(monos):
+                for i in range(n):
+                    slot[m[:i] + (m[i] + 1,) + m[i + 1:]] += tensor[i][j][k] * phi[k * C + c]
+        image += slot.values()
+    return image
+
+
+def test_exact_product_matches_python():
+    # the certificate sparse_kernel verifies against, M phi = 0 in Python
+    # ints, agrees with the polynomial product on every vector of a box and
+    # on the kernel line of a hand system whose slot 1 is zero: slot 0 is
+    # (3 x0 + 7 x1) Phi_0 + (-2 x0 + x1) Phi_1, so Phi = (-2 x0 + x1,
+    # -3 x0 - 7 x1) spans the kernel at degree 1
+    tensor = [[[3, -2], [0, 0]], [[7, 1], [0, 0]]]
+    system = ConstraintSystem(tensor, 1)
+    assert (system.nrows, system.ncols) == (6, 4)
+    col = {m: c for c, m in enumerate(monomials(2, 1))}
+    kernel = [0] * 4
+    for k, poly in enumerate(({(1, 0): -2, (0, 1): 1}, {(1, 0): -3, (0, 1): -7})):
+        for m, x in poly.items():
+            kernel[k * 2 + col[m]] = x
+    vectors = [[a, b, c, e] for a in range(-2, 3) for b in range(-2, 3)
+               for c in range(-2, 3) for e in range(-2, 3)]
+    vectors += [[s * x for x in kernel] for s in (1, -5, 2 ** 70)]
+    vectors += [[x + (i == 2) for i, x in enumerate(kernel)]]
+    zero = [not any(python_product(tensor, 1, v)) for v in vectors]
+    assert sum(zero) == 4 and zero[-4:] == [True, True, True, False]
+    for v, z in zip(vectors, zero):
+        assert system.annihilates([v]) == z, v
+    assert sparse_kernel(system) == [tuple(-x for x in kernel)]
 
 
 def test_kernel_zero_matrix_is_identity_basis():
