@@ -72,6 +72,27 @@ def test_degree_not_dissident_exits_3(tmp_path):
     assert report["dissidence"]["counterexample"] is not None
 
 
+# SHA-256 of the stdout of `degree --input lineless.json`, frozen before the
+# scan decided "no lifting" from its validation samples
+LINELESS_DEGREE_SHA256 = "186941ef84acfbb84211422b7eaf159c3558ef430927888ce6af9f7a88f52dc9"
+
+
+def test_degree_of_a_map_without_lines(tmp_path, monkeypatch):
+    # R^7 with eta the cross product on e1, e2, e3 and zero elsewhere: a
+    # random eta(v ^ w) lies outside span(v, w), so the map passes the
+    # dissidence trials, but eta_P is defined at no point
+    x3 = cross_product_map(3).tensor
+    tensor = [[[x3[i][j][k] if max(i, j, k) < 3 else 0 for k in range(7)] for j in range(7)]
+              for i in range(7)]
+    (tmp_path / "lineless.json").write_text(canonical_json(map_to_json(DissidentMap(7, tensor))),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli("degree", "--input", "lineless.json")
+    assert code == 3
+    assert json.loads(out)["dissidence"]["counterexample"] is None
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LINELESS_DEGREE_SHA256
+
+
 def test_lift_emits_lifting(tmp_path):
     out = tmp_path / "phi.json"
     code, report = run_json("lift", "--builtin", "cross3", "--trials", "20",
