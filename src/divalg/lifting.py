@@ -20,12 +20,11 @@ rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
 by the unknown coefficients.  Reports quote the shape of the paper's system
 (degree-(d+3) rows, constraint_shape).  The divided system M is kept as the
 formula of its cells in the integer tensor (ConstraintSystem), from which
-the exact product M phi = 0 and the rows of the elimination are read.  Its
-exact kernel is computed modulo word-size primes and certified by that
-product (modkernel.sparse_kernel), kernel elements are checked
-exactly against eta_P at seeded sample points (this removes solutions that
-vanish somewhere or pick a wrong line), and the first degree with a
-validated element wins.  Scanning in order makes the returned degree
+the exact product M phi = 0 is read.  Its exact kernel is computed modulo
+word-size primes and certified by that product (modkernel.sparse_kernel),
+kernel elements are checked exactly against eta_P at seeded sample points
+(this removes solutions that vanish somewhere or pick a wrong line), and
+the first degree with a validated element wins.  Scanning in order makes the returned degree
 minimal by construction.
 
 Modulo each prime the kernel is read off the eta_P lines at points
@@ -38,11 +37,16 @@ columns.  The map from the kernel to the values of Phi_k* is injective
 (rank n - 1 and an invertible V0), so the subspace solved for contains
 ker(M mod p), and with it the exact kernel's reduction: sparse_kernel's
 sandwich between the verified count and the modular dimension holds
-unchanged, and the exact M phi = 0 remains the only certificate.  A prime
-with too few points of rank n - 1 whose line is nonzero in component k*,
-or with a singular V0, takes the elimination (modkernel._kernel_mod_p),
-and a degree whose ladder ends without a verified candidate is solved
-again by elimination alone.
+unchanged, and the exact M phi = 0 remains the only certificate.  This is
+the scan's only solve mod p.  A prime with too few points of rank n - 1
+whose line is nonzero in component k*, or with a singular V0, is skipped
+(modkernel.UnluckyPrime), and a degree whose ladder ends without a
+verified candidate raises modkernel.ModularKernelError.  By chance either
+happens rarely: a nonzero polynomial vanishes at few random points of
+F_p^n (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  Where the (n - 1)-minors
+of A(u) vanish identically no point has a line, and the scan has stopped
+before its first kernel: a validation sample without a line decides that
+there is no lifting (solve_lifting_scan).
 
 The pointwise check runs in integers.  Each sample v is replaced by its
 primitive integer point u, and A(u) is the integer matrix whose rows are
@@ -148,11 +152,11 @@ class ConstraintSystem:
 
     @cached_property
     def shift(self):
-        """shift[i][c] as an int64 array of shape (n, C)."""
+        """shift[i][c] as n lists of C ints."""
         n = len(self.tensor)
         index = {m: r for r, m in enumerate(monomials(n, self.d + 1))}
-        return np.array([[index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, self.d)]
-                         for i in range(n)], dtype=np.int64)
+        return [[index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in monomials(n, self.d)]
+                for i in range(n)]
 
     def _terms(self, j):
         """The nonzero t[i][j][k] of the slot j, as (i, k, t)."""
@@ -164,7 +168,7 @@ class ConstraintSystem:
         ``vectors``: the certificate, in Python ints.  For each slot j,
         every nonzero t[i][j][k] adds t[i][j][k] * phi_k(c) into the row
         shift[i][c], for each nonzero coefficient phi_k(c)."""
-        shift = self.shift.tolist()
+        shift = self.shift
         n, C = len(shift), len(shift[0])
         R = self.nrows // n
         for phi in vectors:
@@ -180,39 +184,10 @@ class ConstraintSystem:
                     return False
         return True
 
-    def rows_mod(self, start, stop, p):
-        """Rows [start, stop) of M mod p as a dense float64 block of
-        residues: each nonzero t[i][j][k] of a slot the block meets puts
-        t[i][j][k] mod p at the rows j*R + shift[i][c] and the columns
-        k*C + c that fall in the block."""
-        shift = self.shift
-        n, C = shift.shape
-        R = self.nrows // n
-        block = np.zeros((stop - start, self.ncols), dtype=np.float64)
-        for j in range(start // R, -(-stop // R)):
-            rows = j * R + shift - start
-            inside = (rows >= 0) & (rows < stop - start)
-            for i, k, t in self._terms(j):
-                cols = np.flatnonzero(inside[i])
-                block[rows[i, cols], k * C + cols] = t % p
-        return block
-
 
 def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
     """The divided constraint system at degree d of eta's integer tensor."""
     return ConstraintSystem(integer_tensor(eta.tensor), d)
-
-
-def _degree_kernel(eta: DissidentMap, d):
-    """The exact kernel of the degree-d divided system, as sparse_kernel
-    returns it: each prime's subspace comes from the eta_P lines at points
-    (_kernel_at_points), and if no prime's candidate verifies, the degree
-    is solved again with the elimination of the whole system."""
-    system = _sparse_system(eta, d)
-    try:
-        return sparse_kernel(system, solve=_kernel_at_points)
-    except modkernel.ModularKernelError:
-        return sparse_kernel(system)
 
 
 def _interpolation_points(n, count, d, p):
@@ -251,8 +226,8 @@ def _kernel_at_points(system, p):
     Twice C + E seeded residue points are drawn; those where A(u) mod p
     has rank n - 1 are kept, k* is the component nonzero on the most of
     their lines, and the first C + E points with l_s[k*] != 0 are used.
-    When fewer are found, or V0 is singular mod p, the prime takes
-    _kernel_mod_p(system, p).
+    When fewer are found, or V0 is singular mod p, the prime is skipped
+    (modkernel.UnluckyPrime).
     """
     tensor, d = system.tensor, system.d
     n = len(tensor)
@@ -266,22 +241,22 @@ def _kernel_at_points(system, p):
     star = int(np.argmax(np.count_nonzero(lines[defined], axis=0)))
     chosen = defined[lines[defined, star] != 0][:used]
     if len(chosen) < used:
-        return modkernel._kernel_mod_p(system, p)
+        raise modkernel.UnluckyPrime(f"{len(chosen)} of {used} points have a line mod {p}")
     inverse = np.array([pow(int(x), -1, p) for x in lines[chosen, star]], dtype=np.int64)
     ratios = (lines[chosen] * inverse[:, None] % p).astype(np.float64)
     table = _monomial_table_mod(points[chosen], exponents, p)
     reduced, pivots, _ = modkernel._rref_mod(np.hstack([table[:C], np.eye(C)]), p)
     if pivots != list(range(C)):
-        return modkernel._kernel_mod_p(system, p)
+        raise modkernel.UnluckyPrime(f"the monomial matrix of the points is singular mod {p}")
     v0_inverse = reduced[:, C:]
     weights = modkernel._matmul_mod(table[C:], v0_inverse, p)
     others = [k for k in range(n) if k != star]
     gaps = modkernel._reduce(ratios[None, :C, others] - ratios[C:, None, others], p)
     rows = modkernel._reduce(weights[:, :, None] * gaps, p).transpose(0, 2, 1).reshape(-1, C)
-    reduced, pivots, free = modkernel._rref_mod(rows, p)
-    if not free:
+    kernel = modkernel._kernel_mod_p(rows, p)
+    if kernel is None:
         return None
-    values = modkernel._kernel_from_rref(reduced, pivots, free, p)
+    values = kernel[0].T.astype(np.float64)
     dim = values.shape[1]
     scaled = modkernel._reduce(ratios[:C, :, None] * values[:, None, :], p).reshape(C, n * dim)
     coeffs = modkernel._matmul_mod(v0_inverse, scaled, p).reshape(C, n, dim)
@@ -489,9 +464,12 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     means a lower-degree solution the scan missed.  Deterministic given
     (eta, seed).
 
-    Each degree's kernel is exact and certified by M phi = 0, whether a
-    prime was solved at points or eliminated (the module docstring), so the
-    report does not depend on which of the two a prime took.
+    A candidate is on the eta_P line at a sample only where that line is
+    defined, and the samples do not depend on d.  So before the first
+    kernel one pass over the samples' defined flags, stopping at the first
+    block with an undefined line, decides that no candidate of any degree
+    can be validated, and raises NoLiftingFound with the message the end
+    of the scan would give.
 
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a
@@ -505,9 +483,12 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         raise ValueError("max_degree out of range 1..5")
     if samples < 1:
         raise ValueError("at least one validation sample is required")
+    no_lifting = f"no validated lifting up to degree {max_degree} ({samples} validation samples)"
+    if not all(lines.defined.all() for lines in _sample_lines(eta, samples, seed)):
+        raise NoLiftingFound(no_lifting)
     scan = []
     for d in range(1, max_degree + 1):
-        kernel = _degree_kernel(eta, d)
+        kernel = sparse_kernel(_sparse_system(eta, d), _kernel_at_points)
         rows, cols = constraint_shape(eta.n, d)
         entry = {
             "degree": d,
@@ -534,10 +515,7 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         verification = _verification(d, a_pass=True, b_identity=True, failures=(0, 0),
                                      samples=samples, c_pass=True, gcd_repr="1")
         return Lifting(eta.n, d, accepted[0]), scan, verification
-    raise NoLiftingFound(
-        f"no validated lifting up to degree {max_degree} "
-        f"({samples} validation samples)"
-    )
+    raise NoLiftingFound(no_lifting)
 
 
 def solve_lifting(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,

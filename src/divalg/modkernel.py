@@ -1,44 +1,40 @@
 """Modular arithmetic: exact kernels of large integer systems, and batched
 ranks of small matrices for screening.
 
-A system M is read through its shape (nrows, ncols), rows_mod(start, stop,
-p), the rows [start, stop) as a dense float64 block of residues mod p, and
-annihilates(vectors), whether M v = 0 exactly for each integer vector v of
-a family (lifting.ConstraintSystem reads both from the formula of its
-cells).  The expensive part of a kernel computation, rank and pivot discovery, runs
-modulo word-sized primes in float64 numpy (all intermediate values stay below
-2**53, so the arithmetic is exact integer arithmetic, and every reduction
-mod p goes through _reduce).  The rows come in blocks about half as tall as
-the live kernel is wide, each compressed through the kernel of the rows
-before it.  The elimination of a block is blocked by columns: pivots are
-found one at a time only inside panels of 64 columns, and each panel's row
-transform reaches the rest of the block in one matmul.  The candidate
-kernel basis is recovered by Chinese remaindering of the entries off its
-pivot columns and, row by row, one common denominator found by lattice
-reduction and completed by Wang's rational reconstruction, so that one
-prime serves entries of nearly its own size.  The candidate is then
-certified by the system's exact annihilates.
+A system M is read through its shape (nrows, ncols) and annihilates(vectors),
+whether M v = 0 exactly for each integer vector v of a family
+(lifting.ConstraintSystem reads it from the formula of its cells).  Its
+exact kernel is found modulo word-sized primes.  For each prime p a
+caller's solve gives a subspace of F_p^ncols that contains ker(M mod p)
+(the degree scan's is lifting._kernel_at_points).  The candidate kernel
+basis is recovered by Chinese remaindering of the entries off its pivot
+columns and, row by row, one common denominator found by lattice reduction
+and completed by Wang's rational reconstruction, so that one prime serves
+entries of nearly its own size.  The candidate is then certified by the
+system's exact annihilates.
+
+The eliminations mod p (_rref_mod, and _kernel_mod_p, the kernel of one
+dense residue matrix) run in float64 numpy: all intermediate values stay
+below 2**53, so the arithmetic is exact integer arithmetic, and every
+reduction mod p goes through _reduce.  They are blocked by columns: pivots
+are found one at a time only inside panels of 64 columns, and each panel's
+row transform reaches the rest of the matrix in one matmul.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
-for every p.  Hence
+for every p, and a subspace that contains ker(M mod p) has dimension at
+least dim ker(M); a subspace of exactly that dimension is the exact
+kernel's reduction.  Hence
 
-  * full column rank mod a single prime proves the exact kernel is {0};
+  * a solve that gives {0} proves the exact kernel is {0};
   * a reconstructed family of dim-many independent vectors that all verify
     M v = 0 exactly is a full exact kernel basis, because dim ker(M) is
-    sandwiched between the verified count and the modular dimension.
+    sandwiched between the verified count and the subspace's dimension.
 
-Unlucky primes can only make the modular kernel too big, never too small,
-and any such candidate fails exact verification, so the final answer is
-independent of the prime ladder.
-
-The same holds for any subspace of F_p^ncols that contains ker(M mod p),
-so sparse_kernel can take each prime's subspace from a caller's solve
-instead of eliminating M.  The exact kernel reduces injectively into the
-subspace, whose dimension is therefore at least dim ker(M); a subspace of
-exactly that dimension is the reduction itself.  Its structure is never
-below the exact one, and only a verified candidate is returned.  The
-degree scan's solve is lifting._kernel_at_points.
+Unlucky primes can only make the subspace too big, never too small, and
+any such candidate fails exact verification, so the final answer is
+independent of the prime ladder.  A solve that cannot serve a prime raises
+UnluckyPrime, and the ladder goes on to the next one.
 
 The same fact screens the sampled checks.  A nonzero rational multiple
 of a table or a draw has the same ranks, so each check screens integer
@@ -66,9 +62,8 @@ PRIMES = (
 
 _MATMUL_CHUNK = 4096
 
-# Columns per panel of the blocked elimination in _rref_mod (and the
-# fewest rows per block of _kernel_mod_p), and the widest part of a panel
-# that is eliminated one pivot at a time.
+# Columns per panel of the blocked elimination in _rref_mod, and the widest
+# part of a panel that is eliminated one pivot at a time.
 _PANEL = 64
 _BASE = 16
 
@@ -83,7 +78,13 @@ SCREEN_BATCH = 1024
 
 
 class ModularKernelError(RuntimeError):
-    """Reconstruction failed for every prime in the ladder (solver bug)."""
+    """No prime of the ladder gave a candidate that verifies: the kernel's
+    entries need a larger modulus than the ladder's, or every prime was
+    skipped or saw too large a subspace."""
+
+
+class UnluckyPrime(ArithmeticError):
+    """A solve cannot serve this prime; sparse_kernel takes the next one."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,48 +253,17 @@ def _kernel_from_rref(reduced, pivots, free, p):
     return basis
 
 
-def _kernel_mod_p(mat, p):
-    """Canonical kernel basis of mat modulo p, or None if it is {0}.
-
-    Processes rows in blocks, maintaining a spanning set K of the kernel of
-    the rows seen so far; each block only needs the compressed system
-    (block @ K), which collapses to a cheap multiply once the rank has
-    saturated.  Returns (basis_rows int64 array of shape dim x ncols, pivot
-    column tuple of the subspace RREF).
-
-    Each next block has max(live // 2, _PANEL) rows, with live the current
-    kernel dimension (ncols before the first block).  The BLAS products of
-    _rref_mod are a small share of its time; most of it goes to the rank-1
-    updates of _eliminate_panel, which run over every row of the block for
-    each pivot.  So a block should have not many more rows than it can
-    have pivots (live), nor so few that the blocks and their compressions
-    multiply: half the live dimension keeps the rows a block brings in
-    without a pivot to a small share, and _PANEL rows bound the number of
-    blocks once the kernel is small.
-    """
-    kern = None  # None encodes the identity (no constraints yet)
-    live = mat.ncols
-    start = 0
-    while start < mat.nrows:
-        stop = min(start + max(live // 2, _PANEL), mat.nrows)
-        rows = mat.rows_mod(start, stop, p)
-        start = stop
-        if not np.any(rows):
-            continue
-        compressed = rows if kern is None else _matmul_mod(rows, kern, p)
-        reduced, pivots, free = _rref_mod(compressed, p)
-        if not pivots:
-            continue
-        if not free:
-            return None
-        basis = _kernel_from_rref(reduced, pivots, free, p)
-        kern = basis if kern is None else _matmul_mod(kern, basis, p)
-        live = len(free)
-    if kern is None:
-        kern = np.eye(mat.ncols, dtype=np.float64)
-    reduced, pivots, _ = _rref_mod(np.ascontiguousarray(kern.T), p)
-    rows = np.asarray(reduced[: len(pivots)], dtype=np.int64)
-    return rows, tuple(pivots)
+def _kernel_mod_p(a, p):
+    """Canonical kernel basis of the dense residue matrix ``a`` mod p (a
+    float64 array, overwritten), or None if it is {0}: (int64 array of the
+    rows of the kernel subspace's RREF, shape dim x ncols, pivot column
+    tuple), the form a solve of sparse_kernel returns."""
+    reduced, pivots, free = _rref_mod(a, p)
+    if not free:
+        return None
+    basis = _kernel_from_rref(reduced, pivots, free, p)
+    reduced, pivots, _ = _rref_mod(np.ascontiguousarray(basis.T), p)
+    return np.asarray(reduced[: len(pivots)], dtype=np.int64), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +518,7 @@ def _off_pivot(ncols, pivots):
     return sorted(set(range(ncols)).difference(pivots))
 
 
-def sparse_kernel(mat, primes=PRIMES, solve=None):
+def sparse_kernel(mat, solve, primes=PRIMES):
     """Exact canonical kernel basis of an integer system (see the module
     docstring for what it reads of ``mat``).
 
@@ -557,11 +527,11 @@ def sparse_kernel(mat, primes=PRIMES, solve=None):
     the kernel is {0}.  Deterministic: the prime ladder is fixed and every
     returned basis is exactly verified.
 
-    ``solve(mat, p)`` gives each prime's subspace as _kernel_mod_p does:
-    the (int64 rows, pivot tuple) of its RREF, or None for {0}.  It
-    defaults to _kernel_mod_p, the kernel of M mod p itself; any subspace
-    that contains that kernel will do, because everything below only needs
-    the exact kernel's reduction mod p inside it.
+    ``solve(mat, p)`` gives each prime's subspace as _kernel_mod_p gives a
+    kernel: the (int64 rows, pivot tuple) of its RREF, or None for {0}.
+    Any subspace that contains ker(M mod p) will do, because everything
+    below only needs the exact kernel's reduction mod p inside it.  A solve
+    raises UnluckyPrime for a prime it cannot serve.
 
     A prime's kernel RREF has structure (dim, pivots), never below the
     exact one: mod p the kernel only grows and column-prefix ranks only
@@ -578,7 +548,10 @@ def sparse_kernel(mat, primes=PRIMES, solve=None):
     best = None
     collected = []
     for p in primes:
-        result = (solve or _kernel_mod_p)(mat, p)
+        try:
+            result = solve(mat, p)
+        except UnluckyPrime:
+            continue
         if result is None:
             return []
         rows, pivots = result

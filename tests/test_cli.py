@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -80,14 +81,17 @@ LINELESS_DEGREE_SHA256 = "186941ef84acfbb84211422b7eaf159c3558ef430927888ce6af9f
 def test_degree_of_a_map_without_lines(tmp_path, monkeypatch):
     # R^7 with eta the cross product on e1, e2, e3 and zero elsewhere: a
     # random eta(v ^ w) lies outside span(v, w), so the map passes the
-    # dissidence trials, but eta_P is defined at no point
+    # dissidence trials, but eta_P is defined at no point.  A validation
+    # sample without a line decides the scan before its first kernel.
     x3 = cross_product_map(3).tensor
     tensor = [[[x3[i][j][k] if max(i, j, k) < 3 else 0 for k in range(7)] for j in range(7)]
               for i in range(7)]
     (tmp_path / "lineless.json").write_text(canonical_json(map_to_json(DissidentMap(7, tensor))),
                                             encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
     code, out = run_cli("degree", "--input", "lineless.json")
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert json.loads(out)["dissidence"]["counterexample"] is None
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LINELESS_DEGREE_SHA256
@@ -608,19 +612,21 @@ def test_morphism_exit_codes(tmp_path, monkeypatch, conjugate_bent_tensor, kind,
     assert code == MORPHISM_EXIT_CODES[kind, src]
 
 
-def assembled(tracer):
-    """The tracer's counts of the constraint systems' rows and nonzero
-    cells per degree."""
-    return {k[len("lifting.assemble."):]: v for k, v in tracer.counts.items()
-            if k.startswith("lifting.assemble.")}
+def traced_counts(tracer, span):
+    """The tracer's counts under a span, by the rest of their names: the
+    constraint systems' rows and nonzero cells per degree
+    (lifting.assemble), or the primes solved per degree
+    (modkernel.eliminate)."""
+    return {k[len(span) + 1:]: v for k, v in tracer.counts.items()
+            if k.startswith(span + ".")}
 
 
 def test_benchmark_trace_finds_every_entry_point(perfbench_tracer, tmp_path, monkeypatch,
                                                  conjugate_bent_tensor):
     # a renamed or reshaped entry point would read null in the benchmark's
     # per-layer metrics; its hooks run on small traced lifts, and the
-    # system sizes they count are frozen: cross3 at d = 1, then the
-    # conjugated bent map of lift-deg3-conj at d = 1, 2, 3
+    # system sizes and primes per degree they count are frozen: cross3 at
+    # d = 1, then the conjugated bent map of lift-deg3-conj at d = 1, 2, 3
     _write_inputs(tmp_path, conjugate_bent_tensor)
     monkeypatch.chdir(tmp_path)
     tracer = perfbench_tracer.Tracer()
@@ -630,12 +636,15 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer, tmp_path, mon
         code, _ = run_cli("lift", "--builtin", "cross3", "--trials", "5", "--samples", "4")
         assert code == 0
         assert tracer.missing == {}
-        assert assembled(tracer) == {"rows.d1": 18, "nnz.d1": 18}
+        assert traced_counts(tracer, "lifting.assemble") == {"rows.d1": 18, "nnz.d1": 18}
+        assert traced_counts(tracer, "modkernel.eliminate") == {"primes.d1": 1}
         code, _ = run_cli("lift", "--input", "conj.json", "--trials", "5", "--samples", "4")
         assert code == 0
-        assert assembled(tracer) == {"rows.d1": 18 + 196, "nnz.d1": 18 + 1330,
-                                     "rows.d2": 588, "nnz.d2": 5320,
-                                     "rows.d3": 1470, "nnz.d3": 15960}
+        assert traced_counts(tracer, "lifting.assemble") == {
+            "rows.d1": 18 + 196, "nnz.d1": 18 + 1330, "rows.d2": 588, "nnz.d2": 5320,
+            "rows.d3": 1470, "nnz.d3": 15960}
+        assert traced_counts(tracer, "modkernel.eliminate") == {
+            "primes.d1": 1 + 1, "primes.d2": 1, "primes.d3": 1}
         assert tracer.spans["modkernel.reconstruct"].calls > 0
         assert tracer.spans["modkernel.verify"].calls > 0
         for argv in (("recover", "--builtin", "octonions"),
@@ -653,12 +662,11 @@ def test_benchmark_trace_finds_every_entry_point(perfbench_tracer, tmp_path, mon
 
 def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
     # the blocked elimination runs its panels through helpers of its own,
-    # so the benchmark's rref span still counts one call per row block
-    # plus one for the final RREF of each elimination, and no nested time
+    # so the benchmark's rref span counts two calls per kernel mod p, the
+    # matrix's RREF and its kernel's, and no nested time
     import random
 
-    from divalg import modkernel
-    from test_modkernel import dense_matrix
+    from test_modkernel import dense_kernel, dense_matrix
 
     rng = random.Random(5)
     nrows, rank, dim = 2100, 140, 10  # wider than two panels of 64 columns
@@ -668,26 +676,17 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
         row = [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(rank)]
         rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
     mat = dense_matrix(rows)
-    # the row blocks: max(live // 2, 64) rows each, with live the kernel
-    # dimension of the rows before them (rank + dim before the first);
-    # every row block has a nonzero row, and the first rows have full rank
-    blocks, live, start = 0, rank + dim, 0
-    while start < nrows:
-        start = min(start + max(live // 2, modkernel._PANEL), nrows)
-        live = rank + dim - min(start, rank)
-        blocks += 1
-    assert blocks == 33
     tracer = perfbench_tracer.Tracer()
     tracer.install()
     try:
-        kernel = modkernel.sparse_kernel(mat)
+        kernel = dense_kernel(mat)
     finally:
         tracer.uninstall()
     assert len(kernel) == dim
     assert tracer.missing == {}
     rref, eliminate = tracer.spans["modkernel.rref"], tracer.spans["modkernel.eliminate"]
     assert eliminate.calls >= 1
-    assert rref.calls == (blocks + 1) * eliminate.calls
+    assert rref.calls == 2 * eliminate.calls
     assert rref.busy <= eliminate.busy
 
 

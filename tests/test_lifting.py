@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -7,7 +8,6 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from divalg.dissident import (
     seeded_rng,
 )
 from divalg.lifting import (
+    DEFAULT_SAMPLES,
     AmbiguousKernel,
     ConstraintSystem,
     Lifting,
@@ -34,7 +35,6 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
-    _degree_kernel,
     _interpolation_points,
     _kernel_at_points,
     _sample_failures,
@@ -43,10 +43,12 @@ from divalg.lifting import (
 )
 from divalg.exact import Matrix, integer_tensor, primitive_vector
 from divalg.modkernel import sparse_kernel
+from divalg.octonion import rotation_from_quaternion
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
 from divalg.serialize import canonical_json, lifting_to_json
+from conftest import _perfbench_module
 from test_dissident import ONE, TWO, scaled_map
-from test_modkernel import IntMatrix
+from test_modkernel import IntMatrix, dense_kernel
 from test_poly import evaluate
 
 
@@ -67,25 +69,45 @@ def zero_map(n):
     return DissidentMap(n, [[[0] * n for _ in range(n)] for _ in range(n)])
 
 
-def build_constraint_system(eta, d):
-    """The divided constraint matrix at degree d as a dense exact Matrix,
-    from polynomial arithmetic on eta's rational tensor: the reference for
-    the solver's sparse integer system.  Column (k, m) holds, one slot j
-    after another, the coefficients of m(v) * <e_k, eta(v ^ e_j)> =
+def reference_columns(eta, d):
+    """The columns of the divided constraint matrix at degree d, from
+    polynomial arithmetic on eta's rational tensor: the reference for the
+    solver's integer system.  Column (k, m) holds, one slot j after
+    another, the coefficients of m(v) * <e_k, eta(v ^ e_j)> =
     m * sum_i t[i][j][k] x_i over the degree-(d+1) monomials."""
     n, t = eta.n, eta.tensor
     rows_monos = monomials(n, d + 1)
+    slots = [[sum((HomogeneousPoly.variable(n, i).scale(t[i][j][k]) for i in range(n)),
+                  HomogeneousPoly.zero(n, 1)) for j in range(n)] for k in range(n)]
     columns = []
     for k in range(n):
         for m in monomials(n, d):
+            monomial = HomogeneousPoly.monomial(n, m)
             column = []
-            for j in range(n):
-                slot = sum((HomogeneousPoly.variable(n, i).scale(t[i][j][k]) for i in range(n)),
-                           HomogeneousPoly.zero(n, 1))
-                product = HomogeneousPoly.monomial(n, m) * slot
+            for slot in slots[k]:
+                product = monomial * slot
                 column += [product.terms.get(r, 0) for r in rows_monos]
             columns.append(column)
-    return Matrix.from_columns(columns)
+    return columns
+
+
+def build_constraint_system(eta, d):
+    """The reference divided constraint matrix as a dense exact Matrix."""
+    return Matrix.from_columns(reference_columns(eta, d))
+
+
+def reference_residues(eta, d, p):
+    """The reference matrix of an integer map mod p, as the float64 array
+    modkernel._kernel_mod_p eliminates."""
+    columns = [[int(x) % p for x in column] for column in reference_columns(eta, d)]
+    return np.ascontiguousarray(np.array(columns, dtype=np.float64).T)
+
+
+def reference_solve(system, p):
+    """sparse_kernel's solve from the reference: the kernel mod p of the
+    whole dense matrix of a ConstraintSystem."""
+    eta = SimpleNamespace(n=len(system.tensor), tensor=system.tensor)
+    return modkernel._kernel_mod_p(reference_residues(eta, system.d, p), p)
 
 
 def identity_coefficients(n, d=1):
@@ -122,7 +144,7 @@ def integer_map(eta):
 
 
 def test_dense_and_sparse_systems_agree(conjugate_bent_tensor):
-    # the dense reference mod p against the residue blocks, and its exact
+    # the kernel of the dense reference against the scan's, and its exact
     # product against the certificate: on seeded vectors (almost never in
     # the kernel), on the kernel's vectors and their sum, and on each
     # kernel vector plus one unit vector
@@ -134,10 +156,8 @@ def test_dense_and_sparse_systems_agree(conjugate_bent_tensor):
         system = _sparse_system(eta, d)
         assert (system.nrows, system.ncols) == (dense.rows, dense.cols)
         assert system.nnz == sum(x != 0 for row in dense.entries for x in row)
-        for p in (modkernel.PRIMES[0], 5):
-            residues = [[int(x) % p for x in row] for row in dense.entries]
-            assert system.rows_mod(0, system.nrows, p).tolist() == residues, (name, d, p)
-        kernel = sparse_kernel(system)
+        kernel = sparse_kernel(system, reference_solve)
+        assert sparse_kernel(system, _kernel_at_points) == kernel, (name, d)
         vectors = [[rng.randint(-3, 3) for _ in range(dense.cols)] for _ in range(8)]
         if kernel:
             vectors += kernel + [[sum(x) for x in zip(*kernel)]]
@@ -159,9 +179,6 @@ def test_certificate_checks_every_slot():
     tensor = [[[int(i == 0 and k == j) for k in range(n)] for j in range(n)] for i in range(n)]
     system = ConstraintSystem(tensor, d)
     dense = build_constraint_system(SimpleNamespace(n=n, tensor=tensor), d)
-    p = modkernel.PRIMES[0]
-    assert system.rows_mod(0, system.nrows, p).tolist() == [list(map(int, row))
-                                                            for row in dense.entries]
     R = dense.rows // n
     for j in range(n):
         others = Matrix([row for r, row in enumerate(dense.entries) if r // R != j])
@@ -211,9 +228,10 @@ def test_certificate_rejects_single_coefficient_changes(conjugate_bent_tensor):
     assert not system.annihilates([wrapped])
 
 
-# (map name, degree) -> SHA-256 of the float64 bytes of the residue blocks
-# the elimination reads: all rows mod PRIMES[0], and the rows
-# [nrows // 3 + 1, 2 * nrows // 3 + 2) mod PRIMES[1]
+# (map name, degree) -> SHA-256 of the float64 bytes of the residues of the
+# dense reference: all rows mod PRIMES[0], and the rows
+# [nrows // 3 + 1, 2 * nrows // 3 + 2) mod PRIMES[1].  Frozen from the row
+# blocks the solver read when it eliminated the whole system mod p.
 BLOCK_SHA256 = {
     ("cross3", 1): ("efee95db4c865d01e2781892006141d9ba51bcb6f8170c371ee2309ad7117a89",
                     "88ef2de772ab8361e813cf59e7d5601d0e9c3c4dd7ea7a2b7e082613b1ecf5c9"),
@@ -234,10 +252,10 @@ BLOCK_SHA256 = {
 }
 
 
-def block_digests(system):
-    lo, hi = system.nrows // 3 + 1, 2 * system.nrows // 3 + 2
-    blocks = (system.rows_mod(0, system.nrows, modkernel.PRIMES[0]),
-              system.rows_mod(lo, hi, modkernel.PRIMES[1]))
+def block_digests(eta, d):
+    whole = reference_residues(integer_map(eta), d, modkernel.PRIMES[0])
+    lo, hi = len(whole) // 3 + 1, 2 * len(whole) // 3 + 2
+    blocks = (whole, reference_residues(integer_map(eta), d, modkernel.PRIMES[1])[lo:hi])
     return tuple(hashlib.sha256(block.tobytes()).hexdigest() for block in blocks)
 
 
@@ -249,23 +267,7 @@ def test_system_bytes_are_frozen(conjugate_bent_tensor, name, d):
                                for plane in conjugate_bent_tensor])
     else:
         eta = named_map(name, conjugate_bent_tensor)
-    assert block_digests(_sparse_system(eta, d)) == BLOCK_SHA256[name, d]
-
-
-@pytest.mark.parametrize("scale", [1, 2 ** 70])
-def test_row_blocks_do_not_matter(conjugate_bent_tensor, scale):
-    # the elimination reads the rows in blocks of varying height, which may
-    # cut a slot anywhere: every partition gives the rows of the whole
-    rng = random.Random(17)
-    eta = scaled_map(DissidentMap(7, conjugate_bent_tensor), scale)
-    system = _sparse_system(eta, 2)
-    p = modkernel.PRIMES[0]
-    whole = system.rows_mod(0, system.nrows, p)
-    for _ in range(3):
-        cuts = sorted(rng.sample(range(1, system.nrows), 12))
-        blocks = [system.rows_mod(a, b, p)
-                  for a, b in zip([0] + cuts, cuts + [system.nrows])]
-        assert np.array_equal(np.vstack(blocks), whole)
+    assert block_digests(eta, d) == BLOCK_SHA256[name, d]
 
 
 def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
@@ -277,9 +279,6 @@ def test_object_path_system_has_the_same_cells(conjugate_bent_tensor):
     small, large = _sparse_system(eta, 1), _sparse_system(big, 1)
     assert large.tensor == [[[x * 2 ** 70 for x in cell] for cell in plane]
                             for plane in small.tensor]
-    p = modkernel.PRIMES[0]
-    assert np.array_equal(large.rows_mod(0, large.nrows, p),
-                          small.rows_mod(0, small.nrows, p) * (2 ** 70 % p) % p)
     lifting, scan, _ = solve_lifting_scan(eta, samples=16, seed=3)
     assert solve_lifting_scan(big, samples=16, seed=3)[:2] == (lifting, scan)
 
@@ -329,28 +328,8 @@ def test_no_lifting_for_zero_map():
         solve_lifting(zero_map(3), samples=8, seed=0)
 
 
-def scan_kernels(eta, max_degree=5):
-    """The exact kernel of each degree's system, d = 1..max_degree, as the
-    scan solves it."""
-    return [_degree_kernel(eta, d) for d in range(1, max_degree + 1)]
-
-
-def counting_elimination(monkeypatch):
-    """Count the calls of modkernel._kernel_mod_p, the elimination of the
-    whole system, in the list this returns."""
-    calls = []
-    eliminate = modkernel._kernel_mod_p
-
-    def counted(mat, p):
-        calls.append(p)
-        return eliminate(mat, p)
-
-    monkeypatch.setattr(modkernel, "_kernel_mod_p", counted)
-    return calls
-
-
-# SHA-256 of repr(scan_kernels(eta)) for maps whose A(u) has rank below
-# n - 1 at every point, so that no eta_P line is defined anywhere
+# SHA-256 of repr of the exact kernels at d = 1..5 of maps whose A(u) has
+# rank below n - 1 at every point, so that no eta_P line is defined anywhere
 RANK_DEFICIENT_KERNELS_SHA256 = {
     "zero3": "18c4c81e96f44756c4cfb1480e764100323e5ae3ab510c94f11ecdf7cb5d8cf2",
     "one": "135b5187afc118b2e22a5d3d1e226d9c49974680bac8100f6d8c280a36424ba7",
@@ -359,16 +338,23 @@ RANK_DEFICIENT_KERNELS_SHA256 = {
 
 @pytest.mark.parametrize("name", RANK_DEFICIENT_KERNELS_SHA256)
 def test_scan_of_a_map_without_lines(monkeypatch, name):
-    # no point has a line, so every prime of every degree is eliminated
+    # no point has a line, so the points serve no prime, and the kernels
+    # come from the dense reference; the scan decides from its samples
+    # alone and builds no kernel
     eta = {"zero3": zero_map(3), "one": ONE}[name]
-    eliminated = counting_elimination(monkeypatch)
-    kernels = scan_kernels(eta)
+    systems = [_sparse_system(eta, d) for d in range(1, 6)]
+    kernels = [sparse_kernel(system, reference_solve) for system in systems]
     digest = hashlib.sha256(repr(kernels).encode("utf-8")).hexdigest()
     assert digest == RANK_DEFICIENT_KERNELS_SHA256[name]
     assert all(kernels)
-    assert len(eliminated) == 5
+    for system in systems:
+        with pytest.raises(modkernel.UnluckyPrime):
+            _kernel_at_points(system, modkernel.PRIMES[0])
+    solves = []
+    monkeypatch.setattr("divalg.lifting.sparse_kernel", lambda *args: solves.append(args))
     with pytest.raises(NoLiftingFound, match=r"^no validated lifting up to degree 5 \(8 "):
         solve_lifting_scan(eta, samples=8, seed=0)
+    assert not solves
 
 
 def test_homogeneity_law():
@@ -445,10 +431,11 @@ def test_verify_lifting_failures():
 
 
 def test_lift_computes_each_sample_line_once():
-    # the scan draws its samples and screens their eta_P lines once, the
-    # lift report reuses the scan's proofs instead of calling verify_lifting,
-    # and the screen decides every sample of a dissident map, so the exact
-    # eta_P_point never runs
+    # each sample's eta_P line is screened once per pass over the samples:
+    # the scan draws them once for their defined flags before its first
+    # kernel and once to validate, the lift report reuses the scan's proofs
+    # instead of calling verify_lifting, and the screen decides every
+    # sample of a dissident map, so the exact eta_P_point never runs
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -472,7 +459,7 @@ print(code, calls["_sample_lines"], calls["eta_P_point"])
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "1", "0"]
+    assert out.split() == ["0", "2", "0"]
 
 
 def test_validation_memory_does_not_grow_with_the_samples(monkeypatch, traced_peaks):
@@ -523,14 +510,14 @@ def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
     by_cols = {n * monomial_count(n, d): kernel for d, kernel in planted.items()}
     solves = []
 
-    def planted_kernel(mat, solve=None):
+    def planted_kernel(mat, solve):
         solves.append(solve)
         return by_cols[mat.ncols]
 
     monkeypatch.setattr("divalg.lifting.sparse_kernel", planted_kernel)
     with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
         solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
-    assert len(solves) == 3 and None not in solves
+    assert solves == [_kernel_at_points] * 3
 
 
 # SHA-256 of canonical_json(lifting_to_json(...)) of the rand5 lifting.  Its
@@ -550,23 +537,25 @@ def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     # every kernel of the scan and the sample screen run on the ladder
     # reversed: the scan report and the lifting's bytes must not change.
     # Each kernel keeps the scan's solve from the eta_P lines at points, and
-    # no prime falls back to the elimination of the whole system.
+    # the points serve every prime.
     eta, lifting, scan, _ = rand5
     ladder = modkernel.PRIMES[::-1]
     solves = []
 
-    def reversed_ladder(mat, solve=None):
-        solves.append(solve)
-        return sparse_kernel(mat, ladder, solve)
+    def served(mat, p):
+        try:
+            return _kernel_at_points(mat, p)
+        except modkernel.UnluckyPrime as exc:
+            raise AssertionError(f"prime {p} was skipped") from exc
 
-    def no_elimination(mat, p):
-        raise AssertionError("a prime fell back to the elimination")
+    def reversed_ladder(mat, solve):
+        solves.append(solve)
+        return sparse_kernel(mat, served, ladder)
 
     monkeypatch.setattr("divalg.lifting.sparse_kernel", reversed_ladder)
-    monkeypatch.setattr(modkernel, "_kernel_mod_p", no_elimination)
     monkeypatch.setattr(modkernel, "SCREEN_PRIME", ladder[0])
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=0)
-    assert len(solves) == 5 and None not in solves
+    assert solves == [_kernel_at_points] * 5
     assert rescan == scan
     assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
@@ -594,6 +583,35 @@ def test_lifting_is_invariant_under_scaling_eta(rand5):
                                               samples=samples, seed=0)
         assert rescan == scan
         assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
+
+
+@pytest.mark.parametrize("name", ["cross3", "bent3", "rand5"])
+def test_lifting_is_equivariant_under_conjugation(rand5, monkeypatch, name):
+    # eta_S(v ^ w) = S eta(S^t v ^ S^t w) for a rational rotation S has the
+    # degree of eta, and its lifting is S Phi(S^t v), which the benchmark's
+    # reference composes exactly.  On R^7, S is the Cayley transform of a
+    # seeded antisymmetric matrix; on R^3 it is a quaternion rotation, which
+    # fixes the cross product, so there only S Phi(S^t v) = v is new.
+    inputs = _perfbench_module("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    workloads = _perfbench_module("workloads")
+    if name == "rand5":
+        eta, lifting, scan, _ = rand5
+        s = inputs.cayley_orthogonal(8)
+    else:
+        eta = cross_product_map(3) if name == "cross3" else bent_cross7()
+        lifting, scan, _ = solve_lifting_scan(eta, samples=16, seed=0)
+        s = (rotation_from_quaternion((1, 2, 3, 4)).entries if name == "cross3"
+             else inputs.cayley_orthogonal(5))
+    rotation = np.array(s, dtype=object)
+    tensor = np.einsum("ia,jb,kc,abc->ijk", rotation, rotation, rotation,
+                       np.array(eta.tensor, dtype=object), optimize=True)
+    again, rescan, _ = solve_lifting_scan(DissidentMap(eta.n, tensor.tolist()),
+                                          samples=16, seed=0)
+    assert rescan == scan
+    doc = json.loads(canonical_json(lifting_to_json(lifting)))
+    assert (json.loads(canonical_json(lifting_to_json(again)))
+            == workloads.conjugated_lifting(doc, s))
 
 
 def test_solver_determinism():
@@ -676,7 +694,8 @@ def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows
-        assert sparse_kernel(IntMatrix(nrows, ncols, coo)) == sparse_kernel(divided)
+        assert dense_kernel(IntMatrix(nrows, ncols, coo)) == sparse_kernel(divided,
+                                                                          _kernel_at_points)
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_DEGREES)
@@ -795,7 +814,7 @@ def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, mon
 
 # ---------------------------------------------------------------------------
 # differential: each prime's subspace from the eta_P lines at points against
-# the elimination of the whole system
+# the kernel mod p of the whole dense reference
 
 # map name -> the kernel dimension of the scan at d = 1, 2, ...
 POINT_SOLVE_KERNEL_DIMS = {
@@ -807,48 +826,49 @@ POINT_SOLVE_KERNEL_DIMS = {
 }
 
 
-def recorded_solves(monkeypatch, eta, d):
+def recorded_solves(eta, d):
     """The scan's kernel at degree d, with the (prime, result) of every
-    solve its sparse_kernel was given and the primes that were eliminated."""
+    prime it solved at points, the result an UnluckyPrime where the prime
+    was skipped."""
     solves = []
 
-    def recording(mat, primes=modkernel.PRIMES, solve=None):
-        if solve is None:
-            return sparse_kernel(mat, primes)
+    def recorded(mat, p):
+        try:
+            solves.append((p, _kernel_at_points(mat, p)))
+        except modkernel.UnluckyPrime as exc:
+            solves.append((p, exc))
+            raise
+        return solves[-1][1]
 
-        def recorded(mat, p):
-            solves.append((p, solve(mat, p)))
-            return solves[-1][1]
-        return sparse_kernel(mat, primes, recorded)
+    return sparse_kernel(_sparse_system(eta, d), recorded), solves
 
-    with monkeypatch.context() as m:
-        m.setattr("divalg.lifting.sparse_kernel", recording)
-        eliminated = counting_elimination(m)
-        kernel = _degree_kernel(eta, d)
-    return kernel, solves, eliminated
+
+def same_subspace(result, expected):
+    """Whether two solve results, (rows, pivots) of an RREF or None, are equal."""
+    if result is None or expected is None:
+        return result is expected
+    return result[1] == expected[1] and np.array_equal(result[0], expected[0])
 
 
 @pytest.mark.parametrize("name", POINT_SOLVE_KERNEL_DIMS)
-def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, monkeypatch, name):
+def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, name):
+    # every prime is served by the points.  rand5's degree-5 system (6468 x
+    # 3234) is beyond a dense elimination in a test; there each prime's
+    # subspace must be the certified lifting's line mod p, which lies in
+    # ker(M mod p)
     eta = rand5[0] if name == "rand5" else named_map(name, conjugate_bent_tensor)
     for d, dim in enumerate(POINT_SOLVE_KERNEL_DIMS[name], start=1):
-        kernel, solves, eliminated = recorded_solves(monkeypatch, eta, d)
-        assert len(kernel) == dim and solves and not eliminated
-        mat = _sparse_system(eta, d)
+        kernel, solves = recorded_solves(eta, d)
+        assert len(kernel) == dim and solves
         for p, result in solves:
-            expected = modkernel._kernel_mod_p(mat, p)
-            if expected is None:
-                assert result is None, (name, d, p)
+            if d == 5:
+                line = np.array(kernel[0]) % p
+                line = line * pow(int(line[np.flatnonzero(line)[0]]), -1, p) % p
+                assert result[0].tolist() == [line.tolist()], (name, d, p)
             else:
-                assert result[1] == expected[1], (name, d, p)
-                assert np.array_equal(result[0], expected[0]), (name, d, p)
-
-
-def _in_row_span(basis, rows, p):
-    """Whether every row of ``rows`` lies in the row span of ``basis`` (the
-    independent rows of an RREF) mod p."""
-    stacked = np.vstack([basis, rows]).astype(np.float64)
-    return len(modkernel._rref_mod(stacked, p)[1]) == len(basis)
+                expected = modkernel._kernel_mod_p(
+                    reference_residues(integer_map(eta), d, p), p)
+                assert same_subspace(result, expected), (name, d, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -857,7 +877,10 @@ def _in_row_span(basis, rows, p):
 def test_points_solve_contains_the_elimination_kernel(cells):
     # small antisymmetric tensors on R^3, eta(e_i ^ e_j) = cells[i + j - 1]
     # for i < j: many are degenerate, with A(u) of rank below 2 everywhere
-    # or kernels of several dimensions at a degree
+    # or kernels of several dimensions at a degree.  Where the points serve
+    # a prime they give the kernel mod p of the dense reference; where they
+    # do not, no validation sample has a line, and the scan stops before
+    # its first kernel.
     t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for (i, j), cell in zip(((0, 1), (0, 2), (1, 2)), cells):
         t[i][j], t[j][i] = cell, [-x for x in cell]
@@ -865,44 +888,43 @@ def test_points_solve_contains_the_elimination_kernel(cells):
     for d in (1, 2, 3):
         mat = _sparse_system(eta, d)
         for p in modkernel.PRIMES[:2]:
-            expected = modkernel._kernel_mod_p(mat, p)
-            with mock.patch.object(modkernel, "_kernel_mod_p",
-                                   wraps=modkernel._kernel_mod_p) as eliminate:
+            expected = modkernel._kernel_mod_p(reference_residues(eta, d, p), p)
+            try:
                 result = _kernel_at_points(mat, p)
-            if expected is not None:
-                assert result is not None and _in_row_span(result[0], expected[0], p), \
-                    (cells, d, p)
-            if not eliminate.called:
-                assert (result is None) == (expected is None), (cells, d, p)
-                if result is not None:
-                    assert result[1] == expected[1], (cells, d, p)
-                    assert np.array_equal(result[0], expected[0]), (cells, d, p)
+            except modkernel.UnluckyPrime:
+                assert not any(lines.defined.any()
+                               for lines in _sample_lines(eta, DEFAULT_SAMPLES, 0)), (cells, d, p)
+                continue
+            assert same_subspace(result, expected), (cells, d, p)
 
 
-def test_points_solve_falls_back_when_v0_is_singular(monkeypatch):
+def test_points_solve_skips_a_prime_whose_v0_is_singular(monkeypatch):
     # a repeated first point makes the monomial matrix of the first C points
-    # singular for every prime, so the first prime is eliminated, and its
-    # kernel verifies
+    # singular for the first prime, which is skipped; the next primes give
+    # the same kernel
     eta = cross_product_map(7)
+    expected = sparse_kernel(_sparse_system(eta, 2), _kernel_at_points)
     draw = _interpolation_points
 
     def repeated(n, count, d, p):
         points = draw(n, count, d, p)
-        points[1] = points[0]
+        if p == modkernel.PRIMES[0]:
+            points[1] = points[0]
         return points
 
-    expected = sparse_kernel(_sparse_system(eta, 2))
     monkeypatch.setattr("divalg.lifting._interpolation_points", repeated)
-    eliminated = counting_elimination(monkeypatch)
-    assert _degree_kernel(eta, 2) == expected
-    assert len(expected) == 7 and eliminated == [modkernel.PRIMES[0]]
+    kernel, solves = recorded_solves(eta, 2)
+    assert kernel == expected and len(expected) == 7
+    assert [p for p, _ in solves] == list(modkernel.PRIMES[:2])
+    assert isinstance(solves[0][1], modkernel.UnluckyPrime)
 
 
-def test_degree_reruns_on_the_elimination_when_no_prime_verifies(monkeypatch):
+def test_degree_raises_when_no_prime_verifies(monkeypatch):
     # further points that repeat the first C add no condition, so every
     # prime's subspace is the 3-dimensional set of all Phi on the first
     # points' lines, which contains the kernel (x0, x1, x2) but is larger:
-    # no candidate verifies, the ladder ends, and the degree is eliminated
+    # no candidate verifies, and the ladder ends in an error, never in an
+    # unverified kernel
     eta = cross_product_map(3)
     draw = _interpolation_points
 
@@ -913,8 +935,14 @@ def test_degree_reruns_on_the_elimination_when_no_prime_verifies(monkeypatch):
         return points
 
     monkeypatch.setattr("divalg.lifting._interpolation_points", repeating)
-    kernel, solves, eliminated = recorded_solves(monkeypatch, eta, 1)
-    assert kernel == [tuple(identity_coefficients(3))]
-    assert [p for p, _ in solves] == list(modkernel.PRIMES)
-    assert all(result[0].shape[0] == 3 for _, result in solves)
-    assert eliminated == [modkernel.PRIMES[0]]
+    solves = []
+
+    def recorded(mat, p):
+        solves.append(_kernel_at_points(mat, p))
+        return solves[-1]
+
+    monkeypatch.setattr("divalg.lifting._kernel_at_points", recorded)
+    with pytest.raises(modkernel.ModularKernelError):
+        solve_lifting_scan(eta, samples=8, seed=0)
+    assert len(solves) == len(modkernel.PRIMES)
+    assert all(rows.shape[0] == 3 for rows, _ in solves)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.exact import Matrix, primitive_vector
-from divalg.lifting import ConstraintSystem
+from divalg.lifting import ConstraintSystem, _kernel_at_points
 from divalg.modkernel import (
     PRIMES,
     ModularKernelError,
@@ -20,8 +20,8 @@ from divalg.poly import monomials
 
 class IntMatrix:
     """An integer matrix from (row, col, value) cells of any size, as
-    sparse_kernel reads a system: its shape, dense residue row blocks and
-    the exact M v = 0, in Python ints."""
+    sparse_kernel reads a system: its shape and the exact M v = 0, in
+    Python ints; and its dense residues, which dense_solve eliminates."""
 
     def __init__(self, nrows, ncols, cells):
         self.nrows, self.ncols = nrows, ncols
@@ -29,12 +29,12 @@ class IntMatrix:
         for r, c, v in cells:
             self.rows[r][c] = v
 
-    def rows_mod(self, start, stop, p):
-        block = np.zeros((stop - start, self.ncols))
-        for r, row in enumerate(self.rows[start:stop]):
+    def residues(self, p):
+        dense = np.zeros((self.nrows, self.ncols))
+        for r, row in enumerate(self.rows):
             for c, v in row.items():
-                block[r, c] = v % p
-        return block
+                dense[r, c] = v % p
+        return dense
 
     def annihilates(self, vectors):
         return all(sum(x * v[c] for c, x in row.items()) == 0
@@ -44,6 +44,16 @@ class IntMatrix:
 def dense_matrix(rows):
     cells = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
     return IntMatrix(len(rows), len(rows[0]), cells)
+
+
+def dense_solve(mat, p):
+    """sparse_kernel's solve for an IntMatrix: the kernel mod p of the whole
+    matrix."""
+    return modkernel._kernel_mod_p(mat.residues(p), p)
+
+
+def dense_kernel(mat, primes=PRIMES):
+    return sparse_kernel(mat, dense_solve, primes)
 
 
 def python_product(tensor, d, phi):
@@ -86,22 +96,22 @@ def test_exact_product_matches_python():
     assert sum(zero) == 4 and zero[-4:] == [True, True, True, False]
     for v, z in zip(vectors, zero):
         assert system.annihilates([v]) == z, v
-    assert sparse_kernel(system) == [tuple(-x for x in kernel)]
+    assert sparse_kernel(system, _kernel_at_points) == [tuple(-x for x in kernel)]
 
 
 def test_kernel_zero_matrix_is_identity_basis():
     mat = IntMatrix(4, 3, [])
-    assert sparse_kernel(mat) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert dense_kernel(mat) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_kernel_full_column_rank_is_empty():
     mat = dense_matrix([[1, 0], [0, 1], [1, 1]])
-    assert sparse_kernel(mat) == []
+    assert dense_kernel(mat) == []
 
 
 def test_kernel_hand_example():
     mat = dense_matrix([[1, 1], [1, 1]])
-    assert sparse_kernel(mat) == [(1, -1)]
+    assert dense_kernel(mat) == [(1, -1)]
 
 
 def test_kernel_agrees_with_exact_rref():
@@ -111,7 +121,7 @@ def test_kernel_agrees_with_exact_rref():
         ncols = rng.randint(1, 8)
         rows = [[rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(ncols)]
                 for _ in range(nrows)]
-        sparse = sparse_kernel(dense_matrix(rows))
+        sparse = dense_kernel(dense_matrix(rows))
         assert sparse == Matrix(rows).kernel()
 
 
@@ -123,7 +133,7 @@ def test_kernel_agrees_with_exact_rref():
 )
 def test_kernel_membership_property(rows):
     mat = dense_matrix(rows)
-    kernel = sparse_kernel(mat)
+    kernel = dense_kernel(mat)
     m = Matrix(rows)
     for v in kernel:
         assert all(x == 0 for x in m.matvec(v))
@@ -134,7 +144,7 @@ def test_kernel_with_huge_entries():
     # entries past int64: the residues and the verification take Python ints
     big = 2 ** 80
     rows = [[big, -big, 0], [0, big, -big]]
-    kernel = sparse_kernel(dense_matrix(rows))
+    kernel = dense_kernel(dense_matrix(rows))
     assert kernel == [(1, 1, 1)]
 
 
@@ -145,23 +155,22 @@ def test_kernel_survives_residue_wraparound():
 
     p = PRIMES[0]
     rows = [[p, 0], [0, 1]]
-    assert sparse_kernel(dense_matrix(rows)) == []
+    assert dense_kernel(dense_matrix(rows)) == []
 
 
 def test_wide_zero_matrix_kernel():
-    # kernel wider than one elimination block: full identity basis comes back
+    # a zero matrix wider than many panels: the full identity basis comes back
     ncols = 2500
     mat = IntMatrix(1, ncols, [])
-    kernel = sparse_kernel(mat)
+    kernel = dense_kernel(mat)
     assert len(kernel) == ncols
     for i in (0, 1234, 2499):
         assert kernel[i] == tuple(int(t == i) for t in range(ncols))
 
 
 def test_blocked_processing_matches_small():
-    # rank 150 over 160 columns: the row blocks have 80 rows over all 160
-    # columns, then 64 over the live kernel, which shrinks to 10 and stays
-    # there for the remaining blocks
+    # rank 150 over 160 columns, two full panels of 64 columns and a short
+    # one, and 400 rows, most of them below the last pivot
     rng = random.Random(3)
     rank, dim = 150, 10
     mix = [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(rank)]
@@ -169,7 +178,7 @@ def test_blocked_processing_matches_small():
     for _ in range(400):
         row = [rng.randint(-4, 4) if rng.random() < 0.1 else 0 for _ in range(rank)]
         rows.append(row + [sum(row[i] * mix[i][j] for i in range(rank)) for j in range(dim)])
-    kernel = sparse_kernel(dense_matrix(rows))
+    kernel = dense_kernel(dense_matrix(rows))
     assert len(kernel) == dim
     assert kernel == _sympy_kernel(rows)
 
@@ -188,11 +197,11 @@ def test_kernel_independent_of_prime_ladder_order():
     # residues get combined
     system = _quadruple_system(0)
     with pytest.raises(ModularKernelError):
-        sparse_kernel(system, primes=PRIMES[:2])
-    forward = sparse_kernel(system)
+        sparse_kernel(system, _kernel_at_points, PRIMES[:2])
+    forward = sparse_kernel(system, _kernel_at_points)
     assert len(forward) == 1
-    assert sparse_kernel(system, primes=PRIMES[::-1]) == forward
-    assert sparse_kernel(system, primes=PRIMES[5:] + PRIMES[:5]) == forward
+    assert sparse_kernel(system, _kernel_at_points, PRIMES[::-1]) == forward
+    assert sparse_kernel(system, _kernel_at_points, PRIMES[5:] + PRIMES[:5]) == forward
 
 
 def test_conjugate_bent_kernel_takes_one_prime(conjugate_bent_tensor):
@@ -203,10 +212,10 @@ def test_conjugate_bent_kernel_takes_one_prime(conjugate_bent_tensor):
     from divalg.lifting import _sparse_system
 
     system = _sparse_system(DissidentMap(7, conjugate_bent_tensor), 3)
-    one = sparse_kernel(system, primes=PRIMES[:1])
+    one = sparse_kernel(system, _kernel_at_points, PRIMES[:1])
     assert len(one) == 1 and next(x for x in one[0] if x) == 2525
     assert max(abs(x) for x in one[0]).bit_length() == 12
-    assert one == sparse_kernel(system, primes=PRIMES[1:])
+    assert one == sparse_kernel(system, _kernel_at_points, PRIMES[1:])
 
 
 def _planted(phi):
@@ -236,7 +245,7 @@ def test_one_prime_reconstructs_a_denominator_above_wang_bound():
     for pivot in (2 ** 11 + 5, 3001, 4093):
         assert pivot > isqrt(p // 2)
         phi = _primitive_row(rng, pivot, 60, 12)
-        assert sparse_kernel(dense_matrix(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+        assert dense_kernel(dense_matrix(_planted(phi)), PRIMES[:1]) == [tuple(phi)]
 
 
 def test_denominator_shared_with_the_sampled_entries():
@@ -252,7 +261,7 @@ def test_denominator_shared_with_the_sampled_entries():
     residues = [x * pow(pivot, -1, p) % p for x in phi[1:]]
     assert modkernel._common_denominator(residues[:k], p) == pivot // 60
     assert modkernel._common_denominator(residues, p) == pivot
-    assert sparse_kernel(dense_matrix(_planted(phi)), primes=PRIMES[:1]) == [tuple(phi)]
+    assert dense_kernel(dense_matrix(_planted(phi)), PRIMES[:1]) == [tuple(phi)]
 
 
 def test_too_small_a_modulus_fails_verification_not_reconstruction():
@@ -265,13 +274,13 @@ def test_too_small_a_modulus_fails_verification_not_reconstruction():
     rows = _planted(phi)
     mat = dense_matrix(rows)
     p = PRIMES[0]
-    basis, pivots = modkernel._kernel_mod_p(mat, p)
+    basis, pivots = dense_solve(mat, p)
     candidate = modkernel._reconstruct_basis([(p, basis)], pivots)
     assert candidate is not None
     assert not modkernel._verify_candidate(mat, candidate)
     with pytest.raises(ModularKernelError):
-        sparse_kernel(mat, primes=PRIMES[:1])
-    assert sparse_kernel(mat) == _sympy_kernel(rows) == [tuple(phi)]
+        dense_kernel(mat, PRIMES[:1])
+    assert dense_kernel(mat) == _sympy_kernel(rows) == [tuple(phi)]
 
 
 def _sympy_kernel(rows):
@@ -315,7 +324,7 @@ def test_kernel_matches_sympy_nullspace():
             rows = [[x * p for x in row] for row in rows]
         elif case % 4 == 3:
             rows[-1] = [x * p for x in rows[-1]]
-        assert sparse_kernel(dense_matrix(rows)) == _sympy_kernel(rows), case
+        assert dense_kernel(dense_matrix(rows)) == _sympy_kernel(rows), case
 
 
 def test_rank_mod_p_matches_exact_rank():
