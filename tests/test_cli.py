@@ -486,31 +486,40 @@ def _skew_quadruple():
 # stdout digests of the degree-1 pipeline, frozen before the quadruple ->
 # triple -> algebra -> triple products ran on integer multiples: per
 # source, build (emitting alg.json), recover of that alg.json, degree at
-# 200 trials and roundtrip
+# 200 trials and roundtrip; then the division check at 200 trials and the
+# quadratic check, frozen before the division check ran in Python ints
 QUADRUPLE_SHA256 = {
     ("random", "1"): (
         "ce7035e25aa96e941cfbd77db2b031351dd63f991c63824ece83dcf07ee8e75d",
         "9da3237c05b267a7422ebc65e92fc2660ddaf4930a9e393a22b9cd942bae6c46",
         "dd9fdafdc32e6f3503eb0c762f9acdd8ac141d38b012751ed740371f5a1cc0e0",
         "6b1e06475c85020caa5f43b456fc5ff7da98954eecef153099ca0730789588ca",
+        "5e2cbf7d02d3179f73298c69be665ffb477e2ca01b2bb14b549d843bc2f6bc2d",
+        "fb2003dc65fe1ac450068d46b5c564861bef9f15d7a2c5b529f47a2b518bd10e",
     ),
     ("random", "2"): (
         "77465cea0bc36cf4d9d415d1e1e16915ea8cb707aca26facef5715bd548c6a06",
         "9b16f62ecf445e001336de61f80a7c15d454ac6772996a78b3e17af950bf2ba5",
         "d1554b1fc0c50af78935d31648caf007a7e4591e5949cb51019e95570720a9dd",
         "b538cf0e6e0f81bc9421575b30d6f34cd1ab96ce4ab47469b70a9e3e9297a4cb",
+        "7261d6ca6c6717a323d7fa8ef4443dfafda720e215af5b85123d7d56df66346b",
+        "0beab7bc7dbfb000f3b7051fa3c2f04e3dc5f76495ce121317d31d10a6734e44",
     ),
     ("random", "5"): (
         "20dfb2d476f7ff59fd392c026708bfe1eb9ffb87fb2f8d23ba16d0b460eba177",
         "0b3859cd12e5dc5979c3609dd833392eccc68219f6749db2e33599e910882c43",
         "5a2f0a2613e4bf87e015468606fc9dd73e60228cdaed94f391797c651e8658d4",
         "8f7657793baf5c389e27bd6b0aea5d2716bfbfac02ed1f36cc48d11c9212f4b3",
+        "7c2842b0aca28cf6b5d39d0863ba4fcbc441ac16ba97a3f833d864793ad3ac11",
+        "ddf61e72fe307e3e90bc0f06b1639222fe8662cdd98dbc78dadb38c5f6c5948a",
     ),
     ("random", "182"): (
         "a0f1ad05aff11f9f560b8e6ffdf31461a36a902f20df2ab776486b48bdc5797e",
         "019a2cec0405080e3d6272ea057fe3a497743e0d2f9ab4f11f5c763ca857f0f1",
         "8d5501f409383697c2525c003a6b694876ff9ea17aadd706ffb3d71fa589cc24",
         "c178eaf4a246a973f39c29fe0ce4125981a47e48cd8ec48f08f0d5b8b7ff8a25",
+        "587ccce29fd018555fcfe9fe15bd6e5ce399e3eafa44c615ad2965b834aab85f",
+        "86340a9bf974b418095ddc079b1079cfb93a1023bef431ecbb0c933328b9e59e",
     ),
     # the file written from _skew_quadruple(); --seed is not read
     ("skew.json", "0"): (
@@ -518,6 +527,8 @@ QUADRUPLE_SHA256 = {
         "08c21e8bdcd204672e39ce2ce2c6e273a1e02d573a0523b4c48807c60d75c7da",
         "6b606326d8a21ac9beac3e371cef23977267fb476b5ca0d159dd8f7e87cbb7c8",
         "a7dffd007d3b458c3ac44277855340e7bd36c6234d9ae484ddaa6894b12a4b17",
+        "8353714370868f6e4b7710d94bef131da8439a47d68731fd6fb411d0ea74d177",
+        "c53e7475a5b95bd5656457ec1d29cf561e2e4a4b16a9fb7fb710874151b31028",
     ),
 }
 
@@ -534,7 +545,9 @@ def test_quadruple_pipeline_stdout(tmp_path, monkeypatch, source, seed):
     runs = [("build", *flags, "--emit", "alg.json"),
             ("recover", "--input", "alg.json"),
             ("degree", *flags, "--trials", "200"),
-            ("roundtrip", *flags)]
+            ("roundtrip", *flags),
+            ("check", "--what", "division", *flags, "--trials", "200"),
+            ("check", "--what", "quadratic", *flags)]
     digests = []
     for argv in runs:
         code, out = run_cli(*argv)
