@@ -10,14 +10,16 @@ column or vector is cleared to integers once, by the lcm of its
 denominators (``cleared``); its dot products are then sums of Python ints,
 and each result entry becomes one Fraction of an integer over the product
 of the two lcms (``cleared_dot``).  Determinants and the
-positive-definiteness test eliminate on the cleared rows.  This module is
+positive-definiteness test eliminate on the cleared rows; integer_det,
+the elimination behind Matrix.det, also decides the division check's
+integer operators.  This module is
 the substrate for everything else; it never touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 
@@ -176,6 +178,26 @@ def _eliminate_below(m, k, prev):
         row_i[k] = 0
 
 
+def integer_det(m) -> int:
+    """The determinant of a square integer matrix, given as a list of row
+    lists that it eliminates in place, by fraction-free Bareiss elimination:
+    every intermediate value is an integer minor of m, so no Fraction is
+    formed.  A zero pivot is swapped with the first row below that has a
+    nonzero entry in its column."""
+    n = len(m)
+    sign = prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        _eliminate_below(m, k, prev)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 class Matrix:
     """Immutable dense matrix over the rationals."""
 
@@ -314,34 +336,12 @@ class Matrix:
     # -- elimination
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free Bareiss elimination.
-
-        Rows are cleared to integers first, so every intermediate value is an
-        integer minor of the scaled matrix.
-        """
+        """Exact determinant: integer_det of the rows cleared to integers,
+        over the product of their denominators."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        scale = 1
-        m = []
-        for row in self.entries:
-            ints, den = cleared(row)
-            scale *= den
-            m.append(ints)
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            _eliminate_below(m, k, prev)
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], scale)
+        rows = [cleared(row) for row in self.entries]
+        return Fraction(integer_det([ints for ints, _ in rows]), prod(den for _, den in rows))
 
     def rref(self):
         """Reduced row echelon form.  Returns (Matrix, pivot column tuple)."""

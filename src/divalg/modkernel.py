@@ -36,14 +36,18 @@ any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.  A solve that cannot serve a prime raises
 UnluckyPrime, and the ladder goes on to the next one.
 
-The same fact screens the sampled checks.  A nonzero rational multiple
-of a table or a draw has the same ranks, so each check screens integer
-multiples, and reduction mod p is a ring map on the integers: a minor of
-the reduced matrix is the reduction of the exact minor, and a nonzero
-residue means a nonzero minor over Q.  Full rank mod SCREEN_PRIME proves
-full exact rank.  A rank-deficient residue proves nothing, and the checks
-decide those draws exactly.  They stay sampled either way: the screen
-only decides each draw faster, it does not widen a budget into a proof.
+The same fact screens the draws of the dissidence falsifier and the
+degree scan's validation points (lifting._sample_lines).  A nonzero
+rational multiple of a tensor or a draw has the same ranks, so each
+screens integer multiples, and reduction mod p is a ring map on the
+integers: a minor of the reduced matrix is the reduction of the exact
+minor, and a nonzero residue means a nonzero minor over Q.  Full rank mod
+SCREEN_PRIME proves full exact rank.  A rank-deficient residue proves
+nothing, and those draws are decided exactly.  The falsifier stays
+sampled either way: the screen only decides each draw faster, it does not
+widen a budget into a proof.  The division check screens nothing: its
+operators are small, and it decides each in Python ints
+(exact.integer_det), so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ _BASE = 16
 # denominator from (_common_denominator).
 _LATTICE_ENTRIES = 4
 
-# The prime the sampled checks screen their draws with, and the most draws
-# a falsifier holds at once (its memory stays flat in its budget).
+# The prime the dissidence falsifier and the scan's validation points are
+# screened with, and the most draws the falsifier holds at once (its memory
+# stays flat in its budget).
 SCREEN_PRIME = PRIMES[0]
 SCREEN_BATCH = 1024
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Matrix, as_fraction, basis_vector, bilinear, cleared, cleared_dot, dot, vector
+from .exact import Matrix, as_fraction, basis_vector, bilinear, cleared, cleared_dot, dot, integer_multiple, vector
 
 OCTONION_TRIPLES = (
     (1, 2, 3),
@@ -196,51 +196,51 @@ def frobenius_split(alg):
     sum u_i (e_i - rho_i 1) = 0 (u the unity), so leaving out the last i
     with u_i != 0 gives a basis of V, a hyperplane.  And v^2 is in R1 for v
     in V, as the certificate gives v^2 - 2 rho(v) v in R1 and rho(v) = 0.
-    The unity of an AlgebraPresentation is checked when it is built.
+    The unity of an AlgebraPresentation is checked when it is built.  The
+    tests run on the table, the unity and rho cleared to integers.
     """
     dim = alg.dim
-    unity = alg.unity
-    table = alg.constants
+    u = integer_multiple(alg.unity)
+    flat, t = cleared([x for plane in alg.constants for cell in plane for x in cell])
+    cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]  # t e_i e_j at i * dim + j
 
     rho = []
     for i in range(dim):
-        b = basis_vector(dim, i)
-        coeff = _unity_multiple(b, unity)
-        if coeff is not None:
-            rho.append(coeff)
+        # e_i^2 = c*1 + 2 rho_i e_i off coordinate i, where c is read at p
+        p = next((k for k, a in enumerate(u) if a and k != i), None)
+        if p is None:  # e_i is a multiple of the unity
+            rho.append(1 / alg.unity[i])
             continue
-        sol = Matrix.from_columns([unity, b]).solve_right(table[i][i])
-        if sol is None:
+        s = cells[i * dim + i]
+        if not _on_unity_line(s, u, p, skip=i):
             raise NotQuadratic(f"basis element {i}: 1, x, x^2 independent")
-        rho.append(sol[1] / 2)
+        rho.append(Fraction(s[i] * u[p] - s[p] * u[i], 2 * t * u[p]))
     rho = tuple(rho)
-    if dot(rho, unity) != 1:
+    if dot(rho, alg.unity) != 1:
         raise NotQuadratic("inconsistent unity coefficient in the split")
 
     # certificate: every coefficient of x^2 - 2 rho(x) x lies on the unity line
+    r, f = cleared(rho)
+    p = next(k for k, a in enumerate(u) if a)
     for i in range(dim):
         for j in range(i, dim):
-            deviation = [a + b for a, b in zip(table[i][j], table[j][i])]
-            deviation[j] -= 2 * rho[i]
-            deviation[i] -= 2 * rho[j]
-            if _unity_multiple(deviation, unity) is None:
+            deviation = [(a + b) * f for a, b in zip(cells[i * dim + j], cells[j * dim + i])]
+            deviation[j] -= 2 * t * r[i]
+            deviation[i] -= 2 * t * r[j]
+            if not _on_unity_line(deviation, u, p):
                 raise NotQuadratic("x^2 - 2 rho(x) x leaves the unity line")
 
-    dropped = max(i for i, u in enumerate(unity) if u != 0)
+    dropped = max(i for i, a in enumerate(u) if a != 0)
     v_basis = tuple(
-        tuple(e - rho[i] * u for e, u in zip(basis_vector(dim, i), unity))
+        tuple(e - rho[i] * a for e, a in zip(basis_vector(dim, i), alg.unity))
         for i in range(dim) if i != dropped
     )
     return rho, v_basis
 
 
-def _unity_multiple(x, unity):
-    """The scalar c with x = c*unity, or None if x is off the unity line."""
-    pivot = next(i for i, u in enumerate(unity) if u != 0)
-    c = x[pivot] / unity[pivot]
-    if all(c * u == a for u, a in zip(unity, x)):
-        return c
-    return None
+def _on_unity_line(x, u, p, skip=None):
+    """Whether x = c u off coordinate skip, for integer x and u, u_p != 0."""
+    return all(a * u[p] == x[p] * b for k, (a, b) in enumerate(zip(x, u)) if k != skip)
 
 
 def frobenius_form(alg, rho):

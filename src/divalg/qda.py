@@ -18,9 +18,10 @@ means "sampled, no counterexample", never "certified".
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, as_fractions, quadruple_to_triple, sample_integer_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_tensor, is_rational_square, vector
+from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_det, integer_tensor, is_rational_square, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -209,41 +210,28 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     sampled: a passing budget finds no singular operator, it proves none
     absent.
 
-    The samples are drawn as integers (sample_integer_vector) and screened
-    in batches of at most modkernel.SCREEN_BATCH.  Scaling a or the table
-    by a nonzero rational changes no rank, so for the integer draws and the
-    integer multiple of the table,
-    L_a[k][j] = sum_i a_i C[i][j][k] and R_a[k][i] = sum_j a_j C[i][j][k]
-    are each one contraction of the table with the batch, and rank dim mod
-    modkernel.SCREEN_PRIME proves det != 0 over Q, because det mod p is the
-    reduction of the integer det.  Only the draws with an operator whose
-    residue is singular become Fractions and get the exact Bareiss det, in
-    draw order, so the first witness is unchanged.
+    The samples are drawn as integers (sample_integer_vector).  Scaling a
+    or the table by a nonzero rational scales each determinant by a nonzero
+    factor, so for the integer draw and the integer multiple C of the table
+    the operators L_a[k][j] = sum_i a_i C[i][j][k] and
+    R_a[k][i] = sum_j a_j C[i][j][k] have one integer dot product per entry,
+    and one integer_det of each decides det != 0 exactly.  Only a witness
+    becomes Fractions.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # numpy is imported here, not with the module: it is most of the
-    # package's start-up time, and commands that screen nothing mod p never
-    # load it
-    import numpy as np
-
-    from . import modkernel
-
     rng = seeded_rng(seed, "division")
-    p = modkernel.SCREEN_PRIME
-    table = modkernel.residues(integer_tensor(alg.constants), p)
-    for start in range(0, trials, modkernel.SCREEN_BATCH):
-        samples = [sample_integer_vector(rng, alg.dim)
-                   for _ in range(min(trials - start, modkernel.SCREEN_BATCH))]
-        # the draws' entries are at most 8 * 6 in absolute value
-        a = np.array([ints for ints, _ in samples], dtype=np.int64) % p
-        left = modkernel.rank_mod_p(np.einsum("bi,ijk->bkj", a, table), p) == alg.dim
-        right = modkernel.rank_mod_p(np.einsum("bj,ijk->bki", a, table), p) == alg.dim
-        for draw, left_ok, right_ok in zip(samples, left, right):
-            x = None if left_ok and right_ok else as_fractions(draw)
-            if (not left_ok and alg.left_mul_matrix(x).det() == 0) or (
-                    not right_ok and alg.right_mul_matrix(x).det() == 0):
-                return x
+    dim = alg.dim
+    table = integer_tensor(alg.constants)
+    # the vectors a is dotted with: left[k][j][i] = right[k][i][j] = C[i][j][k]
+    left = [[[table[i][j][k] for i in range(dim)] for j in range(dim)] for k in range(dim)]
+    right = [list(zip(*plane)) for plane in left]
+    for _ in range(trials):
+        draw = sample_integer_vector(rng, dim)
+        a = draw[0]
+        for operator in (left, right):
+            if integer_det([[sum(map(mul, a, c)) for c in row] for row in operator]) == 0:
+                return as_fractions(draw)
     return None
 
 

@@ -13,7 +13,6 @@ import json
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple
 from .exact import Matrix, scalar_from_str, scalar_to_str
-from .poly import DEFAULT_MAX_DEGREE, HomogeneousPoly, Lifting, poly_content_gcd
 from .qda import AlgebraPresentation
 
 
@@ -41,7 +40,7 @@ def tensor_to_json(tensor):
     return [[[scalar_to_str(x) for x in cell] for cell in plane] for plane in tensor]
 
 
-def poly_to_json(p: HomogeneousPoly):
+def poly_to_json(p):
     return [
         {"exponents": list(exps), "coeff": scalar_to_str(p.terms[exps])}
         for exps in sorted(p.terms, reverse=True)
@@ -80,7 +79,7 @@ def algebra_to_json(alg: AlgebraPresentation):
     }
 
 
-def lifting_to_json(phi: Lifting):
+def lifting_to_json(phi):
     return {
         "kind": "lifting",
         "n": phi.n,
@@ -191,12 +190,17 @@ def algebra_from_json(data) -> AlgebraPresentation:
     return AlgebraPresentation(_cube(constants, dim), _vector(unity))
 
 
-def lifting_from_json(data) -> Lifting:
+def lifting_from_json(data):
     """A lifting in at most MAX_ALGEBRA_DIM variables and of degree at most
     DEFAULT_MAX_DEGREE (5), both checked before any polynomial is built:
     the content GCD that proves the components relatively prime recurses
     once per variable, and its time and memory grow without bound with
-    the degree."""
+    the degree.
+
+    poly is imported here, not with the module: only this decoder needs it,
+    and the commands that read no lifting never compile it."""
+    from .poly import DEFAULT_MAX_DEGREE, HomogeneousPoly, Lifting, poly_content_gcd
+
     n = int(data["n"])
     degree = int(data["degree"])
     if n > MAX_ALGEBRA_DIM:

@@ -705,7 +705,7 @@ def test_benchmark_trace_counts_each_rref_once(perfbench_tracer):
 
 class FreshRun(NamedTuple):
     code: int  # main's exit code, 0 when main is not run
-    loaded: set  # top-level names in sys.modules
+    loaded: set  # the names in sys.modules
     environ_kept: bool  # whether os.environ is as it was before the import
     blas_threads: int | None  # OpenBLAS's thread count, when numpy is loaded
 
@@ -726,7 +726,7 @@ code = 0
 if {argv!r} is not None:
     with redirect_stdout(io.StringIO()):
         code = divalg.cli.main({argv!r})
-loaded = sorted({{name.split('.')[0] for name in sys.modules}})
+loaded = sorted(sys.modules)
 threads = None
 if "numpy" in sys.modules:
     libs = Path(sys.modules["numpy"].__file__).parent.parent / "numpy.libs"
@@ -754,9 +754,12 @@ print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
 ], ids=" ".join)
 def test_lift_and_degree_leave_sympy_unloaded(argv):
     # the scan's kernels prove the lifting's components relatively prime,
-    # so a whole lift or degree run needs no content GCD and no sympy
+    # so a whole lift or degree run needs no content GCD and no sympy; it
+    # does load the polynomials and the mod-p layers, the control of the
+    # import guards below
     run = _fresh_run(argv)
     assert run.code == 0 and "sympy" not in run.loaded
+    assert {"numpy", "divalg.poly", "divalg.modkernel"} <= run.loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -767,13 +770,18 @@ def test_lift_and_degree_leave_sympy_unloaded(argv):
     ["roundtrip", "--builtin", "cross7"],
     ["morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7", "--f", "I7.json"],
     ["table-dump", "--builtin", "octonions"],
+    pytest.param(["check", "--what", "division", "--quadruple", "random"],
+                 id="check --what division --quadruple random"),
+    pytest.param(["check", "--what", "division", "--builtin", "octonions"],
+                 id="check --what division --builtin octonions"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, argv):
     # numpy is most of the start-up time of a command, and only the mod-p
-    # screens and eliminations use it
+    # screens and eliminations use it; the division check decides its
+    # draws in Python ints
     _write_inputs(tmp_path, conjugate_bent_tensor)
     run = _fresh_run(argv, cwd=tmp_path)
-    assert run.code == 0 and "numpy" not in run.loaded
+    assert run.code == 0 and not run.loaded & {"numpy", "divalg.modkernel"}
 
 
 def test_lift_loads_numpy():
@@ -827,4 +835,6 @@ def test_cli_import_leaves_sympy_unloaded():
     # layers; together they are most of the start-up time of every command
     run = _fresh_run()
     assert run.code == 0 and not run.loaded & {"numpy", "sympy"}
+    # nor does it compile the polynomials or the mod-p layers
+    assert not run.loaded & {"divalg.poly", "divalg.modkernel"}
     assert run.environ_kept

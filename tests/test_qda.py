@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from divalg import modkernel
 from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
 from divalg.dissident import (
     DissidentMap,
@@ -148,8 +147,9 @@ def test_division_check_complex_numbers():
 
 
 def _parent_division_check(alg, trials, seed):
-    """division_check as it was before it screened its samples mod p: the
-    reference for its witnesses."""
+    """division_check on Fractions: each draw as a rational vector, its
+    operators from the Fraction products of the table, and Matrix.det of
+    each.  The reference for its witnesses."""
     rng = seeded_rng(seed, "division")
     for _ in range(trials):
         a = sample_vector(rng, alg.dim)
@@ -158,42 +158,44 @@ def _parent_division_check(alg, trials, seed):
     return None
 
 
+def lopsided_algebra(opposite):
+    """The unital algebra on 1, x, y with xx = x + y, xy = 1 - x + y,
+    yx = -y and yy = 1 + y, or with the products reversed: at seed 0 its
+    first witness has det L_a != 0 = det R_a, and the reverse's the other
+    way round."""
+    products = {(1, 1): (0, 1, 1), (1, 2): (1, -1, 1), (2, 1): (0, 0, -1), (2, 2): (1, 0, 1)}
+    constants = [[e(i + j, 3) if 0 in (i, j) else products[(j, i) if opposite else (i, j)]
+                  for j in range(3)] for i in range(3)]
+    return AlgebraPresentation(constants, e(0, 3))
+
+
 def division_cases():
     """(algebra, trials, seed): the octonions pass, the zero-eta algebra
-    fails, and the quadruple algebras have tables with denominators."""
+    fails, the quadruple algebras have tables with denominators, the 2x2
+    and 3x3 matrix algebras, of dimensions 4 and 9, fail at draws between
+    1 and 597, and the lopsided algebras fail on one operator only."""
     zero_eta = make_qda(DissidentTriple(7, Matrix.zeros(7, 7),
                                         DissidentMap(7, [[[0] * 7] * 7] * 7)))
     cases = [(octonion_algebra(), 200, 0), (octonion_algebra(), 200, 5),
              (complex_numbers(), 200, 0), (zero_eta, 50, 0), (zero_eta, 50, 3)]
-    return cases + [(quadruple_algebra(random_quadruple(s)), 60, s) for s in range(3)]
+    cases += [(quadruple_algebra(random_quadruple(s)), 60, s) for s in range(3)]
+    cases += [(matrix_algebra(d), 600, s) for d in (2, 3) for s in range(3)]
+    return cases + [(lopsided_algebra(opposite), 200, 0) for opposite in (False, True)]
 
 
-def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch):
-    # a tiny prime leaves many integer operators singular, so the exact
-    # path decides them: 92 dets mod 3 and 72 mod 5 for the 200 octonion
-    # samples of seed 0
+def test_division_witnesses_match_the_fraction_det():
     cases = division_cases()
-    witnesses = []
-    for prime in (modkernel.SCREEN_PRIME, 3, 5):
-        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-        got = [division_check(alg, trials, seed) for alg, trials, seed in cases]
-        witnesses.append(got)
-    assert witnesses[0] == witnesses[1] == witnesses[2] == [
-        _parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
-    assert witnesses[0][3] is not None and witnesses[0][4] is not None
+    witnesses = [division_check(alg, trials, seed) for alg, trials, seed in cases]
+    assert witnesses == [_parent_division_check(alg, trials, seed)
+                         for alg, trials, seed in cases]
+    found = [w is not None for w in witnesses]
+    assert found == [False] * 3 + [True] * 2 + [False] * 3 + [True] * 8
+    for (alg, _, _), w, opposite in zip(cases[-2:], witnesses[-2:], (False, True)):
+        assert (alg.left_mul_matrix(w).det() == 0) == opposite
+        assert (alg.right_mul_matrix(w).det() == 0) != opposite
 
 
-def test_division_batches_keep_the_witnesses(monkeypatch):
-    cases = division_cases()
-    expected = [_parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
-    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
-    for prime in (modkernel.SCREEN_PRIME, 3):
-        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-        assert [division_check(alg, trials, seed) for alg, trials, seed in cases] == expected
-
-
-def test_division_memory_does_not_grow_with_the_budget(monkeypatch, traced_peaks):
-    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
+def test_division_memory_does_not_grow_with_the_budget(traced_peaks):
     alg = octonion_algebra()
     one, ten = traced_peaks(lambda trials: division_check(alg, trials, 0), (100, 1000))
     assert ten < 2 * one
