@@ -12,8 +12,8 @@ and each result entry becomes one Fraction of an integer over the product
 of the two lcms (``cleared_dot``).  Determinants and the
 positive-definiteness test eliminate on the cleared rows; integer_det,
 the elimination behind Matrix.det, also decides the division check's
-integer operators.  This module is
-the substrate for everything else; it never touches floating point.
+integer operators.  This module is the substrate for everything else; it
+never touches floating point.
 """
 
 from __future__ import annotations

@@ -45,9 +45,9 @@ minor, and a nonzero residue means a nonzero minor over Q.  Full rank mod
 SCREEN_PRIME proves full exact rank.  A rank-deficient residue proves
 nothing, and those draws are decided exactly.  The falsifier stays
 sampled either way: the screen only decides each draw faster, it does not
-widen a budget into a proof.  The division check screens nothing: its
-operators are small, and it decides each in Python ints
-(exact.integer_det), so it never loads numpy.
+widen a budget into a proof.  The division check screens nothing: it
+decides each operator in Python ints (exact.integer_det), so it never
+loads numpy.
 """
 
 from __future__ import annotations
