@@ -208,6 +208,10 @@ def seeded_rng(seed, *labels) -> random.Random:
 _PAIRS = tuple(tuple(Fraction(num, den).as_integer_ratio() for den in (1, 2, 3))
                for num in range(-8, 9))
 
+# The largest absolute value of an entry of sample_integer_vector's ints:
+# |num| <= 8 times den // b <= lcm(1, 2, 3).
+DRAW_BOUND = 8 * 6
+
 
 def sample_integer_vector(rng: random.Random, n, nonzero=True):
     """n draws of Fraction(rng.randint(-8, 8), rng.randint(1, 3)) as (ints,

@@ -10,10 +10,12 @@ column or vector is cleared to integers once, by the lcm of its
 denominators (``cleared``); its dot products are then sums of Python ints,
 and each result entry becomes one Fraction of an integer over the product
 of the two lcms (``cleared_dot``).  Determinants and the
-positive-definiteness test eliminate on the cleared rows; integer_det,
-the elimination behind Matrix.det, also decides the division check's
-integer operators.  This module is the substrate for everything else; it
-never touches floating point.
+positive-definiteness test eliminate on the cleared rows, each packed
+into one int (pack), so that a step of the elimination is a few integer
+operations per row, not per entry; packed_det, the elimination behind
+Matrix.det, also decides the division check's integer operators.  This
+module is the substrate for everything else; it never touches floating
+point.
 """
 
 from __future__ import annotations
@@ -133,13 +135,20 @@ def integer_multiple(u) -> list:
     return cleared(u)[0]
 
 
+def cleared_tensor(tensor):
+    """(cube, t) with tensor = cube / t: t is the lcm of all the denominators
+    of a cube of rationals, and cube[i][j][k] its integer multiple, as
+    nested lists of ints."""
+    flat, t = cleared([x for plane in tensor for row in plane for x in row])
+    flat = iter(flat)
+    return [[[next(flat) for _ in row] for row in plane] for plane in tensor], t
+
+
 def integer_tensor(tensor) -> list:
-    """A cube of rationals t[i][j][k] times the lcm of all its
-    denominators, as nested lists of ints.  One positive factor scales
-    every product the table defines, so no rank or kernel formed from it
-    changes."""
-    flat = iter(integer_multiple([x for plane in tensor for row in plane for x in row]))
-    return [[[next(flat) for _ in row] for row in plane] for plane in tensor]
+    """The integer multiple of a cube of rationals from cleared_tensor.  One
+    positive factor scales every product the table defines, so no rank or
+    kernel formed from it changes."""
+    return cleared_tensor(tensor)[0]
 
 
 def primitive_vector(u) -> tuple:
@@ -164,38 +173,78 @@ def primitive_vector(u) -> tuple:
 # matrices
 
 
-def _eliminate_below(m, k, prev):
-    """One fraction-free (Bareiss) step on the integer rows m: clear column
-    k below the pivot m[k][k].  prev is the previous step's pivot (1 at the
-    first step), which divides every new entry exactly."""
-    row_k = m[k]
-    pivot = row_k[k]
-    width = len(row_k)
-    for row_i in m[k + 1:]:
-        mik = row_i[k]
-        for j in range(k + 1, width):
-            row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-        row_i[k] = 0
+def pack(row, widths) -> int:
+    """A row of integers as one int: entry j in field j, widths[j] bits wide
+    from bit sum(widths[:j]).  Each entry must be below 2**(widths[j] - 1) in
+    absolute value (minor_widths); a negative one borrows from the fields
+    above it, and the entry in field 0 is still the residue of the int mod
+    2**widths[0] closest to 0.  Packing is linear: a sum of multiples of
+    packed rows is the packed sum, as long as its entries fit."""
+    total = shift = 0
+    for x, width in zip(row, widths):
+        total += x << shift
+        shift += width
+    return total
 
 
-def integer_det(m) -> int:
-    """The determinant of a square integer matrix, given as a list of row
-    lists that it eliminates in place, by fraction-free Bareiss elimination:
-    every intermediate value is an integer minor of m, so no Fraction is
-    formed.  A zero pivot is swapped with the first row below that has a
-    nonzero entry in its column."""
-    n = len(m)
+def minor_widths(norms) -> list:
+    """Field widths for packing, for Bareiss elimination, a square integer
+    matrix whose rows have sums of absolute values at most norms.  After k
+    steps every entry left is a minor of order k + 1, and column j is gone
+    after step j, so field j only holds minors of order at most j + 1; it
+    holds them all.  By Hadamard's inequality a minor is at most the
+    product of the Euclidean lengths of its rows, each at most the row's
+    sum of absolute values, so a minor of order m is at most the product of
+    the m largest norms."""
+    widths = []
+    bound = 1
+    for s in sorted((max(1, s) for s in norms), reverse=True):
+        bound *= s
+        widths.append(bound.bit_length() + 1)
+    return widths
+
+
+def _low_field(row, width) -> int:
+    """The entry in field 0, width bits wide, of a packed row."""
+    half = 1 << width - 1
+    return (row + half & (half << 1) - 1) - half
+
+
+def _eliminate_below(rows, k, prev, width):
+    """One fraction-free (Bareiss) step on packed integer rows whose field
+    0, width bits wide, is column k: clear that column below the pivot
+    rows[k] and drop it, so each row below moves one field down.  prev is
+    the previous step's pivot (1 at the first step), which divides every new
+    entry exactly.  Returns the pivot."""
+    half = 1 << width - 1
+    mask = (half << 1) - 1
+    top = rows[k]
+    pivot = (top + half & mask) - half
+    # field 0 of pivot * r - m * top is pivot * m - m * pivot = 0
+    rows[k + 1:] = [((pivot * r - ((r + half & mask) - half) * top) >> width) // prev
+                    for r in rows[k + 1:]]
+    return pivot
+
+
+def packed_det(rows, widths) -> int:
+    """The determinant of a square integer matrix given as its packed rows
+    (pack, with widths from minor_widths), which it eliminates in place by
+    fraction-free Bareiss elimination: every intermediate value is an
+    integer minor, so no Fraction is formed.  A zero pivot is swapped with
+    the first row below that has a nonzero entry in its column.  After n - 1
+    steps the last row holds one field, the determinant."""
+    n = len(rows)
     sign = prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+        mask = (1 << widths[k]) - 1
+        if not rows[k] & mask:
+            i = next((i for i in range(k + 1, n) if rows[i] & mask), None)
             if i is None:
                 return 0
-            m[k], m[i] = m[i], m[k]
+            rows[k], rows[i] = rows[i], rows[k]
             sign = -sign
-        _eliminate_below(m, k, prev)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        prev = _eliminate_below(rows, k, prev, widths[k])
+    return sign * rows[n - 1]
 
 
 class Matrix:
@@ -325,23 +374,26 @@ class Matrix:
         if not self.is_symmetric():
             return False
         m = [integer_multiple(row) for row in self.entries]
+        widths = minor_widths(sum(map(abs, row)) for row in m)
+        rows = [pack(row, widths) for row in m]
         prev = 1
-        for k in range(self.rows):
-            if m[k][k] <= 0:
+        for k, width in enumerate(widths):
+            if _low_field(rows[k], width) <= 0:
                 return False
-            _eliminate_below(m, k, prev)
-            prev = m[k][k]
+            prev = _eliminate_below(rows, k, prev, width)
         return True
 
     # -- elimination
 
     def det(self) -> Fraction:
-        """Exact determinant: integer_det of the rows cleared to integers,
+        """Exact determinant: packed_det of the rows cleared to integers,
         over the product of their denominators."""
         if not self.is_square():
             raise DimensionError("determinant of a non-square matrix")
         rows = [cleared(row) for row in self.entries]
-        return Fraction(integer_det([ints for ints, _ in rows]), prod(den for _, den in rows))
+        widths = minor_widths(sum(map(abs, ints)) for ints, _ in rows)
+        det = packed_det([pack(ints, widths) for ints, _ in rows], widths)
+        return Fraction(det, prod(den for _, den in rows))
 
     def rref(self):
         """Reduced row echelon form.  Returns (Matrix, pivot column tuple)."""

@@ -46,7 +46,7 @@ SCREEN_PRIME proves full exact rank.  A rank-deficient residue proves
 nothing, and those draws are decided exactly.  The falsifier stays
 sampled either way: the screen only decides each draw faster, it does not
 widen a budget into a proof.  The division check screens nothing: it
-decides each operator in Python ints (exact.integer_det), so it never
+decides each operator in Python ints (exact.packed_det), so it never
 loads numpy.
 """
 

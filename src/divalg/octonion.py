@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Matrix, as_fraction, basis_vector, bilinear, cleared, cleared_dot, dot, integer_multiple, vector
+from .exact import Matrix, as_fraction, basis_vector, bilinear, cleared, cleared_dot, cleared_tensor, dot, integer_multiple, vector
 
 OCTONION_TRIPLES = (
     (1, 2, 3),
@@ -201,8 +201,7 @@ def frobenius_split(alg):
     """
     dim = alg.dim
     u = integer_multiple(alg.unity)
-    flat, t = cleared([x for plane in alg.constants for cell in plane for x in cell])
-    cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]  # t e_i e_j at i * dim + j
+    table, t = cleared_tensor(alg.constants)  # table[i][j] is t e_i e_j
 
     rho = []
     for i in range(dim):
@@ -211,7 +210,7 @@ def frobenius_split(alg):
         if p is None:  # e_i is a multiple of the unity
             rho.append(1 / alg.unity[i])
             continue
-        s = cells[i * dim + i]
+        s = table[i][i]
         if not _on_unity_line(s, u, p, skip=i):
             raise NotQuadratic(f"basis element {i}: 1, x, x^2 independent")
         rho.append(Fraction(s[i] * u[p] - s[p] * u[i], 2 * t * u[p]))
@@ -224,7 +223,7 @@ def frobenius_split(alg):
     p = next(k for k, a in enumerate(u) if a)
     for i in range(dim):
         for j in range(i, dim):
-            deviation = [(a + b) * f for a, b in zip(cells[i * dim + j], cells[j * dim + i])]
+            deviation = [(a + b) * f for a, b in zip(table[i][j], table[j][i])]
             deviation[j] -= 2 * t * r[i]
             deviation[i] -= 2 * t * r[j]
             if not _on_unity_line(deviation, u, p):

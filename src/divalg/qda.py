@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple, as_fractions, quadruple_to_triple, sample_integer_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, integer_det, integer_tensor, is_rational_square, vector
+from .dissident import DRAW_BOUND, DissidentMap, DissidentTriple, MatrixQuadruple, as_fractions, quadruple_to_triple, sample_integer_vector, seeded_rng
+from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, is_rational_square, minor_widths, pack, packed_det, primitive_vector, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -210,27 +210,35 @@ def division_check(alg: AlgebraPresentation, trials: int, seed):
     sampled: a passing budget finds no singular operator, it proves none
     absent.
 
-    The samples are drawn as integers (sample_integer_vector).  Scaling a
-    or the table by a nonzero rational scales each determinant by a nonzero
-    factor, so for the integer draw and the integer multiple C of the table
-    the operators L_a[k][j] = sum_i a_i C[i][j][k] and
-    R_a[k][i] = sum_j a_j C[i][j][k] have one integer dot product per entry,
-    and one integer_det of each decides det != 0 exactly.  Only a witness
-    becomes Fractions.
+    The samples are drawn as integers (sample_integer_vector), and one
+    packed_det of each operator decides det != 0 exactly.  Row k of L_a,
+    L_a[k][j] = sum_i a_i C[i][j][k], and row k of R_a,
+    R_a[k][i] = sum_j a_j C[i][j][k], are read from plane k of the table,
+    the k-th coordinates of all its products.  Scaling a, or a plane, by a
+    nonzero rational scales the determinants by a nonzero factor, so each
+    plane is taken as its primitive integer multiple (a unital table has no
+    zero plane).  Packing is linear (exact.pack), so packed row k of L_a is
+    sum_i a_i times packed row k of L_{e_i}, and of R_a sum_j a_j times
+    packed row k of R_{e_j}.  The field widths hold the minors of every
+    such operator: no row's sum of absolute values exceeds DRAW_BOUND times
+    that of its plane.  Only a witness becomes Fractions.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = seeded_rng(seed, "division")
     dim = alg.dim
-    table = integer_tensor(alg.constants)
-    # the vectors a is dotted with: left[k][j][i] = right[k][i][j] = C[i][j][k]
-    left = [[[table[i][j][k] for i in range(dim)] for j in range(dim)] for k in range(dim)]
-    right = [list(zip(*plane)) for plane in left]
+    # planes[k][i * dim + j] is C[i][j][k], up to one factor per plane
+    planes = [primitive_vector([cell[k] for plane in alg.constants for cell in plane])
+              for k in range(dim)]
+    widths = minor_widths(DRAW_BOUND * sum(map(abs, plane)) for plane in planes)
+    # left[k][i] is packed row k of L_{e_i}, right[k][j] of R_{e_j}
+    left = [[pack(plane[i * dim:(i + 1) * dim], widths) for i in range(dim)] for plane in planes]
+    right = [[pack(plane[j::dim], widths) for j in range(dim)] for plane in planes]
     for _ in range(trials):
         draw = sample_integer_vector(rng, dim)
         a = draw[0]
         for operator in (left, right):
-            if integer_det([[sum(map(mul, a, c)) for c in row] for row in operator]) == 0:
+            if packed_det([sum(map(mul, a, row)) for row in operator], widths) == 0:
                 return as_fractions(draw)
     return None
 

@@ -5,6 +5,7 @@ import pytest
 
 from divalg import modkernel
 from divalg.dissident import (
+    DRAW_BOUND,
     DegenerateSpan,
     DissidentMap,
     DissidentTriple,
@@ -316,6 +317,13 @@ def test_sample_fraction_follows_the_randint_stream(seed, label):
         assert sample_fraction(rng) == Fraction(reference.randint(-8, 8),
                                                 reference.randint(1, 3))
     assert rng.getstate() == reference.getstate()
+
+
+def test_integer_draws_reach_the_draw_bound():
+    # the division check sizes its packed fields from DRAW_BOUND
+    rng = seeded_rng(0, "division")
+    largest = max(max(map(abs, sample_integer_vector(rng, 8)[0])) for _ in range(2000))
+    assert largest == DRAW_BOUND
 
 
 @pytest.mark.parametrize("label", ["dissidence", "division", "lifting-points"])

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -96,6 +98,22 @@ def test_det_multiplicative_7x7_seeded():
     for _ in range(3):
         a, b = mk(), mk()
         assert (a * b).det() == a.det() * b.det()
+
+
+def test_det_at_the_width_bound():
+    # the pivots of a diagonal matrix whose entries shrink down the
+    # diagonal are the largest minors minor_widths sizes each field for:
+    # powers of two of either sign put them at the top of their fields;
+    # the row permutations add swaps
+    rng = random.Random(0)
+    for n in range(1, 9):
+        diagonal = sorted((rng.choice((-1, 1)) << rng.randrange(300) for _ in range(n)),
+                          key=abs, reverse=True)
+        rows = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(diagonal)]
+        assert Matrix(rows).det() == prod(diagonal)
+        order = rng.sample(range(n), n)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        assert Matrix([rows[i] for i in order]).det() == (-1) ** inversions * prod(diagonal)
 
 
 def test_det_requires_square():

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from divalg import modkernel
+from divalg import modkernel, qda
 from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
 from divalg.dissident import (
+    DRAW_BOUND,
     DissidentMap,
     DissidentTriple,
     MatrixQuadruple,
@@ -15,7 +16,7 @@ from divalg.dissident import (
     seeded_rng,
     triple_morphism_check,
 )
-from divalg.exact import DimensionError, Matrix, dot
+from divalg.exact import DimensionError, Matrix, dot, packed_det
 from divalg.octonion import NotUnital, extend_quaternion_automorphism, rotation_from_quaternion
 from divalg.qda import (
     AlgebraPresentation,
@@ -203,23 +204,47 @@ def test_division_witnesses_match_the_fraction_det(division_references):
 
 
 def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch, division_references):
-    # the screen prime that the dissident and lifting checks use leaves
-    # many integer operators singular when tiny (92 dets mod 3 and 72 mod 5
-    # for the 200 octonion samples of seed 0); the exact integer dets of
-    # the division check must not follow it
+    # the screen prime that the dissident and lifting checks use would
+    # leave 92 of the operators of the 200 octonion draws of seed 0
+    # singular mod 3; the division check decides each exactly and must not
+    # follow it
     cases, expected = division_references
-    for prime in (3, 5):
-        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-        assert [division_check(alg, trials, seed) for alg, trials, seed in cases] == expected
-    assert expected[3] is not None and expected[4] is not None
+    monkeypatch.setattr(modkernel, "SCREEN_PRIME", 3)
+    alg, trials, seed = cases[0]
+    assert division_check(alg, trials, seed) is expected[0] is None
 
 
 def test_division_batches_keep_the_witnesses(monkeypatch, division_references):
+    # the 2x2 matrix algebra at seed 1 finds its witness at draw 82, past
+    # eleven batches of 7
     cases, expected = division_references
     monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
-    for prime in (modkernel.SCREEN_PRIME, 3):
-        monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-        assert [division_check(alg, trials, seed) for alg, trials, seed in cases] == expected
+    alg, trials, seed = cases[9]
+    assert division_check(alg, trials, seed) == expected[9] is not None
+
+
+def test_division_dets_are_exact_on_the_largest_draws(monkeypatch):
+    # every entry of these draws is +-DRAW_BOUND, the largest the packed
+    # fields are sized for; each determinant the check takes must be one
+    # fixed nonzero multiple of the Fraction det of its operator (the
+    # planes' scale factors), the same for every draw
+    draws, dets = [], []
+
+    def extreme(rng, n, nonzero=True):
+        draws.append([DRAW_BOUND * rng.choice((-1, 1)) for _ in range(n)])
+        return draws[-1], 1
+
+    def recorded(rows, widths):
+        dets.append(packed_det(rows, widths))
+        return dets[-1]
+
+    monkeypatch.setattr(qda, "sample_integer_vector", extreme)
+    monkeypatch.setattr(qda, "packed_det", recorded)
+    alg = quadruple_algebra(random_quadruple(1))
+    assert division_check(alg, 30, 0) is None
+    for side, operator in enumerate((alg.left_mul_matrix, alg.right_mul_matrix)):
+        ratios = {det / operator(a).det() for a, det in zip(draws, dets[side::2])}
+        assert len(ratios) == 1 and 0 not in ratios
 
 
 def test_division_memory_does_not_grow_with_the_budget(traced_peaks):
