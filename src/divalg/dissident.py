@@ -29,7 +29,7 @@ from .exact import (
     basis_vector,
     bilinear,
     cleared,
-    integer_tensor,
+    cleared_tensor,
     is_zero_vector,
     vector,
 )
@@ -291,7 +291,7 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
     p = modkernel.SCREEN_PRIME
-    tensor = modkernel.residues(integer_tensor(eta.tensor), p)
+    tensor = modkernel.residues(cleared_tensor(eta.tensor)[0], p)
     while trials:
         pairs = [(sample_integer_vector(rng, n), sample_integer_vector(rng, n))
                  for _ in range(min(trials, modkernel.SCREEN_BATCH))]

@@ -136,19 +136,13 @@ def integer_multiple(u) -> list:
 
 
 def cleared_tensor(tensor):
-    """(cube, t) with tensor = cube / t: t is the lcm of all the denominators
-    of a cube of rationals, and cube[i][j][k] its integer multiple, as
-    nested lists of ints."""
+    """(cube, t): t is the lcm of all the denominators of a cube of
+    rationals, and cube, nested lists of ints, its multiple by t.  One
+    positive factor scales every product the table defines, so no rank or
+    kernel formed from cube changes."""
     flat, t = cleared([x for plane in tensor for row in plane for x in row])
     flat = iter(flat)
     return [[[next(flat) for _ in row] for row in plane] for plane in tensor], t
-
-
-def integer_tensor(tensor) -> list:
-    """The integer multiple of a cube of rationals from cleared_tensor.  One
-    positive factor scales every product the table defines, so no rank or
-    kernel formed from it changes."""
-    return cleared_tensor(tensor)[0]
 
 
 def primitive_vector(u) -> tuple:

@@ -81,7 +81,7 @@ import numpy as np
 
 from . import modkernel
 from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
-from .exact import integer_tensor, primitive_vector
+from .exact import cleared_tensor, primitive_vector
 from .modkernel import sparse_kernel
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -187,7 +187,7 @@ class ConstraintSystem:
 
 def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
     """The divided constraint system at degree d of eta's integer tensor."""
-    return ConstraintSystem(integer_tensor(eta.tensor), d)
+    return ConstraintSystem(cleared_tensor(eta.tensor)[0], d)
 
 
 def _interpolation_points(n, count, d, p):
@@ -320,7 +320,7 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     """
     rng = seeded_rng(seed, "lifting-points")
     n = eta.n
-    tensor = np.array(integer_tensor(eta.tensor), dtype=object)
+    tensor = np.array(cleared_tensor(eta.tensor)[0], dtype=object)
     for start in range(0, samples, _EVAL_CHUNK):
         draws = [sample_vector(rng, n) for _ in range(min(_EVAL_CHUNK, samples - start))]
         points = [primitive_vector(v) for v in draws]

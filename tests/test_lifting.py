@@ -41,7 +41,7 @@ from divalg.lifting import (
     _sample_lines,
     _sparse_system,
 )
-from divalg.exact import Matrix, integer_tensor, primitive_vector
+from divalg.exact import Matrix, cleared_tensor, primitive_vector
 from divalg.modkernel import sparse_kernel
 from divalg.octonion import rotation_from_quaternion
 from divalg.poly import HomogeneousPoly, monomial_count, monomials
@@ -140,7 +140,7 @@ def test_zero_map_gives_zero_matrix():
 def integer_map(eta):
     """eta times the lcm of its denominators: the map whose cells the
     solver's system holds."""
-    return DissidentMap(eta.n, integer_tensor(eta.tensor))
+    return DissidentMap(eta.n, cleared_tensor(eta.tensor)[0])
 
 
 def test_dense_and_sparse_systems_agree(conjugate_bent_tensor):
@@ -690,7 +690,7 @@ def named_map(name, conjugate_bent_tensor):
 def test_divided_system_has_the_paper_kernel(conjugate_bent_tensor, name):
     eta = named_map(name, conjugate_bent_tensor)
     for d in DIFFERENTIAL_DEGREES[name]:
-        coo, nrows, ncols = _paper_assemble_coo(eta, d, integer_tensor(eta.tensor))
+        coo, nrows, ncols = _paper_assemble_coo(eta, d, cleared_tensor(eta.tensor)[0])
         assert (nrows, ncols) == constraint_shape(eta.n, d)
         divided = _sparse_system(eta, d)
         assert divided.ncols == ncols and divided.nrows < nrows
