@@ -4,11 +4,11 @@ A dissident map on V is a linear map eta: V wedge V -> V such that
 v, w, eta(v ^ w) are linearly independent whenever v, w are; such maps exist
 only for dim V in {0, 1, 3, 7}, and this module constructs the two
 interesting sizes.  Maps are stored as antisymmetric structure tensors over
-the standard basis.  Dissidence itself is only ever falsified (by rank
-checks on seeded random pairs, screened mod p and decided exactly), never
-certified: no terminating exact decision procedure is implemented here, so
-a clean falsification budget is reported as "consistent with dissident",
-nothing stronger.
+the standard basis.  Dissidence itself is only ever falsified (each seeded
+random pair is decided exactly in Python ints from its Pluecker
+coordinates), never certified: no terminating exact decision procedure is
+implemented here, so a clean falsification budget is reported as
+"consistent with dissident", nothing stronger.
 
 A matrix quadruple (A, B, C, D) - two antisymmetric matrices, a positive
 definite symmetric matrix, and a positive definite symmetric matrix of
@@ -262,54 +262,44 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     """Search for an exact witness against dissidence.
 
     Samples `trials` independent rational pairs (v, w) (dependent draws are
-    rejected and redrawn) and decides whether [v; w; eta(v^w)] has rank 3.
-    Returns the first rank-deficient pair, or None if the budget passes.
-    Deterministic given the seed.  The check stays sampled: a passing
-    budget is consistent with dissidence, not a proof of it.
+    rejected and redrawn) and decides whether v, w and x = eta(v ^ w) are
+    independent.  Returns the first pair where they are not, or None if
+    the budget passes.  Deterministic given the seed.  The check stays
+    sampled: a passing budget is consistent with dissidence, not a proof
+    of it.
 
-    Each batch of at most modkernel.SCREEN_BATCH pairs is screened first.
-    Scaling v, w or the tensor by a nonzero rational changes no rank, so
-    the matrices of the integer draws (sample_integer_vector) and of the
-    integer multiple of the tensor are formed mod modkernel.SCREEN_PRIME by
-    one contraction, and rank 3 mod p proves rank 3 over Q, because a
-    nonzero 3x3 minor mod p is the reduction of a nonzero integer minor.
-    Only the other draws become Fractions and are decided exactly, in draw
-    order: rank 3 passes, and otherwise an independent pair (rank [v; w] =
-    2) is the witness and a dependent one is redrawn.  A batch is drawn for
-    the trials still owed, so the pairs come from the stream in the order a
-    one-by-one loop draws them.
+    Each draw is decided in Python ints.  Scaling v, w or the tensor by a
+    nonzero rational changes no span, so v and w are the integer draws
+    (sample_integer_vector) and the tensor is its integer multiple
+    (cleared_tensor).  The Pluecker coordinates p_ij = v_i w_j - v_j w_i,
+    i < j, are all zero exactly when v and w are dependent.  Otherwise,
+    since t[j][i] = -t[i][j] and t[i][i] = 0, x = sum_{i<j} p_ij t[i][j].
+    Take the first nonzero p_ab: the coordinates a and b of v and w form an
+    invertible 2x2 system, so by Cramer's rule x is in span(v, w) exactly
+    when p_ab x = (x_a w_b - x_b w_a) v + (v_a x_b - v_b x_a) w, the only
+    combination that matches x in those two coordinates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # numpy is imported here, not with the module: it is most of the
-    # package's start-up time, and commands that screen nothing mod p never
-    # load it
-    import numpy as np
-
-    from . import modkernel
-
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
-    p = modkernel.SCREEN_PRIME
-    tensor = modkernel.residues(cleared_tensor(eta.tensor)[0], p)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    cube = cleared_tensor(eta.tensor)[0]
+    # coordinate k of x is the dot product of the p_ij with the t[i][j][k]
+    planes = [[cube[i][j][k] for i, j in pairs] for k in range(n)]
     while trials:
-        pairs = [(sample_integer_vector(rng, n), sample_integer_vector(rng, n))
-                 for _ in range(min(trials, modkernel.SCREEN_BATCH))]
-        # the draws' entries are at most 8 * 6 in absolute value
-        vw = np.array([(v, w) for (v, _), (w, _) in pairs], dtype=np.int64) % p
-        # eta(v ^ w)_k = sum_ij v_i w_j t[i][j][k], one sum at a time
-        # so that each stays below n p**2
-        partial = np.einsum("bi,ijk->bjk", vw[:, 0], tensor) % p
-        image = np.einsum("bj,bjk->bk", vw[:, 1], partial)
-        ranks = modkernel.rank_mod_p(np.concatenate([vw, image[:, None]], axis=1), p)
-        dependent = 0
-        for v, w in (map(as_fractions, pair) for pair, rank in zip(pairs, ranks) if rank < 3):
-            if Matrix([v, w, eval_eta(eta, v, w)]).rank() == 3:
-                continue
-            if Matrix([v, w]).rank() == 2:
-                return (v, w)
-            dependent += 1
-        trials -= len(pairs) - dependent
+        v_draw, w_draw = sample_integer_vector(rng, n), sample_integer_vector(rng, n)
+        v, w = v_draw[0], w_draw[0]
+        plucker = [v[i] * w[j] - v[j] * w[i] for i, j in pairs]
+        ab = next((k for k, p in enumerate(plucker) if p), None)
+        if ab is None:
+            continue
+        x = [sum(map(mul, plucker, plane)) for plane in planes]
+        (a, b), p = pairs[ab], plucker[ab]
+        alpha, beta = x[a] * w[b] - x[b] * w[a], v[a] * x[b] - v[b] * x[a]
+        if all(p * xk == alpha * vk + beta * wk for xk, vk, wk in zip(x, v, w)):
+            return as_fractions(v_draw), as_fractions(w_draw)
+        trials -= 1
     return None
 
 

@@ -74,13 +74,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
 
 from . import modkernel
-from .dissident import DissidentMap, DegenerateSpan, eta_P_point, sample_vector, seeded_rng
+from .dissident import (DegenerateSpan, DissidentMap, eta_P_point, sample_integer_vector,
+                        seeded_rng)
 from .exact import cleared_tensor, primitive_vector
 from .modkernel import sparse_kernel
 from .poly import (
@@ -307,34 +308,39 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     blocks of at most _EVAL_CHUNK points, so that memory does not grow
     with the sample count.
 
-    The points v are drawn in the order a one-by-one loop draws them.
-    eta_P is projective, so each is kept as its integer point u =
-    primitive_vector(v) = L v.  One contraction with the integer tensor
-    forms A(u), whose rows are eta(u ^ e_i), for every point of a block in
-    Python ints.
+    The points v = ints / den are drawn as integers
+    (sample_integer_vector), in the order a one-by-one loop draws them.
+    eta_P is projective, so each is kept as its integer point u = ints / g
+    = primitive_vector(v), g the content of ints with the sign of its
+    first nonzero entry, and u = L v with L = den / g.  One contraction
+    with the integer tensor forms A(u), whose rows are eta(u ^ e_i), for
+    every point of a block in Python ints.
     u^T A(u) = eta(u ^ u) = 0, so rank A(u) <= n - 1, and rank n - 1 mod
     SCREEN_PRIME proves rank n - 1 over Q: the eta_P line, the kernel of
     A(u), is defined.  A point whose residue rank is lower is decided by
-    the exact eta_P_point, in draw order; DegenerateSpan there means that
-    the line is undefined.
+    the exact eta_P_point at u, in draw order; DegenerateSpan there means
+    that the line is undefined.
     """
     rng = seeded_rng(seed, "lifting-points")
     n = eta.n
     tensor = np.array(cleared_tensor(eta.tensor)[0], dtype=object)
     for start in range(0, samples, _EVAL_CHUNK):
-        draws = [sample_vector(rng, n) for _ in range(min(_EVAL_CHUNK, samples - start))]
-        points = [primitive_vector(v) for v in draws]
-        scales = tuple(next(a / x for a, x in zip(u, v) if x) for u, v in zip(points, draws))
-        ints = np.array(points, dtype=object).reshape(len(draws), n)
+        points, scales = [], []
+        for _ in range(min(_EVAL_CHUNK, samples - start)):
+            draw, den = sample_integer_vector(rng, n)
+            g = gcd(*draw) if next(a for a in draw if a) > 0 else -gcd(*draw)
+            points.append([a // g for a in draw])
+            scales.append(Fraction(den, g))
+        ints = np.array(points, dtype=object).reshape(len(points), n)
         images = np.tensordot(ints, tensor, axes=(1, 0))
         defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
         for s in np.flatnonzero(~defined):
             try:
-                eta_P_point(eta, draws[s])
+                eta_P_point(eta, points[s])
             except DegenerateSpan:
                 continue
             defined[s] = True
-        yield _Samples(ints, scales, images, defined)
+        yield _Samples(ints, tuple(scales), images, defined)
 
 
 def _monomial_table(points, exponents):
@@ -566,11 +572,11 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     c_pass, gcd_repr = False, "0"
     if nonzero:
         try:
-            gcd = poly_content_gcd(nonzero)
+            content = poly_content_gcd(nonzero)
         except PolyError as exc:  # components in differing variables
             gcd_repr = str(exc)
         else:
-            c_pass, gcd_repr = gcd.degree == 0, repr(gcd)
+            c_pass, gcd_repr = content.degree == 0, repr(content)
 
     return _verification(max(degrees) if degrees else None, a_pass, b_identity,
                          failures, samples, c_pass, gcd_repr)

@@ -36,18 +36,12 @@ any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.  A solve that cannot serve a prime raises
 UnluckyPrime, and the ladder goes on to the next one.
 
-The same fact screens the draws of the dissidence falsifier and the
-degree scan's validation points (lifting._sample_lines).  A nonzero
-rational multiple of a tensor or a draw has the same ranks, so each
-screens integer multiples, and reduction mod p is a ring map on the
-integers: a minor of the reduced matrix is the reduction of the exact
-minor, and a nonzero residue means a nonzero minor over Q.  Full rank mod
+Batched ranks mod p screen the degree scan's validation points
+(lifting._sample_lines).  Reduction mod p is a ring map on the integers:
+a minor of the reduced matrix is the reduction of the exact minor, so a
+nonzero residue means a nonzero minor over Q, and full rank mod
 SCREEN_PRIME proves full exact rank.  A rank-deficient residue proves
-nothing, and those draws are decided exactly.  The falsifier stays
-sampled either way: the screen only decides each draw faster, it does not
-widen a budget into a proof.  The division check screens nothing: it
-decides each operator in Python ints (exact.packed_det), so it never
-loads numpy.
+nothing, and those points are decided exactly.
 """
 
 from __future__ import annotations
@@ -75,11 +69,8 @@ _BASE = 16
 # denominator from (_common_denominator).
 _LATTICE_ENTRIES = 4
 
-# The prime the dissidence falsifier and the scan's validation points are
-# screened with, and the most draws the falsifier holds at once (its memory
-# stays flat in its budget).
+# The prime the scan's validation points are screened with.
 SCREEN_PRIME = PRIMES[0]
-SCREEN_BATCH = 1024
 
 
 class ModularKernelError(RuntimeError):

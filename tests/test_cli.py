@@ -774,11 +774,13 @@ def test_lift_and_degree_leave_sympy_unloaded(argv):
                  id="check --what division --quadruple random"),
     pytest.param(["check", "--what", "division", "--builtin", "octonions"],
                  id="check --what division --builtin octonions"),
+    pytest.param(["check", "--what", "dissident", "--quadruple", "random"],
+                 id="check --what dissident --quadruple random"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, argv):
     # numpy is most of the start-up time of a command, and only the mod-p
-    # screens and eliminations use it; the division check decides its
-    # draws in Python ints
+    # screens and eliminations use it; the division check and the
+    # dissidence falsifier decide their draws in Python ints
     _write_inputs(tmp_path, conjugate_bent_tensor)
     run = _fresh_run(argv, cwd=tmp_path)
     assert run.code == 0 and not run.loaded & {"numpy", "divalg.modkernel"}

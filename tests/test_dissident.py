@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 
-from divalg import modkernel
+from divalg import dissident
 from divalg.dissident import (
     DRAW_BOUND,
     DegenerateSpan,
@@ -27,6 +27,7 @@ from divalg.dissident import (
 )
 from divalg.exact import DimensionError, Matrix, dot, integer_multiple, primitive_vector
 from divalg.octonion import extend_quaternion_automorphism, rotation_from_quaternion, vector_product
+from conftest import _perfbench_module
 
 
 def e(i, n=7):
@@ -136,6 +137,7 @@ def test_quadruple_invariants_enforced():
 
 def test_dissidence_falsify():
     assert dissidence_falsify(cross_product_map(7), 300, 0) is None
+    assert dissidence_falsify(cross_product_map(7), 300, 2) is None
     assert dissidence_falsify(cross_product_map(3), 300, 0) is None
     witness = dissidence_falsify(zero_map(7), 1, 0)
     assert witness is not None
@@ -143,15 +145,15 @@ def test_dissidence_falsify():
     assert Matrix([v, w]).rank() == 2  # the witness pair itself is independent
 
 
-def _parent_falsify(eta, trials, seed):
-    """dissidence_falsify as it was before it skipped rank [v; w] on
-    rank-3 draws: the reference for its witnesses."""
+def _parent_falsify(eta, trials, seed, sample=sample_vector):
+    """dissidence_falsify as a loop of Fraction ranks: the reference for
+    its witnesses."""
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
     for _ in range(trials):
         while True:
-            v = sample_vector(rng, n)
-            w = sample_vector(rng, n)
+            v = sample(rng, n)
+            w = sample(rng, n)
             if Matrix([v, w]).rank() == 2:
                 break
         if Matrix([v, w, eval_eta(eta, v, w)]).rank() < 3:
@@ -168,15 +170,32 @@ def partial_map(images, n=3):
     return DissidentMap(n, t)
 
 
+def dense_map():
+    """ONE on R^7 conjugated by the rotation cayley_orthogonal(5) and scaled
+    by (2**41 + 7) / 3**20: every cell is dense, and the cleared tensor's
+    entries reach 46 bits."""
+    inputs = _perfbench_module("inputs")
+    one = partial_map({(0, 1): (0, 0, 1, 0, 0, 0, 0)}, n=7)
+    tensor = inputs.conjugate(one.tensor, inputs.cayley_orthogonal(5))
+    return scaled_map(DissidentMap(7, tensor), Fraction(2**41 + 7, 3**20))
+
+
+def scaled_map(eta, c):
+    return DissidentMap(eta.n, [[[c * x for x in cell] for cell in row] for row in eta.tensor])
+
+
 # witnesses lie 3..158 trials deep; seeds 18, 40 and 62 of TWO redraw a
 # dependent pair before theirs, and seeds 3 and 6 of TWO find none.  Seed 18
-# finds its witness in trial 70, so a budget of 69 must not.
+# finds its witness in trial 70, so a budget of 69 must not.  The dense map
+# finds witnesses at seeds 0 and 4 and none at seed 1.
 ONE = partial_map({(0, 1): (0, 0, 1)})
 TWO = partial_map({(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
+DENSE = dense_map()
 WITNESS_CASES = (
     [(ONE, s, 200) for s in range(8)]
     + [(TWO, s, 200) for s in (*range(8), 18, 40, 62)]
     + [(TWO, 18, 69), (TWO, 18, 70), (zero_map(7), 0, 1), (cross_product_map(3), 1, 200)]
+    + [(DENSE, s, 200) for s in (0, 1, 4)]
 )
 
 
@@ -184,38 +203,31 @@ def test_dissidence_falsify_keeps_the_witnesses():
     for eta, seed, trials in WITNESS_CASES:
         assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
     assert dissidence_falsify(TWO, 69, 18) is None and dissidence_falsify(TWO, 70, 18)
+    assert dissidence_falsify(DENSE, 200, 0) and dissidence_falsify(DENSE, 200, 4)
 
 
-@pytest.mark.parametrize("prime", [3, 5])
-def test_dissidence_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch, prime):
-    # a tiny prime leaves many integer images rank-deficient, so the exact
-    # path decides them: 57 of 200 draws mod 3 and 36 mod 5 for cross3,
-    # seed 1
-    monkeypatch.setattr(modkernel, "SCREEN_PRIME", prime)
-    for eta, seed, trials in WITNESS_CASES:
-        assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
-    t = quadruple_to_triple(random_quadruple(0))
-    assert dissidence_falsify(t.eta, 100, 0) is None
-    assert dissidence_falsify(cross_product_map(7), 300, 2) is None
+def draws_off_two_coordinates(rng, n, nonzero=True):
+    """sample_integer_vector on the last n - 2 coordinates, with zeros on
+    the first two."""
+    ints, den = sample_integer_vector(rng, n - 2)
+    return [0, 0, *ints], den
 
 
-def test_dissidence_batches_keep_the_witnesses(monkeypatch):
-    # batches of 7 pairs split every budget, and move redraws of dependent
-    # pairs into later batches
-    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
-    for eta, seed, trials in WITNESS_CASES:
-        assert dissidence_falsify(eta, trials, seed) == _parent_falsify(eta, trials, seed)
+def test_dissidence_falsify_pivots_past_zero_pluecker_coordinates(monkeypatch):
+    # p_0j = p_1j = 0 for every pair of these draws, so each is decided on
+    # a later pair of coordinates; cross7 finds no witness, the dense map
+    # finds one at each seed
+    monkeypatch.setattr(dissident, "sample_integer_vector", draws_off_two_coordinates)
+    cases = [(cross_product_map(7), 0), (cross_product_map(7), 1), (DENSE, 0), (DENSE, 1)]
+    for eta, seed in cases:
+        assert dissidence_falsify(eta, 100, seed) == _parent_falsify(
+            eta, 100, seed, lambda rng, n: as_fractions(draws_off_two_coordinates(rng, n)))
 
 
-def test_dissidence_memory_does_not_grow_with_the_budget(monkeypatch, traced_peaks):
-    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 100)
+def test_dissidence_memory_does_not_grow_with_the_budget(traced_peaks):
     one, ten = traced_peaks(
         lambda trials: dissidence_falsify(cross_product_map(7), trials, 0), (100, 1000))
     assert ten < 2 * one
-
-
-def scaled_map(eta, c):
-    return DissidentMap(eta.n, [[[c * x for x in cell] for cell in row] for row in eta.tensor])
 
 
 def test_dissidence_falsify_is_invariant_under_scaling_eta():

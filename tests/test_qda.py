@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from divalg import modkernel, qda
+from divalg import qda
 from divalg.builtins import cross3_triple, cross7_triple, octonion_algebra, quaternion_algebra
 from divalg.dissident import (
     DRAW_BOUND,
@@ -185,15 +185,9 @@ def division_cases():
     return cases + [(lopsided_algebra(opposite), 200, 0) for opposite in (False, True)]
 
 
-@pytest.fixture(scope="module")
-def division_references():
-    """division_cases() with the witnesses of _parent_division_check."""
+def test_division_witnesses_match_the_fraction_det():
     cases = division_cases()
-    return cases, [_parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
-
-
-def test_division_witnesses_match_the_fraction_det(division_references):
-    cases, expected = division_references
+    expected = [_parent_division_check(alg, trials, seed) for alg, trials, seed in cases]
     witnesses = [division_check(alg, trials, seed) for alg, trials, seed in cases]
     assert witnesses == expected
     found = [w is not None for w in witnesses]
@@ -201,26 +195,6 @@ def test_division_witnesses_match_the_fraction_det(division_references):
     for (alg, _, _), w, opposite in zip(cases[-2:], witnesses[-2:], (False, True)):
         assert (alg.left_mul_matrix(w).det() == 0) == opposite
         assert (alg.right_mul_matrix(w).det() == 0) != opposite
-
-
-def test_division_screen_with_a_tiny_prime_keeps_the_witnesses(monkeypatch, division_references):
-    # the screen prime that the dissident and lifting checks use would
-    # leave 92 of the operators of the 200 octonion draws of seed 0
-    # singular mod 3; the division check decides each exactly and must not
-    # follow it
-    cases, expected = division_references
-    monkeypatch.setattr(modkernel, "SCREEN_PRIME", 3)
-    alg, trials, seed = cases[0]
-    assert division_check(alg, trials, seed) is expected[0] is None
-
-
-def test_division_batches_keep_the_witnesses(monkeypatch, division_references):
-    # the 2x2 matrix algebra at seed 1 finds its witness at draw 82, past
-    # eleven batches of 7
-    cases, expected = division_references
-    monkeypatch.setattr(modkernel, "SCREEN_BATCH", 7)
-    alg, trials, seed = cases[9]
-    assert division_check(alg, trials, seed) == expected[9] is not None
 
 
 def test_division_dets_are_exact_on_the_largest_draws(monkeypatch):
