@@ -7,7 +7,8 @@ byte-identical output.
 
 Exit codes: 0 success / check passed; 1 counterexample, failed check, or
 round-trip mismatch; 2 parse error; 3 no lifting found (input not dissident
-within budget); 4 ambiguous kernel; 5 parity violation (solver bug signal).
+within budget, or a kernel beyond the prime ladder); 4 ambiguous kernel; 5
+parity violation (solver bug signal).
 """
 
 from __future__ import annotations
@@ -250,8 +251,10 @@ def _pair_to_json(witness):
 
 
 def cmd_degree(args, emit_lifting=False):
-    # imported here: lifting loads numpy, which most commands never need
+    # imported here: most commands never need the polynomials or the mod-p
+    # layer
     from .lifting import AmbiguousKernel, NoLiftingFound, solve_lifting_scan
+    from .modkernel import ModularKernelError
 
     eta, desc = _resolve(args, _MAP_INPUT)
     report = _header(args, "lift" if emit_lifting else "degree")
@@ -267,10 +270,12 @@ def cmd_degree(args, emit_lifting=False):
         lifting, scan, verification = solve_lifting_scan(
             eta, samples=args.samples, seed=args.seed, max_degree=args.max_degree
         )
-    except (NoLiftingFound, AmbiguousKernel) as exc:
+    except (NoLiftingFound, ModularKernelError, AmbiguousKernel) as exc:
+        # the prime ladder is a budget: a kernel it cannot reconstruct is
+        # no lifting found within budget
         report["error"] = str(exc)
         _emit(report, args)
-        return EXIT_NO_LIFTING if isinstance(exc, NoLiftingFound) else EXIT_AMBIGUOUS
+        return EXIT_AMBIGUOUS if isinstance(exc, AmbiguousKernel) else EXIT_NO_LIFTING
     report["scan"] = scan
     report["degree"] = lifting.degree
     report["lifting"] = doc = lifting_to_json(lifting)

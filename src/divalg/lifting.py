@@ -48,14 +48,21 @@ of A(u) vanish identically no point has a line, and the scan has stopped
 before its first kernel: a validation sample without a line decides that
 there is no lifting (solve_lifting_scan).
 
-The pointwise check runs in integers.  Each sample v is replaced by its
-primitive integer point u, and A(u) is the integer matrix whose rows are
-eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0 and rank A(u) <= n - 1,
+The solve at points runs on packed Python ints (modkernel.rref_packed) for
+systems of at most _PACKED_COLUMNS columns per component, which on R^7
+are the degrees 1, 2 and 3, and in float64 numpy above.  Importing numpy
+costs a fresh process more CPU time than the packed solves of the whole
+scan up to degree 3, so a scan that ends by then, as every lifting of
+degree 1 or 3 does, never loads it.
+
+The pointwise check runs in Python ints.  Each sample v is replaced by
+its primitive integer point u, and A(u) is the integer matrix whose rows
+are eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0 and rank A(u) <= n - 1,
 so rank n - 1 modulo a word-size prime proves that the eta_P line, the
 kernel of A(u), is defined at u; the few points the residue cannot decide
 go to the exact eta_P_point.  Where the line is defined, Phi(v) lies on it
 exactly when Phi(u) != 0 and A(u) Phi(u) = 0, so a candidate is checked by
-evaluating it at every point in Python ints and one batched product.
+evaluating it and A(u) at every point.
 
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
@@ -75,15 +82,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
-
-import numpy as np
 
 from . import modkernel
 from .dissident import (DegenerateSpan, DissidentMap, eta_P_point, sample_integer_vector,
                         seeded_rng)
 from .exact import cleared_tensor, primitive_vector
-from .modkernel import sparse_kernel
+from .modkernel import invert_packed, pack, rref_packed, sparse_kernel, unpack
 from .poly import (
     DEFAULT_MAX_DEGREE,
     HomogeneousPoly,
@@ -96,9 +102,18 @@ from .poly import (
 
 DEFAULT_SAMPLES = 64
 
-# Sample points per block of the pointwise validation, so that neither the
-# points with their images A(u) nor a monomial table (462 columns at d = 5 on
-# R^7) grows with the sample count.
+# The largest C = monomial_count(n, d) whose solve at points runs on packed
+# Python ints (_solve_packed); wider systems are solved in float64 numpy.
+# Set by measurement (in-process CPU time on a 2-vCPU x86-64 host, Python
+# 3.11, numpy 2.4, conjugated bent map): the packed solves at degrees 1, 2
+# and 3 on R^7 (C = 7, 28, 84) take about 2, 6 and 38 ms against 2, 5 and
+# 11 ms in float64, so the packed scan up to d = 3 costs less than the
+# float64 one plus numpy's import (about 0.12 s); at d = 4 (C = 210) the
+# packed solve takes about 0.25 s against 0.07 s, more than the import.
+_PACKED_COLUMNS = 84
+
+# Sample points per block of the pointwise validation, so that the points
+# held at once do not grow with the sample count.
 _EVAL_CHUNK = 64
 
 
@@ -193,17 +208,16 @@ def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
 
 def _interpolation_points(n, count, d, p):
     """``count`` points of (Z/p)^n drawn from a stream keyed by d and p, as
-    an int64 array of shape (count, n)."""
+    lists of n residues."""
     rng = seeded_rng(0, "interpolation-points", str(d), str(p))
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(count)],
-                    dtype=np.int64).reshape(count, n)
+    return [[rng.randrange(p) for _ in range(n)] for _ in range(count)]
 
 
 def _kernel_at_points(system, p):
     """A subspace of F_p^(n*C) that contains ker(M mod p), for the
-    ConstraintSystem M of the integer tensor t at degree d: the (int64
-    rows, pivot tuple) of its RREF, or None for {0}.  This is
-    sparse_kernel's solve.
+    ConstraintSystem M of the integer tensor t at degree d: the (rows,
+    pivot tuple) of its RREF, the rows lists of Python ints, or None for
+    {0}.  This is sparse_kernel's solve.
 
     A kernel vector is a lifting mod p: A(u) Phi(u) = 0 at every point u,
     with A(u) the matrix of rows eta(u ^ e_j).  At a point u_s where A(u_s)
@@ -229,13 +243,143 @@ def _kernel_at_points(system, p):
     their lines, and the first C + E points with l_s[k*] != 0 are used.
     When fewer are found, or V0 is singular mod p, the prime is skipped
     (modkernel.UnluckyPrime).
+
+    Up to C = _PACKED_COLUMNS the whole solve runs on packed Python ints
+    (_solve_packed), above it in float64 numpy (_solve_float64).  Both
+    give the same RREF, which is unique.
     """
+    n = len(system.tensor)
+    if monomial_count(n, system.d) <= _PACKED_COLUMNS:
+        return _solve_packed(system, p)
+    return _solve_float64(system, p)
+
+
+def _point_count(n, C):
+    """C + E, the number of points a solve at points uses."""
+    return C + -(-C // (n - 1)) + n
+
+
+def _solve_packed(system, p):
+    """_kernel_at_points on packed Python ints, each row one int: the ranks
+    and lines at the points (_PointLines), the inversion of V0
+    (modkernel.invert_packed), the C-column kernel (modkernel._kernel_mod_p
+    of a list of rows) and the final RREF (modkernel.rref_packed)."""
+    tensor, d = system.tensor, system.d
+    n = len(tensor)
+    steps = _monomial_steps(n, d)
+    C = len(steps[-1])
+    used = _point_count(n, C)
+    line_at = _PointLines(tensor, p)
+    lines = []
+    for u in _interpolation_points(n, 2 * used, d, p):
+        line = line_at(u)
+        if line is not None:
+            lines.append((u, line))
+    counts = [sum(1 for _, line in lines if line[k]) for k in range(n)]
+    star = counts.index(max(counts))
+    chosen = [(u, line) for u, line in lines if line[star]][:used]
+    if len(chosen) < used:
+        raise modkernel.UnluckyPrime(f"{len(chosen)} of {used} points have a line mod {p}")
+    ratios = []
+    for _, line in chosen:
+        inverse = pow(line[star], -1, p)
+        ratios.append([x * inverse % p for x in line])
+    table = [[x % p for x in _monomial_values(u, steps)] for u, _ in chosen]
+    v0_inverse = invert_packed(map(pack, table[:C]), C, p)
+    if v0_inverse is None:
+        raise modkernel.UnluckyPrime(f"the monomial matrix of the points is singular mod {p}")
+    packed_inverse = [pack(row) for row in v0_inverse]
+    rows = []
+    for values, ratio in zip(table[C:], ratios[C:]):
+        weights = unpack(sum(map(mul, values, packed_inverse)), C, p)
+        for k in range(n):
+            if k != star:
+                gap = p - ratio[k]
+                rows.append([w * (r[k] + gap) for w, r in zip(weights, ratios)])
+    kernel = modkernel._kernel_mod_p(rows, p)
+    if kernel is None:
+        return None
+    inverse_columns = [pack(column) for column in zip(*v0_inverse)]
+    basis = []
+    for y in kernel[0]:
+        row = 0
+        for k in range(n):
+            z = [r[k] * x % p for r, x in zip(ratios, y)]
+            row += sum(map(mul, z, inverse_columns)) << 64 * C * k
+        basis.append(row)
+    reduced, pivots = rref_packed(basis, n * C, p)
+    return [unpack(row, n * C, p) for row in reduced], tuple(pivots)
+
+
+class _PointLines:
+    """The eta_P lines mod p of an integer tensor t at residue points u:
+    called with u, the kernel line of A(u) mod p as a list of residues
+    where A(u) has rank n - 1 mod p, else None.
+
+    Each row of A(u) is one packed int, sum_j u_j t[j][i] over the rows of
+    t packed once, and A(u) is brought to reduced echelon form by
+    Gauss-Jordan elimination without division: a row r with entry f in
+    the pivot column of the pivot row b, whose pivot is x, becomes
+    x r + (p - f) b.  Every residue read is reduced when it is read.  Each
+    of the n steps at most multiplies the fields by 2p, so fields of
+    ``width`` bits, the size of (2p)**n times the n p**2 bound of the
+    contraction, never carry into each other.  At rank n - 1 a pivot row
+    b says b[c] l[c] + b[f] l[f] = 0 on the free column f, so the line is
+    l[f] = 1, l[c] = -b[f] / b[c].
+    """
+
+    def __init__(self, tensor, p):
+        n = len(tensor)
+        self.n, self.p = n, p
+        self.width = width = ((2 * p) ** n * n * p * p).bit_length()
+        self.mask = (1 << width) - 1
+        self.rows = [[sum((x % p) << width * k for k, x in enumerate(plane[i]))
+                      for plane in tensor] for i in range(n)]
+
+    def __call__(self, u):
+        n, p, width, mask = self.n, self.p, self.width, self.mask
+        rows = [sum(map(mul, u, row)) for row in self.rows]
+        pivots = []
+        for c in range(n):
+            shift, r = width * c, len(pivots)
+            for i in range(r, n):
+                x = (rows[i] >> shift & mask) % p
+                if x:
+                    break
+            else:
+                continue
+            lead = rows[i]
+            rows[i], rows[r] = rows[r], lead
+            for t in range(n):
+                if t != r:
+                    f = (rows[t] >> shift & mask) % p
+                    if f:
+                        rows[t] = rows[t] * x + (p - f) * lead
+            pivots.append(c)
+        if len(pivots) != n - 1:
+            return None
+        free, = set(range(n)).difference(pivots)
+        line = [0] * n
+        line[free] = 1
+        for c, row in zip(pivots, rows):
+            pivot = (row >> width * c & mask) % p
+            line[c] = -(row >> width * free & mask) * pow(pivot, -1, p) % p
+        return line
+
+
+def _solve_float64(system, p):
+    """_kernel_at_points in float64 numpy: batched ranks and lines at the
+    points (modkernel.rank_mod_p), the inversion of V0 and the final RREF
+    by modkernel._rref_mod."""
+    import numpy as np
+
     tensor, d = system.tensor, system.d
     n = len(tensor)
     exponents = np.array(monomials(n, d), dtype=np.int64)
     C = len(exponents)
-    used = C + -(-C // (n - 1)) + n
-    points = _interpolation_points(n, 2 * used, d, p)
+    used = _point_count(n, C)
+    points = np.array(_interpolation_points(n, 2 * used, d, p),
+                      dtype=np.int64).reshape(2 * used, n)
     images = np.tensordot(points, modkernel.residues(tensor, p), axes=(1, 0)) % p
     ranks, lines = modkernel.rank_mod_p(images, p, kernel=True)
     defined = np.flatnonzero(ranks == n - 1)
@@ -257,19 +401,21 @@ def _kernel_at_points(system, p):
     kernel = modkernel._kernel_mod_p(rows, p)
     if kernel is None:
         return None
-    values = kernel[0].T.astype(np.float64)
+    values = np.array(kernel[0], dtype=np.float64).T
     dim = values.shape[1]
     scaled = modkernel._reduce(ratios[:C, :, None] * values[:, None, :], p).reshape(C, n * dim)
     coeffs = modkernel._matmul_mod(v0_inverse, scaled, p).reshape(C, n, dim)
     basis = coeffs.transpose(2, 1, 0).reshape(dim, n * C)
     reduced, pivots, _ = modkernel._rref_mod(basis, p)
-    return np.asarray(reduced[: len(pivots)], dtype=np.int64), tuple(pivots)
+    return reduced[: len(pivots)].astype(np.int64).tolist(), tuple(pivots)
 
 
 def _monomial_table_mod(points, exponents, p):
     """The monomials with exponent rows ``exponents`` (an int array of shape
     (M, n)) at the residue points ``points`` (int64, shape (S, n)), mod p,
     as a float64 array of shape (S, M)."""
+    import numpy as np
+
     top = int(exponents.max(initial=0))
     powers = np.ones(points.shape + (top + 1,), dtype=np.int64)
     for e in range(1, top + 1):
@@ -278,6 +424,30 @@ def _monomial_table_mod(points, exponents, p):
     for i in range(points.shape[1]):
         table = table * powers[:, i, exponents[:, i]] % p
     return table.astype(np.float64)
+
+
+def _monomial_steps(n, d):
+    """How _monomial_values builds the monomials of degree 1..d: for each
+    degree e, one pair (j, i) per monomial m of monomials(n, e), with m the
+    j-th monomial of degree e - 1 times x_i, i the first variable of m."""
+    steps, index = [], {(0,) * n: 0}
+    for e in range(1, d + 1):
+        level = []
+        for m in monomials(n, e):
+            i = next(i for i, x in enumerate(m) if x)
+            level.append((index[m[:i] + (m[i] - 1,) + m[i + 1:]], i))
+        steps.append(level)
+        index = {m: j for j, m in enumerate(monomials(n, e))}
+    return steps
+
+
+def _monomial_values(point, steps):
+    """The monomials of the top degree of ``steps`` (_monomial_steps) at an
+    integer point, in monomials order, in Python ints."""
+    values = [1]
+    for level in steps:
+        values = [values[j] * point[i] for j, i in level]
+    return values
 
 
 def _components_from_vector(n, d, vec):
@@ -295,12 +465,11 @@ def _components_from_vector(n, d, vec):
 
 
 class _Samples(NamedTuple):
-    """A block of the validation samples of _sample_lines, one row per point."""
+    """A block of the validation samples of _sample_lines, one entry per point."""
 
-    points: np.ndarray  # integer points u = primitive_vector(v), object (S, n)
+    points: list  # integer points u = primitive_vector(v), lists of n ints
     scales: tuple  # the Fraction L of each point, u = L v
-    images: np.ndarray  # A(u), rows eta(u ^ e_i) up to one positive factor, (S, n, n)
-    defined: np.ndarray  # bool (S,): whether eta_P is defined at the point
+    defined: list  # bools: whether eta_P is defined at the point
 
 
 def _sample_lines(eta: DissidentMap, samples, seed):
@@ -312,63 +481,59 @@ def _sample_lines(eta: DissidentMap, samples, seed):
     (sample_integer_vector), in the order a one-by-one loop draws them.
     eta_P is projective, so each is kept as its integer point u = ints / g
     = primitive_vector(v), g the content of ints with the sign of its
-    first nonzero entry, and u = L v with L = den / g.  One contraction
-    with the integer tensor forms A(u), whose rows are eta(u ^ e_i), for
-    every point of a block in Python ints.
-    u^T A(u) = eta(u ^ u) = 0, so rank A(u) <= n - 1, and rank n - 1 mod
-    SCREEN_PRIME proves rank n - 1 over Q: the eta_P line, the kernel of
-    A(u), is defined.  A point whose residue rank is lower is decided by
-    the exact eta_P_point at u, in draw order; DegenerateSpan there means
-    that the line is undefined.
+    first nonzero entry, and u = L v with L = den / g.  With A(u) the
+    integer matrix whose rows are eta(u ^ e_i), u^T A(u) = eta(u ^ u) = 0,
+    so rank A(u) <= n - 1, and rank n - 1 mod SCREEN_PRIME (_PointLines)
+    proves rank n - 1 over Q: the eta_P line, the kernel of A(u), is
+    defined.  A point whose residue rank is lower is decided by the exact
+    eta_P_point at u; DegenerateSpan there means that the line is
+    undefined.
     """
     rng = seeded_rng(seed, "lifting-points")
     n = eta.n
-    tensor = np.array(cleared_tensor(eta.tensor)[0], dtype=object)
+    tensor = cleared_tensor(eta.tensor)[0]
     for start in range(0, samples, _EVAL_CHUNK):
-        points, scales = [], []
+        prime = modkernel.SCREEN_PRIME
+        line_at = _PointLines(tensor, prime)
+        points, scales, defined = [], [], []
         for _ in range(min(_EVAL_CHUNK, samples - start)):
             draw, den = sample_integer_vector(rng, n)
             g = gcd(*draw) if next(a for a in draw if a) > 0 else -gcd(*draw)
-            points.append([a // g for a in draw])
+            u = [a // g for a in draw]
+            points.append(u)
             scales.append(Fraction(den, g))
-        ints = np.array(points, dtype=object).reshape(len(points), n)
-        images = np.tensordot(ints, tensor, axes=(1, 0))
-        defined = modkernel.rank_mod_p(images, modkernel.SCREEN_PRIME) == n - 1
-        for s in np.flatnonzero(~defined):
-            try:
-                eta_P_point(eta, points[s])
-            except DegenerateSpan:
-                continue
-            defined[s] = True
-        yield _Samples(ints, tuple(scales), images, defined)
+            defined.append(line_at([x % prime for x in u]) is not None
+                           or _line_is_defined(eta, u))
+        yield _Samples(points, tuple(scales), defined)
 
 
-def _monomial_table(points, exponents):
-    """The monomials with exponent rows ``exponents`` (an int array of shape
-    (M, n)) at integer points (an object array of shape (S, n)), as an
-    object array of shape (S, M)."""
-    top = int(exponents.max(initial=0))
-    powers = np.ones(points.shape + (top + 1,), dtype=object)
-    for e in range(1, top + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * points
-    return powers[:, np.arange(points.shape[1]), exponents].prod(axis=2)
+def _line_is_defined(eta, u):
+    """Whether eta_P is defined at the integer point u, decided exactly."""
+    try:
+        eta_P_point(eta, u)
+    except DegenerateSpan:
+        return False
+    return True
 
 
-def _block_failures(components, n):
-    """Pointwise condition (b) for one candidate: a function from a
-    _Samples block to the counts of its points where Phi(v) vanishes and
-    where it is off the eta_P line, as (nonvanishing, line).
+def _block_failures(components, tensor):
+    """Pointwise condition (b) for one candidate on R^n, n = len(tensor)
+    for the integer tensor of eta: a function from a _Samples block to the
+    counts of its points where Phi(v) vanishes and where it is off the
+    eta_P line, as (nonvanishing, line).
 
-    One lcm clears the denominators of all coefficients, and each block of
-    points is evaluated in Python ints as its monomial table times the
-    coefficient matrix.  A component of degree d is scaled by L**(D - d),
-    with L = a/b the point's scale and D the largest degree, and every
-    component by the common b**D, so that the value is the nonzero
-    multiple lcm * b**D * L**D of Phi(v) even when the degrees differ
-    (only verify_lifting's candidates can).  A nonzero value is on the
-    line exactly when eta_P is defined there and A(u) Phi(u) = 0, because
-    A(u) then has rank n - 1 and its kernel is the line.
+    One lcm clears the denominators of all coefficients, and each point is
+    evaluated in Python ints as its monomials times the coefficients.  A
+    component of degree d is scaled by L**(D - d), with L = a/b the point's
+    scale and D the largest degree, and every component by the common
+    b**D, so that the value is the nonzero multiple lcm * b**D * L**D of
+    Phi(v) even when the degrees differ (only verify_lifting's candidates
+    can).  A nonzero value is on the line exactly when eta_P is defined
+    there and A(u) Phi(u) = 0, with A(u) the integer matrix whose rows are
+    eta(u ^ e_i), because A(u) then has rank n - 1 and its kernel is the
+    line.
     """
+    n = len(tensor)
     den = lcm(*(c.denominator for p in components for c in p.terms.values()))
     top = max((p.degree for p in components), default=0)
     by_degree = {}
@@ -376,30 +541,36 @@ def _block_failures(components, n):
         by_degree.setdefault(p.degree, []).append(k)
     blocks = []
     for d, ks in by_degree.items():
-        monos = monomials(n, d)
-        index = {m: i for i, m in enumerate(monos)}
-        coeffs = np.zeros((len(monos), len(components)), dtype=object)
+        index = {m: i for i, m in enumerate(monomials(n, d))}
+        coeffs = []
         for k in ks:
+            row = [0] * len(index)
             for m, c in components[k].terms.items():
-                coeffs[index[m], k] = c.numerator * (den // c.denominator)
-        blocks.append((d, np.array(monos, dtype=np.int64), coeffs))
+                row[index[m]] = c.numerator * (den // c.denominator)
+            coeffs.append((k, row))
+        blocks.append((d, _monomial_steps(n, d), coeffs))
+    # A(u)[i][k] = sum_j u_j t[j][i][k]
+    columns = [[[plane[i][k] for plane in tensor] for k in range(n)] for i in range(n)]
+
+    def on_line(u, value):
+        return not any(sum(sum(map(mul, u, column)) * x for column, x in zip(row, value))
+                       for row in columns)
 
     def failures(lines):
-        values = np.zeros((len(lines.points), len(components)), dtype=object)
-        for d, exponents, coeffs in blocks:
-            block = _monomial_table(lines.points, exponents).dot(coeffs)
-            if len(blocks) > 1:
-                block *= np.array([[L.numerator ** (top - d) * L.denominator ** d]
-                                   for L in lines.scales], dtype=object)
-            values += block
-        nonzero = (values != 0).any(axis=1)
-        if len(components) == n:
-            residual = np.matmul(lines.images, values[:, :, None])
-            on_line = lines.defined & (residual == 0).all(axis=(1, 2))
-        else:
+        nonvanishing = line = 0
+        for u, L, defined in zip(*lines):
+            value = [0] * len(components)
+            for d, steps, coeffs in blocks:
+                table = _monomial_values(u, steps)
+                scale = L.numerator ** (top - d) * L.denominator ** d if len(blocks) > 1 else 1
+                for k, row in coeffs:
+                    value[k] = scale * sum(map(mul, table, row))
+            if not any(value):
+                nonvanishing += 1
             # a value with other than n entries is on no line of R^n
-            on_line = np.zeros(len(values), dtype=bool)
-        return int(np.count_nonzero(~nonzero)), int(np.count_nonzero(nonzero & ~on_line))
+            elif not (len(value) == n and defined and on_line(u, value)):
+                line += 1
+        return nonvanishing, line
 
     return failures
 
@@ -409,7 +580,8 @@ def _sample_failures(eta: DissidentMap, candidates, samples, seed):
     candidate (a sequence of components): the list of its (nonvanishing,
     line) failure counts.  Each block of points is drawn once, and every
     candidate is evaluated on it before the next block is drawn."""
-    evaluators = [_block_failures(components, eta.n) for components in candidates]
+    tensor = cleared_tensor(eta.tensor)[0]
+    evaluators = [_block_failures(components, tensor) for components in candidates]
     totals = [[0, 0] for _ in evaluators]
     for lines in _sample_lines(eta, samples, seed):
         for total, failures in zip(totals, evaluators):
@@ -490,7 +662,7 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     if samples < 1:
         raise ValueError("at least one validation sample is required")
     no_lifting = f"no validated lifting up to degree {max_degree} ({samples} validation samples)"
-    if not all(lines.defined.all() for lines in _sample_lines(eta, samples, seed)):
+    if not all(all(lines.defined) for lines in _sample_lines(eta, samples, seed)):
         raise NoLiftingFound(no_lifting)
     scan = []
     for d in range(1, max_degree + 1):

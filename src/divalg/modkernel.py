@@ -1,5 +1,5 @@
-"""Modular arithmetic: exact kernels of large integer systems, and batched
-ranks of small matrices for screening.
+"""Modular arithmetic: exact kernels of integer systems from their
+eliminations mod word-sized primes.
 
 A system M is read through its shape (nrows, ncols) and annihilates(vectors),
 whether M v = 0 exactly for each integer vector v of a family
@@ -13,12 +13,22 @@ and completed by Wang's rational reconstruction, so that one prime serves
 entries of nearly its own size.  The candidate is then certified by the
 system's exact annihilates.
 
-The eliminations mod p (_rref_mod, and _kernel_mod_p, the kernel of one
-dense residue matrix) run in float64 numpy: all intermediate values stay
-below 2**53, so the arithmetic is exact integer arithmetic, and every
-reduction mod p goes through _reduce.  They are blocked by columns: pivots
-are found one at a time only inside panels of 64 columns, and each panel's
-row transform reaches the rest of the matrix in one matmul.
+The eliminations mod p come in two forms.  On packed Python ints
+(rref_packed, invert_packed, and _kernel_mod_p of a list of rows) a row of
+residues is one int with one 64-bit field per entry (after Dumas, Fousse &
+Salvy, "Simultaneous modular reduction and Kronecker substitution for
+small finite fields", J. Symbolic Comput. 46, 2011): a row operation is one
+multiply and one add of big ints, and a field is reduced mod p only when
+it is read.  In float64 numpy (_rref_mod, and _kernel_mod_p of an array)
+all intermediate values stay below 2**53, so the arithmetic is exact
+integer arithmetic, and every reduction mod p goes through _reduce.  They
+are blocked by columns: pivots are found one at a time only inside panels
+of 64 columns, and each panel's row transform reaches the rest of the
+matrix in one matmul.  numpy is imported only inside the float64
+eliminations and the batched ranks (rank_mod_p) and residues that feed
+them, since its import costs more than the small systems' whole solve:
+lifting._kernel_at_points runs on packed ints up to
+lifting._PACKED_COLUMNS columns and in float64 above.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -36,19 +46,20 @@ any such candidate fails exact verification, so the final answer is
 independent of the prime ladder.  A solve that cannot serve a prime raises
 UnluckyPrime, and the ladder goes on to the next one.
 
-Batched ranks mod p screen the degree scan's validation points
-(lifting._sample_lines).  Reduction mod p is a ring map on the integers:
-a minor of the reduced matrix is the reduction of the exact minor, so a
-nonzero residue means a nonzero minor over Q, and full rank mod
-SCREEN_PRIME proves full exact rank.  A rank-deficient residue proves
+Reduction mod p is a ring map on the integers: a minor of the reduced
+matrix is the reduction of the exact minor, so a nonzero residue means a
+nonzero minor over Q, and full rank mod SCREEN_PRIME proves full exact
+rank.  The degree scan screens its validation points so
+(lifting._sample_lines, on packed ints); a rank-deficient residue proves
 nothing, and those points are decided exactly.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect
 from math import gcd, isqrt
-
-import numpy as np
 
 # Primes sized so that a 4096-term dot product of residues fits in 2**53,
 # keeping float64 matmuls exact.
@@ -95,6 +106,8 @@ def _matmul_mod(a, b, p):
     chunk.  So every float64 sum stays below _MATMUL_CHUNK*(p-1)**2 + p <
     2**53 for every prime of PRIMES, and the arithmetic is exact.
     """
+    import numpy as np
+
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
     for s in range(0, a.shape[1], _MATMUL_CHUNK):
         acc += a[:, s:s + _MATMUL_CHUNK] @ b[s:s + _MATMUL_CHUNK, :]
@@ -112,6 +125,8 @@ def _reduce(x, p, out=None):
     is several times faster than numpy's remainder, which takes an fmod
     per entry.
     """
+    import numpy as np
+
     q = np.divide(x, p)
     np.floor(q, out=q)
     q *= p
@@ -148,6 +163,8 @@ def _rref_mod(a, p):
     a column when a panel searches it, a row when it becomes a pivot row,
     and the whole matrix at the end.
     """
+    import numpy as np
+
     rows, cols = a.shape
     budget = int((2 ** 53 - p) // ((p - 1) ** 2))
     since_reduce = 0
@@ -192,6 +209,8 @@ def _eliminate_panel(a, r, c0, c1, p):
     Up to _BASE columns are eliminated one pivot at a time with rank-1
     updates.
     """
+    import numpy as np
+
     if c1 - c0 > _BASE:
         mid = (c0 + c1) // 2
         left = _eliminate_panel(a, r, c0, mid, p)
@@ -230,6 +249,8 @@ def _eliminate_panel(a, r, c0, c1, p):
 def _carry(a, r, found, c0, c1, p):
     """Apply the row transform held in the pivot columns ``found`` (pivot
     rows r, r+1, ...) to the columns c0:c1 of ``a``: one matmul."""
+    import numpy as np
+
     n = len(found)
     lift = _reduce(a[:, found], p)
     lift[r + np.arange(n), np.arange(n)] -= 1.0
@@ -239,6 +260,8 @@ def _carry(a, r, found, c0, c1, p):
 
 def _kernel_from_rref(reduced, pivots, free, p):
     """Kernel basis (cols x len(free)) of a matrix given in RREF mod p."""
+    import numpy as np
+
     cols = reduced.shape[1]
     basis = np.zeros((cols, len(free)), dtype=np.float64)
     for idx, f in enumerate(free):
@@ -250,25 +273,164 @@ def _kernel_from_rref(reduced, pivots, free, p):
 
 
 def _kernel_mod_p(a, p):
-    """Canonical kernel basis of the dense residue matrix ``a`` mod p (a
-    float64 array, overwritten), or None if it is {0}: (int64 array of the
-    rows of the kernel subspace's RREF, shape dim x ncols, pivot column
-    tuple), the form a solve of sparse_kernel returns."""
+    """Canonical kernel basis of the residue matrix ``a`` mod p, or None if
+    it is {0}: (the rows of the kernel subspace's RREF as lists of Python
+    ints, shape dim x ncols, pivot column tuple), the form a solve of
+    sparse_kernel returns.  ``a`` is a float64 array, eliminated in numpy
+    and overwritten, or a list of rows of residues, eliminated on packed
+    ints (rref_packed)."""
+    if isinstance(a, list):
+        ncols = len(a[0])
+        reduced, pivots = rref_packed(map(pack, a), ncols, p)
+        free = _off_pivot(ncols, pivots)
+        if not free:
+            return None
+        basis = []
+        for f in free:
+            vec = [0] * ncols
+            vec[f] = 1
+            for c, row in zip(pivots, reduced):
+                vec[c] = -(row >> 64 * f & _FIELD) % p
+            basis.append(pack(vec))
+        reduced, pivots = rref_packed(basis, ncols, p)
+        return [unpack(row, ncols, p) for row in reduced], tuple(pivots)
+    import numpy as np
+
     reduced, pivots, free = _rref_mod(a, p)
     if not free:
         return None
     basis = _kernel_from_rref(reduced, pivots, free, p)
     reduced, pivots, _ = _rref_mod(np.ascontiguousarray(basis.T), p)
-    return np.asarray(reduced[: len(pivots)], dtype=np.int64), tuple(pivots)
+    return reduced[: len(pivots)].astype(np.int64).tolist(), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
-# batched screening of small matrices
+# mod-p elimination on packed Python ints
+
+_FIELD = (1 << 64) - 1
+
+
+def pack(values):
+    """The packed row of the non-negative ints ``values``, each below
+    2**64: one int with value j in bits 64j to 64j + 63."""
+    words = array("Q", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
+
+
+def unpack(row, ncols, p):
+    """The ncols fields of a packed row, each reduced mod p."""
+    words = array("Q", row.to_bytes(8 * ncols, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [x % p for x in words]
+
+
+def rref_packed(rows, ncols, p):
+    """The RREF mod p of the matrix whose rows are the packed ints ``rows``
+    of ncols fields: (its nonzero rows, packed, pivot column list).  The
+    fields of a returned row are congruent mod p to the RREF's entries, and
+    unpack reduces them.
+
+    The rows are inserted one at a time into an echelon basis: a row is
+    reduced by the basis rows in increasing pivot order, each step one
+    multiply and one add of big ints, r + (p - f) * b for the entry f of r
+    in the pivot column of b, which leaves that entry a multiple of p.  A
+    row that does not reduce to 0 is unpacked, scaled to a leading 1 and
+    packed again as a new basis row.  Once every column has a pivot the
+    RREF is the identity, and no further row is read.  Otherwise each
+    basis row b, in increasing pivot order, clears its pivot column from
+    the rows above it; b is then still as it was inserted, and the rows
+    that b changes are zero in the pivot columns left of it, which later
+    steps leave so.
+
+    Fields are reduced only when read, and each step adds less than p**2
+    to a field, since the row it adds has reduced fields: after s steps a
+    field that started below b is below b + s * p**2, under 2**64 for
+    every prime of PRIMES while b < 2**62 and s < 2**21, far more steps
+    than the rows of any system here take.
+    """
+    pivots, shifts, basis = [], [], []
+    for row in rows:
+        for shift, lead in zip(shifts, basis):
+            f = (row >> shift & _FIELD) % p
+            if f:
+                row += (p - f) * lead
+        fields = unpack(row, ncols, p)
+        x = next(filter(None, fields), 0)
+        if not x:
+            continue
+        c = fields.index(x)
+        inv = pow(x, -1, p)
+        at = bisect(pivots, c)
+        pivots.insert(at, c)
+        shifts.insert(at, 64 * c)
+        basis.insert(at, pack([x * inv % p for x in fields]))
+        if len(pivots) == ncols:
+            return [1 << shift for shift in shifts], pivots
+    for b in range(1, len(basis)):
+        shift, lead = shifts[b], basis[b]
+        for a in range(b):
+            f = (basis[a] >> shift & _FIELD) % p
+            if f:
+                basis[a] += (p - f) * lead
+    return basis, pivots
+
+
+def invert_packed(rows, n, p):
+    """The inverse mod p of the n x n matrix whose rows are the packed ints
+    ``rows``, as lists of residues, or None if it is singular mod p.
+
+    Gauss-Jordan inversion in place with row pivoting, so that rows stay n
+    fields wide where the RREF of [V | I] has 2n.  At the pivot
+    (r, r), with x its entry and t = 1/x, row r is scaled by t and its
+    field r set to t + 1; every other row s with entry f in column r then
+    takes s + (p - f) * row r, rref_packed's step, which leaves in field r
+    f - f (t + 1) = -f t mod p, the entry of the row transform.  Row r then
+    keeps t there.  A row swap at step r is undone at the end by swapping
+    the columns of the result back, in reverse order.  Fields grow as in
+    rref_packed.
+    """
+    rows = list(rows)
+    swaps = []
+    for r in range(n):
+        shift = 64 * r
+        for i in range(r, n):
+            x = (rows[i] >> shift & _FIELD) % p
+            if x:
+                break
+        else:
+            return None
+        if i != r:
+            rows[i], rows[r] = rows[r], rows[i]
+            swaps.append((r, i))
+        inv = pow(x, -1, p)
+        fields = [f * inv % p for f in unpack(rows[r], n, p)]
+        fields[r] = inv + 1
+        lead = pack(fields)
+        for s in range(n):
+            if s != r:
+                f = (rows[s] >> shift & _FIELD) % p
+                if f:
+                    rows[s] += (p - f) * lead
+        rows[r] = lead - (1 << shift)
+    inverse = [unpack(row, n, p) for row in rows]
+    for r, i in reversed(swaps):
+        for row in inverse:
+            row[r], row[i] = row[i], row[r]
+    return inverse
+
+
+# ---------------------------------------------------------------------------
+# batched ranks of small matrices, for the float64 solve at points
 
 
 def residues(ints, p):
     """Nested sequences of Python ints of any size, reduced mod p into an
     int64 array."""
+    import numpy as np
+
     return np.mod(np.array(ints, dtype=object), p).astype(np.int64)
 
 
@@ -292,6 +454,8 @@ def rank_mod_p(mats, p, kernel=False):
     below it at 0, and x stays nonzero on the free column.  Each sum has
     cols terms below p**2, exact in int64 for cols < 2**63 / p**2.
     """
+    import numpy as np
+
     if p * p >= 2 ** 63:
         raise ValueError(f"p = {p} overflows int64 products")
     m = np.mod(mats, p).astype(np.int64)
@@ -471,9 +635,9 @@ def _reconstruct_basis(bases, pivots):
     """CRT-combine per-prime bases, rationally reconstruct the entries off
     the pivot columns, and return the primitive integer kernel vectors.
 
-    ``bases`` is a nonempty list of (prime, int64 array) with equal shapes:
-    the rows of the RREF of one kernel subspace mod each prime, with pivot
-    columns ``pivots``.  The RREF fixes the pivot entries (1 on a row's own
+    ``bases`` is a nonempty list of (prime, rows) with equal shapes: the
+    rows of the RREF of one kernel subspace mod each prime, as lists of
+    Python ints, with pivot columns ``pivots``.  The RREF fixes the pivot entries (1 on a row's own
     pivot, 0 on the others) for every prime, so only the other columns are
     reconstructed.  A row with the common denominator L (_common_denominator)
     has the entries s/L, with s the symmetric residue of L*r (the modulus is
@@ -484,14 +648,14 @@ def _reconstruct_basis(bases, pivots):
     no common denominator.
     """
     p0, b0 = bases[0]
-    ncols = b0.shape[1]
+    ncols = len(b0[0])
     off = _off_pivot(ncols, pivots)
-    residues = b0[:, off].tolist()
+    residues = [[row[c] for c in off] for row in b0]
     modulus = p0
     for p, b in bases[1:]:
-        for row, new in zip(residues, b[:, off].tolist()):
-            for j, r in enumerate(new):
-                row[j], _ = _crt_pair(row[j], modulus, r, p)
+        for row, new in zip(residues, b):
+            for j, c in enumerate(off):
+                row[j], _ = _crt_pair(row[j], modulus, new[c], p)
         modulus *= p
     half = modulus // 2
     vectors = []
@@ -524,7 +688,8 @@ def sparse_kernel(mat, solve, primes=PRIMES):
     returned basis is exactly verified.
 
     ``solve(mat, p)`` gives each prime's subspace as _kernel_mod_p gives a
-    kernel: the (int64 rows, pivot tuple) of its RREF, or None for {0}.
+    kernel: the (rows, pivot tuple) of its RREF, the rows lists of Python
+    ints, or None for {0}.
     Any subspace that contains ker(M mod p) will do, because everything
     below only needs the exact kernel's reduction mod p inside it.  A solve
     raises UnluckyPrime for a prime it cannot serve.
@@ -551,7 +716,7 @@ def sparse_kernel(mat, solve, primes=PRIMES):
         if result is None:
             return []
         rows, pivots = result
-        structure = (rows.shape[0], pivots)
+        structure = (len(rows), pivots)
         if best is None or structure < best:
             best = structure
             collected = [(p, rows)]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .dissident import DRAW_BOUND, DissidentMap, DissidentTriple, MatrixQuadruple, as_fractions, quadruple_to_triple, sample_integer_vector, seeded_rng
-from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, dot, is_rational_square, minor_widths, pack, packed_det, primitive_vector, vector
+from .exact import DimensionError, Matrix, basis_vector, bilinear, cleared, cleared_dot, cleared_tensor, dot, integer_multiple, is_rational_square, minor_widths, pack, packed_det, primitive_vector, vector
 from .octonion import NotQuadratic, NotUnital, frobenius_form, frobenius_split
 
 
@@ -161,9 +161,8 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     whose basis is orthonormal, and <1, u_k> = rho(u_k) = 0.  Round-trips
     make_qda exactly, same basis, for algebras built here.
 
-    rho, each product and each image F u_k are cleared to integers once, so
-    the n**2 values rho(u_i u_j) and the n**3 coordinates are integer dot
-    products, each over the product of the two lcms.
+    The table, the basis, rho and each F u_k are cleared to integers once,
+    so every product and dot product below is an integer sum over lcms.
     """
     if alg.dim not in (4, 8):
         raise BadDimension(f"dimension {alg.dim} not in {{4, 8}}")
@@ -186,14 +185,15 @@ def recover_triple(alg: AlgebraPresentation) -> DissidentTriple:
     roots = [is_rational_square(d) for d in norms]
     if None in roots:
         raise IrrationalGram(ortho, norms)
-    basis = [tuple(x / r for x in u) for u, r in zip(ortho, roots)]
-    images = [tuple(x / r for x in fu) for fu, r in zip(images, roots)]
+    basis = [cleared([x / r for x in u]) for u, r in zip(ortho, roots)]
+    images = [cleared([x / r for x in fu]) for fu, r in zip(images, roots)]
 
-    prods = [[cleared(alg.mul(u, w)) for w in basis] for u in basis]
+    table, t = cleared_tensor(alg.constants)
+    prods = [[(integer_multiple(bilinear(table, a, b)), t * da * db) for b, db in basis]
+             for a, da in basis]
     r = cleared(rho)
     rho_prod = [[cleared_dot(r, p) for p in row] for row in prods]
     xi = [[(rho_prod[i][j] - rho_prod[j][i]) / 2 for j in range(n)] for i in range(n)]
-    images = [cleared(fu) for fu in images]
     tensor = [[[cleared_dot(p, fu) for fu in images] for p in row] for row in prods]
     return DissidentTriple(n, Matrix(xi), DissidentMap(n, tensor))
 

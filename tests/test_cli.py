@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -71,6 +72,20 @@ def test_degree_not_dissident_exits_3(tmp_path):
     code, report = run_json("degree", "--input", str(path), "--trials", "5")
     assert code == 3
     assert report["dissidence"]["counterexample"] is not None
+
+
+@pytest.mark.parametrize("command", ["degree", "lift"])
+def test_an_exhausted_prime_ladder_exits_3(monkeypatch, command):
+    # the prime ladder is a budget: a kernel it cannot reconstruct is no
+    # lifting found within budget, reported with the error, never a traceback
+    import divalg.lifting
+    from divalg.modkernel import sparse_kernel
+
+    monkeypatch.setattr(divalg.lifting, "sparse_kernel", functools.partial(sparse_kernel, primes=()))
+    code, report = run_json(command, "--builtin", "cross7", "--trials", "5", "--samples", "4")
+    assert code == 3
+    assert report["error"] == "kernel not reconstructible with 0 primes (196x49)"
+    assert "scan" not in report and "lifting" not in report
 
 
 # SHA-256 of the stdout of `degree --input lineless.json`, frozen before the
@@ -748,6 +763,16 @@ print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
     return FreshRun(code, set(loaded), environ_kept, threads)
 
 
+# A lift whose scan reaches a system above lifting._PACKED_COLUMNS, so that
+# it solves in float64 numpy: the suite's degree-5 map, few trials and samples
+RAND5_LIFT = ["lift", "--input", "rand5.json", "--trials", "5", "--samples", "4"]
+
+
+def _write_rand5(directory, rand5):
+    (directory / "rand5.json").write_text(canonical_json(map_to_json(rand5[0])),
+                                          encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", "--builtin", "cross7"],
     ["degree", "--quadruple", "random", "--seed", "0", "--trials", "20"],
@@ -755,11 +780,16 @@ print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
 def test_lift_and_degree_leave_sympy_unloaded(argv):
     # the scan's kernels prove the lifting's components relatively prime,
     # so a whole lift or degree run needs no content GCD and no sympy; it
-    # does load the polynomials and the mod-p layers, the control of the
+    # does load the polynomials and the mod-p layer, the control of the
     # import guards below
     run = _fresh_run(argv)
     assert run.code == 0 and "sympy" not in run.loaded
-    assert {"numpy", "divalg.poly", "divalg.modkernel"} <= run.loaded
+    assert {"divalg.poly", "divalg.modkernel"} <= run.loaded
+
+
+# the commands that run the degree scan, whose systems up to degree 3 are
+# solved mod p on packed Python ints
+SCANS = ("degree", "lift")
 
 
 @pytest.mark.parametrize("argv", [
@@ -776,29 +806,40 @@ def test_lift_and_degree_leave_sympy_unloaded(argv):
                  id="check --what division --builtin octonions"),
     pytest.param(["check", "--what", "dissident", "--quadruple", "random"],
                  id="check --what dissident --quadruple random"),
+    pytest.param(["degree", "--quadruple", "random", "--seed", "0", "--trials", "20"],
+                 id="degree --quadruple random"),
+    ["lift", "--builtin", "cross7"],
+    ["lift", "--input", "conj.json"],
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, argv):
-    # numpy is most of the start-up time of a command, and only the mod-p
-    # screens and eliminations use it; the division check and the
-    # dissidence falsifier decide their draws in Python ints
+    # numpy is most of the start-up time of a command, and only the float64
+    # eliminations use it: the division check and the dissidence falsifier
+    # decide their draws in Python ints, and the scan solves its systems up
+    # to degree 3, the degree of the conjugated bent map, on packed ints
     _write_inputs(tmp_path, conjugate_bent_tensor)
     run = _fresh_run(argv, cwd=tmp_path)
-    assert run.code == 0 and not run.loaded & {"numpy", "divalg.modkernel"}
+    assert run.code == 0 and "numpy" not in run.loaded
+    if argv[0] not in SCANS:
+        assert "divalg.modkernel" not in run.loaded
 
 
-def test_lift_loads_numpy():
-    # the control of the guard above: the scan's elimination runs mod p
-    run = _fresh_run(["lift", "--builtin", "cross3"])
-    assert run.code == 0 and "numpy" in run.loaded
+def test_lift_loads_numpy(tmp_path, rand5):
+    # the control of the guard above: the degree-5 system is solved in
+    # float64 numpy
+    _write_rand5(tmp_path, rand5)
+    run = _fresh_run(RAND5_LIFT, cwd=tmp_path)
+    assert run.code == 0 and "numpy" in run.loaded and "sympy" not in run.loaded
 
 
-def test_cli_runs_blas_on_one_thread():
+def test_cli_runs_blas_on_one_thread(tmp_path, rand5):
     # main forces one OpenBLAS thread before numpy loads, over the count a
     # parent process exports; a second thread only slows numpy's load
-    run = _fresh_run(["lift", "--builtin", "cross3"], env={"OPENBLAS_NUM_THREADS": "2"})
+    _write_rand5(tmp_path, rand5)
+    run = _fresh_run(RAND5_LIFT, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert run.code == 0 and "numpy" in run.loaded
     if run.blas_threads is None:
         pytest.skip("OpenBLAS reports no thread count")
-    assert run.code == 0 and run.blas_threads == 1
+    assert run.blas_threads == 1
 
 
 def test_cli_leaves_the_blas_threads_of_a_numpy_caller(monkeypatch):

@@ -35,10 +35,13 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
+    _PACKED_COLUMNS,
     _interpolation_points,
     _kernel_at_points,
     _sample_failures,
     _sample_lines,
+    _solve_float64,
+    _solve_packed,
     _sparse_system,
 )
 from divalg.exact import Matrix, cleared_tensor, primitive_vector
@@ -564,7 +567,7 @@ def test_rand5_lifting_is_independent_of_the_seed(rand5):
     # the seed draws the validation points, not the answer: a new seed
     # validates at other points and must find the same scan and lifting
     eta, lifting, scan, _ = rand5
-    points = [[block.points.tolist() for block in _sample_lines(eta, 24, seed)]
+    points = [[block.points for block in _sample_lines(eta, 24, seed)]
               for seed in (0, 1)]
     assert points[0] != points[1]
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=1)
@@ -847,7 +850,7 @@ def same_subspace(result, expected):
     """Whether two solve results, (rows, pivots) of an RREF or None, are equal."""
     if result is None or expected is None:
         return result is expected
-    return result[1] == expected[1] and np.array_equal(result[0], expected[0])
+    return result == expected
 
 
 @pytest.mark.parametrize("name", POINT_SOLVE_KERNEL_DIMS)
@@ -864,7 +867,7 @@ def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, name
             if d == 5:
                 line = np.array(kernel[0]) % p
                 line = line * pow(int(line[np.flatnonzero(line)[0]]), -1, p) % p
-                assert result[0].tolist() == [line.tolist()], (name, d, p)
+                assert result[0] == [line.tolist()], (name, d, p)
             else:
                 expected = modkernel._kernel_mod_p(
                     reference_residues(integer_map(eta), d, p), p)
@@ -889,13 +892,47 @@ def test_points_solve_contains_the_elimination_kernel(cells):
         mat = _sparse_system(eta, d)
         for p in modkernel.PRIMES[:2]:
             expected = modkernel._kernel_mod_p(reference_residues(eta, d, p), p)
+            # the packed solve, which serves R^3 at every degree, and the
+            # float64 solve agree, prime skipped or not
+            assert solved(_solve_packed, mat, p) == solved(_solve_float64, mat, p), (cells, d, p)
             try:
                 result = _kernel_at_points(mat, p)
             except modkernel.UnluckyPrime:
-                assert not any(lines.defined.any()
+                assert not any(any(lines.defined)
                                for lines in _sample_lines(eta, DEFAULT_SAMPLES, 0)), (cells, d, p)
                 continue
             assert same_subspace(result, expected), (cells, d, p)
+
+
+def solved(solve, mat, p):
+    """solve(mat, p), or the class UnluckyPrime where it skips the prime."""
+    try:
+        return solve(mat, p)
+    except modkernel.UnluckyPrime:
+        return modkernel.UnluckyPrime
+
+
+@pytest.mark.parametrize("name", ["cross3", "cross7", "bent3", "conjugate", "rand5",
+                                  "quadruple1", "quadruple2", "quadruple5", "quadruple182"])
+def test_packed_solve_matches_the_float64_solve(conjugate_bent_tensor, rand5, name):
+    # the two solves at points, called directly: at every degree of the
+    # scan whose C is within the packed bound, and on R^7 the first degree
+    # above it, the packed solve gives the float64 solve's RREF on each of
+    # the first three primes, or skips the same primes
+    if name == "rand5":
+        eta = rand5[0]
+    elif name.startswith("quadruple"):
+        eta = quadruple_to_triple(random_quadruple(int(name.removeprefix("quadruple")))).eta
+    else:
+        eta = named_map(name, conjugate_bent_tensor)
+    degrees = [d for d in range(1, 6) if monomial_count(eta.n, d) <= _PACKED_COLUMNS]
+    degrees += [d for d in range(1, 6) if monomial_count(eta.n, d) > _PACKED_COLUMNS][:1]
+    assert degrees == ([1, 2, 3, 4] if eta.n == 7 else [1, 2, 3, 4, 5])
+    for d in degrees:
+        mat = _sparse_system(eta, d)
+        for p in modkernel.PRIMES[:3]:
+            expected = solved(_solve_float64, mat, p)
+            assert solved(_solve_packed, mat, p) == expected, (name, d, p)
 
 
 def test_points_solve_skips_a_prime_whose_v0_is_singular(monkeypatch):
@@ -931,7 +968,7 @@ def test_degree_raises_when_no_prime_verifies(monkeypatch):
     def repeating(n, count, d, p):
         points = draw(n, count, d, p)
         first = monomial_count(n, d)
-        points[first:] = points[np.arange(first, count) % first]
+        points[first:] = [points[s % first] for s in range(first, count)]
         return points
 
     monkeypatch.setattr("divalg.lifting._interpolation_points", repeating)
@@ -945,4 +982,4 @@ def test_degree_raises_when_no_prime_verifies(monkeypatch):
     with pytest.raises(modkernel.ModularKernelError):
         solve_lifting_scan(eta, samples=8, seed=0)
     assert len(solves) == len(modkernel.PRIMES)
-    assert all(rows.shape[0] == 3 for rows, _ in solves)
+    assert all(len(rows) == 3 for rows, _ in solves)

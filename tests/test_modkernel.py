@@ -453,3 +453,32 @@ def test_blocked_rref_matches_the_per_pivot_elimination(p):
         assert (pivots, free) == (want_pivots, want_free), name
         assert got.shape == a.shape, name
         assert np.array_equal(got[:rank], want[:rank]), name
+        # and the elimination on packed Python ints
+        ncols = a.shape[1]
+        reduced, pivots = modkernel.rref_packed(
+            [modkernel.pack(row) for row in a.astype(np.int64).tolist()], ncols, p)
+        assert pivots == want_pivots, name
+        assert ([modkernel.unpack(row, ncols, p) for row in reduced]
+                == want[:rank].astype(np.int64).tolist()), name
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], 3])
+def test_invert_packed_matches_the_rref_of_the_augmented_matrix(p):
+    # the inverse in place against the right half of the RREF of [A | I]:
+    # a zero leading entry makes the inversion swap rows, and a repeated
+    # row, or most matrices mod 3, make A singular
+    rng = random.Random(p % 1000)
+    for n in (1, 2, 5, 12):
+        for case in range(8):
+            a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if case % 2:
+                a[0][0] = 0
+            if case == 7 and n > 1:
+                a[-1] = a[0]
+            augmented = [modkernel.pack(row + [int(i == j) for j in range(n)])
+                         for i, row in enumerate(a)]
+            reduced, pivots = modkernel.rref_packed(augmented, 2 * n, p)
+            want = ([modkernel.unpack(row, 2 * n, p)[n:] for row in reduced]
+                    if pivots == list(range(n)) else None)
+            got = modkernel.invert_packed([modkernel.pack(row) for row in a], n, p)
+            assert got == want, (n, case)
