@@ -216,7 +216,8 @@ DRAW_BOUND = 8 * 6
 def sample_integer_vector(rng: random.Random, n, nonzero=True):
     """n draws of Fraction(rng.randint(-8, 8), rng.randint(1, 3)) as (ints,
     den): den the lcm of their denominators, ints their multiple by it.  A
-    zero vector is redrawn unless ``nonzero`` is false.
+    zero vector is redrawn unless ``nonzero`` is false; with ``nonzero``, n
+    must be at least 1, since every vector of R^0 is zero.
 
     randint(a, b) is a + rng._randbelow(b - a + 1), and for a Random
     _randbelow(k) draws getrandbits(k.bit_length()) until the value is
@@ -224,6 +225,8 @@ def sample_integer_vector(rng: random.Random, n, nonzero=True):
     in the same state, without the cost of randint and of a Fraction per
     entry.
     """
+    if nonzero and n < 1:
+        raise ValueError(f"R^{n} has no nonzero vector")
     getrandbits = rng.getrandbits
     while True:
         pairs = []

@@ -38,22 +38,28 @@ columns.  The map from the kernel to the values of Phi_k* is injective
 ker(M mod p), and with it the exact kernel's reduction: sparse_kernel's
 sandwich between the verified count and the modular dimension holds
 unchanged, and the exact M phi = 0 remains the only certificate.  This is
-the scan's only solve mod p.  A prime with too few points of rank n - 1
-whose line is nonzero in component k*, or with a singular V0, is skipped
-(modkernel.UnluckyPrime), and a degree whose ladder ends without a
-verified candidate raises modkernel.ModularKernelError.  By chance either
-happens rarely: a nonzero polynomial vanishes at few random points of
-F_p^n (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  Where the (n - 1)-minors
-of A(u) vanish identically no point has a line, and the scan has stopped
-before its first kernel: a validation sample without a line decides that
-there is no lifting (solve_lifting_scan).
+the scan's only solve mod p.
 
-The solve at points runs on packed Python ints (modkernel.rref_packed) for
-systems of at most _PACKED_COLUMNS columns per component, which on R^7
-are the degrees 1, 2 and 3, and in float64 numpy above.  Importing numpy
-costs a fresh process more CPU time than the packed solves of the whole
-scan up to degree 3, so a scan that ends by then, as every lifting of
-degree 1 or 3 does, never loads it.
+One point stage in Python ints finds the lines for both solves
+(_points_on_lines): k* is the first nonzero component of the first line
+found, which is nonzero at almost every point since the entries of a
+line are polynomials in u, and the seeded points are read until C + E of
+them have a line nonzero at k*.  A prime whose draws run out first, or
+with a singular V0, is skipped (modkernel.UnluckyPrime), and a degree
+whose ladder ends without a verified candidate raises
+modkernel.ModularKernelError.  By chance either happens rarely: a nonzero
+polynomial vanishes at few random points of F_p^n (Schwartz, JACM 1980;
+Zippel, EUROSAM 1979).  Where the (n - 1)-minors of A(u) vanish
+identically no point has a line, and the scan has stopped before its
+first kernel: a validation sample without a line decides that there is
+no lifting (solve_lifting_scan).
+
+The eliminations of the solve at points run on packed Python ints
+(modkernel.rref_packed) for systems of at most _PACKED_COLUMNS columns
+per component, which on R^7 are the degrees 1, 2 and 3, and in float64
+numpy above.  Importing numpy costs a fresh process more CPU time than
+the packed solves of the whole scan up to degree 3, so a scan that ends
+by then, as every lifting of degree 1 or 3 does, never loads it.
 
 The pointwise check runs in Python ints.  Each sample v is replaced by
 its primitive integer point u, and A(u) is the integer matrix whose rows
@@ -238,15 +244,21 @@ def _kernel_at_points(system, p):
     V0^-1 y); with enough points it equals it.  Only the C x 2C inversion
     and a C-column kernel are eliminated, not the n*C columns of M.
 
-    Twice C + E seeded residue points are drawn; those where A(u) mod p
-    has rank n - 1 are kept, k* is the component nonzero on the most of
-    their lines, and the first C + E points with l_s[k*] != 0 are used.
-    When fewer are found, or V0 is singular mod p, the prime is skipped
+    One point stage in Python ints (_points_on_lines) reads twice C + E
+    seeded residue points in draw order.  Those where A(u) mod p has rank
+    n - 1 have a line (_PointLines).  k* is the first nonzero component
+    of the first line found, and the points whose line is nonzero at k*
+    are kept until there are C + E.  An entry of a line is a ratio of
+    (n - 1)-minors of A(u), a polynomial in u: one that is nonzero at a
+    point is a nonzero polynomial, which vanishes at few random points
+    (Schwartz), and one that is identically zero is never picked.  When
+    the draws run out first, or V0 is singular mod p, the prime is skipped
     (modkernel.UnluckyPrime).
 
-    Up to C = _PACKED_COLUMNS the whole solve runs on packed Python ints
-    (_solve_packed), above it in float64 numpy (_solve_float64).  Both
-    give the same RREF, which is unique.
+    The eliminations run on packed Python ints up to C = _PACKED_COLUMNS
+    (_solve_packed) and in float64 numpy above (_solve_float64).  Both
+    give the same RREF, which is unique, so neither the solve nor which
+    points serve a prime changes the result.
     """
     n = len(system.tensor)
     if monomial_count(n, system.d) <= _PACKED_COLUMNS:
@@ -259,32 +271,40 @@ def _point_count(n, C):
     return C + -(-C // (n - 1)) + n
 
 
-def _solve_packed(system, p):
-    """_kernel_at_points on packed Python ints, each row one int: the ranks
-    and lines at the points (_PointLines), the inversion of V0
-    (modkernel.invert_packed), the C-column kernel (modkernel._kernel_mod_p
-    of a list of rows) and the final RREF (modkernel.rref_packed)."""
+def _points_on_lines(system, p):
+    """The point stage of _kernel_at_points: (k*, the C + E points used,
+    their ratios r_s = l_s / l_s[k*]), points and ratios as lists of
+    residues.  Raises UnluckyPrime when the draws run out first."""
     tensor, d = system.tensor, system.d
     n = len(tensor)
-    steps = _monomial_steps(n, d)
-    C = len(steps[-1])
-    used = _point_count(n, C)
+    used = _point_count(n, monomial_count(n, d))
     line_at = _PointLines(tensor, p)
-    lines = []
+    star, points, ratios = None, [], []
     for u in _interpolation_points(n, 2 * used, d, p):
         line = line_at(u)
-        if line is not None:
-            lines.append((u, line))
-    counts = [sum(1 for _, line in lines if line[k]) for k in range(n)]
-    star = counts.index(max(counts))
-    chosen = [(u, line) for u, line in lines if line[star]][:used]
-    if len(chosen) < used:
-        raise modkernel.UnluckyPrime(f"{len(chosen)} of {used} points have a line mod {p}")
-    ratios = []
-    for _, line in chosen:
-        inverse = pow(line[star], -1, p)
-        ratios.append([x * inverse % p for x in line])
-    table = [[x % p for x in _monomial_values(u, steps)] for u, _ in chosen]
+        if line is None:
+            continue
+        if star is None:
+            star = next(k for k, x in enumerate(line) if x)
+        if line[star]:
+            inverse = pow(line[star], -1, p)
+            points.append(u)
+            ratios.append([x * inverse % p for x in line])
+            if len(points) == used:
+                return star, points, ratios
+    raise modkernel.UnluckyPrime(f"{len(points)} of {used} points have a line mod {p}")
+
+
+def _solve_packed(system, p):
+    """_kernel_at_points on packed Python ints, each row one int: the
+    inversion of V0 (modkernel.invert_packed), the C-column kernel
+    (modkernel._kernel_mod_p of a list of rows) and the final RREF
+    (modkernel.rref_packed)."""
+    star, points, ratios = _points_on_lines(system, p)
+    n = len(system.tensor)
+    steps = _monomial_steps(n, system.d)
+    C = len(steps[-1])
+    table = [[x % p for x in _monomial_values(u, steps)] for u in points]
     v0_inverse = invert_packed(map(pack, table[:C]), C, p)
     if v0_inverse is None:
         raise modkernel.UnluckyPrime(f"the monomial matrix of the points is singular mod {p}")
@@ -370,28 +390,17 @@ class _PointLines:
 
 
 def _solve_float64(system, p):
-    """_kernel_at_points in float64 numpy: batched ranks and lines at the
-    points (modkernel.rank_mod_p), the inversion of V0 and the final RREF
-    by modkernel._rref_mod."""
+    """_kernel_at_points in float64 numpy: the monomial table of the points
+    (_monomial_table_mod), the inversion of V0, the C-column kernel and
+    the final RREF by modkernel._rref_mod."""
     import numpy as np
 
-    tensor, d = system.tensor, system.d
-    n = len(tensor)
-    exponents = np.array(monomials(n, d), dtype=np.int64)
-    C = len(exponents)
-    used = _point_count(n, C)
-    points = np.array(_interpolation_points(n, 2 * used, d, p),
-                      dtype=np.int64).reshape(2 * used, n)
-    images = np.tensordot(points, modkernel.residues(tensor, p), axes=(1, 0)) % p
-    ranks, lines = modkernel.rank_mod_p(images, p, kernel=True)
-    defined = np.flatnonzero(ranks == n - 1)
-    star = int(np.argmax(np.count_nonzero(lines[defined], axis=0)))
-    chosen = defined[lines[defined, star] != 0][:used]
-    if len(chosen) < used:
-        raise modkernel.UnluckyPrime(f"{len(chosen)} of {used} points have a line mod {p}")
-    inverse = np.array([pow(int(x), -1, p) for x in lines[chosen, star]], dtype=np.int64)
-    ratios = (lines[chosen] * inverse[:, None] % p).astype(np.float64)
-    table = _monomial_table_mod(points[chosen], exponents, p)
+    star, points, ratios = _points_on_lines(system, p)
+    n = len(system.tensor)
+    steps = _monomial_steps(n, system.d)
+    C = len(steps[-1])
+    ratios = np.array(ratios, dtype=np.float64)
+    table = _monomial_table_mod(np.array(points, dtype=np.int64), steps, p)
     reduced, pivots, _ = modkernel._rref_mod(np.hstack([table[:C], np.eye(C)]), p)
     if pivots != list(range(C)):
         raise modkernel.UnluckyPrime(f"the monomial matrix of the points is singular mod {p}")
@@ -412,19 +421,17 @@ def _solve_float64(system, p):
     return reduced[: len(pivots)].astype(np.int64).tolist(), tuple(pivots)
 
 
-def _monomial_table_mod(points, exponents, p):
-    """The monomials with exponent rows ``exponents`` (an int array of shape
-    (M, n)) at the residue points ``points`` (int64, shape (S, n)), mod p,
-    as a float64 array of shape (S, M)."""
+def _monomial_table_mod(points, steps, p):
+    """The monomials of the top degree of ``steps`` (_monomial_steps) at the
+    residue points ``points`` (int64, shape (S, n)), mod p, in monomials
+    order, as a float64 array of shape (S, C): _monomial_values for all
+    points at once.  Every product of two residues is below p**2 < 2**63."""
     import numpy as np
 
-    top = int(exponents.max(initial=0))
-    powers = np.ones(points.shape + (top + 1,), dtype=np.int64)
-    for e in range(1, top + 1):
-        powers[:, :, e] = powers[:, :, e - 1] * points % p
-    table = np.ones((len(points), len(exponents)), dtype=np.int64)
-    for i in range(points.shape[1]):
-        table = table * powers[:, i, exponents[:, i]] % p
+    table = np.ones((len(points), 1), dtype=np.int64)
+    for level in steps:
+        parents, variables = np.array(level, dtype=np.int64).T
+        table = table[:, parents] * points[:, variables] % p
     return table.astype(np.float64)
 
 

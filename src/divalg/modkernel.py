@@ -25,10 +25,10 @@ integer arithmetic, and every reduction mod p goes through _reduce.  They
 are blocked by columns: pivots are found one at a time only inside panels
 of 64 columns, and each panel's row transform reaches the rest of the
 matrix in one matmul.  numpy is imported only inside the float64
-eliminations and the batched ranks (rank_mod_p) and residues that feed
-them, since its import costs more than the small systems' whole solve:
-lifting._kernel_at_points runs on packed ints up to
-lifting._PACKED_COLUMNS columns and in float64 above.
+eliminations, since its import costs more than the small systems' whole
+solve: lifting._kernel_at_points runs on packed ints up to
+lifting._PACKED_COLUMNS columns and in float64 above, and finds its lines
+at points on packed ints either way (lifting._PointLines).
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -420,81 +420,6 @@ def invert_packed(rows, n, p):
         for row in inverse:
             row[r], row[i] = row[i], row[r]
     return inverse
-
-
-# ---------------------------------------------------------------------------
-# batched ranks of small matrices, for the float64 solve at points
-
-
-def residues(ints, p):
-    """Nested sequences of Python ints of any size, reduced mod p into an
-    int64 array."""
-    import numpy as np
-
-    return np.mod(np.array(ints, dtype=object), p).astype(np.int64)
-
-
-def rank_mod_p(mats, p, kernel=False):
-    """Ranks mod p of a batch of matrices: an int64 array of shape (batch,).
-    With ``kernel``, also a nonzero kernel vector mod p of each matrix of
-    rank below cols (0 at full rank), as (ranks, int64 array of shape
-    (batch, cols)); at rank cols - 1 it spans the kernel line.
-
-    ``mats`` is an integer array of shape (batch, rows, cols).  Each step
-    eliminates below the pivot without division, row_i <- pivot * row_i -
-    row_i[c] * row_pivot, which keeps the rank.  Both products are below
-    p**2 and their difference above -p**2, so int64 arithmetic is exact for
-    p < 3.03e9 (p**2 < 2**63); every prime of PRIMES is below 1.4e6.
-
-    The kernel vector is back-substituted from the echelon form, also
-    without division: x is 1 on the last free column and 0 on the others,
-    and for the pivot rows t from the last up, with pivot pi in column c
-    and S = sum_j m[t, j] x[j] (x[c] still 0), x <- pi * x and then x[c] =
-    -S.  Row t then gives pi * (-S) + pi * S = 0, scaling keeps the rows
-    below it at 0, and x stays nonzero on the free column.  Each sum has
-    cols terms below p**2, exact in int64 for cols < 2**63 / p**2.
-    """
-    import numpy as np
-
-    if p * p >= 2 ** 63:
-        raise ValueError(f"p = {p} overflows int64 products")
-    m = np.mod(mats, p).astype(np.int64)
-    batch, rows, cols = m.shape
-    rank = np.zeros(batch, dtype=np.int64)
-    pivot_cols = np.zeros((batch, rows), dtype=np.int64)
-    free = np.ones((batch, cols), dtype=bool)
-    row_index = np.arange(rows)
-    for c in range(cols):
-        live = (m[:, :, c] != 0) & (row_index >= rank[:, None])
-        found = np.flatnonzero(live.any(axis=1))
-        if found.size == 0:
-            continue
-        r = rank[found]
-        i = live[found].argmax(axis=1)
-        m[found, r], m[found, i] = m[found, i], m[found, r]
-        sub = m[found]
-        pivot = sub[np.arange(found.size), r]
-        reduced = (pivot[:, c, None, None] * sub - sub[:, :, c, None] * pivot[:, None, :]) % p
-        below = row_index > r[:, None]
-        m[found] = np.where(below[:, :, None], reduced, sub)
-        pivot_cols[found, r] = c
-        free[found, c] = False
-        rank[found] += 1
-    if not kernel:
-        return rank
-    x = np.zeros((batch, cols), dtype=np.int64)
-    deficient = np.flatnonzero(rank < cols)
-    x[deficient, cols - 1 - np.argmax(free[deficient, ::-1], axis=1)] = 1
-    for t in range(rows - 1, -1, -1):
-        b = np.flatnonzero(rank > t)
-        if b.size == 0:
-            continue
-        c = pivot_cols[b, t]
-        row = m[b, t]
-        total = (row * x[b]).sum(axis=1) % p
-        x[b] = x[b] * row[np.arange(b.size), c, None] % p
-        x[b, c] = -total % p
-    return rank, x
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ class AlgebraPresentation:
 
     def __init__(self, constants, unity):
         dim = len(constants)
+        if dim < 1:
+            raise DimensionError("an algebra has dimension at least 1")
         if any(len(plane) != dim or any(len(cell) != dim for cell in plane)
                for plane in constants):
             raise DimensionError("structure constants are not dim^3")

@@ -338,6 +338,14 @@ def test_integer_draws_reach_the_draw_bound():
     assert largest == DRAW_BOUND
 
 
+def test_integer_sampler_has_no_nonzero_vector_of_r0():
+    # R^0 has only the zero vector, which a nonzero draw redrew forever
+    rng = seeded_rng(0, "division")
+    with pytest.raises(ValueError):
+        sample_integer_vector(rng, 0)
+    assert sample_integer_vector(rng, 0, nonzero=False) == ([], 1)
+
+
 @pytest.mark.parametrize("label", ["dissidence", "division", "lifting-points"])
 @pytest.mark.parametrize("seed", range(3))
 def test_integer_sampler_follows_the_randint_stream(seed, label):

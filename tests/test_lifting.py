@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divalg import modkernel
 from divalg.dissident import (
@@ -36,6 +36,7 @@ from divalg.lifting import (
     solve_lifting_scan,
     verify_lifting,
     _PACKED_COLUMNS,
+    _PointLines,
     _interpolation_points,
     _kernel_at_points,
     _sample_failures,
@@ -588,18 +589,25 @@ def test_lifting_is_invariant_under_scaling_eta(rand5):
         assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
 
-@pytest.mark.parametrize("name", ["cross3", "bent3", "rand5"])
+@pytest.mark.parametrize("name", ["cross3", "bent3", "rand5", "random0"])
 def test_lifting_is_equivariant_under_conjugation(rand5, monkeypatch, name):
     # eta_S(v ^ w) = S eta(S^t v ^ S^t w) for a rational rotation S has the
     # degree of eta, and its lifting is S Phi(S^t v), which the benchmark's
     # reference composes exactly.  On R^7, S is the Cayley transform of a
     # seeded antisymmetric matrix; on R^3 it is a quaternion rotation, which
     # fixes the cross product, so there only S Phi(S^t v) = v is new.
+    # random0, the benchmark's random tensor of seed 0, is a second map of
+    # degree 5 beside rand5 (seed 7).
     inputs = _perfbench_module("inputs")
     monkeypatch.setitem(sys.modules, "inputs", inputs)
     workloads = _perfbench_module("workloads")
     if name == "rand5":
         eta, lifting, scan, _ = rand5
+        s = inputs.cayley_orthogonal(8)
+    elif name == "random0":
+        eta = DissidentMap(7, inputs.random_tensor(0))
+        lifting, scan, _ = solve_lifting_scan(eta, samples=16, seed=0)
+        assert lifting.degree == 5
         s = inputs.cayley_orthogonal(8)
     else:
         eta = cross_product_map(3) if name == "cross3" else bent_cross7()
@@ -877,13 +885,16 @@ def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, name
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
                 min_size=3, max_size=3))
+@example([[0, 0, 0], [0, -1, 0], [1, 0, 0]])
 def test_points_solve_contains_the_elimination_kernel(cells):
     # small antisymmetric tensors on R^3, eta(e_i ^ e_j) = cells[i + j - 1]
     # for i < j: many are degenerate, with A(u) of rank below 2 everywhere
     # or kernels of several dimensions at a degree.  Where the points serve
     # a prime they give the kernel mod p of the dense reference; where they
     # do not, no validation sample has a line, and the scan stops before
-    # its first kernel.
+    # its first kernel.  The example is eta(u ^ w) = diag(1, 1, 0)(u x w),
+    # whose line is (0, 0, 1) at every point: components 0 and 1 of every
+    # line are identically zero, and k* must be 2.
     t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for (i, j), cell in zip(((0, 1), (0, 2), (1, 2)), cells):
         t[i][j], t[j][i] = cell, [-x for x in cell]
@@ -902,6 +913,41 @@ def test_points_solve_contains_the_elimination_kernel(cells):
                                for lines in _sample_lines(eta, DEFAULT_SAMPLES, 0)), (cells, d, p)
                 continue
             assert same_subspace(result, expected), (cells, d, p)
+
+
+@pytest.mark.parametrize("p", [modkernel.PRIMES[0], 5, 3])
+def test_point_lines_span_the_kernel_at_rank_n_minus_1(p):
+    # at u = e_0, A(u) is plane 0 of the tensor, so any integer matrix can
+    # be placed there: products of 4 x r and r x 4 matrices, r = 0..4.  A
+    # line is found exactly where the rank mod p is n - 1, and spans the
+    # kernel mod p, the exact kernel's reduction where the exact rank is
+    # n - 1 too; the rank mod p is never above the exact rank
+    rng = random.Random(11)
+    ranks = set()
+    for t in range(200):
+        r = t % 5
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(4)]
+        right = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(r)]
+        plane = [[sum(x * y for x, y in zip(row, column)) for column in zip(*right)]
+                 if r else [0] * 4 for row in left]
+        tensor = [plane] + [[[0] * 4 for _ in range(4)] for _ in range(3)]
+        line = _PointLines(tensor, p)([1, 0, 0, 0])
+        kernel = modkernel._kernel_mod_p(
+            np.array([[x % p for x in row] for row in plane], dtype=np.float64), p)
+        rank = 4 - (len(kernel[0]) if kernel else 0)
+        exact = Matrix(plane).rank()
+        assert rank <= exact, (t, p)
+        ranks.add(rank)
+        if rank != 3:
+            assert line is None, (t, p)
+            continue
+        lead = next(x for x in line if x)
+        assert kernel[0] == [[x * pow(lead, -1, p) % p for x in line]], (t, p)
+        if exact == 3:
+            v = [x % p for x in primitive_vector(Matrix(plane).kernel()[0])]
+            lead = next(x for x in v if x)
+            assert kernel[0] == [[x * pow(lead, -1, p) % p for x in v]], (t, p)
+    assert ranks == {0, 1, 2, 3, 4}
 
 
 def solved(solve, mat, p):

@@ -12,7 +12,6 @@ from divalg.lifting import ConstraintSystem, _kernel_at_points
 from divalg.modkernel import (
     PRIMES,
     ModularKernelError,
-    rank_mod_p,
     sparse_kernel,
 )
 from divalg.poly import monomials
@@ -325,37 +324,6 @@ def test_kernel_matches_sympy_nullspace():
         elif case % 4 == 3:
             rows[-1] = [x * p for x in rows[-1]]
         assert dense_kernel(dense_matrix(rows)) == _sympy_kernel(rows), case
-
-
-def test_rank_mod_p_matches_exact_rank():
-    # entries in -4..4: every minor of a 4x5 matrix is below 24 * 4**4 < p,
-    # so the rank mod p is the exact rank; row 2 of every third matrix is
-    # zero, and row 3 of every fifth is row 0 - row 1
-    rng = random.Random(3)
-    mats = np.array([[[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-                     for _ in range(120)])
-    mats[::3, 2] = 0
-    mats[::5, 3] = mats[::5, 0] - mats[::5, 1]
-    ranks = rank_mod_p(mats, PRIMES[0])
-    assert ranks.tolist() == [Matrix(m.tolist()).rank() for m in mats]
-    assert rank_mod_p(np.array([[[3, 6], [1, 1]]]), 3).tolist() == [1]
-    with pytest.raises(ValueError):
-        rank_mod_p(mats, 4294967311)  # p**2 overflows int64
-
-
-@pytest.mark.parametrize("p", [PRIMES[0], 5])
-def test_rank_mod_p_kernel_vectors(p):
-    # products of 4xr and rx4 matrices, r = 0..4: the ranks are those
-    # without the kernel, and the vector is nonzero exactly below full rank
-    # and annihilated mod p, so at rank 3 it spans the kernel line
-    rng = np.random.default_rng(11)
-    mats = np.array([rng.integers(-3, 4, (4, t % 5)) @ rng.integers(-3, 4, (t % 5, 4))
-                     for t in range(200)], dtype=np.int64)
-    ranks, vectors = rank_mod_p(mats, p, kernel=True)
-    assert ranks.tolist() == rank_mod_p(mats, p).tolist()
-    assert set(ranks.tolist()) == {0, 1, 2, 3, 4}
-    assert ((vectors != 0).any(axis=1) == (ranks < 4)).all()
-    assert not (np.einsum("bij,bj->bi", mats, vectors) % p).any()
 
 
 @pytest.mark.parametrize("p", [PRIMES[0], 3])

@@ -1,7 +1,11 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +277,25 @@ def test_algebra_dimension_over_the_cap_is_a_parse_error(tmp_path):
     path.write_text(json.dumps(unital_table(17)), encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert main(["check", "--what", "quadratic", "--input", str(path)]) == 2
+
+
+def test_zero_dimensional_algebra_is_a_parse_error(tmp_path):
+    # an empty table decoded, and check --what division on it redrew its
+    # empty sample vector forever; the CLI runs in a subprocess with a
+    # timeout, so that a hang fails this test instead of stalling the suite
+    doc = {"kind": "algebra", "structure_constants": [], "unity": []}
+    with pytest.raises(ParseError) as info:
+        roundtrip(doc)
+    assert str(info.value) == "bad algebra: an algebra has dimension at least 1"
+    path = tmp_path / "alg0.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for what in ("division", "quadratic"):
+        run = subprocess.run([sys.executable, "-m", "divalg.cli", "check", "--what", what,
+                              "--input", str(path)], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 2, (what, run.stdout, run.stderr)
+        assert "an algebra has dimension at least 1" in run.stdout
 
 
 def test_oversized_algebra_table_is_rejected_before_any_scalar(tmp_path, monkeypatch):
