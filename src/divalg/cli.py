@@ -179,7 +179,8 @@ def _resolve(args, kinds):
 
     Returns (object, report description).  A ParseError (exit 2) is raised
     unless exactly one source is given and it decodes to one of `kinds` (to
-    the flag's own kind, for the flags in _TYPED_SOURCES).
+    the flag's own kind, for the flags in _TYPED_SOURCES).  A file of
+    another kind is refused before it is decoded.
     """
     flags = [f for f in ("input", "builtin", "quadruple", "triple") if hasattr(args, f)]
     given = [f for f in flags if getattr(args, f)]
@@ -187,13 +188,13 @@ def _resolve(args, kinds):
         raise ParseError("give exactly one of " + ", ".join(f"--{f}" for f in flags))
     flag = given[0]
     value = getattr(args, flag)
+    accepted = (_TYPED_SOURCES[flag],) if flag in _TYPED_SOURCES else kinds
     if flag == "builtin":
         obj, desc = load_builtin(value), {"builtin": value}
     elif flag == "quadruple" and value == "random":
         obj, desc = random_quadruple(args.seed), {"quadruple": "random", "seed": args.seed}
     else:
-        obj, desc = load_typed_file(value), {"path": value}
-    accepted = (_TYPED_SOURCES[flag],) if flag in _TYPED_SOURCES else kinds
+        obj, desc = load_typed_file(value, accepted), {"path": value}
     if not isinstance(obj, accepted):
         names = " or ".join(k.__name__ for k in accepted)
         raise ParseError(f"{value} decodes to {type(obj).__name__}; expected {names}")

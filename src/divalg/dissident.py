@@ -24,12 +24,14 @@ from math import lcm
 from operator import mul
 
 from .exact import (
+    Contraction,
     DimensionError,
     Matrix,
     basis_vector,
     bilinear,
     cleared,
     cleared_tensor,
+    contraction_width,
     is_zero_vector,
     vector,
 )
@@ -274,12 +276,14 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     Each draw is decided in Python ints.  Scaling v, w or the tensor by a
     nonzero rational changes no span, so v and w are the integer draws
     (sample_integer_vector) and the tensor is its integer multiple
-    (cleared_tensor).  The Pluecker coordinates p_ij = v_i w_j - v_j w_i,
-    i < j, are all zero exactly when v and w are dependent.  Otherwise,
-    since t[j][i] = -t[i][j] and t[i][i] = 0, x = sum_{i<j} p_ij t[i][j].
-    Take the first nonzero p_ab: the coordinates a and b of v and w form an
-    invertible 2x2 system, so by Cramer's rule x is in span(v, w) exactly
-    when p_ab x = (x_a w_b - x_b w_a) v + (v_a x_b - v_b x_a) w, the only
+    (cleared_tensor).  v and w are dependent exactly when their Pluecker
+    coordinates p_ij = v_i w_j - v_j w_i, i < j, are all zero.  Otherwise
+    x = eta(v ^ w) = sum_{a,b} v_a w_b t[a][b] is one packed big-int
+    product (exact.Contraction), whose field width holds for every draw,
+    as no entry of a draw exceeds DRAW_BOUND.  Take the first nonzero
+    p_ab: the coordinates a and b of v and w form an invertible 2x2
+    system, so by Cramer's rule x is in span(v, w) exactly when
+    p_ab x = (x_a w_b - x_b w_a) v + (v_a x_b - v_b x_a) w, the only
     combination that matches x in those two coordinates.
     """
     if trials < 1:
@@ -288,17 +292,16 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     n = eta.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     cube = cleared_tensor(eta.tensor)[0]
-    # coordinate k of x is the dot product of the p_ij with the t[i][j][k]
-    planes = [[cube[i][j][k] for i, j in pairs] for k in range(n)]
+    eta_of = Contraction(cube, contraction_width(cube, DRAW_BOUND, n * DRAW_BOUND))
     while trials:
         v_draw, w_draw = sample_integer_vector(rng, n), sample_integer_vector(rng, n)
         v, w = v_draw[0], w_draw[0]
-        plucker = [v[i] * w[j] - v[j] * w[i] for i, j in pairs]
-        ab = next((k for k, p in enumerate(plucker) if p), None)
+        ab = next(((i, j) for i, j in pairs if v[i] * w[j] != v[j] * w[i]), None)
         if ab is None:
             continue
-        x = [sum(map(mul, plucker, plane)) for plane in planes]
-        (a, b), p = pairs[ab], plucker[ab]
+        x = eta_of(v, w)
+        a, b = ab
+        p = v[a] * w[b] - v[b] * w[a]
         alpha, beta = x[a] * w[b] - x[b] * w[a], v[a] * x[b] - v[b] * x[a]
         if all(p * xk == alpha * vk + beta * wk for xk, vk, wk in zip(x, v, w)):
             return as_fractions(v_draw), as_fractions(w_draw)

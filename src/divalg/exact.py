@@ -198,6 +198,68 @@ def minor_widths(norms) -> list:
     return widths
 
 
+def contraction_width(cube, x_bound, y_norm) -> int:
+    """The field width for Contraction(cube, width) and arguments x, y with
+    every |x_a| <= x_bound and sum |y_b| <= y_norm: every field of the
+    product, and every y_b, is then below 2**(width - 1) in absolute value.
+
+    A term x_a y_b' T[a][b][f] of the product lands in field
+    n f + b + n - 1 - b', so for a field and a b' there is one (b, f) at
+    most, and the field is at most sum_b' |y_b'| sum_a |x_a T[a][b][f]|,
+    which is at most x_bound * y_norm * tau, with tau the largest
+    sum_a |T[a][b][f]|."""
+    n = len(cube)
+    tau = max(sum(abs(plane[b][f]) for plane in cube) for b in range(n) for f in range(n))
+    return (max(1, x_bound) * max(1, y_norm) * max(1, tau)).bit_length() + 1
+
+
+class Contraction:
+    """The bilinear map (x, y) -> (sum_{a,b} x_a y_b T[a][b][f])_f of an
+    n x n x n cube T of ints, as one big-int product (Kronecker
+    substitution: von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+    With B = 2**width, each plane is packed once, P_a = sum_{b,f}
+    T[a][b][f] B**(n f + b), and y in reverse order, Y = sum_b y_b
+    B**(n - 1 - b) (pack).  Field n f + n - 1 of (sum_a x_a P_a) Y is then
+    sum_{a,b} x_a y_b T[a][b][f]: a term x_a y_b' T[a][b][f] lands in the
+    field n f + n - 1 + b - b', which has that form only if n divides
+    b - b', that is b = b'.  With width from contraction_width every field
+    is below B/2 in absolute value, so adding B/2 to each field of the
+    product (bias) reads every field without a borrow, and a packed Y is
+    0 exactly when every y_b is.
+    """
+
+    __slots__ = ("width", "widths", "planes", "bias", "reads", "fields")
+
+    def __init__(self, cube, width):
+        n = len(cube)
+        self.width, self.widths = width, [width] * n
+        self.planes = [pack([plane[b][f] for f in range(n) for b in range(n)], [width] * n * n)
+                       for plane in cube]
+        self.bias = pack([1] * n * n, [width] * n * n) << width - 1
+        self.reads = [width * (n * f + n - 1) for f in range(n)]
+        self.fields = sum(((1 << width) - 1) << shift for shift in self.reads)
+
+    def pack(self, y) -> int:
+        """Y: the entries of y in reverse order, one field each."""
+        return pack(y[::-1], self.widths)
+
+    def product(self, x, packed_y) -> int:
+        """(sum_a x_a P_a) * packed_y, with the bias added."""
+        return sum(map(mul, x, self.planes)) * packed_y + self.bias
+
+    def __call__(self, x, y) -> list:
+        """The n entries sum_{a,b} x_a y_b T[a][b][f]."""
+        total, half = self.product(x, self.pack(y)), 1 << self.width - 1
+        mask = (half << 1) - 1
+        return [(total >> shift & mask) - half for shift in self.reads]
+
+    def vanishes(self, x, packed_y) -> bool:
+        """Whether every entry of the contraction of x and the packed y is 0:
+        the fields read hold exactly the bias."""
+        return self.product(x, packed_y) & self.fields == self.bias & self.fields
+
+
 def _low_field(row, width) -> int:
     """The entry in field 0, width bits wide, of a packed row."""
     half = 1 << width - 1

@@ -67,8 +67,12 @@ are eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0 and rank A(u) <= n - 1,
 so rank n - 1 modulo a word-size prime proves that the eta_P line, the
 kernel of A(u), is defined at u; the few points the residue cannot decide
 go to the exact eta_P_point.  Where the line is defined, Phi(v) lies on it
-exactly when Phi(u) != 0 and A(u) Phi(u) = 0, so a candidate is checked by
-evaluating it and A(u) at every point.
+exactly when Phi(u) != 0 and A(u) Phi(u) = 0.  A candidate is checked at
+each point with its coefficients packed across the components, so that
+Phi(u) is one packed int, and A(u) Phi(u) = 0 is one packed big-int
+contraction of u and Phi(u) with the tensor (exact.Contraction).  With at
+most _EVAL_CHUNK samples, the scan screens its one block of points once
+and validates every degree on it.
 
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
@@ -94,7 +98,7 @@ from typing import NamedTuple
 from . import modkernel
 from .dissident import (DegenerateSpan, DissidentMap, eta_P_point, sample_integer_vector,
                         seeded_rng)
-from .exact import cleared_tensor, primitive_vector
+from .exact import Contraction, cleared_tensor, contraction_width, primitive_vector
 from .modkernel import invert_packed, pack, rref_packed, sparse_kernel, unpack
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -214,9 +218,10 @@ def _sparse_system(eta: DissidentMap, d) -> ConstraintSystem:
 
 def _interpolation_points(n, count, d, p):
     """``count`` points of (Z/p)^n drawn from a stream keyed by d and p, as
-    lists of n residues."""
+    lists of n residues, each drawn when it is read."""
     rng = seeded_rng(0, "interpolation-points", str(d), str(p))
-    return [[rng.randrange(p) for _ in range(n)] for _ in range(count)]
+    for _ in range(count):
+        yield [rng.randrange(p) for _ in range(n)]
 
 
 def _kernel_at_points(system, p):
@@ -244,16 +249,16 @@ def _kernel_at_points(system, p):
     V0^-1 y); with enough points it equals it.  Only the C x 2C inversion
     and a C-column kernel are eliminated, not the n*C columns of M.
 
-    One point stage in Python ints (_points_on_lines) reads twice C + E
-    seeded residue points in draw order.  Those where A(u) mod p has rank
-    n - 1 have a line (_PointLines).  k* is the first nonzero component
-    of the first line found, and the points whose line is nonzero at k*
-    are kept until there are C + E.  An entry of a line is a ratio of
-    (n - 1)-minors of A(u), a polynomial in u: one that is nonzero at a
-    point is a nonzero polynomial, which vanishes at few random points
-    (Schwartz), and one that is identically zero is never picked.  When
-    the draws run out first, or V0 is singular mod p, the prime is skipped
-    (modkernel.UnluckyPrime).
+    One point stage in Python ints (_points_on_lines) reads at most twice
+    C + E seeded residue points in draw order, each drawn as it is read.
+    Those where A(u) mod p has rank n - 1 have a line (_PointLines).  k*
+    is the first nonzero component of the first line found, and the
+    points whose line is nonzero at k* are kept until there are C + E.
+    An entry of a line is a ratio of (n - 1)-minors of A(u), a polynomial
+    in u: one that is nonzero at a point is a nonzero polynomial, which
+    vanishes at few random points (Schwartz), and one that is identically
+    zero is never picked.  When the draws run out first, or V0 is singular
+    mod p, the prime is skipped (modkernel.UnluckyPrime).
 
     The eliminations run on packed Python ints up to C = _PACKED_COLUMNS
     (_solve_packed) and in float64 numpy above (_solve_float64).  Both
@@ -531,18 +536,28 @@ def _block_failures(components, tensor):
     counts of its points where Phi(v) vanishes and where it is off the
     eta_P line, as (nonvanishing, line).
 
-    One lcm clears the denominators of all coefficients, and each point is
-    evaluated in Python ints as its monomials times the coefficients.  A
-    component of degree d is scaled by L**(D - d), with L = a/b the point's
-    scale and D the largest degree, and every component by the common
-    b**D, so that the value is the nonzero multiple lcm * b**D * L**D of
-    Phi(v) even when the degrees differ (only verify_lifting's candidates
-    can).  A nonzero value is on the line exactly when eta_P is defined
-    there and A(u) Phi(u) = 0, with A(u) the integer matrix whose rows are
+    One lcm clears the denominators of all coefficients.  A component of
+    degree d is scaled by L**(D - d), with L = a/b the point's scale and D
+    the largest degree, and every component by the common b**D, so that
+    the value is the nonzero multiple lcm * b**D * L**D of Phi(v) even
+    when the degrees differ (only verify_lifting's candidates can).  A
+    nonzero value is on the line exactly when eta_P is defined there and
+    A(u) Phi(u) = 0, with A(u) the integer matrix whose rows are
     eta(u ^ e_i), because A(u) then has rank n - 1 and its kernel is the
-    line.
+    line; a value with other than n entries is on no line of R^n.
+
+    Each block packs the coefficients of each monomial across the
+    components in reverse order, so that Phi(u), packed as
+    exact.Contraction takes its second argument, is C multiply-adds of
+    the point's monomials, and is 0 exactly when the packed int is.  Since
+    (A(u) Phi(u))_i = sum_{j,k} u_j Phi_k(u) t[j][i][k], A(u) Phi(u) = 0 is
+    the contraction of u and Phi(u) with T[j][k][i] = t[j][i][k] vanishing:
+    one product and a masked compare.  The field width is proven for the
+    block: no |u_j| exceeds the block's largest entry U, so
+    |Phi_k(u)| <= s U**d sum_c |coefficient|, with s the largest scale the
+    block gives degree d.
     """
-    n = len(tensor)
+    n, m = len(tensor), len(components)
     den = lcm(*(c.denominator for p in components for c in p.terms.values()))
     top = max((p.degree for p in components), default=0)
     by_degree = {}
@@ -550,49 +565,52 @@ def _block_failures(components, tensor):
         by_degree.setdefault(p.degree, []).append(k)
     blocks = []
     for d, ks in by_degree.items():
-        index = {m: i for i, m in enumerate(monomials(n, d))}
-        coeffs = []
+        index = {mono: i for i, mono in enumerate(monomials(n, d))}
+        coeffs = [[0] * m for _ in index]
         for k in ks:
-            row = [0] * len(index)
-            for m, c in components[k].terms.items():
-                row[index[m]] = c.numerator * (den // c.denominator)
-            coeffs.append((k, row))
-        blocks.append((d, _monomial_steps(n, d), coeffs))
-    # A(u)[i][k] = sum_j u_j t[j][i][k]
-    columns = [[[plane[i][k] for plane in tensor] for k in range(n)] for i in range(n)]
-
-    def on_line(u, value):
-        return not any(sum(sum(map(mul, u, column)) * x for column, x in zip(row, value))
-                       for row in columns)
+            for mono, c in components[k].terms.items():
+                coeffs[index[mono]][k] = c.numerator * (den // c.denominator)
+        norm = sum(abs(x) for column in coeffs for x in column)
+        blocks.append((d, _monomial_steps(n, d), coeffs, norm))
+    cube = [[[plane[i][k] for i in range(n)] for k in range(n)] for plane in tensor]
 
     def failures(lines):
+        points = lines.points
+        if len(blocks) > 1:
+            scales = [[L.numerator ** (top - d) * L.denominator ** d for d, *_ in blocks]
+                      for L in lines.scales]
+        else:
+            scales = [[1]] * len(points)
+        bound = max(max(map(abs, u)) for u in points)
+        y_norm = sum(max(s[i] for s in scales) * bound ** d * norm
+                     for i, (d, _, _, norm) in enumerate(blocks))
+        contraction = Contraction(cube, contraction_width(cube, bound, y_norm))
+        packed = [(steps, [contraction.pack(column) for column in coeffs])
+                  for _, steps, coeffs, _ in blocks]
         nonvanishing = line = 0
-        for u, L, defined in zip(*lines):
-            value = [0] * len(components)
-            for d, steps, coeffs in blocks:
-                table = _monomial_values(u, steps)
-                scale = L.numerator ** (top - d) * L.denominator ** d if len(blocks) > 1 else 1
-                for k, row in coeffs:
-                    value[k] = scale * sum(map(mul, table, row))
-            if not any(value):
+        for u, scale, defined in zip(points, scales, lines.defined):
+            value = sum(s * sum(map(mul, _monomial_values(u, steps), columns))
+                        for s, (steps, columns) in zip(scale, packed))
+            if not value:
                 nonvanishing += 1
-            # a value with other than n entries is on no line of R^n
-            elif not (len(value) == n and defined and on_line(u, value)):
+            elif not (m == n and defined and contraction.vanishes(u, value)):
                 line += 1
         return nonvanishing, line
 
     return failures
 
 
-def _sample_failures(eta: DissidentMap, candidates, samples, seed):
+def _sample_failures(eta: DissidentMap, candidates, samples, seed, blocks=None):
     """Pointwise condition (b) at every sample of _sample_lines, for each
     candidate (a sequence of components): the list of its (nonvanishing,
     line) failure counts.  Each block of points is drawn once, and every
-    candidate is evaluated on it before the next block is drawn."""
+    candidate is evaluated on it before the next block is drawn.  blocks,
+    when given, are those _sample_lines(eta, samples, seed) yields, already
+    drawn."""
     tensor = cleared_tensor(eta.tensor)[0]
     evaluators = [_block_failures(components, tensor) for components in candidates]
     totals = [[0, 0] for _ in evaluators]
-    for lines in _sample_lines(eta, samples, seed):
+    for lines in blocks or _sample_lines(eta, samples, seed):
         for total, failures in zip(totals, evaluators):
             nonvanishing, line = failures(lines)
             total[0] += nonvanishing
@@ -600,9 +618,9 @@ def _sample_failures(eta: DissidentMap, candidates, samples, seed):
     return [tuple(total) for total in totals]
 
 
-def _validate(eta: DissidentMap, candidates, samples, seed):
+def _validate(eta: DissidentMap, candidates, samples, seed, blocks=None):
     """The candidates for which condition (b) holds at every sample."""
-    failures = _sample_failures(eta, candidates, samples, seed)
+    failures = _sample_failures(eta, candidates, samples, seed, blocks)
     return [c for c, f in zip(candidates, failures) if f == (0, 0)]
 
 
@@ -656,7 +674,8 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     kernel one pass over the samples' defined flags, stopping at the first
     block with an undefined line, decides that no candidate of any degree
     can be validated, and raises NoLiftingFound with the message the end
-    of the scan would give.
+    of the scan would give.  When the samples fit in one block, that
+    block is the one every degree's validation evaluates.
 
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a
@@ -671,7 +690,11 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     if samples < 1:
         raise ValueError("at least one validation sample is required")
     no_lifting = f"no validated lifting up to degree {max_degree} ({samples} validation samples)"
-    if not all(all(lines.defined) for lines in _sample_lines(eta, samples, seed)):
+    # one block is drawn and screened once, here, and validated at every
+    # degree; more blocks are drawn again by each validation, so that
+    # memory stays at one block
+    blocks = list(_sample_lines(eta, samples, seed)) if samples <= _EVAL_CHUNK else None
+    if not all(all(lines.defined) for lines in blocks or _sample_lines(eta, samples, seed)):
         raise NoLiftingFound(no_lifting)
     scan = []
     for d in range(1, max_degree + 1):
@@ -688,7 +711,7 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         if not kernel:
             continue
         accepted = _validate(eta, [_components_from_vector(eta.n, d, vec) for vec in kernel],
-                             samples, seed)
+                             samples, seed, blocks)
         entry["validated"] = len(accepted)
         if not accepted:
             continue
@@ -714,9 +737,10 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
     """Check conditions (a), (b), (c) for a candidate lifting; returns a
     report dict (never raises on a failing condition).
 
-    For a lifting the scan computed, the scan already returned this report;
-    this function checks candidates from elsewhere with the same
-    certificates.  (a) is structural: n components in the n variables of
+    This is the library's checker for candidates from elsewhere; nothing in
+    the package calls it, since for a lifting the scan computed the scan
+    already returned this report.  It uses the same certificates.  (a) is
+    structural: n components in the n variables of
     eta's space, sharing one degree >= 1, not all zero.  The identity part
     of (b) is certified by the exact product M phi = 0, where M is the
     degree-d divided constraint system and phi the primitive coefficient

@@ -230,24 +230,28 @@ def matrix_from_json(data) -> Matrix:
     return _matrix(entries)
 
 
+# kind -> (the name of the class it decodes to, its decoder)
 _DECODERS = {
-    "dissident_map": map_from_json,
-    "dissident_triple": triple_from_json,
-    "matrix_quadruple": quadruple_from_json,
-    "algebra": algebra_from_json,
-    "lifting": lifting_from_json,
-    "matrix": matrix_from_json,
+    "dissident_map": ("DissidentMap", map_from_json),
+    "dissident_triple": ("DissidentTriple", triple_from_json),
+    "matrix_quadruple": ("MatrixQuadruple", quadruple_from_json),
+    "algebra": ("AlgebraPresentation", algebra_from_json),
+    "lifting": ("Lifting", lifting_from_json),
+    "matrix": ("Matrix", matrix_from_json),
 }
 
 
-def loads_typed(text: str):
+def loads_typed(text: str, kinds=None, source="document"):
     """Decode any kinded JSON document to its domain object.
 
     Every malformed document raises ParseError: invalid JSON (including
     nesting too deep to decode and integers over the int-digits limit), a
     missing or unknown kind, and any failure of the kind's decoder, which
     is reported as "bad <kind>: <reason>" (OverflowError is int() of a JSON
-    Infinity).
+    Infinity).  With ``kinds``, the classes the caller takes, a document of
+    any other kind raises "<source> decodes to <class>; expected <classes>"
+    before it is decoded, since a decoder can take long (a lifting's runs
+    a content GCD).
     """
     try:
         data = json.loads(text)
@@ -258,17 +262,22 @@ def loads_typed(text: str):
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in _DECODERS:
         raise ParseError(f"unknown kind {kind!r}")
+    name, decode = _DECODERS[kind]
+    if kinds is not None and name not in [k.__name__ for k in kinds]:
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(f"{source} decodes to {name}; expected {expected}")
     try:
-        return _DECODERS[kind](data)
+        return decode(data)
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise ParseError(f"bad {kind}: {exc}") from exc
 
 
-def load_typed_file(path):
+def load_typed_file(path, kinds=None):
+    """loads_typed of the file at path, which names it in a refusal."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return loads_typed(fh.read())
+            return loads_typed(fh.read(), kinds, path)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

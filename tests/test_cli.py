@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -725,12 +726,13 @@ class FreshRun(NamedTuple):
     blas_threads: int | None  # OpenBLAS's thread count, when numpy is loaded
 
 
-def _fresh_run(argv=None, cwd=None, env=None):
+def _fresh_run(argv=None, cwd=None, env=None, timeout=None):
     """A FreshRun of ``import divalg.cli`` and, unless argv is None,
     ``main(argv)`` in a fresh interpreter, with ``env`` added to the
-    environment.  OpenBLAS's own thread count is read through ctypes from
-    the library numpy loaded, as the benchmark reads it; it is None where
-    numpy is not loaded or the library has no such symbol."""
+    environment, ended after ``timeout`` seconds.  OpenBLAS's own thread
+    count is read through ctypes from the library numpy loaded, as the
+    benchmark reads it; it is None where numpy is not loaded or the
+    library has no such symbol."""
     script = f"""
 import ctypes, glob, io, json, os, sys
 from contextlib import redirect_stdout
@@ -758,7 +760,7 @@ print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          cwd=cwd, env={**os.environ, **(env or {}), "PYTHONPATH": src},
-                         check=True).stdout
+                         check=True, timeout=timeout).stdout
     code, loaded, environ_kept, threads = json.loads(out)
     return FreshRun(code, set(loaded), environ_kept, threads)
 
@@ -871,6 +873,23 @@ def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_
             assert code == 0
             emitted.add((tmp_path / "phi.json").read_bytes())
     assert len(emitted) == 1
+
+
+@pytest.mark.parametrize("command", [["check", "--what", "dissident"], ["build"]], ids=" ".join)
+def test_a_lifting_document_is_refused_before_it_is_decoded(tmp_path, command):
+    # no command takes a lifting, and its decoder runs a content GCD, which
+    # takes over a minute on this degree-5 document with 200-bit
+    # coefficients (360 kB); the kind is refused first, so neither poly nor
+    # sympy loads
+    from divalg.poly import monomials
+
+    rng = random.Random(3)
+    doc = {"kind": "lifting", "n": 7, "degree": 5, "components": [
+        [{"exponents": list(m), "coeff": str(rng.getrandbits(200) + 1)}
+         for m in monomials(7, 5)] for _ in range(7)]}
+    (tmp_path / "phi.json").write_text(json.dumps(doc), encoding="utf-8")
+    run = _fresh_run([*command, "--input", "phi.json"], cwd=tmp_path, timeout=30)
+    assert run.code == 2 and not run.loaded & {"divalg.poly", "sympy"}
 
 
 def test_cli_import_leaves_sympy_unloaded():

@@ -232,10 +232,12 @@ def test_dissidence_memory_does_not_grow_with_the_budget(traced_peaks):
 
 def test_dissidence_falsify_is_invariant_under_scaling_eta():
     # [v; w; c eta(v ^ w)] has the rank of [v; w; eta(v ^ w)] for c != 0;
-    # c = -7/3 also gives the tensor denominators to clear
-    for eta, seed, trials in WITNESS_CASES:
-        assert (dissidence_falsify(scaled_map(eta, Fraction(-7, 3)), trials, seed)
-                == dissidence_falsify(eta, trials, seed))
+    # c = -7/3 also gives the tensor denominators to clear, and
+    # c = (2**300 + 1) / 3 widens the packed fields past 300 bits
+    for c in (Fraction(-7, 3), Fraction(2**300 + 1, 3)):
+        for eta, seed, trials in WITNESS_CASES:
+            assert (dissidence_falsify(scaled_map(eta, c), trials, seed)
+                    == dissidence_falsify(eta, trials, seed))
 
 
 def test_random_quadruples_are_dissident():

@@ -4,11 +4,13 @@ from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divalg.exact import (
+    Contraction,
     DimensionError,
     Matrix,
+    contraction_width,
     dot,
     is_rational_square,
     primitive_vector,
@@ -226,6 +228,52 @@ def test_products_match_fraction_sums(rows, inner, cols, data):
     assert image == tuple(_fraction_dot(row, v) for row in a.entries)
     assert all(type(x) is Fraction for x in image)
     assert dot(a.row(0), v) == _fraction_dot(a.row(0), v)
+
+
+def _contraction_cases(n):
+    """(t, x, y): an n x n x n cube and two vectors, signed entries up to 2**200."""
+    ints = st.integers(-2**200, 2**200)
+    vectors = st.lists(ints, min_size=n, max_size=n)
+    cubes = st.lists(st.lists(vectors, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(cubes, vectors, vectors)
+
+
+_TOP = [2**200] * 7
+
+
+@pytest.mark.parametrize("order", ["t[a][b][f]", "t[a][f][b]"])
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from((1, 3, 7)).flatmap(_contraction_cases))
+@example(case=([[_TOP] * 7] * 7, _TOP, _TOP))
+@example(case=([[[-x for x in _TOP]] * 7] * 7, _TOP, [-x for x in _TOP]))
+def test_contraction_matches_the_triple_sum(order, case):
+    # x and y contract with the slots a and b of the cube, which holds t
+    # as the falsifier does, or with the slots j and k of t[j][i][k] as the
+    # pointwise validation does; all entries at 2**200 put a field exactly
+    # at the bound contraction_width proves
+    t, x, y = case
+    n = len(t)
+    if order == "t[a][b][f]":
+        cube = t
+        expected = [sum(x[a] * y[b] * t[a][b][f] for a in range(n) for b in range(n))
+                    for f in range(n)]
+    else:
+        cube = [[[t[a][f][b] for f in range(n)] for b in range(n)] for a in range(n)]
+        expected = [sum(x[j] * y[k] * t[j][i][k] for j in range(n) for k in range(n))
+                    for i in range(n)]
+    contraction = Contraction(cube, contraction_width(cube, max(map(abs, x)),
+                                                      sum(map(abs, y))))
+    assert contraction(x, y) == expected
+    assert contraction.vanishes(x, contraction.pack(y)) == (not any(expected))
+    assert (contraction.pack(y) == 0) == (not any(y))
+    # antisymmetric in the slots of x and y, the cube contracts x with
+    # itself to 0 between fields that do not vanish
+    anti = [[[cube[a][b][f] - cube[b][a][f] for f in range(n)] for b in range(n)]
+            for a in range(n)]
+    contraction = Contraction(anti, contraction_width(anti, max(map(abs, x)),
+                                                      sum(map(abs, x))))
+    assert contraction(x, x) == [0] * n
+    assert contraction.vanishes(x, contraction.pack(x))
 
 
 def test_rank_and_solve():

@@ -435,11 +435,12 @@ def test_verify_lifting_failures():
 
 
 def test_lift_computes_each_sample_line_once():
-    # each sample's eta_P line is screened once per pass over the samples:
-    # the scan draws them once for their defined flags before its first
-    # kernel and once to validate, the lift report reuses the scan's proofs
-    # instead of calling verify_lifting, and the screen decides every
-    # sample of a dissident map, so the exact eta_P_point never runs
+    # each sample's eta_P line is screened once: the scan draws its one
+    # block of samples for their defined flags before its first kernel and
+    # validates every degree on that block, the lift report reuses the
+    # scan's proofs instead of calling verify_lifting, and the screen
+    # decides every sample of a dissident map, so the exact eta_P_point
+    # never runs
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -463,7 +464,7 @@ print(code, calls["_sample_lines"], calls["eta_P_point"])
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "2", "0"]
+    assert out.split() == ["0", "1", "0"]
 
 
 def test_validation_memory_does_not_grow_with_the_samples(monkeypatch, traced_peaks):
@@ -775,18 +776,21 @@ def _reference_sample_failures(components, lines):
 
 def _candidates(phi):
     """Candidates derived from a lifting's components: itself, a rational
-    multiple, two components swapped, a common factor x0, one nonzero
-    component, and mixed degrees (every component but the first times
-    x_{n-1}, which is Phi(v) wherever v_{n-1} = 1)."""
+    multiple, a multiple by 2**200 + 1 (which widens the packed fields),
+    two components swapped, a common factor x0, one nonzero component, its
+    first n - 1 components only, and mixed degrees (every component but
+    the first times x_{n-1}, which is Phi(v) wherever v_{n-1} = 1)."""
     n = len(phi)
     zero = HomogeneousPoly.zero(n, phi[0].degree)
     x0, last = HomogeneousPoly.variable(n, 0), HomogeneousPoly.variable(n, n - 1)
     return {
         "lifting": phi,
         "rescaled": tuple(p.scale(Fraction(2, 7)) for p in phi),
+        "wide": tuple(p.scale(2**200 + 1) for p in phi),
         "swapped": (phi[1], phi[0]) + phi[2:],
         "x0": tuple(x0 * p for p in phi),
         "single": (phi[0],) + (zero,) * (n - 1),
+        "short": phi[:n - 1],
         "mixed": (phi[0],) + tuple(p * last for p in phi[1:]),
     }
 
@@ -990,7 +994,7 @@ def test_points_solve_skips_a_prime_whose_v0_is_singular(monkeypatch):
     draw = _interpolation_points
 
     def repeated(n, count, d, p):
-        points = draw(n, count, d, p)
+        points = list(draw(n, count, d, p))
         if p == modkernel.PRIMES[0]:
             points[1] = points[0]
         return points
@@ -1012,7 +1016,7 @@ def test_degree_raises_when_no_prime_verifies(monkeypatch):
     draw = _interpolation_points
 
     def repeating(n, count, d, p):
-        points = draw(n, count, d, p)
+        points = list(draw(n, count, d, p))
         first = monomial_count(n, d)
         points[first:] = [points[s % first] for s in range(first, count)]
         return points

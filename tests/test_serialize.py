@@ -176,7 +176,8 @@ def test_lifting_degree_over_the_cap_is_a_parse_error():
 def test_lifting_in_too_many_variables_is_a_parse_error(tmp_path):
     # x0, x1 and 1998 zero components in 2000 variables (14 KB): sympy's
     # conversion for the content GCD recursed once per variable, past the
-    # recursion limit; the cap rejects the document before any polynomial
+    # recursion limit; the cap rejects the document before any polynomial,
+    # and the CLI, where no command takes a lifting, refuses its kind first
     n = 2000
     unit = [[1 if i == k else 0 for i in range(n)] for k in (0, 1)]
     doc = {"kind": "lifting", "n": n, "degree": 1, "components": [
@@ -188,7 +189,9 @@ def test_lifting_in_too_many_variables_is_a_parse_error(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with redirect_stdout(io.StringIO()) as out:
         assert main(["degree", "--input", str(path)]) == 2
-    assert "n 2000 is over the cap of 16" in json.loads(out.getvalue())["error"]
+    assert json.loads(out.getvalue())["error"] == (f"parse error: {path} decodes to Lifting; "
+                                                   "expected DissidentMap or DissidentTriple "
+                                                   "or MatrixQuadruple")
 
 
 def test_tensor_of_the_wrong_shape_is_rejected_before_any_scalar(tmp_path, monkeypatch):
