@@ -1,34 +1,44 @@
 """Embedded golden inputs: the vector products, their algebras, and the
 identity quadruple.  These ship with the package so acceptance runs need no
-setup files."""
+setup files.
+
+Each constructor imports what it builds, so importing BUILTINS and
+load_builtin loads no other module."""
 
 from __future__ import annotations
 
-from .dissident import DissidentTriple, MatrixQuadruple, cross_product_map
-from .exact import Matrix
-from .octonion import structure_table
-from .qda import AlgebraPresentation
-
 
 def cross7_triple():
+    from .dissident import DissidentTriple, cross_product_map
+    from .exact import Matrix
+
     return DissidentTriple(7, Matrix.zeros(7, 7), cross_product_map(7))
 
 
 def cross3_triple():
+    from .dissident import DissidentTriple, cross_product_map
+    from .exact import Matrix
+
     return DissidentTriple(3, Matrix.zeros(3, 3), cross_product_map(3))
 
 
-def octonion_algebra() -> AlgebraPresentation:
-    table = structure_table(8)
-    return AlgebraPresentation(table, [1, 0, 0, 0, 0, 0, 0, 0])
+def octonion_algebra():
+    from .octonion import structure_table
+    from .qda import AlgebraPresentation
+
+    return AlgebraPresentation(structure_table(8), [1, 0, 0, 0, 0, 0, 0, 0])
 
 
-def quaternion_algebra() -> AlgebraPresentation:
-    table = structure_table(4)
-    return AlgebraPresentation(table, [1, 0, 0, 0])
+def quaternion_algebra():
+    from .octonion import structure_table
+    from .qda import AlgebraPresentation
+
+    return AlgebraPresentation(structure_table(4), [1, 0, 0, 0])
 
 
-def identity_quadruple() -> MatrixQuadruple:
+def identity_quadruple():
+    from .dissident import MatrixQuadruple
+
     return MatrixQuadruple.identity()
 
 

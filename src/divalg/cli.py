@@ -9,6 +9,13 @@ Exit codes: 0 success / check passed; 1 counterexample, failed check, or
 round-trip mismatch; 2 parse error; 3 no lifting found (input not dissident
 within budget, or a kernel beyond the prime ladder); 4 ambiguous kernel; 5
 parity violation (solver bug signal).
+
+Each process runs one command, and starting it is a large share of a
+command's time, since every module it loads is compiled from source where
+no bytecode cache is written.  So this module imports at its top only what
+every command runs (dissident, exact, serialize), each command imports the
+rest itself, and main builds the argument parser of the named command
+alone.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import os
 import sys
 
 from . import __version__
-from .builtins import BUILTINS, load_builtin
 from .dissident import (
     DissidentMap,
     DissidentTriple,
@@ -29,18 +35,6 @@ from .dissident import (
     triple_morphism_check,
 )
 from .exact import Matrix
-from .octonion import NotQuadratic, g2_check, structure_table
-from .qda import (
-    AlgebraPresentation,
-    BadDimension,
-    IndefiniteForm,
-    IrrationalGram,
-    algebra_morphism_check,
-    division_check,
-    make_qda,
-    quadratic_check,
-    recover_triple,
-)
 from .serialize import (
     ParseError,
     algebra_to_json,
@@ -87,67 +81,91 @@ def _add_common(sub, budgets=True):
                          help="largest candidate degree scanned (default 5)")
 
 
+# The names of the embedded inputs, the keys of builtins.BUILTINS, listed
+# here so that building a parser loads no module to offer them.
+BUILTIN_NAMES = ("cross3", "cross7", "identity-quadruple", "octonions", "quaternions")
+
+
 def _add_input_flags(sub):
     sub.add_argument("--input", metavar="PATH",
                      help="kinded JSON input (map, triple, or quadruple)")
-    sub.add_argument("--builtin", choices=sorted(BUILTINS),
+    sub.add_argument("--builtin", choices=BUILTIN_NAMES,
                      help="use an embedded input")
     sub.add_argument("--quadruple", metavar="random|PATH",
                      help="'random' (from --seed) or a quadruple JSON path")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="divalg",
-        description="Exact computations with dissident maps, their liftings, "
-                    "and the quadratic division algebras they generate.",
-    )
-    parser.add_argument("--version", action="version", version=f"divalg {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _add_emit(sub, what):
+    sub.add_argument("--emit", metavar="PATH", help=f"write the bare {what} JSON to PATH")
 
-    p = subs.add_parser("degree", help="degree of a dissident map via the minimal lifting")
+
+def _add_input_and_common(p):
     _add_input_flags(p)
     _add_common(p)
 
-    p = subs.add_parser("lift", help="compute and verify the lifting of the projective map")
+
+def _add_lift(p):
     _add_input_flags(p)
-    p.add_argument("--emit", metavar="PATH", help="write the bare lifting JSON to PATH")
+    _add_emit(p, "lifting")
     _add_common(p)
 
-    p = subs.add_parser("check", help="run one exact or sampled check")
+
+def _add_check(p):
     p.add_argument("--what", required=True,
                    choices=["division", "quadratic", "dissident", "g2"])
     _add_input_flags(p)
     p.add_argument("--matrix", metavar="PATH", help="matrix JSON (for --what g2)")
     _add_common(p)
 
-    p = subs.add_parser("build", help="build the algebra of a triple or quadruple")
+
+def _add_build(p):
     p.add_argument("--triple", metavar="PATH", help="triple JSON path")
     _add_input_flags(p)
-    p.add_argument("--emit", metavar="PATH", help="write the bare algebra JSON to PATH")
+    _add_emit(p, "algebra")
     _add_common(p)
 
-    p = subs.add_parser("recover", help="recover the triple of a quadratic presentation")
+
+def _add_recover(p):
     p.add_argument("--input", metavar="PATH", help="algebra JSON path")
     p.add_argument("--builtin", choices=["octonions", "quaternions"])
-    p.add_argument("--emit", metavar="PATH", help="write the bare triple JSON to PATH")
+    _add_emit(p, "triple")
     _add_common(p)
 
-    p = subs.add_parser("roundtrip", help="build then recover; exit 0 iff exactly equal")
-    _add_input_flags(p)
-    _add_common(p)
 
-    p = subs.add_parser("morphism", help="check a triple or algebra morphism")
+def _add_morphism(p):
     p.add_argument("--kind", required=True, choices=["triple", "algebra"])
     p.add_argument("--src", required=True, metavar="PATH|builtin")
     p.add_argument("--dst", required=True, metavar="PATH|builtin")
     p.add_argument("--f", required=True, metavar="PATH", help="matrix JSON of the map")
     _add_common(p)
 
-    p = subs.add_parser("table-dump", help="dump a structure-constant tensor")
+
+def _add_table_dump(p):
     p.add_argument("--builtin", choices=["octonions", "quaternions"], default="octonions")
-    p.add_argument("--emit", metavar="PATH", help="write the bare tensor JSON to PATH")
+    _add_emit(p, "tensor")
     _add_common(p, budgets=False)
+
+
+def build_parser(command=None):
+    """The argument parser of every command, or of ``command`` alone.
+
+    Both parse a command's argv alike.  argparse reports an unrecognized
+    argument with the top-level usage, which lists every command, so the
+    parser of one command gives its subparsers that list as their metavar.
+    The full parser gives none, since a metavar would also rename the
+    argument in its "required" and "invalid choice" errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="divalg",
+        description="Exact computations with dissident maps, their liftings, "
+                    "and the quadratic division algebras they generate.",
+    )
+    parser.add_argument("--version", action="version", version=f"divalg {__version__}")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(subs.add_parser(name, help=help_text))
     return parser
 
 
@@ -155,20 +173,35 @@ def build_parser():
 # input plumbing
 
 
-# Conversions between input kinds, all through the triple: quadruple ->
-# triple -> map, triple -> algebra, and a bare map is the triple with xi = 0.
+def _make_qda(triple):
+    from .qda import make_qda
+
+    return make_qda(triple)
+
+
+# Conversions between input kinds, by class name, all through the triple:
+# quadruple -> triple -> map, triple -> algebra, and a bare map is the
+# triple with xi = 0.  The algebra is named, not imported, so that only the
+# commands that work on algebras load qda.
 _CONVERT = {
-    (MatrixQuadruple, DissidentTriple): quadruple_to_triple,
-    (DissidentMap, DissidentTriple): lambda eta: DissidentTriple(
+    ("MatrixQuadruple", "DissidentTriple"): quadruple_to_triple,
+    ("DissidentMap", "DissidentTriple"): lambda eta: DissidentTriple(
         eta.n, Matrix.zeros(eta.n, eta.n), eta),
-    (DissidentTriple, DissidentMap): lambda triple: triple.eta,
-    (DissidentTriple, AlgebraPresentation): make_qda,
+    ("DissidentTriple", "DissidentMap"): lambda triple: triple.eta,
+    ("DissidentTriple", "AlgebraPresentation"): _make_qda,
 }
 
 # The kinds a command takes, the first being the one it works on.
 _MAP_INPUT = (DissidentMap, DissidentTriple, MatrixQuadruple)
 _TRIPLE_INPUT = (DissidentTriple, DissidentMap, MatrixQuadruple)
-_ALGEBRA_INPUT = (AlgebraPresentation, DissidentTriple, MatrixQuadruple)
+
+
+def _algebra_input():
+    """The kinds an algebra command takes, the algebra first (loads qda)."""
+    from .qda import AlgebraPresentation
+
+    return (AlgebraPresentation, DissidentTriple, MatrixQuadruple)
+
 
 # Source flags that name the one kind their file must hold.
 _TYPED_SOURCES = {"quadruple": MatrixQuadruple, "triple": DissidentTriple}
@@ -190,6 +223,8 @@ def _resolve(args, kinds):
     value = getattr(args, flag)
     accepted = (_TYPED_SOURCES[flag],) if flag in _TYPED_SOURCES else kinds
     if flag == "builtin":
+        from .builtins import load_builtin
+
         obj, desc = load_builtin(value), {"builtin": value}
     elif flag == "quadruple" and value == "random":
         obj, desc = random_quadruple(args.seed), {"quadruple": "random", "seed": args.seed}
@@ -200,9 +235,9 @@ def _resolve(args, kinds):
         raise ParseError(f"{value} decodes to {type(obj).__name__}; expected {names}")
     wanted = kinds[0]
     if not isinstance(obj, (wanted, DissidentTriple)):
-        obj = _CONVERT[type(obj), DissidentTriple](obj)
+        obj = _CONVERT[type(obj).__name__, "DissidentTriple"](obj)
     if not isinstance(obj, wanted):
-        obj = _CONVERT[DissidentTriple, wanted](obj)
+        obj = _CONVERT["DissidentTriple", wanted.__name__](obj)
     return obj, desc
 
 
@@ -252,11 +287,6 @@ def _pair_to_json(witness):
 
 
 def cmd_degree(args, emit_lifting=False):
-    # imported here: most commands never need the polynomials or the mod-p
-    # layer
-    from .lifting import AmbiguousKernel, NoLiftingFound, solve_lifting_scan
-    from .modkernel import ModularKernelError
-
     eta, desc = _resolve(args, _MAP_INPUT)
     report = _header(args, "lift" if emit_lifting else "degree")
     report["input"] = desc
@@ -267,6 +297,9 @@ def cmd_degree(args, emit_lifting=False):
         report["error"] = "input is not dissident; no lifting exists"
         _emit(report, args)
         return EXIT_NO_LIFTING
+    from .lifting import AmbiguousKernel, NoLiftingFound, solve_lifting_scan
+    from .modkernel import ModularKernelError
+
     try:
         lifting, scan, verification = solve_lifting_scan(
             eta, samples=args.samples, seed=args.seed, max_degree=args.max_degree
@@ -297,11 +330,11 @@ def cmd_check(args):
     report = _header(args, "check")
     report["what"] = args.what
     if args.what == "g2":
+        from .octonion import g2_check
+
         if not args.matrix:
             raise ParseError("--what g2 needs --matrix PATH")
-        m = load_typed_file(args.matrix)
-        if not isinstance(m, Matrix):
-            raise ParseError("--matrix file must carry kind matrix")
+        m = load_typed_file(args.matrix, (Matrix,))
         report["input"] = {"path": args.matrix}
         ok = _shape_checked(g2_check, m)
         report["pass"] = ok
@@ -319,7 +352,9 @@ def cmd_check(args):
         _emit(report, args)
         return EXIT_OK if witness is None else EXIT_FAIL
 
-    alg, desc = _resolve(args, _ALGEBRA_INPUT)
+    from .qda import division_check, quadratic_check
+
+    alg, desc = _resolve(args, _algebra_input())
     report["input"] = desc
     if args.what == "quadratic":
         ok = quadratic_check(alg)
@@ -338,7 +373,7 @@ def cmd_check(args):
 
 
 def cmd_build(args):
-    alg, desc = _resolve(args, _ALGEBRA_INPUT)
+    alg, desc = _resolve(args, _algebra_input())
     report = _header(args, "build")
     report["input"] = desc
     doc = algebra_to_json(alg)
@@ -348,6 +383,10 @@ def cmd_build(args):
 
 
 def cmd_recover(args):
+    from .octonion import NotQuadratic
+    from .qda import (AlgebraPresentation, BadDimension, IndefiniteForm, IrrationalGram,
+                      recover_triple)
+
     alg, desc = _resolve(args, (AlgebraPresentation,))
     report = _header(args, "recover")
     report["input"] = desc
@@ -372,6 +411,9 @@ def cmd_recover(args):
 
 
 def cmd_roundtrip(args):
+    from .octonion import NotQuadratic
+    from .qda import BadDimension, IndefiniteForm, IrrationalGram, make_qda, recover_triple
+
     triple, desc = _resolve(args, _TRIPLE_INPUT)
     report = _header(args, "roundtrip")
     report["input"] = desc
@@ -398,18 +440,19 @@ def cmd_roundtrip(args):
 def cmd_morphism(args):
     report = _header(args, "morphism")
     report["kind"] = args.kind
-    f = load_typed_file(args.f)
-    if not isinstance(f, Matrix):
-        raise ParseError("--f must be a matrix JSON")
-    triple = args.kind == "triple"
-    kinds = _TRIPLE_INPUT if triple else _ALGEBRA_INPUT
+    f = load_typed_file(args.f, (Matrix,))
+    if args.kind == "triple":
+        kinds, check = _TRIPLE_INPUT, triple_morphism_check
+    else:
+        from .qda import algebra_morphism_check
+
+        kinds, check = _algebra_input(), algebra_morphism_check
     # a side names a builtin or a file, of any kind that roundtrip (a
     # triple side) or build (an algebra side) accepts
-    sides = [_resolve(argparse.Namespace(**{"builtin" if value in BUILTINS else "input": value}),
-                      kinds)[0]
+    sides = [_resolve(argparse.Namespace(**{"builtin" if value in BUILTIN_NAMES else "input":
+                                            value}), kinds)[0]
              for value in (args.src, args.dst)]
     report["input"] = {"src": args.src, "dst": args.dst, "f": args.f}
-    check = triple_morphism_check if triple else algebra_morphism_check
     ok = _shape_checked(check, *sides, f)
     report["pass"] = ok
     _emit(report, args)
@@ -417,6 +460,8 @@ def cmd_morphism(args):
 
 
 def cmd_table_dump(args):
+    from .octonion import structure_table
+
     dim = 8 if args.builtin == "octonions" else 4
     table = structure_table(dim)
     report = _header(args, "table-dump")
@@ -426,15 +471,19 @@ def cmd_table_dump(args):
     return EXIT_OK
 
 
-_HANDLERS = {
-    "degree": cmd_degree,
-    "lift": cmd_lift,
-    "check": cmd_check,
-    "build": cmd_build,
-    "recover": cmd_recover,
-    "roundtrip": cmd_roundtrip,
-    "morphism": cmd_morphism,
-    "table-dump": cmd_table_dump,
+# name -> (help, the adder of its arguments, handler), in the order the
+# full parser lists them
+_COMMANDS = {
+    "degree": ("degree of a dissident map via the minimal lifting",
+               _add_input_and_common, cmd_degree),
+    "lift": ("compute and verify the lifting of the projective map", _add_lift, cmd_lift),
+    "check": ("run one exact or sampled check", _add_check, cmd_check),
+    "build": ("build the algebra of a triple or quadruple", _add_build, cmd_build),
+    "recover": ("recover the triple of a quadratic presentation", _add_recover, cmd_recover),
+    "roundtrip": ("build then recover; exit 0 iff exactly equal",
+                  _add_input_and_common, cmd_roundtrip),
+    "morphism": ("check a triple or algebra morphism", _add_morphism, cmd_morphism),
+    "table-dump": ("dump a structure-constant tensor", _add_table_dump, cmd_table_dump),
 }
 
 
@@ -449,10 +498,13 @@ def main(argv=None) -> int:
         # that has loaded numpy already keeps its setting.
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         os.environ["OMP_NUM_THREADS"] = "1"
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command named first is the one argparse picks: only its parser is
+    # built, and every other argv gets the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ParseError as exc:
         sys.stdout.write(canonical_json({"error": f"parse error: {exc}"}))
         return EXIT_PARSE

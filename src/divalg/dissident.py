@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import mul
 
@@ -35,7 +36,6 @@ from .exact import (
     is_zero_vector,
     vector,
 )
-from .octonion import CROSS3_TENSOR, CROSS7_TENSOR
 
 
 class ZeroVector(ValueError):
@@ -54,7 +54,7 @@ class InvariantViolation(ValueError):
 class DissidentMap:
     """Antisymmetric structure tensor t with eta(e_i ^ e_j) = sum_k t[i][j][k] e_k."""
 
-    __slots__ = ("n", "tensor")
+    __slots__ = ("n", "tensor", "_integer_tensor")
 
     def __init__(self, n, tensor):
         if n not in (3, 7):
@@ -86,9 +86,23 @@ class DissidentMap:
     def __call__(self, v, w):
         return eval_eta(self, v, w)
 
+    @property
+    def integer_tensor(self):
+        """The tensor times the lcm of its denominators, as nested lists of
+        ints (exact.cleared_tensor): the form every integer computation on
+        the map reads, computed on first use and kept, so callers must not
+        change it."""
+        try:
+            return self._integer_tensor
+        except AttributeError:
+            object.__setattr__(self, "_integer_tensor", cleared_tensor(self.tensor)[0])
+            return self._integer_tensor
+
 
 def cross_product_map(n) -> DissidentMap:
     """The vector product on R^3 or R^7 as a dissident map."""
+    from .octonion import CROSS3_TENSOR, CROSS7_TENSOR
+
     tensor = {3: CROSS3_TENSOR, 7: CROSS7_TENSOR}[n]
     return DissidentMap(n, tensor)
 
@@ -162,9 +176,14 @@ class MatrixQuadruple:
         return MatrixQuadruple(zero, zero, eye, eye)
 
 
-# The nonzero entries (a, b, k, t) of the integer vector product tensor on R^7.
-_CROSS7_TERMS = tuple((a, b, k, t) for a, plane in enumerate(CROSS7_TENSOR)
-                      for b, cell in enumerate(plane) for k, t in enumerate(cell) if t)
+@cache
+def _cross7_terms():
+    """The nonzero entries (a, b, k, t) of the integer vector product tensor
+    on R^7."""
+    from .octonion import CROSS7_TENSOR
+
+    return tuple((a, b, k, t) for a, plane in enumerate(CROSS7_TENSOR)
+                 for b, cell in enumerate(plane) for k, t in enumerate(cell) if t)
 
 
 def quadruple_to_triple(q: MatrixQuadruple) -> DissidentTriple:
@@ -181,13 +200,14 @@ def quadruple_to_triple(q: MatrixQuadruple) -> DissidentTriple:
     bc_d, mu = cleared([x for row in ((q.b + q.c) * q.d).entries for x in row])
     rows = [bc_d[7 * i:7 * i + 7] for i in range(7)]
     den = mu * delta * delta
+    terms = _cross7_terms()
     zero = (Fraction(0),) * 7
     tensor = [[zero] * 7 for _ in range(7)]
     for i in range(7):
         for j in range(i + 1, 7):
             x, y = cols[i], cols[j]
             cross = [0] * 7
-            for a, b, k, t in _CROSS7_TERMS:
+            for a, b, k, t in terms:
                 cross[k] += t * x[a] * y[b]
             cell = [sum(map(mul, row, cross)) for row in rows]
             tensor[i][j] = tuple(Fraction(c, den) for c in cell)
@@ -291,7 +311,7 @@ def dissidence_falsify(eta: DissidentMap, trials: int, seed):
     rng = seeded_rng(seed, "dissidence")
     n = eta.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cube = cleared_tensor(eta.tensor)[0]
+    cube = eta.integer_tensor
     eta_of = Contraction(cube, contraction_width(cube, DRAW_BOUND, n * DRAW_BOUND))
     while trials:
         v_draw, w_draw = sample_integer_vector(rng, n), sample_integer_vector(rng, n)

@@ -14,21 +14,22 @@ entries of nearly its own size.  The candidate is then certified by the
 system's exact annihilates.
 
 The eliminations mod p come in two forms.  On packed Python ints
-(rref_packed, invert_packed, and _kernel_mod_p of a list of rows) a row of
-residues is one int with one 64-bit field per entry (after Dumas, Fousse &
-Salvy, "Simultaneous modular reduction and Kronecker substitution for
-small finite fields", J. Symbolic Comput. 46, 2011): a row operation is one
-multiply and one add of big ints, and a field is reduced mod p only when
-it is read.  In float64 numpy (_rref_mod, and _kernel_mod_p of an array)
-all intermediate values stay below 2**53, so the arithmetic is exact
-integer arithmetic, and every reduction mod p goes through _reduce.  They
-are blocked by columns: pivots are found one at a time only inside panels
-of 64 columns, and each panel's row transform reaches the rest of the
-matrix in one matmul.  numpy is imported only inside the float64
-eliminations, since its import costs more than the small systems' whole
-solve: lifting._kernel_at_points runs on packed ints up to
-lifting._PACKED_COLUMNS columns and in float64 above, and finds its lines
-at points on packed ints either way (lifting._PointLines).
+(echelon_packed, rref_packed, invert_packed, and _kernel_mod_p of a list
+of rows) a row of residues is one int with one 64-bit field per entry
+(after Dumas, Fousse & Salvy, "Simultaneous modular reduction and
+Kronecker substitution for small finite fields", J. Symbolic Comput. 46,
+2011): a row operation is one multiply and one add of big ints, and a
+field is reduced mod p only when it is read.  In float64 numpy (_rref_mod,
+and _kernel_mod_p of an array) all intermediate values stay below 2**53,
+so the arithmetic is exact integer arithmetic, and every reduction mod p
+goes through _reduce.  They are blocked by columns: pivots are found one
+at a time only inside panels of 64 columns, and each panel's row
+transform reaches the rest of the matrix in one matmul.  numpy is
+imported only inside the float64 eliminations, since its import costs
+more than the small systems' whole solve: lifting._kernel_at_points runs
+on packed ints up to lifting._PACKED_COLUMNS columns and in float64
+above, and finds its lines at points on packed ints either way
+(lifting._PointLines).
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -278,21 +279,23 @@ def _kernel_mod_p(a, p):
     ints, shape dim x ncols, pivot column tuple), the form a solve of
     sparse_kernel returns.  ``a`` is a float64 array, eliminated in numpy
     and overwritten, or a list of rows of residues, eliminated on packed
-    ints (rref_packed)."""
+    ints: an echelon basis (echelon_packed), from which each free column's
+    kernel vector is read by back substitution (_back_substitute)."""
     if isinstance(a, list):
         ncols = len(a[0])
-        reduced, pivots = rref_packed(map(pack, a), ncols, p)
+        basis, pivots = echelon_packed(map(pack, a), ncols, p)
         free = _off_pivot(ncols, pivots)
         if not free:
             return None
-        basis = []
-        for f in free:
+        solved = _back_substitute(basis, pivots, free, ncols, p)
+        kernel = []
+        for t, f in enumerate(free):
             vec = [0] * ncols
             vec[f] = 1
-            for c, row in zip(pivots, reduced):
-                vec[c] = -(row >> 64 * f & _FIELD) % p
-            basis.append(pack(vec))
-        reduced, pivots = rref_packed(basis, ncols, p)
+            for c, row in zip(pivots, solved):
+                vec[c] = -row[t] % p
+            kernel.append(pack(vec))
+        reduced, pivots = rref_packed(kernel, ncols, p)
         return [unpack(row, ncols, p) for row in reduced], tuple(pivots)
     import numpy as np
 
@@ -302,6 +305,32 @@ def _kernel_mod_p(a, p):
     basis = _kernel_from_rref(reduced, pivots, free, p)
     reduced, pivots, _ = _rref_mod(np.ascontiguousarray(basis.T), p)
     return reduced[: len(pivots)].astype(np.int64).tolist(), tuple(pivots)
+
+
+def _back_substitute(basis, pivots, free, ncols, p):
+    """The entries in the columns ``free`` of the RREF rows of an echelon
+    basis (echelon_packed), as one list of residues per row.
+
+    Row i of the RREF is the echelon row E_i minus E_i[c_k] times RREF row
+    k for every later pivot c_k, since RREF row k is 1 at c_k and 0 at the
+    other pivots.  So its free entries are those of E_i minus
+    sum_k E_i[c_k] R_k, computed from the last row up, with R_k packed
+    over the free columns alone: one multiply-add of len(free) fields per
+    pair of rows, where clearing the pivot columns (rref_packed) takes one
+    of ncols fields.  Fields grow as in echelon_packed.
+    """
+    r = len(basis)
+    solved, packed = [None] * r, [0] * r
+    for i in range(r - 1, -1, -1):
+        row = unpack(basis[i], ncols, p)
+        acc = pack([row[f] for f in free])
+        for k in range(i + 1, r):
+            e = row[pivots[k]]
+            if e:
+                acc += (p - e) * packed[k]
+        solved[i] = unpack(acc, len(free), p)
+        packed[i] = pack(solved[i])
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +356,20 @@ def unpack(row, ncols, p):
     return [x % p for x in words]
 
 
-def rref_packed(rows, ncols, p):
-    """The RREF mod p of the matrix whose rows are the packed ints ``rows``
-    of ncols fields: (its nonzero rows, packed, pivot column list).  The
-    fields of a returned row are congruent mod p to the RREF's entries, and
-    unpack reduces them.
+def echelon_packed(rows, ncols, p):
+    """An echelon basis mod p of the row space of the matrix whose rows are
+    the packed ints ``rows`` of ncols fields: (its rows, packed, in
+    increasing pivot order, pivot column list).  Each row is 1 at its pivot
+    column and 0 left of it, but not cleared in the pivot columns of the
+    rows after it (rref_packed clears them).  Every field is reduced.
 
-    The rows are inserted one at a time into an echelon basis: a row is
-    reduced by the basis rows in increasing pivot order, each step one
-    multiply and one add of big ints, r + (p - f) * b for the entry f of r
-    in the pivot column of b, which leaves that entry a multiple of p.  A
-    row that does not reduce to 0 is unpacked, scaled to a leading 1 and
-    packed again as a new basis row.  Once every column has a pivot the
-    RREF is the identity, and no further row is read.  Otherwise each
-    basis row b, in increasing pivot order, clears its pivot column from
-    the rows above it; b is then still as it was inserted, and the rows
-    that b changes are zero in the pivot columns left of it, which later
-    steps leave so.
+    The rows are inserted one at a time: a row is reduced by the basis
+    rows in increasing pivot order, each step one multiply and one add of
+    big ints, r + (p - f) * b for the entry f of r in the pivot column of
+    b, which leaves that entry a multiple of p; b is 0 left of its pivot,
+    so later steps keep it.  A row that does not reduce to 0 is unpacked,
+    scaled to a leading 1 and packed again as a new basis row.  Once every
+    column has a pivot no further row is read.
 
     Fields are reduced only when read, and each step adds less than p**2
     to a field, since the row it adds has reduced fields: after s steps a
@@ -368,9 +394,28 @@ def rref_packed(rows, ncols, p):
         shifts.insert(at, 64 * c)
         basis.insert(at, pack([x * inv % p for x in fields]))
         if len(pivots) == ncols:
-            return [1 << shift for shift in shifts], pivots
+            break
+    return basis, pivots
+
+
+def rref_packed(rows, ncols, p):
+    """The RREF mod p of the matrix whose rows are the packed ints ``rows``
+    of ncols fields: (its nonzero rows, packed, pivot column list).  The
+    fields of a returned row are congruent mod p to the RREF's entries, and
+    unpack reduces them.
+
+    The echelon basis (echelon_packed) is cleared above its pivots: each
+    basis row b, in increasing pivot order, clears its pivot column from
+    the rows above it; b is then still as it was inserted, and the rows
+    that b changes are zero in the pivot columns left of it, which later
+    steps leave so.  At full rank the RREF is the identity.  Fields grow
+    as in echelon_packed.
+    """
+    basis, pivots = echelon_packed(rows, ncols, p)
+    if len(pivots) == ncols:
+        return [1 << 64 * c for c in pivots], pivots
     for b in range(1, len(basis)):
-        shift, lead = shifts[b], basis[b]
+        shift, lead = 64 * pivots[b], basis[b]
         for a in range(b):
             f = (basis[a] >> shift & _FIELD) % p
             if f:

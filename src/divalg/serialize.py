@@ -5,6 +5,11 @@ Scalars are the strings "p/q" (or "p" when q = 1); polynomials are lists of
 of scalar strings.  No floating point appears in any persisted artifact, and
 report serialization is canonical (sorted keys, fixed indentation) so
 identical runs produce byte-identical files.
+
+A decoder imports the module of the class it builds when that module is
+not one every command loads (qda for an algebra, poly for a lifting), so
+a command that reads no such document never compiles it; _DECODERS names
+the classes by string for the same reason.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import json
 
 from .dissident import DissidentMap, DissidentTriple, MatrixQuadruple
 from .exact import Matrix, scalar_from_str, scalar_to_str
-from .qda import AlgebraPresentation
 
 
 class ParseError(ValueError):
@@ -70,7 +74,7 @@ def quadruple_to_json(q: MatrixQuadruple):
     }
 
 
-def algebra_to_json(alg: AlgebraPresentation):
+def algebra_to_json(alg):
     return {
         "kind": "algebra",
         "dim": alg.dim,
@@ -175,12 +179,14 @@ def quadruple_from_json(data) -> MatrixQuadruple:
 MAX_ALGEBRA_DIM = 16
 
 
-def algebra_from_json(data) -> AlgebraPresentation:
+def algebra_from_json(data):
     """An algebra of dimension at most MAX_ALGEBRA_DIM whose table nests as
     dim x dim x dim lists and whose unity has dim entries, all checked
     before any scalar is parsed: a well-formed 200-dimensional table builds
     8M Fractions before its shape is checked, and one 300000-entry cell or
     unity builds 300000."""
+    from .qda import AlgebraPresentation
+
     constants, unity = data["structure_constants"], data["unity"]
     dim = len(constants) if isinstance(constants, list) else 0
     if dim > MAX_ALGEBRA_DIM:
@@ -195,10 +201,7 @@ def lifting_from_json(data):
     DEFAULT_MAX_DEGREE (5), both checked before any polynomial is built:
     the content GCD that proves the components relatively prime recurses
     once per variable, and its time and memory grow without bound with
-    the degree.
-
-    poly is imported here, not with the module: only this decoder needs it,
-    and the commands that read no lifting never compile it."""
+    the degree."""
     from .poly import DEFAULT_MAX_DEGREE, HomogeneousPoly, Lifting, poly_content_gcd
 
     n = int(data["n"])

@@ -7,14 +7,14 @@ import random
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from divalg.cli import main
+from divalg.cli import _COMMANDS, BUILTIN_NAMES, build_parser, main
 from divalg.dissident import DissidentMap, cross_product_map
 from divalg.exact import Matrix, basis_vector
 from divalg.octonion import OCTONION_TABLE
@@ -875,8 +875,15 @@ def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_
     assert len(emitted) == 1
 
 
-@pytest.mark.parametrize("command", [["check", "--what", "dissident"], ["build"]], ids=" ".join)
-def test_a_lifting_document_is_refused_before_it_is_decoded(tmp_path, command):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--what", "dissident", "--input", "phi.json"],
+                 id="check --what dissident"),
+    pytest.param(["build", "--input", "phi.json"], id="build"),
+    pytest.param(["check", "--what", "g2", "--matrix", "phi.json"], id="check --what g2"),
+    pytest.param(["morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7",
+                  "--f", "phi.json"], id="morphism --kind triple"),
+])
+def test_a_lifting_document_is_refused_before_it_is_decoded(tmp_path, argv):
     # no command takes a lifting, and its decoder runs a content GCD, which
     # takes over a minute on this degree-5 document with 200-bit
     # coefficients (360 kB); the kind is refused first, so neither poly nor
@@ -888,8 +895,73 @@ def test_a_lifting_document_is_refused_before_it_is_decoded(tmp_path, command):
         [{"exponents": list(m), "coeff": str(rng.getrandbits(200) + 1)}
          for m in monomials(7, 5)] for _ in range(7)]}
     (tmp_path / "phi.json").write_text(json.dumps(doc), encoding="utf-8")
-    run = _fresh_run([*command, "--input", "phi.json"], cwd=tmp_path, timeout=30)
+    run = _fresh_run(argv, cwd=tmp_path, timeout=30)
     assert run.code == 2 and not run.loaded & {"divalg.poly", "sympy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--what", "g2", "--matrix", "triple.json"],
+    ["morphism", "--kind", "triple", "--src", "cross7", "--dst", "cross7", "--f", "triple.json"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_a_matrix_flag_names_the_kind_it_refuses(tmp_path, monkeypatch,
+                                                 conjugate_bent_tensor, argv):
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(*argv)
+    assert code == 2
+    assert report["error"] == ("parse error: triple.json decodes to DissidentTriple; "
+                               "expected Matrix")
+
+
+# Modules a command must not load, since it never runs them: every process
+# compiles what it loads.  numpy and sympy are guarded above.
+STARTUP_CONTRACT = [
+    pytest.param(None, {"divalg.qda", "divalg.octonion", "divalg.builtins", "divalg.lifting",
+                        "divalg.modkernel", "divalg.poly"}, id="import divalg.cli"),
+    pytest.param(["lift", "--input", "conj.json", "--trials", "5", "--samples", "4"],
+                 {"divalg.qda", "divalg.octonion", "divalg.builtins"}, id="lift --input"),
+    pytest.param(["degree", "--input", "conj.json", "--trials", "5", "--samples", "4"],
+                 {"divalg.qda", "divalg.octonion", "divalg.builtins"}, id="degree --input"),
+    pytest.param(["degree", "--quadruple", "random", "--seed", "0", "--trials", "20"],
+                 {"divalg.qda", "divalg.builtins"}, id="degree --quadruple random"),
+]
+
+
+@pytest.mark.parametrize("argv,unloaded", STARTUP_CONTRACT)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, conjugate_bent_tensor, argv,
+                                                     unloaded):
+    _write_inputs(tmp_path, conjugate_bent_tensor)
+    run = _fresh_run(argv, cwd=tmp_path)
+    assert run.code == 0 and not run.loaded & unloaded
+    # the control: a command loads what it runs
+    if argv is not None:
+        assert {"divalg.dissident", "divalg.serialize", "divalg.lifting"} <= run.loaded
+
+
+def test_the_cli_names_every_builtin():
+    from divalg.builtins import BUILTINS
+
+    assert BUILTIN_NAMES == tuple(sorted(BUILTINS))
+
+
+# Help and argument errors of each command, which main parses with that
+# command's parser alone, and of the top level, which it parses with all
+PARSER_ARGVS = [[name, *extra] for name in _COMMANDS
+                for extra in (["--help"], ["--nope"], ["--trials", "0"], ["--seed", "x"])]
+PARSER_ARGVS += [[], ["--help"], ["--version"], ["bogus"], ["-h", "lift"], ["lift", "lift"]]
+
+
+def _exit_of(parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no args")
+def test_main_parses_as_the_full_parser(argv):
+    assert _exit_of(main, argv) == _exit_of(build_parser().parse_args, argv)
 
 
 def test_cli_import_leaves_sympy_unloaded():

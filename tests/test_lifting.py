@@ -954,6 +954,35 @@ def test_point_lines_span_the_kernel_at_rank_n_minus_1(p):
     assert ranks == {0, 1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("p", [modkernel.PRIMES[0], 3])
+def test_point_lines_leave_out_the_redundant_row(conjugate_bent_tensor, p):
+    # for an antisymmetric tensor u^T A(u) = 0, so the lines come from the
+    # rows of A(u) other than the first j0 with u_j0 != 0 mod p.  They must
+    # be the lines of the whole A(u): at points whose first entry is 0 mod
+    # p, where j0 is not 0, and at random points; a point that is 0 mod p
+    # has none
+    tensor = cleared_tensor(conjugate_bent_tensor)[0]
+    line_at = _PointLines(tensor, p)
+    rng = random.Random(p % 1000)
+    points = [[0, 1, 2, 3, 4, 5, 6]] + [[0] + [rng.randrange(p) for _ in range(6)]
+                                        for _ in range(20)]
+    points += [[rng.randrange(p) for _ in range(7)] for _ in range(20)]
+    found = 0
+    for u in points:
+        rows = [[sum(u[j] * tensor[j][i][k] for j in range(7)) % p for k in range(7)]
+                for i in range(7)]
+        kernel = modkernel._kernel_mod_p(rows, p)
+        line = line_at(u)
+        if kernel is None or len(kernel[0]) != 1:
+            assert line is None, (u, p)
+            continue
+        found += 1
+        lead = pow(next(x for x in line if x), -1, p)
+        assert kernel[0] == [[x * lead % p for x in line]], (u, p)
+    assert found >= (len(points) if p > 3 else 1)
+    assert line_at([0] * 7) is None
+
+
 def solved(solve, mat, p):
     """solve(mat, p), or the class UnluckyPrime where it skips the prime."""
     try:

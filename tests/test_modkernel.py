@@ -431,6 +431,16 @@ def test_blocked_rref_matches_the_per_pivot_elimination(p):
 
 
 @pytest.mark.parametrize("p", [PRIMES[0], 3])
+def test_packed_kernel_matches_the_float64_kernel(p):
+    # the kernel of a list of rows is read from an echelon basis by back
+    # substitution, that of an array from the full RREF: both must give the
+    # kernel subspace's RREF, or None for {0}
+    for name, a in _rref_cases(p):
+        rows = a.astype(np.int64).tolist()
+        assert modkernel._kernel_mod_p(rows, p) == modkernel._kernel_mod_p(a.copy(), p), name
+
+
+@pytest.mark.parametrize("p", [PRIMES[0], 3])
 def test_invert_packed_matches_the_rref_of_the_augmented_matrix(p):
     # the inverse in place against the right half of the RREF of [A | I]:
     # a zero leading entry makes the inversion swap rows, and a repeated
