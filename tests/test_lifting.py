@@ -30,6 +30,7 @@ from divalg.lifting import (
     AmbiguousKernel,
     ConstraintSystem,
     Lifting,
+    LiftingError,
     NoLiftingFound,
     constraint_shape,
     solve_lifting,
@@ -523,6 +524,37 @@ def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
     with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
         solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
     assert solves == [_kernel_at_points] * 3
+
+
+def constant_kernel_map():
+    """The map on R^3 with eta(e0 ^ e1) = e0, eta(e0 ^ e2) = e1 and
+    eta(e1 ^ e2) = e0 + e1.  Every image lies in span(e0, e1), so A(v), the
+    matrix with rows eta(v ^ e_j), kills e2 at every point, and its kernel
+    line is the constant e2 wherever its rank is 2.  So the degree-1 kernel
+    is {g e2 : g linear}, of dimension 3, and x_i e2 is validated exactly
+    where no sample has u_i = 0."""
+    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j), cell in (((0, 1), [1, 0, 0]), ((0, 2), [0, 1, 0]), ((1, 2), [1, 1, 0])):
+        t[i][j], t[j][i] = cell, [-x for x in cell]
+    return DissidentMap(3, t)
+
+
+# (seed, samples) -> the exception and message of the scan of constant_kernel_map
+CONSTANT_KERNEL_OUTCOMES = {
+    (0, 1): (AmbiguousKernel, "3 validated projective solutions at degree 1"),
+    (0, 2): (AmbiguousKernel, "2 validated projective solutions at degree 1"),
+    (5, 2): (AmbiguousKernel, "validated solution reduced below the scanned degree"),
+    (4, 16): (NoLiftingFound, "no validated lifting up to degree 5 (16 validation samples)"),
+    (0, 64): (NoLiftingFound, "no validated lifting up to degree 5 (64 validation samples)"),
+}
+
+
+@pytest.mark.parametrize("seed, samples", CONSTANT_KERNEL_OUTCOMES)
+def test_scan_of_a_constant_kernel_map(seed, samples):
+    error, message = CONSTANT_KERNEL_OUTCOMES[seed, samples]
+    with pytest.raises(LiftingError) as raised:
+        solve_lifting_scan(constant_kernel_map(), samples=samples, seed=seed)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 # SHA-256 of canonical_json(lifting_to_json(...)) of the rand5 lifting.  Its
