@@ -266,14 +266,20 @@ def _header(args, command, extra_budgets=None):
 
 
 def _emit(report, args, emit_doc=None):
+    """Write the files --json-out and --emit name, then the report to stdout.
+    A file that cannot be written is a ParseError (exit 2) before any print."""
     text = canonical_json(report)
+    files = [(getattr(args, "json_out", None), text)]
+    if emit_doc is not None:
+        files.append((getattr(args, "emit", None), canonical_json(emit_doc)))
+    for path, content in files:
+        if path:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            except OSError as exc:
+                raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
     sys.stdout.write(text)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if emit_doc is not None and getattr(args, "emit", None):
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(emit_doc))
 
 
 def _pair_to_json(witness):

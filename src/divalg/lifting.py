@@ -22,10 +22,10 @@ by the unknown coefficients.  Reports quote the shape of the paper's system
 formula of its cells in the integer tensor (ConstraintSystem), from which
 the exact product M phi = 0 is read.  Its exact kernel is computed modulo
 word-size primes and certified by that product (modkernel.sparse_kernel),
-kernel elements are checked exactly against eta_P at seeded sample points
-(this removes solutions that vanish somewhere or pick a wrong line), and
-the first degree with a validated element wins.  Scanning in order makes the returned degree
-minimal by construction.
+and the first nonzero kernel decides the scan: its elements are checked
+for nonvanishing at seeded sample points, and a single validated element
+of a one-dimensional kernel is the lifting.  Scanning in order makes the
+returned degree minimal by construction.
 
 Modulo each prime the kernel is read off the eta_P lines at points
 instead of eliminating the n*C columns of M, C = monomial_count(n, d)
@@ -61,26 +61,28 @@ numpy above.  Importing numpy costs a fresh process more CPU time than
 the packed solves of the whole scan up to degree 3, so a scan that ends
 by then, as every lifting of degree 1 or 3 does, never loads it.
 
-The pointwise check runs in Python ints.  Each sample v is replaced by
-its primitive integer point u, and A(u) is the integer matrix whose rows
-are eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0 and rank A(u) <= n - 1,
-so rank n - 1 modulo a word-size prime proves that the eta_P line, the
-kernel of A(u), is defined at u; the few points the residue cannot decide
-go to the exact eta_P_point.  Where the line is defined, Phi(v) lies on it
-exactly when Phi(u) != 0 and A(u) Phi(u) = 0.  A candidate is checked at
-each point with its coefficients packed across the components, so that
-Phi(u) is one packed int, and A(u) Phi(u) = 0 is one packed big-int
-contraction of u and Phi(u) with the tensor (exact.Contraction).  With at
-most _EVAL_CHUNK samples, the scan screens its one block of points once
-and validates every degree on it.
+The samples are checked in Python ints, one point at a time.  Each sample
+v is replaced by its primitive integer point u, and A(u) is the integer
+matrix whose rows are eta(u ^ e_i).  Since eta(u ^ u) = 0, u^T A(u) = 0
+and rank A(u) <= n - 1, so rank n - 1 modulo a word-size prime proves
+that the eta_P line, the kernel of A(u), is defined at u; the few points
+the residue cannot decide go to the exact eta_P_point.  The scan screens
+every sample so before its first kernel.  That proves rank A(v) = n - 1
+over Q(v), so the kernel of A(v) is one line, spanned by one primitive
+polynomial vector Phi0, and every kernel vector of every degree is
+g Phi0 for a form g.  A kernel vector has A(u) Phi(u) = 0 at every u,
+since M phi = 0 is that identity, so at a screened sample it is on the
+line wherever it is nonzero: nonvanishing is all the validation samples.
 
 The scan proves every condition of its winner once and returns the
 verification report those proofs establish: the kernel solver's exact
-M phi = 0 is the orthogonality identity, the pointwise validation samples
-nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor (poly)
-checks the common degree, and kernel dimensions 0, ..., 0, 1 prove the
-components relatively prime (solve_lifting_scan).  verify_lifting checks a
-candidate from elsewhere with the same certificates and a content GCD.
+M phi = 0 is the orthogonality identity, the screen with the validation
+samples nonvanishing and [Phi(v)] = eta_P([v]), the Lifting constructor
+(poly) checks the common degree, and a first nonzero kernel of dimension
+1 proves the components relatively prime (solve_lifting_scan).
+verify_lifting checks a candidate from elsewhere, which need not be a
+kernel vector: at each sample it checks nonvanishing and A(u) Phi(u) = 0
+itself, and it runs a content GCD.
 
 Nonvanishing of Phi on R^n - {0} is established by sampling plus the
 uniqueness of the lifting; it is reported as a confidence statement, not
@@ -93,12 +95,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
 from . import modkernel
 from .dissident import (DegenerateSpan, DissidentMap, eta_P_point, sample_integer_vector,
                         seeded_rng)
-from .exact import Contraction, contraction_width, primitive_vector
+from .exact import primitive_vector
 from .modkernel import invert_packed, pack, rref_packed, sparse_kernel, unpack
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -121,10 +122,6 @@ DEFAULT_SAMPLES = 64
 # float64 one plus numpy's import (about 0.12 s); at d = 4 (C = 210) the
 # packed solve takes about 0.25 s against 0.07 s, more than the import.
 _PACKED_COLUMNS = 84
-
-# Sample points per block of the pointwise validation, so that the points
-# held at once do not grow with the sample count.
-_EVAL_CHUNK = 64
 
 
 class LiftingError(RuntimeError):
@@ -491,60 +488,40 @@ def _monomial_values(point, steps):
 
 
 def _components_from_vector(n, d, vec):
-    cols_monos = monomials(n, d)
-    per = len(cols_monos)
-    comps = []
-    for k in range(n):
-        terms = {}
-        for m_idx, m in enumerate(cols_monos):
-            c = vec[k * per + m_idx]
-            if c:
-                terms[m] = Fraction(c)
-        comps.append(HomogeneousPoly(n, d, terms))
-    return tuple(comps)
+    monos = monomials(n, d)
+    C = len(monos)
+    return tuple(HomogeneousPoly(n, d, {m: Fraction(c) for m, c in zip(monos, vec[k * C:]) if c})
+                 for k in range(n))
 
 
-class _Samples(NamedTuple):
-    """A block of the validation samples of _sample_lines, one entry per point."""
+def _sample_points(eta: DissidentMap, samples, seed):
+    """The seeded validation points, one at a time, as (u, L).
 
-    points: list  # integer points u = primitive_vector(v), lists of n ints
-    scales: tuple  # the Fraction L of each point, u = L v
-    defined: list  # bools: whether eta_P is defined at the point
+    The points v = ints / den are drawn as integers (sample_integer_vector),
+    in the order a one-by-one loop draws them.  eta_P is projective, so
+    each is kept as its integer point u = ints / g = primitive_vector(v), g
+    the content of ints with the sign of its first nonzero entry, and
+    u = L v with L = den / g.
+    """
+    rng = seeded_rng(seed, "lifting-points")
+    for _ in range(samples):
+        draw, den = sample_integer_vector(rng, eta.n)
+        g = gcd(*draw) if next(a for a in draw if a) > 0 else -gcd(*draw)
+        yield [a // g for a in draw], Fraction(den, g)
 
 
 def _sample_lines(eta: DissidentMap, samples, seed):
-    """The seeded validation points with their eta_P data, as _Samples
-    blocks of at most _EVAL_CHUNK points, so that memory does not grow
-    with the sample count.
-
-    The points v = ints / den are drawn as integers
-    (sample_integer_vector), in the order a one-by-one loop draws them.
-    eta_P is projective, so each is kept as its integer point u = ints / g
-    = primitive_vector(v), g the content of ints with the sign of its
-    first nonzero entry, and u = L v with L = den / g.  With A(u) the
-    integer matrix whose rows are eta(u ^ e_i), u^T A(u) = eta(u ^ u) = 0,
-    so rank A(u) <= n - 1, and rank n - 1 mod SCREEN_PRIME (_PointLines)
-    proves rank n - 1 over Q: the eta_P line, the kernel of A(u), is
-    defined.  A point whose residue rank is lower is decided by the exact
-    eta_P_point at u; DegenerateSpan there means that the line is
-    undefined.
+    """The points of _sample_points with whether eta_P is defined at each,
+    as (u, L, defined), one at a time.  u^T A(u) = eta(u ^ u) = 0, so
+    rank A(u) <= n - 1, and rank n - 1 mod SCREEN_PRIME (_PointLines)
+    proves rank n - 1 over Q: the line, the kernel of A(u), is defined.  A
+    point whose residue rank is lower is decided by the exact eta_P_point.
     """
-    rng = seeded_rng(seed, "lifting-points")
-    n = eta.n
-    tensor = eta.integer_tensor
-    for start in range(0, samples, _EVAL_CHUNK):
-        prime = modkernel.SCREEN_PRIME
-        line_at = _PointLines(tensor, prime)
-        points, scales, defined = [], [], []
-        for _ in range(min(_EVAL_CHUNK, samples - start)):
-            draw, den = sample_integer_vector(rng, n)
-            g = gcd(*draw) if next(a for a in draw if a) > 0 else -gcd(*draw)
-            u = [a // g for a in draw]
-            points.append(u)
-            scales.append(Fraction(den, g))
-            defined.append(line_at([x % prime for x in u]) is not None
-                           or _line_is_defined(eta, u))
-        yield _Samples(points, tuple(scales), defined)
+    prime = modkernel.SCREEN_PRIME
+    line_at = _PointLines(eta.integer_tensor, prime)
+    for u, scale in _sample_points(eta, samples, seed):
+        yield u, scale, (line_at([x % prime for x in u]) is not None
+                         or _line_is_defined(eta, u))
 
 
 def _line_is_defined(eta, u):
@@ -556,116 +533,79 @@ def _line_is_defined(eta, u):
     return True
 
 
-def _block_failures(components, tensor):
-    """Pointwise condition (b) for one candidate on R^n, n = len(tensor)
-    for the integer tensor of eta: a function from a _Samples block to the
-    counts of its points where Phi(v) vanishes and where it is off the
-    eta_P line, as (nonvanishing, line).
+def _validate(eta: DissidentMap, kernel, d, samples, seed):
+    """The integer vectors of a certified degree-d kernel whose Phi is
+    nonzero at every validation sample, in kernel order.
 
-    One lcm clears the denominators of all coefficients.  A component of
-    degree d is scaled by L**(D - d), with L = a/b the point's scale and D
-    the largest degree, and every component by the common b**D, so that
-    the value is the nonzero multiple lcm * b**D * L**D of Phi(v) even
-    when the degrees differ (only verify_lifting's candidates can).  A
-    nonzero value is on the line exactly when eta_P is defined there and
-    A(u) Phi(u) = 0, with A(u) the integer matrix whose rows are
-    eta(u ^ e_i), because A(u) then has rank n - 1 and its kernel is the
-    line; a value with other than n entries is on no line of R^n.
-
-    Each block packs the coefficients of each monomial across the
-    components in reverse order, so that Phi(u), packed as
-    exact.Contraction takes its second argument, is C multiply-adds of
-    the point's monomials, and is 0 exactly when the packed int is.  Since
-    (A(u) Phi(u))_i = sum_{j,k} u_j Phi_k(u) t[j][i][k], A(u) Phi(u) = 0 is
-    the contraction of u and Phi(u) with T[j][k][i] = t[j][i][k] vanishing:
-    one product and a masked compare.  The field width is proven for the
-    block: no |u_j| exceeds the block's largest entry U, so
-    |Phi_k(u)| <= s U**d sum_c |coefficient|, with s the largest scale the
-    block gives degree d.
+    The scan has screened the samples (_sample_lines), so the eta_P line is
+    defined at each of them, and a kernel vector, with A(u) Phi(u) = 0 at
+    every u, is on that line wherever Phi(u) != 0.  So the points are drawn
+    again and not screened, and Phi(u) != 0 is read from the coefficients,
+    C multiply-adds per component up to the first nonzero one.  The draws
+    stop once no vector is left.
     """
-    n, m = len(tensor), len(components)
+    n = eta.n
+    steps = _monomial_steps(n, d)
+    C = len(steps[-1])
+    accepted = list(kernel)
+    for u, _ in _sample_points(eta, samples, seed):
+        values = _monomial_values(u, steps)
+        accepted = [vec for vec in accepted
+                    if any(sum(map(mul, values, vec[k * C:(k + 1) * C])) for k in range(n))]
+        if not accepted:
+            break
+    return accepted
+
+
+def _pointwise_failures(eta: DissidentMap, components, lines):
+    """Pointwise condition (b) for a candidate from elsewhere, a sequence
+    of components in the n variables of eta's space, at the points
+    ``lines`` that _sample_lines yields: the counts of the points where
+    Phi(v) vanishes and where it is off the eta_P line, as (nonvanishing,
+    line), in Python ints.
+
+    One lcm clears the denominators of all coefficients.  At u = L v with
+    L = a/b, a component of degree d is scaled by a**(D - d) * b**d, D the
+    largest degree, so that the values y are the nonzero multiple
+    lcm * b**D * L**D of Phi(v) even when the degrees differ.  A nonzero y
+    is on the line exactly when it has n entries, eta_P is defined at the
+    point and A(u) y = 0, since A(u) then has rank n - 1 and its kernel is
+    the line; (A(u) y)_i = sum_j u_j <t[j][i], y> for the integer tensor t.
+    """
+    n, tensor = eta.n, eta.integer_tensor
     den = lcm(*(c.denominator for p in components for c in p.terms.values()))
     top = max((p.degree for p in components), default=0)
-    by_degree = {}
-    for k, p in enumerate(components):
-        by_degree.setdefault(p.degree, []).append(k)
-    blocks = []
-    for d, ks in by_degree.items():
-        index = _monomial_index(n, d)
-        coeffs = [[0] * m for _ in index]
-        for k in ks:
-            for mono, c in components[k].terms.items():
-                coeffs[index[mono]][k] = c.numerator * (den // c.denominator)
-        norm = sum(abs(x) for column in coeffs for x in column)
-        blocks.append((d, _monomial_steps(n, d), coeffs, norm))
-    cube = [[[plane[i][k] for i in range(n)] for k in range(n)] for plane in tensor]
-
-    def failures(lines):
-        points = lines.points
-        if len(blocks) > 1:
-            scales = [[L.numerator ** (top - d) * L.denominator ** d for d, *_ in blocks]
-                      for L in lines.scales]
-        else:
-            scales = [[1]] * len(points)
-        bound = max(max(map(abs, u)) for u in points)
-        y_norm = sum(max(s[i] for s in scales) * bound ** d * norm
-                     for i, (d, _, _, norm) in enumerate(blocks))
-        contraction = Contraction(cube, contraction_width(cube, bound, y_norm))
-        packed = [(steps, [contraction.pack(column) for column in coeffs])
-                  for _, steps, coeffs, _ in blocks]
-        nonvanishing = line = 0
-        for u, scale, defined in zip(points, scales, lines.defined):
-            value = sum(s * sum(map(mul, _monomial_values(u, steps), columns))
-                        for s, (steps, columns) in zip(scale, packed))
-            if not value:
-                nonvanishing += 1
-            elif not (m == n and defined and contraction.vanishes(u, value)):
-                line += 1
-        return nonvanishing, line
-
-    return failures
-
-
-def _sample_failures(eta: DissidentMap, candidates, samples, seed, blocks=None):
-    """Pointwise condition (b) at every sample of _sample_lines, for each
-    candidate (a sequence of components): the list of its (nonvanishing,
-    line) failure counts.  Each block of points is drawn once, and every
-    candidate is evaluated on it before the next block is drawn.  blocks,
-    when given, are those _sample_lines(eta, samples, seed) yields, already
-    drawn."""
-    tensor = eta.integer_tensor
-    evaluators = [_block_failures(components, tensor) for components in candidates]
-    totals = [[0, 0] for _ in evaluators]
-    for lines in blocks or _sample_lines(eta, samples, seed):
-        for total, failures in zip(totals, evaluators):
-            nonvanishing, line = failures(lines)
-            total[0] += nonvanishing
-            total[1] += line
-    return [tuple(total) for total in totals]
-
-
-def _validate(eta: DissidentMap, candidates, samples, seed, blocks=None):
-    """The candidates for which condition (b) holds at every sample."""
-    failures = _sample_failures(eta, candidates, samples, seed, blocks)
-    return [c for c, f in zip(candidates, failures) if f == (0, 0)]
+    columns = []
+    for p in components:
+        index = _monomial_index(n, p.degree)
+        coeffs = [0] * len(index)
+        for mono, c in p.terms.items():
+            coeffs[index[mono]] = c.numerator * (den // c.denominator)
+        columns.append((p.degree, _monomial_steps(n, p.degree), coeffs))
+    nonvanishing = line = 0
+    for u, scale, defined in lines:
+        a, b = scale.numerator, scale.denominator
+        y = [sum(map(mul, _monomial_values(u, steps), coeffs)) * a ** (top - d) * b ** d
+             for d, steps, coeffs in columns]
+        if not any(y):
+            nonvanishing += 1
+        elif not (len(y) == n and defined
+                  and not any(sum(x * sum(map(mul, plane[i], y)) for x, plane in zip(u, tensor))
+                              for i in range(n))):
+            line += 1
+    return nonvanishing, line
 
 
 def _verification(degree, a_pass, b_identity, failures, samples, c_pass, gcd_repr):
     """The verification report of conditions (a), (b), (c); `failures` is
-    the (nonvanishing, line) pair of _sample_failures."""
+    the (nonvanishing, line) pair of _pointwise_failures."""
     nonvanishing_failures, line_failures = failures
     return {
         "degree": degree,
         "a_homogeneous_common_degree": a_pass,
         "b_orthogonality_identity": b_identity,
-        "b_sampled_nonvanishing": {
-            "checked": samples,
-            "failures": nonvanishing_failures,
-        },
-        "b_sampled_line_agreement": {
-            "checked": samples,
-            "failures": line_failures,
-        },
+        "b_sampled_nonvanishing": {"checked": samples, "failures": nonvanishing_failures},
+        "b_sampled_line_agreement": {"checked": samples, "failures": line_failures},
         "c_relatively_prime": c_pass,
         "content_gcd": gcd_repr,
         "nonvanishing_certified": False,
@@ -675,33 +615,41 @@ def _verification(degree, a_pass, b_identity, failures, samples, c_pass, gcd_rep
 
 def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
                        max_degree=DEFAULT_MAX_DEGREE):
-    """Scan d = 1..max_degree; return (Lifting, scan report list,
-    verification report).
+    """Scan d = 1..max_degree up to the first nonzero kernel; return
+    (Lifting, scan report list, verification report).
 
     The scan report carries one entry per visited degree with the shape of
     the paper's system (constraint_shape; the divided system solved here has
     the same kernel), exact kernel dimension, and how many kernel elements
     survived pointwise validation.  The verification report is the one
     verify_lifting gives the winner, built from the scan's own proofs: the
-    solver certified M phi = 0 for its coefficient vector, the validation
-    accepted it at every sample, and the Lifting constructor checked (a).
-    For (c), suppose the degree-d winner is Phi = f Psi with deg f = k >= 1.
-    Then f <Psi(v), eta(v ^ e_j)> = 0 in the domain Q[v], so Psi is in the
-    degree-(d-k) kernel, which the scan found to be 0 if 1 <= d-k < d.  If
-    k = d, Psi = c is a constant vector, and g c is in the degree-d kernel
-    for every form g of degree d, so it has dimension at least
-    monomial_count(n, d) >= 3, not 1.  So kernel dimensions [0]*(d-1) + [1]
-    prove gcd = 1; otherwise the content GCD runs, and a nonconstant one
-    means a lower-degree solution the scan missed.  Deterministic given
-    (eta, seed).
+    solver certified M phi = 0 for its coefficient vector, the screen and
+    the validation put it on the eta_P line at every sample, and the
+    Lifting constructor checked (a).  Deterministic given (eta, seed).
 
     A candidate is on the eta_P line at a sample only where that line is
-    defined, and the samples do not depend on d.  So before the first
-    kernel one pass over the samples' defined flags, stopping at the first
-    block with an undefined line, decides that no candidate of any degree
-    can be validated, and raises NoLiftingFound with the message the end
-    of the scan would give.  When the samples fit in one block, that
-    block is the one every degree's validation evaluates.
+    defined, and the samples do not depend on d, so one pass over them
+    before the first kernel, stopping at the first undefined line, may
+    decide that no degree can validate a candidate (NoLiftingFound, with
+    the message the end of the scan would give).  When it passes, rank
+    A(v) = n - 1 over Q(v).  Its kernel is spanned by one polynomial
+    vector Phi0 of relatively prime components, of degree d0: a polynomial
+    kernel vector h Phi0, h = p/q in Q(v), has q dividing every p Phi0_k,
+    so q is a constant.  So the degree-d kernel is {g Phi0 : g a form of
+    degree d - d0}, of dimension monomial_count(n, d - d0), and the first
+    nonzero one is {c Phi0} at d = d0, or, for a constant Phi0 = c, the
+    n-dimensional {g c} at d = 1, whose RREF rows are the x_i c.  That
+    kernel decides:
+
+    - no element validated: later kernel vectors g Phi0 vanish where Phi0
+      does, and later RREF rows m c, m a monomial, where some x_i c does,
+      so NoLiftingFound;
+    - one element of a one-dimensional kernel validated: it is Phi0 up to
+      a scalar, so condition (c) holds, and it is the lifting;
+    - otherwise two or more validated elements raise AmbiguousKernel with
+      their count, and one, some x_i c with the factor x_i, raises
+      AmbiguousKernel("validated solution reduced below the scanned
+      degree") without a GCD.
 
     The kernel vectors need no normalization and no deduplication.
     sparse_kernel returns the rows of an RREF scaled to content 1 with a
@@ -716,42 +664,29 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     if samples < 1:
         raise ValueError("at least one validation sample is required")
     no_lifting = f"no validated lifting up to degree {max_degree} ({samples} validation samples)"
-    # one block is drawn and screened once, here, and validated at every
-    # degree; more blocks are drawn again by each validation, so that
-    # memory stays at one block
-    blocks = list(_sample_lines(eta, samples, seed)) if samples <= _EVAL_CHUNK else None
-    if not all(all(lines.defined) for lines in blocks or _sample_lines(eta, samples, seed)):
+    if not all(defined for _, _, defined in _sample_lines(eta, samples, seed)):
         raise NoLiftingFound(no_lifting)
     scan = []
     for d in range(1, max_degree + 1):
         kernel = sparse_kernel(_sparse_system(eta, d), _kernel_at_points)
         rows, cols = constraint_shape(eta.n, d)
-        entry = {
-            "degree": d,
-            "rows": rows,
-            "cols": cols,
-            "kernel_dim": len(kernel),
-            "validated": 0,
-        }
-        scan.append(entry)
-        if not kernel:
-            continue
-        accepted = _validate(eta, [_components_from_vector(eta.n, d, vec) for vec in kernel],
-                             samples, seed, blocks)
-        entry["validated"] = len(accepted)
-        if not accepted:
-            continue
-        if len(accepted) > 1:
-            raise AmbiguousKernel(
-                f"{len(accepted)} validated projective solutions at degree {d}"
-            )
-        if ([e["kernel_dim"] for e in scan] != [0] * (d - 1) + [1]
-                and poly_content_gcd(accepted[0]).degree != 0):
-            raise AmbiguousKernel("validated solution reduced below the scanned degree")
-        verification = _verification(d, a_pass=True, b_identity=True, failures=(0, 0),
-                                     samples=samples, c_pass=True, gcd_repr="1")
-        return Lifting(eta.n, d, accepted[0]), scan, verification
-    raise NoLiftingFound(no_lifting)
+        scan.append({"degree": d, "rows": rows, "cols": cols, "kernel_dim": len(kernel),
+                     "validated": 0})
+        if kernel:
+            break
+    else:
+        raise NoLiftingFound(no_lifting)
+    accepted = _validate(eta, kernel, d, samples, seed)
+    scan[-1]["validated"] = len(accepted)
+    if not accepted:
+        raise NoLiftingFound(no_lifting)
+    if len(accepted) > 1:
+        raise AmbiguousKernel(f"{len(accepted)} validated projective solutions at degree {d}")
+    if len(kernel) > 1:
+        raise AmbiguousKernel("validated solution reduced below the scanned degree")
+    verification = _verification(d, a_pass=True, b_identity=True, failures=(0, 0),
+                                 samples=samples, c_pass=True, gcd_repr="1")
+    return Lifting(eta.n, d, _components_from_vector(eta.n, d, accepted[0])), scan, verification
 
 
 def solve_lifting(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
@@ -765,29 +700,25 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
 
     This is the library's checker for candidates from elsewhere; nothing in
     the package calls it, since for a lifting the scan computed the scan
-    already returned this report.  It uses the same certificates.  (a) is
-    structural: n components in the n variables of
-    eta's space, sharing one degree >= 1, not all zero.  The identity part
-    of (b) is certified by the exact product M phi = 0, where M is the
-    degree-d divided constraint system and phi the primitive coefficient
-    vector: the same annihilates call with which the kernel solver
-    certifies each kernel vector.  The pointwise part of (b) is checked by
-    exact sampling at the points the scan draws for the same (samples,
-    seed).  (c) is an exact content GCD, run for every candidate, a
-    Lifting or a sequence of components.
+    already returned this report.  (a) is structural: n components in the n
+    variables of eta's space, sharing one degree >= 1, not all zero.  The
+    identity part of (b) is certified by the exact product M phi = 0, where
+    M is the degree-d divided constraint system and phi the primitive
+    coefficient vector: the same annihilates call with which the kernel
+    solver certifies each kernel vector.  The pointwise part of (b) is
+    checked by exact sampling at the points the scan draws for the same
+    (samples, seed), nonvanishing and the line both, since the candidate
+    need not be a kernel vector (_pointwise_failures).  (c) is an exact
+    content GCD, run for every candidate, a Lifting or a sequence of
+    components.
     """
     components = tuple(getattr(phi, "components", phi))
     n = eta.n
     degrees = {p.degree for p in components}
     nonzero = [p for p in components if not p.is_zero()]
     maps_on_space = all(p.nvars == n for p in components)
-    a_pass = (
-        len(components) == n
-        and maps_on_space
-        and len(degrees) == 1
-        and bool(nonzero)
-        and next(iter(degrees)) >= 1
-    )
+    a_pass = (len(components) == n and maps_on_space and len(degrees) == 1 and bool(nonzero)
+              and next(iter(degrees)) >= 1)
 
     b_identity = False
     if a_pass:
@@ -796,7 +727,7 @@ def verify_lifting(eta: DissidentMap, phi, samples=DEFAULT_SAMPLES, seed=0):
         b_identity = _sparse_system(eta, d).annihilates([primitive_vector(coeffs)])
 
     if maps_on_space:
-        failures = _sample_failures(eta, [components], samples, seed)[0]
+        failures = _pointwise_failures(eta, components, _sample_lines(eta, samples, seed))
     else:
         failures = (0, samples)  # no point of R^n can be evaluated
 

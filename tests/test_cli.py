@@ -234,6 +234,25 @@ def test_json_out_writes_same_bytes(tmp_path):
     assert out.read_text(encoding="utf-8") == stdout
 
 
+@pytest.mark.parametrize("argv", [("table-dump", "--builtin", "octonions", "--emit"),
+                                  ("lift", "--builtin", "cross3", "--trials", "5",
+                                   "--samples", "4", "--json-out")],
+                         ids=["emit", "json-out"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_an_unwritable_output_path_exits_2(tmp_path, argv, where):
+    # the files are written before the report, so a path that cannot be
+    # written leaves one parse error document on stdout, with no traceback
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv, str(path))
+    assert code == 2 and err.getvalue() == ""
+    report = json.loads(out)
+    assert list(report) == ["error"]
+    assert report["error"].startswith(f"parse error: cannot write {path}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_input_source_exclusivity():
     code, report = run_json("degree", "--builtin", "cross3", "--quadruple", "random")
     assert code == 2

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,11 +40,12 @@ from divalg.lifting import (
     _PointLines,
     _interpolation_points,
     _kernel_at_points,
-    _sample_failures,
+    _pointwise_failures,
     _sample_lines,
     _solve_float64,
     _solve_packed,
     _sparse_system,
+    _validate,
 )
 from divalg.exact import Matrix, cleared_tensor, primitive_vector
 from divalg.modkernel import sparse_kernel
@@ -436,42 +437,41 @@ def test_verify_lifting_failures():
 
 
 def test_lift_computes_each_sample_line_once():
-    # each sample's eta_P line is screened once: the scan draws its one
-    # block of samples for their defined flags before its first kernel and
-    # validates every degree on that block, the lift report reuses the
-    # scan's proofs instead of calling verify_lifting, and the screen
-    # decides every sample of a dissident map, so the exact eta_P_point
-    # never runs
+    # each sample's eta_P line is screened once: the scan screens the
+    # samples before its first kernel and its validation draws them again
+    # without a screen, the lift report reuses the scan's proofs instead
+    # of calling verify_lifting, and the screen decides every sample of a
+    # dissident map, so the exact eta_P_point never runs.  The screens
+    # counted are the points _sample_lines yields.
     script = """
 import io, sys
 from contextlib import redirect_stdout
 import divalg.cli, divalg.dissident, divalg.lifting
-calls = {}
-def counted(owner, name):
-    original = getattr(owner, name)
-    calls[name] = 0
-    def counting(*args, **kwargs):
-        calls[name] += 1
-        return original(*args, **kwargs)
-    for module in [owner] + [m for n, m in list(sys.modules.items()) if n.startswith("divalg")]:
-        if getattr(module, name, None) is original:
-            setattr(module, name, counting)
-counted(divalg.lifting, "_sample_lines")
-counted(divalg.dissident, "eta_P_point")
+screens, exact = [], []
+sample_lines, eta_P_point = divalg.lifting._sample_lines, divalg.dissident.eta_P_point
+def counted_lines(*args):
+    for point in sample_lines(*args):
+        screens.append(point)
+        yield point
+def counted_exact(*args):
+    exact.append(args)
+    return eta_P_point(*args)
+divalg.lifting._sample_lines = counted_lines
+for module in (divalg.dissident, divalg.lifting):
+    module.eta_P_point = counted_exact
 with redirect_stdout(io.StringIO()):
     code = divalg.cli.main(["lift", "--builtin", "cross7", "--trials", "5", "--samples", "12"])
-print(code, calls["_sample_lines"], calls["eta_P_point"])
+print(code, len(screens), len(exact))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["0", "1", "0"]
+    assert out.split() == ["0", "12", "0"]
 
 
-def test_validation_memory_does_not_grow_with_the_samples(monkeypatch, traced_peaks):
-    # the samples are drawn, screened and evaluated in blocks, so that
+def test_validation_memory_does_not_grow_with_the_samples(traced_peaks):
+    # the samples are drawn, screened and evaluated one at a time, so that
     # --samples bounds the time of a lift, not its memory
-    monkeypatch.setattr("divalg.lifting._EVAL_CHUNK", 50)
     eta = cross_product_map(3)
     one, ten = traced_peaks(
         lambda samples: solve_lifting_scan(eta, samples=samples, seed=0), (200, 2000))
@@ -493,37 +493,6 @@ def test_verify_lifting_reports_the_factor_of_a_lifting():
     assert report["c_relatively_prime"] is False
     assert report["content_gcd"] == "x0"
     assert not report["all_pass"]
-
-
-def coefficient_vector(components):
-    n, d = components[0].nvars, components[0].degree
-    return tuple(int(p.terms.get(m, 0)) for p in components for m in monomials(n, d))
-
-
-def test_scan_runs_the_gcd_unless_the_kernels_prove_it(monkeypatch):
-    # planted kernels of dimension 1, 0, 1 on cross7: the degree-1 vector
-    # (x0, 0, ..., 0) fails validation, and the degree-3 one, |v|^2 v, passes
-    # it but shares |v|^2.  Only kernels of dimension 0, 0, 1 prove gcd = 1,
-    # so the scan must run the GCD here and reject the winner.
-    n = 7
-    x = [HomogeneousPoly.variable(n, i) for i in range(n)]
-    norm = sum((xi * xi for xi in x[1:]), x[0] * x[0])
-    planted = {
-        1: [coefficient_vector([x[0]] + [HomogeneousPoly.zero(n, 1)] * (n - 1))],
-        2: [],
-        3: [coefficient_vector([norm * xi for xi in x])],
-    }
-    by_cols = {n * monomial_count(n, d): kernel for d, kernel in planted.items()}
-    solves = []
-
-    def planted_kernel(mat, solve):
-        solves.append(solve)
-        return by_cols[mat.ncols]
-
-    monkeypatch.setattr("divalg.lifting.sparse_kernel", planted_kernel)
-    with pytest.raises(AmbiguousKernel, match="reduced below the scanned degree"):
-        solve_lifting_scan(cross_product_map(n), samples=12, seed=0)
-    assert solves == [_kernel_at_points] * 3
 
 
 def constant_kernel_map():
@@ -555,6 +524,36 @@ def test_scan_of_a_constant_kernel_map(seed, samples):
     with pytest.raises(LiftingError) as raised:
         solve_lifting_scan(constant_kernel_map(), samples=samples, seed=seed)
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_constant_kernel_scan_solves_one_kernel_without_sympy(monkeypatch):
+    # the first nonzero kernel decides: at (4, 16) none of the x_i e2 is
+    # validated, and the scan stops there, where it used to solve d = 2..5
+    # as well.  The rank of A(v) proves the reduction below the scanned
+    # degree, so no case runs a content GCD or loads sympy.
+    solves = []
+    monkeypatch.setattr("divalg.lifting.sparse_kernel",
+                        lambda *args: solves.append(args) or sparse_kernel(*args))
+    with pytest.raises(NoLiftingFound):
+        solve_lifting_scan(constant_kernel_map(), samples=16, seed=4)
+    assert len(solves) == 1
+    script = f"""
+import sys
+from divalg.dissident import DissidentMap
+from divalg.lifting import LiftingError, solve_lifting_scan
+for seed, samples in {list(CONSTANT_KERNEL_OUTCOMES)!r}:
+    try:
+        solve_lifting_scan(DissidentMap(3, {constant_kernel_map().integer_tensor!r}),
+                           samples=samples, seed=seed)
+    except LiftingError as exc:
+        print(type(exc).__name__, exc)
+print("sympy" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.splitlines() == [f"{error.__name__} {message}" for error, message
+                                in CONSTANT_KERNEL_OUTCOMES.values()] + ["False"]
 
 
 # SHA-256 of canonical_json(lifting_to_json(...)) of the rand5 lifting.  Its
@@ -601,8 +600,7 @@ def test_rand5_lifting_is_independent_of_the_seed(rand5):
     # the seed draws the validation points, not the answer: a new seed
     # validates at other points and must find the same scan and lifting
     eta, lifting, scan, _ = rand5
-    points = [[block.points for block in _sample_lines(eta, 24, seed)]
-              for seed in (0, 1)]
+    points = [[u for u, _, _ in _sample_lines(eta, 24, seed)] for seed in (0, 1)]
     assert points[0] != points[1]
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=1)
     assert rescan == scan
@@ -839,23 +837,43 @@ def validation_maps(conjugate_bent_tensor):
     return maps
 
 
+def cleared_coefficients(components):
+    """The coefficient vector of components of one degree, in the system's
+    column order, times the lcm of its denominators."""
+    n, d = components[0].nvars, components[0].degree
+    coeffs = [p.terms.get(m, Fraction(0)) for p in components for m in monomials(n, d)]
+    den = lcm(*(x.denominator for x in coeffs))
+    return [int(x * den) for x in coeffs]
+
+
 def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, monkeypatch):
     # at the real prime the screen decides every sample of a dissident map;
-    # mod 3 and mod 5 it leaves many to the exact eta_P_point.  Blocks of
-    # 24 points split the 64 samples unevenly.
-    monkeypatch.setattr("divalg.lifting._EVAL_CHUNK", 24)
+    # mod 3 and mod 5 it leaves many to the exact eta_P_point.
+    # verify_lifting's sampling counts both failures of every candidate.
+    # The scan's _validate, which relies on the screen and on M phi = 0,
+    # checks only nonvanishing: of the candidates whose n components share
+    # one degree, it must accept exactly those nonzero at every sample.
     for name, (eta, phi) in validation_maps(conjugate_bent_tensor).items():
         reference_lines = _reference_sample_lines(eta, 64, 5)
         candidates = _candidates(phi)
-        expected = [_reference_sample_failures(comps, reference_lines)
-                    for comps in candidates.values()]
+        expected = {key: _reference_sample_failures(comps, reference_lines)
+                    for key, comps in candidates.items()}
+        vectors = {}
+        for key, comps in candidates.items():
+            if len(comps) == eta.n and len({p.degree for p in comps}) == 1:
+                vectors.setdefault(comps[0].degree, {})[key] = cleared_coefficients(comps)
+        for d, by_key in vectors.items():
+            accepted = _validate(eta, list(by_key.values()), d, 64, 5)
+            assert accepted == [vec for key, vec in by_key.items() if expected[key][0] == 0], \
+                (name, d)
         for prime in (modkernel.SCREEN_PRIME, 3, 5):
             with monkeypatch.context() as m:
                 m.setattr(modkernel, "SCREEN_PRIME", prime)
-                defined = [bool(x) for block in _sample_lines(eta, 64, 5)
-                           for x in block.defined]
-                assert defined == [line is not None for _, line in reference_lines]
-                failures = _sample_failures(eta, list(candidates.values()), 64, 5)
+                lines = list(_sample_lines(eta, 64, 5))
+                assert [defined for _, _, defined in lines] == [
+                    line is not None for _, line in reference_lines]
+                failures = {key: _pointwise_failures(eta, comps, lines)
+                            for key, comps in candidates.items()}
                 assert failures == expected, (name, prime)
 
 
@@ -945,8 +963,8 @@ def test_points_solve_contains_the_elimination_kernel(cells):
             try:
                 result = _kernel_at_points(mat, p)
             except modkernel.UnluckyPrime:
-                assert not any(any(lines.defined)
-                               for lines in _sample_lines(eta, DEFAULT_SAMPLES, 0)), (cells, d, p)
+                assert not any(defined for _, _, defined
+                               in _sample_lines(eta, DEFAULT_SAMPLES, 0)), (cells, d, p)
                 continue
             assert same_subspace(result, expected), (cells, d, p)
 
