@@ -7,7 +7,8 @@ byte-identical output.
 
 Exit codes: 0 success / check passed; 1 counterexample, failed check, or
 round-trip mismatch; 2 parse error; 3 no lifting found (input not dissident
-within budget, or a kernel beyond the prime ladder); 4 ambiguous kernel; 5
+within budget, a kernel below degree n - 2 beyond the prime ladder, or a
+degree-(n - 2) lifting that fails its certificate); 4 ambiguous kernel; 5
 parity violation (solver bug signal).
 
 Each process runs one command, and starting it is a large share of a
@@ -21,7 +22,6 @@ alone.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -303,16 +303,16 @@ def cmd_degree(args, emit_lifting=False):
         report["error"] = "input is not dissident; no lifting exists"
         _emit(report, args)
         return EXIT_NO_LIFTING
-    from .lifting import AmbiguousKernel, NoLiftingFound, solve_lifting_scan
+    from .lifting import AmbiguousKernel, LiftingError, solve_lifting_scan
     from .modkernel import ModularKernelError
 
     try:
         lifting, scan, verification = solve_lifting_scan(
             eta, samples=args.samples, seed=args.seed, max_degree=args.max_degree
         )
-    except (NoLiftingFound, ModularKernelError, AmbiguousKernel) as exc:
+    except (LiftingError, ModularKernelError) as exc:
         # the prime ladder is a budget: a kernel it cannot reconstruct is
-        # no lifting found within budget
+        # no lifting found within budget, and so is a certificate that fails
         report["error"] = str(exc)
         _emit(report, args)
         return EXIT_AMBIGUOUS if isinstance(exc, AmbiguousKernel) else EXIT_NO_LIFTING
@@ -494,16 +494,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
-        # One BLAS thread, set before numpy loads OpenBLAS, which reads it
-        # at load.  A second thread adds about 0.07 s of CPU and wall time
-        # to the load and speeds up none of the small products here, and
-        # each float64 product is exact integer arithmetic below 2**53, so
-        # no output changes.  The count is forced, not defaulted, because a
-        # caller's environment often sets it to the CPU count.  A process
-        # that has loaded numpy already keeps its setting.
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        os.environ["OMP_NUM_THREADS"] = "1"
     argv = sys.argv[1:] if argv is None else list(argv)
     # a command named first is the one argparse picks: only its parser is
     # built, and every other argv gets the full one

@@ -13,9 +13,9 @@ of the two lcms (``cleared_dot``).  Determinants and the
 positive-definiteness test eliminate on the cleared rows, each packed
 into one int (pack), so that a step of the elimination is a few integer
 operations per row, not per entry; packed_det, the elimination behind
-Matrix.det, also decides the division check's integer operators.  This
-module is the substrate for everything else; it never touches floating
-point.
+Matrix.det, also decides the division check's integer operators and gives
+the degree scan its cofactors (cofactors).  This module is the substrate
+for everything else; it never touches floating point.
 """
 
 from __future__ import annotations
@@ -301,6 +301,24 @@ def packed_det(rows, widths) -> int:
             sign = -sign
         prev = _eliminate_below(rows, k, prev, widths[k])
     return sign * rows[n - 1]
+
+
+def cofactors(rows) -> list:
+    """The signed maximal minors c_k = (-1)**k det(B without column k) of
+    an integer (n - 1) x n matrix B given as its rows, from one packed_det:
+    by Laplace expansion along the last row, det [B; (1, X, ..., X**(n-1))]
+    = (-1)**(n - 1) sum_k c_k X**k, and with X = 2**w, w one bit above the
+    width minor_widths gives the c_k, each sits in its own signed field."""
+    n = len(rows) + 1
+    w = minor_widths(sum(map(abs, row)) for row in rows)[-1] + 1
+    matrix = [*rows, [1 << w * k for k in range(n)]]
+    widths = minor_widths(sum(map(abs, row)) for row in matrix)
+    total = (-1) ** (n - 1) * packed_det([pack(row, widths) for row in matrix], widths)
+    out = []
+    for _ in range(n):
+        out.append(_low_field(total, w))
+        total = (total - out[-1]) >> w
+    return out
 
 
 class Matrix:

@@ -20,12 +20,14 @@ rows are indexed by the slot j and the degree-(d+1) monomials in v, columns
 by the unknown coefficients.  Reports quote the shape of the paper's system
 (degree-(d+3) rows, constraint_shape).  The divided system M is kept as the
 formula of its cells in the integer tensor (ConstraintSystem), from which
-the exact product M phi = 0 is read.  Its exact kernel is computed modulo
-word-size primes and certified by that product (modkernel.sparse_kernel),
-and the first nonzero kernel decides the scan: its elements are checked
-for nonvanishing at seeded sample points, and a single validated element
-of a one-dimensional kernel is the lifting.  Scanning in order makes the
-returned degree minimal by construction.
+the exact product M phi = 0 is read.  Below degree n - 2 its exact kernel
+is computed modulo word-size primes and certified by that product
+(modkernel.sparse_kernel); at degree n - 2 it is the line of the adjugate
+(below), certified by the same product.  The first nonzero kernel decides
+the scan: its elements are checked for nonvanishing at seeded sample
+points, and a single validated element of a one-dimensional kernel is the
+lifting.  Scanning in order makes the returned degree minimal by
+construction.
 
 Modulo each prime the kernel is read off the eta_P lines at points
 instead of eliminating the n*C columns of M, C = monomial_count(n, d)
@@ -40,26 +42,26 @@ sandwich between the verified count and the modular dimension holds
 unchanged, and the exact M phi = 0 remains the only certificate.  This is
 the scan's only solve mod p.
 
-One point stage in Python ints finds the lines for both solves
-(_points_on_lines): k* is the first nonzero component of the first line
-found, which is nonzero at almost every point since the entries of a
-line are polynomials in u, and the seeded points are read until C + E of
-them have a line nonzero at k*.  A prime whose draws run out first, or
-with a singular V0, is skipped (modkernel.UnluckyPrime), and a degree
-whose ladder ends without a verified candidate raises
-modkernel.ModularKernelError.  By chance either happens rarely: a nonzero
-polynomial vanishes at few random points of F_p^n (Schwartz, JACM 1980;
-Zippel, EUROSAM 1979).  Where the (n - 1)-minors of A(u) vanish
-identically no point has a line, and the scan has stopped before its
-first kernel: a validation sample without a line decides that there is
-no lifting (solve_lifting_scan).
+One point stage in Python ints finds the lines (_points_on_lines): k* is
+the first nonzero component of the first line found, which is nonzero at
+almost every point since the entries of a line are polynomials in u, and
+the seeded points are read until C + E of them have a line nonzero at
+k*.  A prime whose draws run out first, or with a singular V0, is
+skipped (modkernel.UnluckyPrime), and a degree whose ladder ends without
+a verified candidate raises modkernel.ModularKernelError.  By chance
+either happens rarely: a nonzero polynomial vanishes at few random
+points of F_p^n (Schwartz, JACM 1980; Zippel, EUROSAM 1979).  Where the
+(n - 1)-minors of A(u) vanish identically no point has a line, and the
+scan has stopped before its first kernel: a validation sample without a
+line decides that there is no lifting (solve_lifting_scan).
 
 The eliminations of the solve at points run on packed Python ints
-(modkernel.rref_packed) for systems of at most _PACKED_COLUMNS columns
-per component, which on R^7 are the degrees 1, 2 and 3, and in float64
-numpy above.  Importing numpy costs a fresh process more CPU time than
-the packed solves of the whole scan up to degree 3, so a scan that ends
-by then, as every lifting of degree 1 or 3 does, never loads it.
+(modkernel.rref_packed).  Degree n - 2 needs no solve: v^T A(v) = 0 (below)
+makes adj A(v) = H(v) v^T, with H a vector of integer forms of degree
+n - 2 and A(v) H(v) = 0, which is the paper's bound d <= 5 on R^7.  A scan
+that reaches d = n - 2 >= 2 has the line of H as its kernel
+(solve_lifting_scan), and H is computed exactly from its values at points
+(_adjugate_column), with no prime.
 
 The samples are checked in Python ints, one point at a time.  Each sample
 v is replaced by its primitive integer point u, and A(u) is the integer
@@ -93,13 +95,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from . import modkernel
 from .dissident import (DegenerateSpan, DissidentMap, eta_P_point, sample_integer_vector,
                         seeded_rng)
-from .exact import primitive_vector
+from .exact import cofactors, primitive_vector
 from .modkernel import invert_packed, pack, rref_packed, sparse_kernel, unpack
 from .poly import (
     DEFAULT_MAX_DEGREE,
@@ -112,16 +114,6 @@ from .poly import (
 )
 
 DEFAULT_SAMPLES = 64
-
-# The largest C = monomial_count(n, d) whose solve at points runs on packed
-# Python ints (_solve_packed); wider systems are solved in float64 numpy.
-# Set by measurement (in-process CPU time on a 2-vCPU x86-64 host, Python
-# 3.11, numpy 2.4, conjugated bent map): the packed solves at degrees 1, 2
-# and 3 on R^7 (C = 7, 28, 84) take about 2, 6 and 38 ms against 2, 5 and
-# 11 ms in float64, so the packed scan up to d = 3 costs less than the
-# float64 one plus numpy's import (about 0.12 s); at d = 4 (C = 210) the
-# packed solve takes about 0.25 s against 0.07 s, more than the import.
-_PACKED_COLUMNS = 84
 
 
 class LiftingError(RuntimeError):
@@ -257,51 +249,11 @@ def _kernel_at_points(system, p):
     zero is never picked.  When the draws run out first, or V0 is singular
     mod p, the prime is skipped (modkernel.UnluckyPrime).
 
-    The eliminations run on packed Python ints up to C = _PACKED_COLUMNS
-    (_solve_packed) and in float64 numpy above (_solve_float64).  Both
-    give the same RREF, which is unique, so neither the solve nor which
-    points serve a prime changes the result.
-    """
-    n = len(system.tensor)
-    if monomial_count(n, system.d) <= _PACKED_COLUMNS:
-        return _solve_packed(system, p)
-    return _solve_float64(system, p)
-
-
-def _point_count(n, C):
-    """C + E, the number of points a solve at points uses."""
-    return C + -(-C // (n - 1)) + n
-
-
-def _points_on_lines(system, p):
-    """The point stage of _kernel_at_points: (k*, the C + E points used,
-    their ratios r_s = l_s / l_s[k*]), points and ratios as lists of
-    residues.  Raises UnluckyPrime when the draws run out first."""
-    tensor, d = system.tensor, system.d
-    n = len(tensor)
-    used = _point_count(n, monomial_count(n, d))
-    line_at = _PointLines(tensor, p)
-    star, points, ratios = None, [], []
-    for u in _interpolation_points(n, 2 * used, d, p):
-        line = line_at(u)
-        if line is None:
-            continue
-        if star is None:
-            star = next(k for k, x in enumerate(line) if x)
-        if line[star]:
-            inverse = pow(line[star], -1, p)
-            points.append(u)
-            ratios.append([x * inverse % p for x in line])
-            if len(points) == used:
-                return star, points, ratios
-    raise modkernel.UnluckyPrime(f"{len(points)} of {used} points have a line mod {p}")
-
-
-def _solve_packed(system, p):
-    """_kernel_at_points on packed Python ints, each row one int: the
+    The eliminations run on packed Python ints, each row one int: the
     inversion of V0 (modkernel.invert_packed), the C-column kernel
     (modkernel._kernel_mod_p of a list of rows) and the final RREF
-    (modkernel.rref_packed)."""
+    (modkernel.rref_packed).
+    """
     star, points, ratios = _points_on_lines(system, p)
     n = len(system.tensor)
     steps = _monomial_steps(n, system.d)
@@ -331,6 +283,34 @@ def _solve_packed(system, p):
         basis.append(row)
     reduced, pivots = rref_packed(basis, n * C, p)
     return [unpack(row, n * C, p) for row in reduced], tuple(pivots)
+
+def _point_count(n, C):
+    """C + E, the number of points a solve at points uses."""
+    return C + -(-C // (n - 1)) + n
+
+
+def _points_on_lines(system, p):
+    """The point stage of _kernel_at_points: (k*, the C + E points used,
+    their ratios r_s = l_s / l_s[k*]), points and ratios as lists of
+    residues.  Raises UnluckyPrime when the draws run out first."""
+    tensor, d = system.tensor, system.d
+    n = len(tensor)
+    used = _point_count(n, monomial_count(n, d))
+    line_at = _PointLines(tensor, p)
+    star, points, ratios = None, [], []
+    for u in _interpolation_points(n, 2 * used, d, p):
+        line = line_at(u)
+        if line is None:
+            continue
+        if star is None:
+            star = next(k for k, x in enumerate(line) if x)
+        if line[star]:
+            inverse = pow(line[star], -1, p)
+            points.append(u)
+            ratios.append([x * inverse % p for x in line])
+            if len(points) == used:
+                return star, points, ratios
+    raise modkernel.UnluckyPrime(f"{len(points)} of {used} points have a line mod {p}")
 
 
 class _PointLines:
@@ -408,50 +388,66 @@ class _PointLines:
         return line
 
 
-def _solve_float64(system, p):
-    """_kernel_at_points in float64 numpy: the monomial table of the points
-    (_monomial_table_mod), the inversion of V0, the C-column kernel and
-    the final RREF by modkernel._rref_mod."""
-    import numpy as np
-
-    star, points, ratios = _points_on_lines(system, p)
-    n = len(system.tensor)
-    steps = _monomial_steps(n, system.d)
-    C = len(steps[-1])
-    ratios = np.array(ratios, dtype=np.float64)
-    table = _monomial_table_mod(np.array(points, dtype=np.int64), steps, p)
-    reduced, pivots, _ = modkernel._rref_mod(np.hstack([table[:C], np.eye(C)]), p)
-    if pivots != list(range(C)):
-        raise modkernel.UnluckyPrime(f"the monomial matrix of the points is singular mod {p}")
-    v0_inverse = reduced[:, C:]
-    weights = modkernel._matmul_mod(table[C:], v0_inverse, p)
-    others = [k for k in range(n) if k != star]
-    gaps = modkernel._reduce(ratios[None, :C, others] - ratios[C:, None, others], p)
-    rows = modkernel._reduce(weights[:, :, None] * gaps, p).transpose(0, 2, 1).reshape(-1, C)
-    kernel = modkernel._kernel_mod_p(rows, p)
-    if kernel is None:
-        return None
-    values = np.array(kernel[0], dtype=np.float64).T
-    dim = values.shape[1]
-    scaled = modkernel._reduce(ratios[:C, :, None] * values[:, None, :], p).reshape(C, n * dim)
-    coeffs = modkernel._matmul_mod(v0_inverse, scaled, p).reshape(C, n, dim)
-    basis = coeffs.transpose(2, 1, 0).reshape(dim, n * C)
-    reduced, pivots, _ = modkernel._rref_mod(basis, p)
-    return reduced[: len(pivots)].astype(np.int64).tolist(), tuple(pivots)
+def _adjugate_kernel(system):
+    """The kernel at d = n - 2 of a scan whose lower kernels are {0}: [phi],
+    phi the primitive coefficient vector of H (_adjugate_column), certified
+    by M phi = 0; a phi that fails, or H = 0, raises LiftingError."""
+    h = _adjugate_column(system.tensor)
+    kernel = [primitive_vector(h)] if any(h) else []
+    if not (kernel and system.annihilates(kernel)):
+        raise LiftingError(f"the adjugate's line fails the certificate at degree {system.d}")
+    return kernel
 
 
-def _monomial_table_mod(points, steps, p):
-    """The monomials of the top degree of ``steps`` (_monomial_steps) at the
-    residue points ``points`` (int64, shape (S, n)), mod p, in monomials
-    order, as a float64 array of shape (S, C): _monomial_values for all
-    points at once.  Every product of two residues is below p**2 < 2**63."""
-    import numpy as np
+def _adjugate_column(tensor):
+    """The coefficients of the n forms H of degree D = n - 2 with
+    adj A(v) = H(v) v^T, for the integer tensor of an antisymmetric map, in
+    the column order of ConstraintSystem at degree D.
 
-    table = np.ones((len(points), 1), dtype=np.int64)
-    for level in steps:
-        parents, variables = np.array(level, dtype=np.int64).T
-        table = table[:, parents] * points[:, variables] % p
-    return table.astype(np.float64)
+    Column 0 of adj A(u) is H(u) u_0, so at u = (1, x) H is the cofactors
+    of row 0 of A(u).  x runs over the principal lattice, x = m[1:] for m
+    in monomials(n, D), where a polynomial of total degree at most D is
+    fixed by its values (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+    Forward differences along each axis in turn give its coefficients on
+    the products of falling factorials x_i (x_i - 1) ... (x_i - a_i + 1),
+    once the a-th difference along a line is divided by a!, which is exact
+    for a polynomial with integer coefficients.  Horner's rule, b_0 +
+    x (b_1 + (x - 1) (b_2 + ...)), then expands each line into monomials.
+    The monomial x^e of H(1, x) is v_0^(D - |e|) x^e in H(v), the monomial
+    m of the point x = m[1:] itself.
+    """
+    n = len(tensor)
+    # rows[i - 1][k] holds the t[j][i][k], so that A(u)[i][k] = sum_j u_j t[j][i][k]
+    rows = [[[plane[i][k] for plane in tensor] for k in range(n)] for i in range(1, n)]
+    values = [cofactors([[sum(map(mul, (1, *m[1:]), column)) for column in row] for row in rows])
+              for m in monomials(n, n - 2)]
+    lines = _lattice_lines(n, n - 2)
+    out = []
+    for f in map(list, zip(*values)):
+        for line in lines:
+            for a in range(1, len(line)):
+                for j in range(len(line) - 1, a - 1, -1):
+                    f[line[j]] -= f[line[j - 1]]
+            for a, i in enumerate(line):
+                f[i] //= factorial(a)
+        for line in lines:
+            q = []
+            for a in range(len(line) - 1, -1, -1):
+                q = [c - a * x for c, x in zip([f[line[a]], *q], [*q, 0])]
+            for i, c in zip(line, q):
+                f[i] = c
+        out += f
+    return out
+
+
+@cache
+def _lattice_lines(n, d):
+    """The lines of the principal lattice {m[1:] : m in monomials(n, d)},
+    axis 1 to n - 1 in turn: each the positions in monomials(n, d) of the
+    points with x_i = 0, 1, ... and the other coordinates fixed."""
+    index = _monomial_index(n, d)
+    return tuple(tuple(index[(m[0] - a, *m[1:i], a, *m[i + 1:])] for a in range(m[0] + 1))
+                 for i in range(1, n) for m in monomials(n, d) if m[i] == 0)
 
 
 @cache
@@ -638,8 +634,14 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     so q is a constant.  So the degree-d kernel is {g Phi0 : g a form of
     degree d - d0}, of dimension monomial_count(n, d - d0), and the first
     nonzero one is {c Phi0} at d = d0, or, for a constant Phi0 = c, the
-    n-dimensional {g c} at d = 1, whose RREF rows are the x_i c.  That
-    kernel decides:
+    n-dimensional {g c} at d = 1, whose RREF rows are the x_i c.  The
+    adjugate's H, nonzero at rank n - 1, is a kernel vector of degree
+    n - 2, so d0 <= n - 2.  A scan that reaches d = n - 2 >= 2 has found
+    {0} at d = 1 .. n - 3, so d0 = n - 2 (a constant Phi0 gives a nonzero
+    kernel at d = 1), and the kernel is the line of H, which
+    _adjugate_kernel gives without a solve.  On R^3 n - 2 = 1 is the first
+    degree, whose kernel can be {g c}, so it is solved.  That kernel
+    decides:
 
     - no element validated: later kernel vectors g Phi0 vanish where Phi0
       does, and later RREF rows m c, m a monomial, where some x_i c does,
@@ -657,7 +659,8 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
     columns run component-major with the monomials lex descending, so the
     pivot entry is the first coefficient of the components in the order
     they are written out, and it is positive.  Rows of an RREF have
-    distinct pivot columns, so no two of them are equal.
+    distinct pivot columns, so no two of them are equal.  The adjugate's
+    line is returned in the same form (primitive_vector).
     """
     if max_degree < 1 or max_degree > 5:
         raise ValueError("max_degree out of range 1..5")
@@ -668,7 +671,9 @@ def solve_lifting_scan(eta: DissidentMap, samples=DEFAULT_SAMPLES, seed=0,
         raise NoLiftingFound(no_lifting)
     scan = []
     for d in range(1, max_degree + 1):
-        kernel = sparse_kernel(_sparse_system(eta, d), _kernel_at_points)
+        system = _sparse_system(eta, d)
+        kernel = (_adjugate_kernel(system) if d == eta.n - 2 >= 2
+                  else sparse_kernel(system, _kernel_at_points))
         rows, cols = constraint_shape(eta.n, d)
         scan.append({"degree": d, "rows": rows, "cols": cols, "kernel_dim": len(kernel),
                      "validated": 0})

@@ -13,23 +13,21 @@ and completed by Wang's rational reconstruction, so that one prime serves
 entries of nearly its own size.  The candidate is then certified by the
 system's exact annihilates.
 
-The eliminations mod p come in two forms.  On packed Python ints
-(echelon_packed, rref_packed, invert_packed, and _kernel_mod_p of a list
-of rows) a row of residues is one int with one 64-bit field per entry
-(after Dumas, Fousse & Salvy, "Simultaneous modular reduction and
-Kronecker substitution for small finite fields", J. Symbolic Comput. 46,
-2011): a row operation is one multiply and one add of big ints, and a
-field is reduced mod p only when it is read.  In float64 numpy (_rref_mod,
-and _kernel_mod_p of an array) all intermediate values stay below 2**53,
-so the arithmetic is exact integer arithmetic, and every reduction mod p
-goes through _reduce.  They are blocked by columns: pivots are found one
-at a time only inside panels of 64 columns, and each panel's row
-transform reaches the rest of the matrix in one matmul.  numpy is
-imported only inside the float64 eliminations, since its import costs
-more than the small systems' whole solve: lifting._kernel_at_points runs
-on packed ints up to lifting._PACKED_COLUMNS columns and in float64
-above, and finds its lines at points on packed ints either way
-(lifting._PointLines).
+The scan's eliminations mod p run on packed Python ints (echelon_packed,
+rref_packed, invert_packed, and _kernel_mod_p of a list of rows): a row of
+residues is one int with one 64-bit field per entry (after Dumas, Fousse &
+Salvy, "Simultaneous modular reduction and Kronecker substitution for
+small finite fields", J. Symbolic Comput. 46, 2011), a row operation is
+one multiply and one add of big ints, and a field is reduced mod p only
+when it is read.  The eliminations in float64 numpy (_rref_mod, and
+_kernel_mod_p of an array) have no caller in the package: the tests
+eliminate whole reference systems with them, and the benchmark's tracer
+times _rref_mod.  All their intermediate values stay below 2**53, so the
+arithmetic is exact integer arithmetic, every reduction mod p goes through
+_reduce, and numpy is imported only inside them.  They are blocked by
+columns: pivots are found one at a time only inside panels of 64 columns,
+and each panel's row transform reaches the rest of the matrix in one
+matmul.
 
 Certification logic: the exact kernel reduces injectively modulo any prime
 (the integer kernel lattice is saturated), so dim ker(M mod p) >= dim ker(M)
@@ -62,15 +60,13 @@ from array import array
 from bisect import bisect
 from math import gcd, isqrt
 
-# Primes sized so that a 4096-term dot product of residues fits in 2**53,
-# keeping float64 matmuls exact.
+# Word-size primes: the packed fields stay below 2**64 (echelon_packed),
+# and a 64-term dot product of residues, a panel of _rref_mod, below 2**53.
 PRIMES = (
     1399999, 1399963, 1399943, 1399919, 1399913, 1399883, 1399861, 1399847,
     1399843, 1399837, 1399819, 1399817, 1399813, 1399793, 1399789, 1399777,
     1399751, 1399733, 1399721, 1399709, 1399691, 1399687, 1399679, 1399663,
 )
-
-_MATMUL_CHUNK = 4096
 
 # Columns per panel of the blocked elimination in _rref_mod, and the widest
 # part of a panel that is eliminated one pivot at a time.
@@ -97,23 +93,6 @@ class UnluckyPrime(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # mod-p elimination primitives (exact integer arithmetic inside float64)
-
-
-def _matmul_mod(a, b, p):
-    """a @ b mod p for residue matrices a and b, entries in [0, p).
-
-    The inner dimension is summed in chunks of _MATMUL_CHUNK terms, each
-    below (p-1)**2, into an accumulator reduced to [0, p) after every
-    chunk.  So every float64 sum stays below _MATMUL_CHUNK*(p-1)**2 + p <
-    2**53 for every prime of PRIMES, and the arithmetic is exact.
-    """
-    import numpy as np
-
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for s in range(0, a.shape[1], _MATMUL_CHUNK):
-        acc += a[:, s:s + _MATMUL_CHUNK] @ b[s:s + _MATMUL_CHUNK, :]
-        _reduce(acc, p, out=acc)
-    return acc
 
 
 def _reduce(x, p, out=None):
@@ -156,7 +135,7 @@ def _rref_mod(a, p):
     Exactness: the factors of every update are residues in [0, p), or -1
     on the diagonal of L: the reduced column and pivot row of a rank-1
     update, or L and the reduced a[S, c1:] of a matmul with at most
-    _PANEL <= _MATMUL_CHUNK inner terms.  So s pivots change any entry by
+    _PANEL inner terms.  So s pivots change any entry by
     less than s*(p-1)**2, and every float64 value stays in
     (-s*(p-1)**2, p + s*(p-1)**2).  A full reduction is forced before the
     pivots since the last one could pass `budget`, which keeps that below

@@ -22,10 +22,12 @@ from divalg.qda import AlgebraPresentation
 from divalg.serialize import (
     algebra_to_json,
     canonical_json,
+    lifting_to_json,
     map_to_json,
     plain_matrix_to_json,
     triple_to_json,
 )
+from conftest import _perfbench_module
 
 
 def run_cli(*argv):
@@ -742,56 +744,102 @@ class FreshRun(NamedTuple):
     code: int  # main's exit code, 0 when main is not run
     loaded: set  # the names in sys.modules
     environ_kept: bool  # whether os.environ is as it was before the import
-    blas_threads: int | None  # OpenBLAS's thread count, when numpy is loaded
 
 
-def _fresh_run(argv=None, cwd=None, env=None, timeout=None):
+def _fresh_run(argv=None, cwd=None, timeout=None):
     """A FreshRun of ``import divalg.cli`` and, unless argv is None,
-    ``main(argv)`` in a fresh interpreter, with ``env`` added to the
-    environment, ended after ``timeout`` seconds.  OpenBLAS's own thread
-    count is read through ctypes from the library numpy loaded, as the
-    benchmark reads it; it is None where numpy is not loaded or the
-    library has no such symbol."""
+    ``main(argv)`` in a fresh interpreter, ended after ``timeout``
+    seconds."""
     script = f"""
-import ctypes, glob, io, json, os, sys
+import io, json, os, sys
 from contextlib import redirect_stdout
-from pathlib import Path
 environ = dict(os.environ)
 import divalg.cli
 code = 0
 if {argv!r} is not None:
     with redirect_stdout(io.StringIO()):
         code = divalg.cli.main({argv!r})
-loaded = sorted(sys.modules)
-threads = None
-if "numpy" in sys.modules:
-    libs = Path(sys.modules["numpy"].__file__).parent.parent / "numpy.libs"
-    for lib in glob.glob(str(libs / "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None and threads is None:
-                fn.restype = ctypes.c_int
-                threads = fn()
-print(json.dumps([code, loaded, environ == dict(os.environ), threads]))
+print(json.dumps([code, sorted(sys.modules), environ == dict(os.environ)]))
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         cwd=cwd, env={**os.environ, **(env or {}), "PYTHONPATH": src},
+                         cwd=cwd, env={**os.environ, "PYTHONPATH": src},
                          check=True, timeout=timeout).stdout
-    code, loaded, environ_kept, threads = json.loads(out)
-    return FreshRun(code, set(loaded), environ_kept, threads)
+    code, loaded, environ_kept = json.loads(out)
+    return FreshRun(code, set(loaded), environ_kept)
 
 
-# A lift whose scan reaches a system above lifting._PACKED_COLUMNS, so that
-# it solves in float64 numpy: the suite's degree-5 map, few trials and samples
+# A lift whose scan runs every degree: the suite's degree-5 map, few trials
+# and samples
 RAND5_LIFT = ["lift", "--input", "rand5.json", "--trials", "5", "--samples", "4"]
 
 
 def _write_rand5(directory, rand5):
     (directory / "rand5.json").write_text(canonical_json(map_to_json(rand5[0])),
                                           encoding="utf-8")
+
+
+def test_a_failed_adjugate_certificate_exits_3(tmp_path, monkeypatch, rand5):
+    # a degree-5 lifting that fails M phi = 0 is no lifting: one error
+    # document and exit 3, never a traceback or an uncertified lifting
+    import divalg.lifting
+
+    column = divalg.lifting._adjugate_column
+
+    def wrong(tensor):
+        h = column(tensor)
+        h[0] += 1
+        return h
+
+    monkeypatch.setattr(divalg.lifting, "_adjugate_column", wrong)
+    _write_rand5(tmp_path, rand5)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json("degree", *RAND5_LIFT[1:])
+    assert code == 3
+    assert report["error"] == "the adjugate's line fails the certificate at degree 5"
+    assert "scan" not in report and "lifting" not in report
+
+
+def _plane_cayley(seed, bound):
+    """S = (I + K)^-1 (I - K) for the seeded antisymmetric K with entries
+    in [-bound, bound] at (0, 1), (2, 3) and (4, 5): three plane rotations
+    with large entries, so that each column of S has at most two nonzero
+    entries and the benchmark's composition stays fast."""
+    rng = random.Random(seed)
+    k = [[0] * 7 for _ in range(7)]
+    for i, j in ((0, 1), (2, 3), (4, 5)):
+        k[i][j] = rng.randint(-bound, bound)
+        k[j][i] = -k[i][j]
+    plus = Matrix([[int(i == j) + k[i][j] for j in range(7)] for i in range(7)])
+    minus = [[int(i == j) - k[i][j] for j in range(7)] for i in range(7)]
+    return Matrix.from_columns([plus.solve_right([row[j] for row in minus])
+                                for j in range(7)]).entries
+
+
+def test_a_degree_5_map_with_large_coefficients_lifts(tmp_path, monkeypatch):
+    # random_tensor(0) conjugated by a rotation with entries of about 27
+    # bits has 142-bit tensor entries.  Its degree-5 kernel needs a larger
+    # modulus than the prime ladder's, so a solve at points exits 3; the
+    # adjugate's line lifts it, to the lifting of random_tensor(0) composed
+    # with the rotation exactly
+    from divalg.lifting import solve_lifting
+
+    inputs = _perfbench_module("inputs")
+    monkeypatch.setitem(sys.modules, "inputs", inputs)
+    workloads = _perfbench_module("workloads")
+    s = _plane_cayley(3, 10 ** 4)
+    eta = DissidentMap(7, inputs.conjugate(inputs.random_tensor(0), s))
+    assert max(abs(x).bit_length() for plane in eta.integer_tensor for row in plane
+               for x in row) >= 136
+    (tmp_path / "big.json").write_text(canonical_json(map_to_json(eta)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json("lift", "--input", "big.json", "--trials", "5", "--samples", "8",
+                            "--emit", "phi.json")
+    assert code == 0 and report["degree"] == 5 and report["verification"]["all_pass"]
+    base = solve_lifting(DissidentMap(7, inputs.random_tensor(0)), samples=8, seed=0)
+    doc = json.loads(canonical_json(lifting_to_json(base)))
+    assert (tmp_path / "phi.json").read_text(encoding="utf-8") == canonical_json(
+        workloads.conjugated_lifting(doc, s))
 
 
 @pytest.mark.parametrize("argv", [
@@ -808,7 +856,7 @@ def test_lift_and_degree_leave_sympy_unloaded(argv):
     assert {"divalg.poly", "divalg.modkernel"} <= run.loaded
 
 
-# the commands that run the degree scan, whose systems up to degree 3 are
+# the commands that run the degree scan, whose systems below degree 5 are
 # solved mod p on packed Python ints
 SCANS = ("degree", "lift")
 
@@ -831,48 +879,30 @@ SCANS = ("degree", "lift")
                  id="degree --quadruple random"),
     ["lift", "--builtin", "cross7"],
     ["lift", "--input", "conj.json"],
+    RAND5_LIFT,
 ], ids=lambda argv: " ".join(argv[:3]))
-def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, argv):
-    # numpy is most of the start-up time of a command, and only the float64
-    # eliminations use it: the division check and the dissidence falsifier
-    # decide their draws in Python ints, and the scan solves its systems up
-    # to degree 3, the degree of the conjugated bent map, on packed ints
+def test_commands_without_mod_p_leave_numpy_unloaded(tmp_path, conjugate_bent_tensor, rand5,
+                                                     argv):
+    # numpy is most of the start-up time of a process, and no command uses
+    # it: the division check and the dissidence falsifier decide their draws
+    # in Python ints, the scan solves its systems below degree 5 on packed
+    # ints, and degree 5 is the adjugate's line, with no solve (rand5)
     _write_inputs(tmp_path, conjugate_bent_tensor)
+    _write_rand5(tmp_path, rand5)
     run = _fresh_run(argv, cwd=tmp_path)
     assert run.code == 0 and "numpy" not in run.loaded
     if argv[0] not in SCANS:
         assert "divalg.modkernel" not in run.loaded
 
 
-def test_lift_loads_numpy(tmp_path, rand5):
-    # the control of the guard above: the degree-5 system is solved in
-    # float64 numpy
-    _write_rand5(tmp_path, rand5)
-    run = _fresh_run(RAND5_LIFT, cwd=tmp_path)
-    assert run.code == 0 and "numpy" in run.loaded and "sympy" not in run.loaded
-
-
-def test_cli_runs_blas_on_one_thread(tmp_path, rand5):
-    # main forces one OpenBLAS thread before numpy loads, over the count a
-    # parent process exports; a second thread only slows numpy's load
-    _write_rand5(tmp_path, rand5)
-    run = _fresh_run(RAND5_LIFT, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": "2"})
-    assert run.code == 0 and "numpy" in run.loaded
-    if run.blas_threads is None:
-        pytest.skip("OpenBLAS reports no thread count")
-    assert run.blas_threads == 1
-
-
-def test_cli_leaves_the_blas_threads_of_a_numpy_caller(monkeypatch):
-    # once numpy is loaded its BLAS threads are set, and main changes no
-    # variable that could only act on a child process
+def test_cli_leaves_the_blas_threads_of_a_numpy_caller():
+    # main changes no variable of the environment, such as a BLAS thread
+    # count, of a caller that has loaded numpy, nor of any other
     import numpy  # noqa: F401
 
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
     code, _ = run_cli("lift", "--builtin", "cross3", "--trials", "5", "--samples", "4")
-    assert code == 0
-    assert "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ
+    assert code == 0 and dict(os.environ) == environ
 
 
 def test_lift_is_independent_of_seed_and_scale(tmp_path, monkeypatch, conjugate_bent_tensor):

@@ -10,9 +10,13 @@ from divalg.exact import (
     Contraction,
     DimensionError,
     Matrix,
+    cofactors,
     contraction_width,
     dot,
     is_rational_square,
+    minor_widths,
+    pack,
+    packed_det,
     primitive_vector,
     scalar_from_str,
     scalar_to_str,
@@ -121,6 +125,32 @@ def test_det_at_the_width_bound():
 def test_det_requires_square():
     with pytest.raises(DimensionError):
         Matrix([[1, 2, 3], [4, 5, 6]]).det()
+
+
+def _cofactor_cases(n):
+    """(n - 1) x n integer matrices, entries small or up to 10**30, as
+    drawn, with the last row zero, or with the last row the first again."""
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n - 1, max_size=n - 1)
+    return st.tuples(rows, st.sampled_from(("drawn", "zero row", "repeated row")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from((3, 4, 7)).flatmap(_cofactor_cases))
+@example(case=([[(-1) ** i * 10**30 * (j in (i, 6)) for j in range(7)] for i in range(6)],
+               "drawn"))
+def test_cofactors_are_the_signed_maximal_minors(case):
+    rows, shape = case
+    if shape == "zero row":
+        rows[-1] = [0] * len(rows[-1])
+    elif shape == "repeated row":
+        rows[-1] = list(rows[0])
+    expected = []
+    for k in range(len(rows) + 1):
+        minor = [row[:k] + row[k + 1:] for row in rows]
+        widths = minor_widths(sum(map(abs, row)) for row in minor)
+        expected.append((-1) ** k * packed_det([pack(row, widths) for row in minor], widths))
+    assert cofactors(rows) == expected
 
 
 # -- kernels -----------------------------------------------------------------

@@ -36,14 +36,13 @@ from divalg.lifting import (
     solve_lifting,
     solve_lifting_scan,
     verify_lifting,
-    _PACKED_COLUMNS,
     _PointLines,
+    _adjugate_column,
+    _adjugate_kernel,
     _interpolation_points,
     _kernel_at_points,
     _pointwise_failures,
     _sample_lines,
-    _solve_float64,
-    _solve_packed,
     _sparse_system,
     _validate,
 )
@@ -572,8 +571,9 @@ def test_rand5_lifting_bytes_are_frozen(rand5):
 def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     # every kernel of the scan and the sample screen run on the ladder
     # reversed: the scan report and the lifting's bytes must not change.
-    # Each kernel keeps the scan's solve from the eta_P lines at points, and
-    # the points serve every prime.
+    # Each kernel below degree 5 keeps the scan's solve from the eta_P lines
+    # at points, and the points serve every prime; degree 5 = n - 2 is the
+    # adjugate's line and uses no prime.
     eta, lifting, scan, _ = rand5
     ladder = modkernel.PRIMES[::-1]
     solves = []
@@ -591,7 +591,7 @@ def test_rand5_lifting_is_independent_of_the_prime_ladder(rand5, monkeypatch):
     monkeypatch.setattr("divalg.lifting.sparse_kernel", reversed_ladder)
     monkeypatch.setattr(modkernel, "SCREEN_PRIME", ladder[0])
     again, rescan, _ = solve_lifting_scan(eta, samples=24, seed=0)
-    assert solves == [_kernel_at_points] * 5
+    assert solves == [_kernel_at_points] * 4
     assert rescan == scan
     assert canonical_json(lifting_to_json(again)) == canonical_json(lifting_to_json(lifting))
 
@@ -881,13 +881,17 @@ def test_integer_validation_matches_the_fraction_loop(conjugate_bent_tensor, mon
 # differential: each prime's subspace from the eta_P lines at points against
 # the kernel mod p of the whole dense reference
 
-# map name -> the kernel dimension of the scan at d = 1, 2, ...
+# map name -> {degree: the kernel dimension there}; cross7 at d = 4 is the
+# widest system solved at points (C = 210) with a kernel of dimension 84,
+# and random0, the benchmark's random tensor of seed 0, a second map of
+# degree 5 beside rand5
 POINT_SOLVE_KERNEL_DIMS = {
-    "cross3": (1,),
-    "cross7": (1, 7),
-    "conjugate": (0, 0, 1),
-    "quadruple0": (1,),
-    "rand5": (0, 0, 0, 0, 1),
+    "cross3": {1: 1},
+    "cross7": {1: 1, 2: 7, 4: 84},
+    "conjugate": {1: 0, 2: 0, 3: 1},
+    "quadruple0": {1: 1},
+    "rand5": {1: 0, 2: 0, 3: 0, 4: 0, 5: 1},
+    "random0": {5: 1},
 }
 
 
@@ -917,14 +921,20 @@ def same_subspace(result, expected):
 
 @pytest.mark.parametrize("name", POINT_SOLVE_KERNEL_DIMS)
 def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, name):
-    # every prime is served by the points.  rand5's degree-5 system (6468 x
+    # every prime is served by the points.  The degree-5 system (6468 x
     # 3234) is beyond a dense elimination in a test; there each prime's
     # subspace must be the certified lifting's line mod p, which lies in
-    # ker(M mod p)
-    eta = rand5[0] if name == "rand5" else named_map(name, conjugate_bent_tensor)
-    for d, dim in enumerate(POINT_SOLVE_KERNEL_DIMS[name], start=1):
+    # ker(M mod p), and the kernel the adjugate's line, the scan's kernel
+    # at d = n - 2
+    if name == "random0":
+        eta = DissidentMap(7, _perfbench_module("inputs").random_tensor(0))
+    else:
+        eta = rand5[0] if name == "rand5" else named_map(name, conjugate_bent_tensor)
+    for d, dim in POINT_SOLVE_KERNEL_DIMS[name].items():
         kernel, solves = recorded_solves(eta, d)
         assert len(kernel) == dim and solves
+        if d == 5:
+            assert kernel == _adjugate_kernel(_sparse_system(eta, d))
         for p, result in solves:
             if d == 5:
                 line = np.array(kernel[0]) % p
@@ -934,6 +944,36 @@ def test_points_solve_matches_the_elimination(conjugate_bent_tensor, rand5, name
                 expected = modkernel._kernel_mod_p(
                     reference_residues(integer_map(eta), d, p), p)
                 assert same_subspace(result, expected), (name, d, p)
+
+
+@st.composite
+def antisymmetric_tensors(draw, n):
+    """Integer antisymmetric tensors on R^n with entries in [-3, 3]."""
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cell = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            t[i][j], t[j][i] = cell, [-x for x in cell]
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(antisymmetric_tensors))
+@example([[[0] * 3] * 3] * 3)
+def test_adjugate_column_is_the_symbolic_adjugate(tensor):
+    # H is column 0 of adj A(v) over v_0, with A(v) the symbolic matrix of
+    # rows eta(v ^ e_i), for every antisymmetric tensor: zero, degenerate or
+    # not.  On R^4 (n - 2 = 2) the lattice has lines of more than two points
+    import sympy
+
+    n = len(tensor)
+    v = sympy.symbols(f"v0:{n}")
+    a = sympy.Matrix(n, n, lambda i, k: sum(v[j] * tensor[j][i][k] for j in range(n)))
+    expected = []
+    for entry in a.adjugate()[:, 0]:
+        h = sympy.Poly(entry, *v).exquo(sympy.Poly(v[0], *v)).as_dict()
+        expected += [int(h.get(m, 0)) for m in monomials(n, n - 2)]
+    assert _adjugate_column(tensor) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -957,9 +997,6 @@ def test_points_solve_contains_the_elimination_kernel(cells):
         mat = _sparse_system(eta, d)
         for p in modkernel.PRIMES[:2]:
             expected = modkernel._kernel_mod_p(reference_residues(eta, d, p), p)
-            # the packed solve, which serves R^3 at every degree, and the
-            # float64 solve agree, prime skipped or not
-            assert solved(_solve_packed, mat, p) == solved(_solve_float64, mat, p), (cells, d, p)
             try:
                 result = _kernel_at_points(mat, p)
             except modkernel.UnluckyPrime:
@@ -1031,37 +1068,6 @@ def test_point_lines_leave_out_the_redundant_row(conjugate_bent_tensor, p):
         assert kernel[0] == [[x * lead % p for x in line]], (u, p)
     assert found >= (len(points) if p > 3 else 1)
     assert line_at([0] * 7) is None
-
-
-def solved(solve, mat, p):
-    """solve(mat, p), or the class UnluckyPrime where it skips the prime."""
-    try:
-        return solve(mat, p)
-    except modkernel.UnluckyPrime:
-        return modkernel.UnluckyPrime
-
-
-@pytest.mark.parametrize("name", ["cross3", "cross7", "bent3", "conjugate", "rand5",
-                                  "quadruple1", "quadruple2", "quadruple5", "quadruple182"])
-def test_packed_solve_matches_the_float64_solve(conjugate_bent_tensor, rand5, name):
-    # the two solves at points, called directly: at every degree of the
-    # scan whose C is within the packed bound, and on R^7 the first degree
-    # above it, the packed solve gives the float64 solve's RREF on each of
-    # the first three primes, or skips the same primes
-    if name == "rand5":
-        eta = rand5[0]
-    elif name.startswith("quadruple"):
-        eta = quadruple_to_triple(random_quadruple(int(name.removeprefix("quadruple")))).eta
-    else:
-        eta = named_map(name, conjugate_bent_tensor)
-    degrees = [d for d in range(1, 6) if monomial_count(eta.n, d) <= _PACKED_COLUMNS]
-    degrees += [d for d in range(1, 6) if monomial_count(eta.n, d) > _PACKED_COLUMNS][:1]
-    assert degrees == ([1, 2, 3, 4] if eta.n == 7 else [1, 2, 3, 4, 5])
-    for d in degrees:
-        mat = _sparse_system(eta, d)
-        for p in modkernel.PRIMES[:3]:
-            expected = solved(_solve_float64, mat, p)
-            assert solved(_solve_packed, mat, p) == expected, (name, d, p)
 
 
 def test_points_solve_skips_a_prime_whose_v0_is_singular(monkeypatch):
